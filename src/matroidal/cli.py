@@ -58,6 +58,15 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _node_budget(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            f"search budget must be nonnegative, got {value}"
+        )
+    return value
+
+
 def _emit(args, payload: dict, text_lines: list[str]) -> None:
     if args.json:
         print(json.dumps(payload))
@@ -375,7 +384,9 @@ def build_parser() -> _Parser:
         default="auto",
     )
     p.add_argument("--size", type=int, default=None, help="search target size")
-    p.add_argument("--budget", type=int, default=50000, help="search node budget")
+    p.add_argument(
+        "--budget", type=_node_budget, default=50000, help="search node budget"
+    )
 
     p = add("verify-cert", _cmd_verify_cert, help="re-verify a certificate file")
     p.add_argument("ideal")
@@ -391,7 +402,9 @@ def build_parser() -> _Parser:
     p = add("scan", _cmd_scan, help="theorem battery plus certificate scan")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
-    p.add_argument("--budget", type=int, default=20000, help="search node budget")
+    p.add_argument(
+        "--budget", type=_node_budget, default=20000, help="search node budget"
+    )
     p.add_argument(
         "--no-sym",
         dest="sym",

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from typing import Iterator
 
 from .decomposition import (
     degree2_partition,
@@ -245,10 +246,6 @@ def degree2_cert(mi: MatroidalIdeal) -> SVPartition:
     return result
 
 
-class _Budget(Exception):
-    pass
-
-
 @dataclass(frozen=True)
 class SearchResult:
     """Search outcome.
@@ -265,6 +262,56 @@ class SearchResult:
     nodes: int
 
 
+class _PairCovers:
+    """Lazily built table of the generators dividing each pairwise product.
+
+    ``row(a)[b]`` is the bitmask of generator indices w with w dividing
+    gens[a] * gens[b].  A row is built the first time generator a is
+    tested.  The entry depends only on the product's support, so entries
+    are memoised by support and each is computed from per-variable masks
+    (the generators containing x_v): w divides the product exactly when it
+    contains no variable outside the support.
+    """
+
+    def __init__(self, gens: list[Monomial]):
+        self._gens = gens
+        self._full = (1 << len(gens)) - 1
+        self._containing: dict[int, int] = {}
+        for i, g in enumerate(gens):
+            while g:
+                low = g & -g
+                self._containing[low] = self._containing.get(low, 0) | 1 << i
+                g ^= low
+        self._support = sum(self._containing)
+        self._by_support: dict[Monomial, int] = {}
+        self._rows: list[list[int] | None] = [None] * len(gens)
+
+    def _dividing(self, prod: Monomial) -> int:
+        outside = self._support & ~prod
+        excluded = 0
+        while outside:
+            low = outside & -outside
+            excluded |= self._containing[low]
+            outside ^= low
+        return self._full & ~excluded
+
+    def row(self, a: int) -> list[int]:
+        cached = self._rows[a]
+        if cached is not None:
+            return cached
+        by_support = self._by_support
+        ga = self._gens[a]
+        row = []
+        for g in self._gens:
+            prod = ga | g
+            cover = by_support.get(prod)
+            if cover is None:
+                cover = by_support[prod] = self._dividing(prod)
+            row.append(cover)
+        self._rows[a] = row
+        return row
+
+
 def search_cert(
     mi: MatroidalIdeal, target_size: int, budget: int = 50000
 ) -> SearchResult:
@@ -275,91 +322,146 @@ def search_cert(
     branch is genuinely dead.  Generators are taken in canonical order and
     subsets enumerated exclusion-first, which reaches small early layers
     (the shape the constructions produce) quickly.
+
+    Generators are handled by index and sets of them as int bitmasks: a
+    pair of layer candidates is compatible when the lazily built pair-cover
+    bitmask (the generators dividing their product) meets the mask of the
+    earlier layers.  Within a layer, each candidate's "cannot share a layer
+    with" mask is computed once, so admissibility is one AND against the
+    chosen set.  The walk keeps its own stack instead of recursing, so no
+    recursion depth grows with the number of generators.  Every node of
+    the exclusion-first subset tree costs one unit of ``budget``, counted
+    exactly as the list-based reference search in the test suite counts
+    it; a search that runs out reports ``budget + 1`` nodes.
     """
     if target_size < 1:
         raise ValueError("target size must be at least one layer")
+    if budget < 0:
+        raise ValueError(f"search budget must be nonnegative, got {budget}")
     gens = list(mi.ideal.gens)
     if target_size > len(gens):
         return SearchResult(None, True, 0)
-    nodes = 0
-    limit = budget
+    row = _PairCovers(gens).row
+    out_of_budget = SearchResult(None, False, budget + 1)
 
-    def bump() -> None:
-        nonlocal nodes
-        nodes += 1
-        if nodes > limit:
-            raise _Budget
+    def open_covers(layer: list[int], earlier: int) -> Iterator[int]:
+        # Covers of the pairs of ``layer`` that no earlier generator divides.
+        for k, a in enumerate(layer):
+            cover = row(a)
+            for b in layer[k + 1 :]:
+                if not cover[b] & earlier:
+                    yield cover[b]
 
-    def assemble(layer_lists: list[list[Monomial]]) -> SVPartition:
-        partition = SVPartition(
-            mi.ideal, tuple(frozenset(l) for l in layer_lists)
+    def conflicts_of(remaining: list[int], j: int, earlier: int) -> int:
+        cover = row(remaining[j])
+        conflict = 0
+        for h in remaining[:j]:
+            if not cover[h] & earlier:
+                conflict |= 1 << h
+        return conflict
+
+    def found(masks: list[int], nodes: int) -> SearchResult:
+        layers = tuple(
+            frozenset(g for i, g in enumerate(gens) if mask >> i & 1)
+            for mask in masks
         )
+        partition = SVPartition(mi.ideal, layers)
         check = verify_sv(partition)
         if not check:
             raise InvariantViolation(
                 f"search produced an invalid partition: {check.failure}"
             )
-        return partition
+        return SearchResult(partition, False, nodes)
 
-    def admissible(m: Monomial, layer: list[Monomial], earlier: list[Monomial]) -> bool:
-        for h in layer:
-            prod = m | h
-            if not any(w & prod == w for w in earlier):
-                return False
-        return True
-
-    def fill(
-        layer_lists: list[list[Monomial]],
-        earlier: list[Monomial],
-        remaining: list[Monomial],
-    ) -> SVPartition | None:
-        left = target_size - len(layer_lists)
-        if left == 0:
-            return assemble(layer_lists) if not remaining else None
-        if len(remaining) < left:
-            return None
-        if left == 1:
-            bump()
-            for a, b in combinations(remaining, 2):
-                prod = a | b
-                if not any(w & prod == w for w in earlier):
-                    return None
-            return assemble(layer_lists + [remaining])
-        chosen: list[Monomial] = []
-
-        def pick(i: int) -> SVPartition | None:
-            bump()
-            if i == len(remaining):
-                if not chosen:
-                    return None
-                taken = set(chosen)
-                rest = [x for x in remaining if x not in taken]
-                return fill(
-                    layer_lists + [list(chosen)], earlier + chosen, rest
-                )
-            found = pick(i + 1)
-            if found is not None:
-                return found
-            m = remaining[i]
-            if admissible(m, chosen, earlier):
-                chosen.append(m)
-                found = pick(i + 1)
-                chosen.pop()
-                if found is not None:
-                    return found
-            return None
-
-        return pick(0)
-
-    try:
-        for p0 in gens:
-            rest = [g for g in gens if g != p0]
-            found = fill([[p0]], [p0], rest)
-            if found is not None:
-                return SearchResult(found, False, nodes)
-        return SearchResult(None, True, nodes)
-    except _Budget:
-        return SearchResult(None, False, nodes)
+    if target_size == 1:
+        # The only layer is the singleton P_0.
+        return found([1], 0) if len(gens) == 1 else SearchResult(None, True, 0)
+    nodes = 0
+    for p0 in range(len(gens)):
+        first = 1 << p0
+        rest = [h for h in range(len(gens)) if h != p0]
+        nodes += 1
+        if nodes > budget:
+            return out_of_budget
+        if target_size == 2:
+            if next(open_covers(rest, first), None) is None:
+                return found([first, sum(1 << h for h in rest)], nodes)
+            continue
+        # One frame per open layer: [remaining, earlier-layer mask,
+        # lazily computed conflict masks by position, chosen mask, and for
+        # the layer before the last, the lazily computed open covers,
+        # smallest first as those are the likeliest to be missed].
+        # ``depth`` is the pick node just entered; None resumes a frame
+        # whose leaf has been handled, to backtrack from it.
+        stack = [[rest, first, [None] * len(rest), 0, None]]
+        depth: int | None = 0
+        while stack:
+            frame = stack[-1]
+            remaining, earlier, conflicts, taken, covers = frame
+            size = len(remaining)
+            if depth is not None:
+                # All-exclusion descent to the leaf, one node per depth.
+                nodes += size - depth
+                if nodes > budget:
+                    return out_of_budget
+                # Layers still to fill after this one: at least one, as a
+                # frame is opened only with two or more to go.
+                left = target_size - 1 - len(stack)
+                if taken and size - taken.bit_count() >= left:
+                    nodes += 1
+                    if nodes > budget:
+                        return out_of_budget
+                    if left == 1:
+                        # The rest is a valid last layer exactly when
+                        # this layer meets every open cover: a cover
+                        # holds its own pair, so a met cover either
+                        # takes the pair out or divides its product.
+                        if covers is None:
+                            covers = frame[4] = sorted(
+                                set(open_covers(remaining, earlier)),
+                                key=int.bit_count,
+                            )
+                        for cover in covers:
+                            if not cover & taken:
+                                break
+                        else:
+                            last = sum(1 << h for h in remaining) ^ taken
+                            return found(
+                                [first] + [f[3] for f in stack] + [last],
+                                nodes,
+                            )
+                    else:
+                        rest = [h for h in remaining if not taken >> h & 1]
+                        below = earlier | taken
+                        stack.append([rest, below, [None] * len(rest), 0, None])
+                        depth = 0
+                        continue
+            # Backtrack to the deepest exclusion whose inclusion is allowed.
+            j = size - 1
+            while j >= 0:
+                bit = 1 << remaining[j]
+                if taken & bit:
+                    taken ^= bit
+                else:
+                    conflict = conflicts[j]
+                    if conflict is None:
+                        conflict = conflicts[j] = conflicts_of(
+                            remaining, j, earlier
+                        )
+                    if not conflict & taken:
+                        taken |= bit
+                        nodes += 1
+                        if nodes > budget:
+                            return out_of_budget
+                        break
+                j -= 1
+            if j < 0:
+                stack.pop()
+                depth = None
+            else:
+                frame[3] = taken
+                depth = j + 1
+    return SearchResult(None, True, nodes)
 
 
 @dataclass(frozen=True)

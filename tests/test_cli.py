@@ -1,4 +1,5 @@
 import json
+from itertools import combinations
 
 import pytest
 
@@ -129,6 +130,30 @@ def test_cert_search_inconclusive(capsys, v42):
         "nodes": payload["nodes"],
         "target_size": 2,
     }
+
+
+def test_cert_search_budget_exceeded_on_large_ideal(capsys, tmp_path):
+    # V(10,5) has 252 generators, more than a per-generator recursion fits.
+    lines = [" ".join(f"x{v}" for v in c) for c in combinations(range(1, 11), 5)]
+    path = tmp_path / "v10_5.txt"
+    path.write_text("n=10\n" + "\n".join(lines) + "\n")
+    code, payload = run_json(
+        capsys, "cert", str(path), "--construction", "search", "--budget", "2000"
+    )
+    assert code == 2
+    assert payload == {
+        "found": False,
+        "status": "budget_exceeded",
+        "nodes": 2001,
+        "target_size": 6,
+    }
+
+
+def test_negative_budget_is_a_usage_error(capsys, v42):
+    code = main(["cert", v42, "--construction", "search", "--budget", "-5"])
+    assert code == 3
+    assert "budget must be nonnegative" in capsys.readouterr().err
+    assert main(["scan", "--n", "5", "--d", "3", "--budget", "-1"]) == 3
 
 
 def test_cert_product_construction(capsys, k22):

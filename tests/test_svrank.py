@@ -1,16 +1,25 @@
+from itertools import combinations
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from matroidal import (
+    MatroidalIdeal,
     SVPartition,
     ara_bounds,
+    as_matroidal,
     certificate_document,
     degree2_cert,
+    minimal_generators,
     mono,
     partition_from_document,
     poly_str,
     product_cert,
+    recognize_var_block_product,
+    recognize_veronese,
+    relabel_ideal,
     search_cert,
     sv_sums,
     var_block_product,
@@ -20,7 +29,15 @@ from matroidal import (
     veronese_cert,
 )
 
-from helpers import contiguous_blocks, ideal_of, matroidal_of, partition_shapes
+from helpers import (
+    contiguous_blocks,
+    ideal_of,
+    matroidal_of,
+    partition_shapes,
+    reference_search_cert,
+)
+
+SEARCH_BUDGETS = (0, 7, 300, 20000)
 
 
 def test_verify_sv_canonical_veronese42():
@@ -153,6 +170,88 @@ def test_search_cert_budget_is_reported():
     assert not result.exhausted
 
 
+def test_search_cert_rejects_negative_budget():
+    with pytest.raises(ValueError, match="budget"):
+        search_cert(veronese(4, 2), 3, budget=-1)
+
+
+def _unchecked_veronese(n: int, d: int) -> MatroidalIdeal:
+    # check_matroidal is quadratic in the generator count and takes seconds
+    # on V(12,6); the square-free Veronese ideal is matroidal by definition.
+    gens = {mono(c) for c in combinations(range(1, n + 1), d)}
+    return MatroidalIdeal(minimal_generators(gens, n), d)
+
+
+@pytest.mark.parametrize("n,d", [(10, 5), (12, 6)])
+def test_search_cert_large_ideal_runs_out_of_budget(n, d):
+    # 252 and 924 generators: deeper than the interpreter's recursion limit
+    # for a search that recursed once per generator.
+    result = search_cert(_unchecked_veronese(n, d), n - d + 1, budget=2000)
+    assert result.partition is None
+    assert not result.exhausted
+    assert result.nodes == 2001
+
+
+def _outcome(result):
+    layers = None if result.partition is None else result.partition.layers
+    return layers, result.exhausted, result.nodes
+
+
+def _assert_search_matches_reference(mi, sizes, budgets=SEARCH_BUDGETS):
+    for size in sizes:
+        for budget in budgets:
+            fast = _outcome(search_cert(mi, size, budget=budget))
+            slow = _outcome(reference_search_cert(mi, size, budget=budget))
+            assert fast == slow, (mi.ideal.gens, size, budget)
+
+
+@pytest.mark.parametrize("n,d", [(4, 2), (5, 2), (5, 3), (5, 4), (6, 4)])
+def test_search_cert_matches_reference(enum_cache, n, d):
+    for mi in enum_cache(n, d):
+        _assert_search_matches_reference(mi, range(1, n - d + 3))
+
+
+def test_search_cert_matches_reference_on_63_sample(enum_cache):
+    # All 1232 labeled (6,3) ideals take about 30 s through both searches;
+    # every orbit representative plus every 40th labeled ideal take ~1 s.
+    sample = enum_cache(6, 3, True) + enum_cache(6, 3)[::40]
+    for mi in sample:
+        _assert_search_matches_reference(mi, range(1, 6))
+
+
+_RELABEL_CELLS = ((5, 3), (6, 3), (6, 4))
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_search_cert_matches_reference_under_relabeling(enum_cache, data):
+    n, d = data.draw(st.sampled_from(_RELABEL_CELLS))
+    mi = data.draw(st.sampled_from(enum_cache(n, d, True)))
+    perm = tuple(data.draw(st.permutations(range(1, n + 1))))
+    relabeled = as_matroidal(relabel_ideal(mi.ideal, perm))
+    size = data.draw(st.integers(1, n - d + 2))
+    budget = data.draw(st.sampled_from(SEARCH_BUDGETS))
+    _assert_search_matches_reference(relabeled, [size], [budget])
+
+
+@pytest.mark.parametrize(
+    "n,d,searches,nodes", [(5, 3, 80, 1495), (6, 4, 576, 17299)]
+)
+def test_search_counters_are_pinned(enum_cache, n, d, searches, nodes):
+    # Measured on the list-based search; a refactor that claims to leave the
+    # algorithm alone must reproduce these counts exactly.
+    hard = [
+        mi
+        for mi in enum_cache(n, d)
+        if not recognize_veronese(mi.ideal)
+        and not recognize_var_block_product(mi.ideal)
+    ]
+    results = [search_cert(mi, n - d + 1, budget=20000) for mi in hard]
+    assert len(results) == searches
+    assert sum(r.nodes for r in results) == nodes
+    assert all(r.partition is not None for r in results)
+
+
 def test_ara_bounds_examples():
     bounds = ara_bounds(veronese(4, 2))
     assert (bounds.lower, bounds.upper, bounds.exact) == (3, 3, True)
@@ -164,8 +263,6 @@ def test_ara_bounds_examples():
 
 def test_ara_bounds_search_path(enum_cache):
     # A degree-3 ideal that is neither Veronese nor a block product.
-    from matroidal import recognize_var_block_product, recognize_veronese
-
     for mi in enum_cache(5, 3, True):
         if recognize_veronese(mi.ideal) or recognize_var_block_product(mi.ideal):
             continue
