@@ -67,6 +67,15 @@ def _node_budget(text: str) -> int:
     return value
 
 
+def _search_size(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"search size must be at least 1 layer, got {value}"
+        )
+    return value
+
+
 def _emit(args, payload: dict, text_lines: list[str]) -> None:
     if args.json:
         print(json.dumps(payload))
@@ -383,7 +392,9 @@ def build_parser() -> _Parser:
         choices=("auto", "veronese", "product", "degree2", "search"),
         default="auto",
     )
-    p.add_argument("--size", type=int, default=None, help="search target size")
+    p.add_argument(
+        "--size", type=_search_size, default=None, help="search target size"
+    )
     p.add_argument(
         "--budget", type=_node_budget, default=50000, help="search node budget"
     )

@@ -3,8 +3,11 @@
 An equal-degree square-free monomial ideal is matroidal when its generator
 supports satisfy the basis exchange condition: for generators B1, B2 and
 any x in B1 - B2 there is a y in B2 - B1 with (B1 - x) + y again a
-generator.  The checker is the naive pairwise scan with hashed membership;
-at desk scale (|G| <= 70) clarity beats cleverness.
+generator.  The checker builds the fundamental cocircuits
+C(B, x) = {x} + {y not in B : B - x + y in G} of every generator B with
+hashed lookups, O(|G| d n) in all, and accepts when each of them meets
+every generator.  The pairwise scan runs only on failure, to name the
+lexicographically first failing exchange.
 """
 
 from __future__ import annotations
@@ -85,17 +88,71 @@ def check_matroidal(ideal: Ideal) -> MatroidCheck:
         lo = next(g for g in ideal.gens if mono_degree(g) == degrees[0])
         hi = next(g for g in ideal.gens if mono_degree(g) == degrees[-1])
         return MatroidCheck(None, "mixed_degrees", (lo, hi))
-    genset = set(ideal.gens)
-    for b1 in ideal.gens:
-        for b2 in ideal.gens:
+    if _fundamental_cocircuits(ideal.gens) is not None:
+        return MatroidCheck(MatroidalIdeal(ideal, degrees[0]))
+    return MatroidCheck(None, "exchange", _first_exchange_failure(ideal.gens))
+
+
+def _fundamental_cocircuits(gens: tuple[Monomial, ...]) -> set[int] | None:
+    """The distinct fundamental cocircuits of equal-degree generators.
+
+    For each generator B and x in B, C(B, x) is x together with every
+    support variable y outside B such that B - x + y is a generator.  A
+    generator B2 missing C(B, x) is exactly a failing exchange triple
+    (B, B2, x), so ``None`` is returned iff the exchange condition fails.
+    Otherwise the sets are the cocircuits of the matroid whose bases are
+    the generators, which are exactly its minimal transversals (Oxley,
+    *Matroid Theory*, ch. 2).
+    """
+    genset = set(gens)
+    supp = 0
+    for g in gens:
+        supp |= g
+    cocircuits: set[int] = set()
+    for b in gens:
+        outside = [1 << (y - 1) for y in mono_vars(supp & ~b)]
+        for x in mono_vars(b):
+            xbit = 1 << (x - 1)
+            base = b ^ xbit
+            c = xbit
+            for ybit in outside:
+                if base | ybit in genset:
+                    c |= ybit
+            cocircuits.add(c)
+    # holders[v]: the generators containing x_v, as a mask of their indices.
+    holders: dict[int, int] = {}
+    for i, g in enumerate(gens):
+        for v in mono_vars(g):
+            holders[v] = holders.get(v, 0) | (1 << i)
+    everyone = (1 << len(gens)) - 1
+    for c in cocircuits:
+        met = 0
+        for v in mono_vars(c):
+            met |= holders[v]
+        if met != everyone:
+            return None
+    return cocircuits
+
+
+def _first_exchange_failure(gens: tuple[Monomial, ...]) -> ExchangeWitness:
+    """The lexicographically first (B1, B2, x) with no repairing y.
+
+    Only called once :func:`_fundamental_cocircuits` has found a failure,
+    so finding none is an invariant violation.
+    """
+    genset = set(gens)
+    for b1 in gens:
+        for b2 in gens:
             if b1 == b2:
                 continue
             incoming = mono_vars(b2 & ~b1)
             for x in mono_vars(b1 & ~b2):
                 base = b1 ^ (1 << (x - 1))
                 if not any(base | (1 << (y - 1)) in genset for y in incoming):
-                    return MatroidCheck(None, "exchange", ExchangeWitness(b1, b2, x))
-    return MatroidCheck(MatroidalIdeal(ideal, degrees[0]))
+                    return ExchangeWitness(b1, b2, x)
+    raise InvariantViolation(
+        "a fundamental cocircuit misses a generator, but every exchange holds"
+    )
 
 
 def as_matroidal(ideal: Ideal) -> MatroidalIdeal:

@@ -69,38 +69,50 @@ def find_ordering(
     (in preference order) whose colon ideal is variable-generated, with
     backtracking on dead ends.  Every step is verified by the exact colon
     computation, so the result is correct regardless of the heuristic.
-    Matroidal ideals always admit such an ordering; exhausting the search
-    is an invariant violation.
+    The walk keeps its own stack (the preference index chosen at each
+    depth), so its size is bounded by memory, not the recursion limit.
+    Matroidal ideals have linear quotients in the canonical (descending
+    lex) generator order (Herzog-Takayama 2002), so with the default
+    ``"lex"`` preference the walk places the generators in that order and
+    never backtracks.  Exhausting the search is an invariant violation.
     """
     preference = _preference(mi.ideal.gens, mi.ideal.n, strategy, seed)
     if len(preference) == 1:
         return QuotientOrdering((preference[0],), (), 0)
+    size = len(preference)
+    used = [False] * size
+    chosen: list[int] = []  # preference index placed at each depth
     order: list[Monomial] = []
     steps: list[frozenset[int]] = []
-
-    def dfs(remaining: list[Monomial]) -> bool:
-        if not remaining:
-            return True
-        for u in remaining:
-            stepped = False
+    start = 0
+    while len(order) < size:
+        for i in range(start, size):
+            if used[i]:
+                continue
+            u = preference[i]
             if order:
                 step = colon_step_vars(order, u)
                 if step is None:
                     continue
                 steps.append(step)
-                stepped = True
+            used[i] = True
+            chosen.append(i)
             order.append(u)
-            if dfs([r for r in remaining if r != u]):
-                return True
+            start = 0
+            break
+        else:
+            if not chosen:
+                raise InvariantViolation(
+                    "no linear-quotient ordering found; "
+                    "matroidal ideals always have one"
+                )
+            # Dead end: undo the last choice and resume after it.
+            i = chosen.pop()
+            used[i] = False
             order.pop()
-            if stepped:
+            if order:
                 steps.pop()
-        return False
-
-    if not dfs(preference):
-        raise InvariantViolation(
-            "no linear-quotient ordering found; matroidal ideals always have one"
-        )
+            start = i + 1
     return QuotientOrdering(
         tuple(order), tuple(steps), max((len(s) for s in steps), default=0)
     )

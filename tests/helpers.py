@@ -162,3 +162,88 @@ def reference_search_cert(mi, target_size: int, budget: int = 50000):
         return SearchResult(None, True, nodes)
     except _Budget:
         return SearchResult(None, False, nodes)
+
+
+def reference_check_matroidal(ideal: Ideal):
+    """The exchange condition by a scan over all generator pairs: the oracle.
+
+    ``check_matroidal`` decides through fundamental cocircuits and names
+    its witness with a scan like this one; the differential tests require
+    the same verdict, failure kind and witness.
+    """
+    from matroidal import ExchangeWitness, MatroidCheck, mono_degree, mono_vars
+    from matroidal.matroids import MatroidalIdeal
+
+    degrees = sorted({mono_degree(g) for g in ideal.gens})
+    if len(degrees) > 1:
+        lo = next(g for g in ideal.gens if mono_degree(g) == degrees[0])
+        hi = next(g for g in ideal.gens if mono_degree(g) == degrees[-1])
+        return MatroidCheck(None, "mixed_degrees", (lo, hi))
+    genset = set(ideal.gens)
+    for b1 in ideal.gens:
+        for b2 in ideal.gens:
+            if b1 == b2:
+                continue
+            incoming = mono_vars(b2 & ~b1)
+            for x in mono_vars(b1 & ~b2):
+                base = b1 ^ (1 << (x - 1))
+                if not any(base | (1 << (y - 1)) in genset for y in incoming):
+                    return MatroidCheck(None, "exchange", ExchangeWitness(b1, b2, x))
+    return MatroidCheck(MatroidalIdeal(ideal, degrees[0]))
+
+
+def reference_minimal_primes(ideal: Ideal):
+    """Minimal primes from the transversal DFS alone, whatever the input."""
+    from matroidal import PrimeDecomposition, mono_vars
+    from matroidal.decomposition import _minimal_transversals
+
+    found = _minimal_transversals(ideal.gens)
+    ordered = sorted(found, key=lambda c: (c.bit_count(), mono_vars(c)))
+    heights = {c.bit_count() for c in ordered}
+    return PrimeDecomposition(
+        primes=tuple(frozenset(mono_vars(c)) for c in ordered),
+        height=min(heights),
+        unmixed=len(heights) == 1,
+    )
+
+
+def reference_find_ordering(mi, strategy: str = "lex", seed: int = 0):
+    """Recursive backtracking search for a linear-quotient ordering.
+
+    ``find_ordering`` walks an explicit stack and must visit candidates in
+    the same order, so both return the same ordering or both raise.  This
+    version recurses once per generator, so only call it on small ideals.
+    """
+    from matroidal import InvariantViolation, QuotientOrdering, colon_step_vars
+    from matroidal.quotients import _preference
+
+    preference = _preference(mi.ideal.gens, mi.ideal.n, strategy, seed)
+    if len(preference) == 1:
+        return QuotientOrdering((preference[0],), (), 0)
+    order = []
+    steps = []
+
+    def dfs(remaining) -> bool:
+        if not remaining:
+            return True
+        for u in remaining:
+            stepped = False
+            if order:
+                step = colon_step_vars(order, u)
+                if step is None:
+                    continue
+                steps.append(step)
+                stepped = True
+            order.append(u)
+            if dfs([r for r in remaining if r != u]):
+                return True
+            order.pop()
+            if stepped:
+                steps.pop()
+        return False
+
+    if not dfs(preference):
+        raise InvariantViolation("no linear-quotient ordering found")
+    return QuotientOrdering(
+        tuple(order), tuple(steps), max((len(s) for s in steps), default=0)
+    )

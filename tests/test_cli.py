@@ -156,6 +156,13 @@ def test_negative_budget_is_a_usage_error(capsys, v42):
     assert main(["scan", "--n", "5", "--d", "3", "--budget", "-1"]) == 3
 
 
+def test_search_size_below_one_is_a_usage_error(capsys, v42):
+    for size in ("0", "-2"):
+        code = main(["cert", v42, "--construction", "search", "--size", size])
+        assert code == 3
+        assert "search size must be at least 1" in capsys.readouterr().err
+
+
 def test_cert_product_construction(capsys, k22):
     code, doc = run_json(capsys, "cert", k22, "--construction", "product")
     assert code == 0

@@ -95,6 +95,15 @@ def test_primes_are_minimal_transversals_up_to_n8():
             assert in_all == contains(ideal, m)
 
 
+def test_minimal_primes_of_four_blocks_of_four():
+    # The transversal DFS needs over a minute here; the cocircuits are
+    # the blocks themselves.
+    blocks = [set(range(4 * i + 1, 4 * i + 5)) for i in range(4)]
+    primes = minimal_primes(var_block_product(blocks).ideal)
+    assert primes.primes == tuple(frozenset(b) for b in blocks)
+    assert primes.height == 4 and primes.unmixed
+
+
 def test_degree2_partition_examples():
     blocks = var_block_product([{1, 2}, {3, 4}])
     assert degree2_partition(blocks).parts == (

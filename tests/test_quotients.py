@@ -138,6 +138,20 @@ def test_height_never_exceeds_q_plus_one(enum_cache):
                 assert height(mi.ideal) <= find_ordering(mi).q + 1
 
 
+def test_lex_ordering_never_backtracks(enum_cache):
+    # Linear quotients in canonical order: the walk takes every generator
+    # on its first try, so the ordering is the generator tuple itself.
+    for n in range(1, 7):
+        for d in range(1, n + 1):
+            for mi in enum_cache(n, d):
+                assert find_ordering(mi).order == mi.ideal.gens
+
+
+def test_q_index_past_the_recursion_limit():
+    # 1716 generators: one interpreter frame per generator would overflow.
+    assert q_index(veronese(13, 6)) == 7
+
+
 def test_find_ordering_exhaustion_reports_invariant_violation():
     # A generator set with no linear-quotient ordering (only reachable by
     # bypassing the checker) must exhaust cleanly, not crash mid-backtrack.

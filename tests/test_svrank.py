@@ -1,4 +1,3 @@
-from itertools import combinations
 from math import comb
 
 import pytest
@@ -6,13 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from matroidal import (
-    MatroidalIdeal,
     SVPartition,
     ara_bounds,
     as_matroidal,
     certificate_document,
     degree2_cert,
-    minimal_generators,
     mono,
     partition_from_document,
     poly_str,
@@ -175,18 +172,11 @@ def test_search_cert_rejects_negative_budget():
         search_cert(veronese(4, 2), 3, budget=-1)
 
 
-def _unchecked_veronese(n: int, d: int) -> MatroidalIdeal:
-    # check_matroidal is quadratic in the generator count and takes seconds
-    # on V(12,6); the square-free Veronese ideal is matroidal by definition.
-    gens = {mono(c) for c in combinations(range(1, n + 1), d)}
-    return MatroidalIdeal(minimal_generators(gens, n), d)
-
-
 @pytest.mark.parametrize("n,d", [(10, 5), (12, 6)])
 def test_search_cert_large_ideal_runs_out_of_budget(n, d):
     # 252 and 924 generators: deeper than the interpreter's recursion limit
     # for a search that recursed once per generator.
-    result = search_cert(_unchecked_veronese(n, d), n - d + 1, budget=2000)
+    result = search_cert(veronese(n, d), n - d + 1, budget=2000)
     assert result.partition is None
     assert not result.exhausted
     assert result.nodes == 2001
