@@ -28,7 +28,7 @@ from .ideals import (
     parse_ideal,
 )
 from .matroids import MatroidalIdeal, check_matroidal
-from .oracle import parse_poly, verify_radical_cert
+from .oracle import BudgetExceededError, parse_poly, verify_radical_cert
 from .quotients import analyze
 from .svrank import (
     RadicalCertificate,
@@ -72,6 +72,15 @@ def _search_size(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(
             f"search size must be at least 1 layer, got {value}"
+        )
+    return value
+
+
+def _oracle_cap(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"oracle cap must be at least 1, got {value}"
         )
     return value
 
@@ -300,8 +309,19 @@ def _cmd_verify_cert(args) -> int:
             return CHECK_FAILED
     lines = [f"verified_sv={payload['verified_sv']}"]
     if args.oracle:
-        result = verify_radical_cert(cert, cap=args.cap)
         payload["oracle_checked"] = True
+        try:
+            result = verify_radical_cert(cert, cap=args.cap)
+        except BudgetExceededError as exc:
+            payload["oracle"] = {
+                "verified": False,
+                "reason": "pair_budget_exceeded",
+                "cap": args.cap,
+                "message": str(exc),
+            }
+            lines.append(f"oracle inconclusive: {exc}")
+            _emit(args, payload, lines)
+            return INCONCLUSIVE
         payload["oracle"] = {
             "verified": result.verified,
             "cap": result.cap,
@@ -403,7 +423,7 @@ def build_parser() -> _Parser:
     p.add_argument("ideal")
     p.add_argument("cert")
     p.add_argument("--oracle", action="store_true", help="Groebner radical check")
-    p.add_argument("--cap", type=int, default=8, help="largest power to try")
+    p.add_argument("--cap", type=_oracle_cap, default=8, help="largest power to try")
 
     p = add("enumerate", _cmd_enumerate, help="all matroidal ideals for (n, d)")
     p.add_argument("--n", type=int, required=True)

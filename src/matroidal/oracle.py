@@ -5,6 +5,16 @@ never floats), textbook Buchberger with the normal selection strategy and
 the coprimality / chain criteria, and bounded radical membership used to
 confirm that certificate polynomials generate an ideal up to radical.
 
+The bookkeeping follows heap-based division (Monagan and Pearce, 2007) and
+a pair queue (Gebauer and Moeller, 1988).  Division keeps the working terms
+in a heap ordered by the term order and prepares each divisor's leading
+term once; Buchberger keeps its open pairs in a heap keyed by lcm.  The
+arithmetic and the divisor rule (the first basis element whose leading
+monomial divides the lead term) are the textbook ones, so normal forms and
+reduced bases are exactly those of the plain algorithm.  Inside division,
+integral coefficients travel as Python ints (exact, and much cheaper than
+``Fraction``); every polynomial handed back carries ``Fraction``s.
+
 This module is deliberately self-contained and shares no combinatorial
 shortcuts with the rest of the package: membership answers come from
 normal forms against a reduced basis, nothing else.
@@ -15,6 +25,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
+from operator import add, le, sub
 from typing import Callable, Iterable, Protocol
 
 from .ideals import Ideal, InvariantViolation, Monomial, mono_vars
@@ -37,6 +49,13 @@ def _lex_key(e: Exponents):
 ORDER_KEYS: dict[str, Callable[[Exponents], object]] = {
     "degrevlex": _grevlex_key,
     "lex": _lex_key,
+}
+
+# Min-heap key per order in ORDER_KEYS: heap_key(a) < heap_key(b) exactly
+# when a is the larger monomial, so a heap of terms pops the leading term.
+HEAP_KEYS: dict[str, Callable[[Exponents], object]] = {
+    "degrevlex": lambda e: (-sum(e), e[::-1]),
+    "lex": lambda e: tuple(-x for x in e),
 }
 
 
@@ -155,15 +174,15 @@ class Poly:
 
 
 def _exp_divides(a: Exponents, b: Exponents) -> bool:
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def _exp_sub(a: Exponents, b: Exponents) -> Exponents:
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def _exp_lcm(a: Exponents, b: Exponents) -> Exponents:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def _term_str(e: Exponents, c: Fraction) -> str:
@@ -236,35 +255,97 @@ def parse_poly(text: str, n: int) -> Poly:
     return Poly(n, terms)
 
 
-def reduce(f: Poly, basis: Iterable[Poly], order: str = "degrevlex") -> Poly:
-    """Normal form of f modulo the basis (full multivariate division)."""
-    key = ORDER_KEYS[order]
-    divisors = [
-        (max(b.terms, key=key), b) for b in basis if b.terms
-    ]
-    work = dict(f.terms)
-    remainder: dict[Exponents, Fraction] = {}
-    while work:
-        lt = max(work, key=key)
-        lc = work[lt]
-        for lm, b in divisors:
-            if _exp_divides(lm, lt):
-                shift = _exp_sub(lt, lm)
-                factor = lc / b.terms[lm]
-                for e, c in b.terms.items():
-                    te = tuple(x + y for x, y in zip(e, shift))
-                    s = work.get(te, Fraction(0)) - factor * c
-                    if s:
-                        work[te] = s
+# Internal coefficients: a Fraction, or an int where the value is integral.
+_Coeff = Fraction | int
+# A prepared divisor: the leading monomial and the other terms divided by
+# the leading coefficient, found once per basis element instead of once per
+# division step.
+_Divisor = tuple[Exponents, tuple[tuple[Exponents, _Coeff], ...]]
+
+
+def _narrow(c: _Coeff) -> _Coeff:
+    """An integral coefficient as an int: the same exact value, which Python
+    multiplies and subtracts many times faster than a ``Fraction``.  Division
+    only ever has a ``Fraction`` numerator, so no float can arise."""
+    return c.numerator if c.denominator == 1 else c
+
+
+def _poly(n: int, terms: dict[Exponents, _Coeff]) -> Poly:
+    p = Poly.zero(n)
+    p.terms = {e: Fraction(c) for e, c in terms.items()}
+    return p
+
+
+def _monic(terms: dict[Exponents, _Coeff], lm: Exponents) -> _Divisor:
+    inv = Fraction(1) / terms[lm]
+    return lm, tuple((e, _narrow(c * inv)) for e, c in terms.items() if e != lm)
+
+
+def _prepare(basis: Iterable[Poly], order: str) -> list[_Divisor]:
+    heap_key = HEAP_KEYS[order]
+    return [_monic(b.terms, min(b.terms, key=heap_key)) for b in basis if b.terms]
+
+
+def _terms(d: _Divisor) -> dict[Exponents, _Coeff]:
+    """The monic polynomial of a prepared divisor, leading term first."""
+    lm, tail = d
+    return {lm: 1, **dict(tail)}
+
+
+def _normal_form(
+    terms: dict[Exponents, _Coeff],
+    divisors: list[_Divisor],
+    heap_key: Callable[[Exponents], object],
+) -> dict[Exponents, _Coeff]:
+    """Remainder of dividing the terms by the divisors, leading term first.
+
+    The working polynomial's terms sit in a heap under the order's heap key,
+    so the lead term is a pop.  A term that cancels leaves its heap entry
+    behind; the entry is skipped when popped, since the term is no longer in
+    ``work``.  A cancelled term may come back and be pushed again, but every
+    term a step adds is below the lead term, so the earlier of its entries
+    takes it and the later one is skipped.
+    """
+    work = {e: _narrow(c) for e, c in terms.items()}
+    heap = [(heap_key(e), e) for e in work]
+    heapify(heap)
+    remainder: dict[Exponents, _Coeff] = {}
+    while heap:
+        lt = heappop(heap)[1]
+        lc = work.pop(lt, None)
+        if lc is None:
+            continue
+        for lm, tail in divisors:
+            if all(map(le, lm, lt)):
+                shift = tuple(map(sub, lt, lm))
+                for e, c in tail:
+                    te = tuple(map(add, e, shift))
+                    old = work.get(te)
+                    if old is None:
+                        work[te] = -lc * c
+                        heappush(heap, (heap_key(te), te))
                     else:
-                        work.pop(te, None)
+                        s = old - lc * c
+                        if s:
+                            work[te] = s
+                        else:
+                            del work[te]
                 break
         else:
             remainder[lt] = lc
-            del work[lt]
-    out = Poly.zero(f.n)
-    out.terms = remainder
-    return out
+    return remainder
+
+
+def reduce(f: Poly, basis: Iterable[Poly], order: str = "degrevlex") -> Poly:
+    """Normal form of f modulo the basis (full multivariate division).
+
+    Each step divides the lead term by the first basis element, in the
+    given order, whose leading monomial divides it, so the result is the
+    textbook remainder even when the basis is not a Groebner basis.  The
+    working terms are kept in a heap ordered by the term order (see
+    ``HEAP_KEYS``), and each divisor's leading term is found once per call.
+    """
+    return _poly(f.n, _normal_form(f.terms, _prepare(basis, order), HEAP_KEYS[order]))
 
 
 def s_polynomial(f: Poly, g: Poly, order: str = "degrevlex") -> Poly:
@@ -276,6 +357,25 @@ def s_polynomial(f: Poly, g: Poly, order: str = "degrevlex") -> Poly:
     return mf * f - mg * g
 
 
+def _s_terms(f: _Divisor, g: _Divisor, lcm: Exponents) -> dict[Exponents, _Coeff]:
+    """Terms of the S-polynomial of two prepared divisors with this lcm.
+
+    The leading terms cancel exactly, so only the tails are shifted.
+    """
+    (lf, tf), (lg, tg) = f, g
+    sf = _exp_sub(lcm, lf)
+    sg = _exp_sub(lcm, lg)
+    out = {tuple(map(add, e, sf)): c for e, c in tf}
+    for e, c in tg:
+        te = tuple(map(add, e, sg))
+        s = out.get(te, 0) - c
+        if s:
+            out[te] = s
+        else:
+            out.pop(te, None)
+    return out
+
+
 def buchberger(
     gens: Iterable[Poly],
     order: str = "degrevlex",
@@ -284,29 +384,44 @@ def buchberger(
 ) -> tuple[Poly, ...]:
     """Reduced Groebner basis of the input polynomials.
 
-    Pair selection is the normal (minimal lcm in the term order) strategy;
-    coprime leading terms and the chain criterion prune pairs.  Processing
-    more than ``max_pairs`` pairs raises :class:`BudgetExceededError`.
-    With ``check`` the defining property (every S-polynomial of the output
-    reduces to zero) is asserted before returning.
+    Pair selection is the normal (minimal lcm in the term order) strategy:
+    open pairs sit in a heap keyed by ``(lcm, i, j)``, filled once as each
+    basis element arrives, so ties go to the lower indices.  Coprime
+    leading terms and the chain criterion prune pairs.  The basis is kept
+    as prepared divisors (see ``reduce``), extended as elements are added.
+    Processing more than ``max_pairs`` pairs raises
+    :class:`BudgetExceededError`; a negative budget raises ``ValueError``.
+    With ``check`` the defining property is asserted before returning: the
+    S-polynomial of every pair of the output reduces to zero, with no
+    criterion applied.
     """
+    if max_pairs < 0:
+        raise ValueError(f"pair budget must be nonnegative, got {max_pairs}")
     key = ORDER_KEYS[order]
-    basis = [g.monic(order) for g in gens if g and g.terms]
-    if not basis:
+    heap_key = HEAP_KEYS[order]
+    polys = [g for g in gens if g and g.terms]
+    if not polys:
         raise ValueError("need at least one nonzero generator")
-    lms = [b.leading(order)[0] for b in basis]
-    pairs = {(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))}
+    basis = _prepare(polys, order)
+    lms = [b[0] for b in basis]
+    pairs: list[tuple[object, int, int, Exponents]] = []
+
+    def add_pairs(new: int) -> None:
+        for k in range(new):
+            lcm = _exp_lcm(lms[k], lms[new])
+            heappush(pairs, (key(lcm), k, new, lcm))
+
+    for new in range(1, len(basis)):
+        add_pairs(new)
     processed: set[tuple[int, int]] = set()
     handled = 0
     while pairs:
-        i, j = min(pairs, key=lambda p: key(_exp_lcm(lms[p[0]], lms[p[1]])))
-        pairs.remove((i, j))
+        _, i, j, lcm = heappop(pairs)
         processed.add((i, j))
         handled += 1
         if handled > max_pairs:
             raise BudgetExceededError(f"pair budget {max_pairs} exceeded")
-        lcm = _exp_lcm(lms[i], lms[j])
-        if lcm == tuple(a + b for a, b in zip(lms[i], lms[j])):
+        if lcm == tuple(map(add, lms[i], lms[j])):
             continue  # coprime leading terms
         chained = False
         for k in range(len(basis)):
@@ -319,13 +434,11 @@ def buchberger(
                 break
         if chained:
             continue
-        h = reduce(s_polynomial(basis[i], basis[j], order), basis, order)
+        h = _normal_form(_s_terms(basis[i], basis[j], lcm), basis, heap_key)
         if h:
-            h = h.monic(order)
-            basis.append(h)
-            lms.append(h.leading(order)[0])
-            new = len(basis) - 1
-            pairs.update((k, new) for k in range(new))
+            basis.append(_monic(h, next(iter(h))))
+            lms.append(basis[-1][0])
+            add_pairs(len(basis) - 1)
     # Minimalize: drop members whose leading monomial another one divides.
     keep: list[int] = []
     for i in sorted(range(len(basis)), key=lambda i: key(lms[i])):
@@ -335,17 +448,19 @@ def buchberger(
     reduced = []
     for i, b in enumerate(minimal):
         others = minimal[:i] + minimal[i + 1 :]
-        nf = reduce(b, others, order) if others else b
-        reduced.append(nf.monic(order))
-    reduced.sort(key=lambda b: key(b.leading(order)[0]), reverse=True)
+        # No other leading monomial divides b's, so it stays first, monic.
+        nf = _normal_form(_terms(b), others, heap_key)
+        reduced.append((b[0], tuple(nf.items())[1:]))
+    reduced.sort(key=lambda b: key(b[0]), reverse=True)
     if check:
         for i in range(len(reduced)):
             for j in range(i + 1, len(reduced)):
-                if reduce(s_polynomial(reduced[i], reduced[j], order), reduced, order):
+                lcm = _exp_lcm(reduced[i][0], reduced[j][0])
+                if _normal_form(_s_terms(reduced[i], reduced[j], lcm), reduced, heap_key):
                     raise InvariantViolation(
                         "S-polynomial of the output basis did not reduce to zero"
                     )
-    return tuple(reduced)
+    return tuple(_poly(polys[0].n, _terms(b)) for b in reduced)
 
 
 def member(f: Poly, basis: Iterable[Poly], order: str = "degrevlex") -> bool:
@@ -385,8 +500,13 @@ def verify_radical_cert(
     polynomial must lie in the target (a polynomial lies in a monomial
     ideal iff each of its terms does).  The other containment is witnessed
     by finding, for every generator u, a power u^N (N <= cap) inside the
-    ideal generated by the certificate polynomials.
+    ideal generated by the certificate polynomials.  The Groebner basis is
+    computed once and its divisors prepared once for every power u^N.  A cap
+    below 1 could verify nothing and raises ``ValueError``; a basis needing
+    more than ``max_pairs`` pairs raises :class:`BudgetExceededError`.
     """
+    if cap < 1:
+        raise ValueError(f"oracle cap must be at least 1, got {cap}")
     target = cert.target
     n = target.n
     genset = target.gens
@@ -401,19 +521,20 @@ def verify_radical_cert(
                 raise ValueError(
                     f"certificate term {_term_str(e, p.terms[e])} lies outside the target ideal"
                 )
-    basis = buchberger(cert.polys, order=order, max_pairs=max_pairs)
+    basis = _prepare(buchberger(cert.polys, order=order, max_pairs=max_pairs), order)
+    heap_key = HEAP_KEYS[order]
     powers: dict[Monomial, int] = {}
     failures: list[Monomial] = []
     for g in genset:
-        u = Poly.from_monomial(g, n)
-        current = u
+        current = Poly.from_monomial(g, n).terms
+        (u,) = current
         found = None
         for power in range(1, cap + 1):
-            nf = reduce(current, basis, order)
-            if nf.is_zero():
+            nf = _normal_form(current, basis, heap_key)
+            if not nf:
                 found = power
                 break
-            current = nf * u
+            current = {tuple(map(add, e, u)): c for e, c in nf.items()}
         if found is None:
             failures.append(g)
         else:

@@ -247,3 +247,154 @@ def reference_find_ordering(mi, strategy: str = "lex", seed: int = 0):
     return QuotientOrdering(
         tuple(order), tuple(steps), max((len(s) for s in steps), default=0)
     )
+
+
+def reference_reduce(f, basis, order: str = "degrevlex"):
+    """Normal form of f modulo the basis (full multivariate division).
+
+    The oracle's division before its heap: a ``max`` over the working
+    polynomial per step and a fresh leading term per divisor per call.
+    ``oracle.reduce`` must return the same polynomial, against any basis.
+    """
+    from fractions import Fraction
+
+    from matroidal import Poly
+    from matroidal.oracle import ORDER_KEYS, _exp_divides, _exp_sub
+
+    key = ORDER_KEYS[order]
+    divisors = [
+        (max(b.terms, key=key), b) for b in basis if b.terms
+    ]
+    work = dict(f.terms)
+    remainder = {}
+    while work:
+        lt = max(work, key=key)
+        lc = work[lt]
+        for lm, b in divisors:
+            if _exp_divides(lm, lt):
+                shift = _exp_sub(lt, lm)
+                factor = lc / b.terms[lm]
+                for e, c in b.terms.items():
+                    te = tuple(x + y for x, y in zip(e, shift))
+                    s = work.get(te, Fraction(0)) - factor * c
+                    if s:
+                        work[te] = s
+                    else:
+                        work.pop(te, None)
+                break
+        else:
+            remainder[lt] = lc
+            del work[lt]
+    out = Poly.zero(f.n)
+    out.terms = remainder
+    return out
+
+
+def reference_buchberger(
+    gens,
+    order: str = "degrevlex",
+    max_pairs: int = 20000,
+    check: bool = True,
+):
+    """Reduced Groebner basis by the oracle's Buchberger before its pair heap.
+
+    Each step takes the pair of least lcm with a ``min`` over all open
+    pairs and divides with ``reference_reduce``.  ``oracle.buchberger``
+    must return the same (unique) reduced basis.
+    """
+    from matroidal import InvariantViolation, s_polynomial
+    from matroidal.oracle import (
+        ORDER_KEYS,
+        BudgetExceededError,
+        _exp_divides,
+        _exp_lcm,
+    )
+
+    reduce = reference_reduce
+    key = ORDER_KEYS[order]
+    basis = [g.monic(order) for g in gens if g and g.terms]
+    if not basis:
+        raise ValueError("need at least one nonzero generator")
+    lms = [b.leading(order)[0] for b in basis]
+    pairs = {(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))}
+    processed = set()
+    handled = 0
+    while pairs:
+        i, j = min(pairs, key=lambda p: key(_exp_lcm(lms[p[0]], lms[p[1]])))
+        pairs.remove((i, j))
+        processed.add((i, j))
+        handled += 1
+        if handled > max_pairs:
+            raise BudgetExceededError(f"pair budget {max_pairs} exceeded")
+        lcm = _exp_lcm(lms[i], lms[j])
+        if lcm == tuple(a + b for a, b in zip(lms[i], lms[j])):
+            continue  # coprime leading terms
+        chained = False
+        for k in range(len(basis)):
+            if k in (i, j) or not _exp_divides(lms[k], lcm):
+                continue
+            p1 = (min(i, k), max(i, k))
+            p2 = (min(j, k), max(j, k))
+            if p1 in processed and p2 in processed:
+                chained = True
+                break
+        if chained:
+            continue
+        h = reduce(s_polynomial(basis[i], basis[j], order), basis, order)
+        if h:
+            h = h.monic(order)
+            basis.append(h)
+            lms.append(h.leading(order)[0])
+            new = len(basis) - 1
+            pairs.update((k, new) for k in range(new))
+    # Minimalize: drop members whose leading monomial another one divides.
+    keep = []
+    for i in sorted(range(len(basis)), key=lambda i: key(lms[i])):
+        if not any(_exp_divides(lms[k], lms[i]) for k in keep):
+            keep.append(i)
+    minimal = [basis[i] for i in keep]
+    reduced = []
+    for i, b in enumerate(minimal):
+        others = minimal[:i] + minimal[i + 1 :]
+        nf = reduce(b, others, order) if others else b
+        reduced.append(nf.monic(order))
+    reduced.sort(key=lambda b: key(b.leading(order)[0]), reverse=True)
+    if check:
+        for i in range(len(reduced)):
+            for j in range(i + 1, len(reduced)):
+                if reduce(s_polynomial(reduced[i], reduced[j], order), reduced, order):
+                    raise InvariantViolation(
+                        "S-polynomial of the output basis did not reduce to zero"
+                    )
+    return tuple(reduced)
+
+
+def reference_radical_check(cert, basis, cap: int = 8):
+    """The oracle's power loop against a given basis, with ``reference_reduce``.
+
+    With ``basis = reference_buchberger(cert.polys)`` this is the radical
+    check as it stood before prepared divisors; ``verify_radical_cert``
+    must return the same ``RadicalCheck``.
+    """
+    from matroidal import Poly, RadicalCheck
+
+    n = cert.target.n
+    powers = {}
+    failures = []
+    for g in cert.target.gens:
+        u = Poly.from_monomial(g, n)
+        current = u
+        found = None
+        for power in range(1, cap + 1):
+            nf = reference_reduce(current, basis)
+            if nf.is_zero():
+                found = power
+                break
+            current = nf * u
+        if found is None:
+            failures.append(g)
+        else:
+            powers[g] = found
+    return RadicalCheck(
+        verified=not failures, powers=powers, failures=tuple(failures), cap=cap
+    )

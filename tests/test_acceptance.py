@@ -168,13 +168,15 @@ def test_criterion_8_oracle_soundness(enum_cache):
         assert all(power <= 8 for power in result.powers.values())
         checked += 1
 
-    for n in range(1, 6):
+    for n in range(1, 7):
         for d in range(1, n + 1):
             oracle_check(sv_sums(veronese_cert(n, d)))
     for n in (3, 4, 5):
         for mi in enum_cache(n, 2):
             oracle_check(sv_sums(degree2_cert(mi)))
-    for total in range(2, 6):
+    for mi in enum_cache(6, 2, True):
+        oracle_check(sv_sums(degree2_cert(mi)))
+    for total in range(2, 7):
         for shape in partition_shapes(total):
             blocks = contiguous_blocks(shape)
             oracle_check(product_cert([variable_cert(b, total) for b in blocks]))

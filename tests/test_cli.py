@@ -1,8 +1,11 @@
+import functools
 import json
 from itertools import combinations
 
 import pytest
 
+import matroidal.cli
+from matroidal import verify_radical_cert
 from matroidal.cli import main
 
 V42 = "n=4\nx1 x2\nx1 x3\nx1 x4\nx2 x3\nx2 x4\nx3 x4\n"
@@ -161,6 +164,40 @@ def test_search_size_below_one_is_a_usage_error(capsys, v42):
         code = main(["cert", v42, "--construction", "search", "--size", size])
         assert code == 3
         assert "search size must be at least 1" in capsys.readouterr().err
+
+
+@pytest.fixture
+def v42_cert(capsys, v42, tmp_path):
+    _, doc = run_json(capsys, "cert", v42)
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_oracle_cap_below_one_is_a_usage_error(capsys, v42, v42_cert):
+    for cap in ("0", "-3"):
+        code = main(["verify-cert", v42, v42_cert, "--oracle", "--cap", cap])
+        assert code == 3
+        assert "oracle cap must be at least 1" in capsys.readouterr().err
+
+
+def test_oracle_pair_budget_overrun_is_inconclusive(
+    capsys, monkeypatch, v42, v42_cert
+):
+    monkeypatch.setattr(
+        matroidal.cli,
+        "verify_radical_cert",
+        functools.partial(verify_radical_cert, max_pairs=0),
+    )
+    code, payload = run_json(capsys, "verify-cert", v42, v42_cert, "--oracle")
+    assert code == 2
+    assert payload["verified_sv"] is True
+    assert payload["oracle"] == {
+        "verified": False,
+        "reason": "pair_budget_exceeded",
+        "cap": 8,
+        "message": "pair budget 0 exceeded",
+    }
 
 
 def test_cert_product_construction(capsys, k22):

@@ -6,8 +6,15 @@ explicit stack.  Each must agree exactly with the pairwise exchange scan, the
 transversal DFS and the recursive ordering search: on every ideal with
 n <= 6, on each of them with a generator dropped (mostly not matroidal), and
 on random antichains.
+
+The Groebner oracle divides through a term heap and picks pairs from a
+queue.  ``reduce``, ``buchberger`` and ``verify_radical_cert`` must agree
+exactly with the ``max``-per-step division and ``min``-per-step pair choice
+they replaced: on every certificate family with n <= 6 that the
+benchmark's oracle workload checks, and on random polynomials.
 """
 
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -17,19 +24,36 @@ from hypothesis import strategies as st
 from matroidal import (
     Ideal,
     InvariantViolation,
+    Poly,
+    buchberger,
     check_matroidal,
+    degree2_cert,
     find_ordering,
     minimal_generators,
     minimal_primes,
     mono,
+    product_cert,
+    recognize_var_block_product,
+    recognize_veronese,
+    reduce,
+    search_cert,
+    sv_sums,
+    variable_cert,
+    verify_radical_cert,
+    veronese_cert,
 )
 from matroidal.matroids import MatroidalIdeal
+from matroidal.oracle import BudgetExceededError
 
 from helpers import (
+    contiguous_blocks,
     ideal_of,
+    reference_buchberger,
     reference_check_matroidal,
     reference_find_ordering,
     reference_minimal_primes,
+    reference_radical_check,
+    reference_reduce,
 )
 
 CELLS = [(n, d) for n in range(1, 7) for d in range(1, n + 1)]
@@ -128,3 +152,77 @@ def test_orderings_match_on_unchecked_input(ideal, strategy_seed):
     assert _ordering_outcome(find_ordering, mi, strategy, seed) == _ordering_outcome(
         reference_find_ordering, mi, strategy, seed
     )
+
+
+ORDERS = ("degrevlex", "lex")
+
+
+def _oracle_certificates(enum_cache):
+    """The n <= 6 certificate families of the benchmark's oracle workload."""
+    for mi in enum_cache(5, 3):
+        if recognize_veronese(mi.ideal) or recognize_var_block_product(mi.ideal):
+            continue
+        yield sv_sums(search_cert(mi, 3, budget=20000).partition)
+    for mi in enum_cache(6, 2, True):
+        yield sv_sums(degree2_cert(mi))
+    yield sv_sums(veronese_cert(6, 3))
+    for shape in ((2, 2, 2), (3, 3)):
+        n = sum(shape)
+        yield product_cert([variable_cert(b, n) for b in contiguous_blocks(shape)])
+
+
+def test_oracle_matches_reference_on_certificates(enum_cache):
+    checked = 0
+    for cert in _oracle_certificates(enum_cache):
+        basis = reference_buchberger(cert.polys)
+        assert buchberger(cert.polys) == basis, cert.target
+        assert verify_radical_cert(cert) == reference_radical_check(cert, basis)
+        checked += 1
+    assert checked == 80 + 10 + 1 + 2
+
+
+@st.composite
+def polys(draw, n: int, max_terms: int = 3):
+    """A nonzero polynomial in n variables with small exponents and coefficients."""
+    terms = draw(
+        st.dictionaries(
+            st.tuples(*[st.integers(0, 2)] * n),
+            st.integers(-3, 3).filter(bool).map(Fraction),
+            min_size=1,
+            max_size=max_terms,
+        )
+    )
+    return Poly(n, terms)
+
+
+@st.composite
+def poly_sets(draw, max_size: int):
+    n = draw(st.integers(1, 4))
+    return draw(st.lists(polys(n), min_size=1, max_size=max_size))
+
+
+@settings(max_examples=150, deadline=None)
+@given(poly_sets(max_size=3), st.sampled_from(ORDERS))
+def test_buchberger_matches_reference_on_random_input(gens, order):
+    try:
+        basis = buchberger(gens, order=order, max_pairs=300)
+    except BudgetExceededError:
+        return  # the odd input with a large basis; the budget is not compared
+    assert basis == reference_buchberger(gens, order=order)
+    assert all(type(c) is Fraction for b in basis for c in b.terms.values())
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda n: st.tuples(polys(n, max_terms=5), st.lists(polys(n), max_size=4))
+    ),
+    st.sampled_from(ORDERS),
+)
+def test_reduce_matches_reference_against_any_basis(f_basis, order):
+    # Random bases are almost never Groebner bases, so the remainder depends
+    # on which divisor each step takes: the first one in the given order.
+    f, basis = f_basis
+    nf = reduce(f, basis, order)
+    assert nf == reference_reduce(f, basis, order)
+    assert all(type(c) is Fraction for c in nf.terms.values())

@@ -19,6 +19,7 @@ from matroidal import (
     verify_radical_cert,
     veronese,
 )
+from matroidal import oracle
 from matroidal.oracle import BudgetExceededError
 from matroidal.svrank import sv_sums, veronese_cert
 
@@ -155,6 +156,29 @@ def test_member_stable_under_input_permutation():
 def test_budget_cap():
     with pytest.raises(BudgetExceededError):
         buchberger([P("x1*x2+-x3^2", 3), P("x2^2+x3", 3)], max_pairs=0)
+    with pytest.raises(ValueError, match="pair budget must be nonnegative"):
+        buchberger([P("x1", 2)], max_pairs=-1)
+
+
+def test_check_reduces_every_pair_of_the_output(monkeypatch):
+    # The final check divides the S-polynomial of each pair of the returned
+    # basis, coprime leading terms and chains included.
+    calls = []
+    divide = oracle._normal_form
+
+    def counting(*args):
+        calls.append(1)
+        return divide(*args)
+
+    monkeypatch.setattr(oracle, "_normal_form", counting)
+    gens = [P("x1*x2+-x3^2", 3), P("x2^2+-1*x3*x1", 3), P("x1^2+x2", 3)]
+    buchberger(gens, check=False)
+    unchecked = len(calls)
+    calls.clear()
+    basis = buchberger(gens)
+    k = len(basis)
+    assert k >= 3
+    assert len(calls) - unchecked == k * (k - 1) // 2
 
 
 def test_verify_radical_cert_trivial():
@@ -180,6 +204,12 @@ def test_verify_radical_cert_veronese42_minimal_powers():
         (3, 4): 2,
     }
 
+
+def test_verify_radical_cert_rejects_cap_below_one():
+    cert = sv_sums(veronese_cert(3, 2))
+    for cap in (0, -3):
+        with pytest.raises(ValueError, match="oracle cap must be at least 1"):
+            verify_radical_cert(cert, cap=cap)
 
 
 def test_verify_radical_cert_inconclusive_single_sum():
