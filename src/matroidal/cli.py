@@ -32,6 +32,7 @@ from .oracle import BudgetExceededError, parse_poly, verify_radical_cert
 from .quotients import analyze
 from .svrank import (
     RadicalCertificate,
+    _strings,
     certificate_document,
     degree2_cert,
     partition_from_document,
@@ -287,7 +288,10 @@ def _cmd_verify_cert(args) -> int:
         _emit(args, {"error": "ambient mismatch"}, ["error: ambient mismatch"])
         return CHECK_FAILED
     if document.get("layers") is not None:
-        partition = partition_from_document(document)
+        try:
+            partition = partition_from_document(document)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise _UsageError(f"malformed certificate document: {exc}") from exc
         if partition.ideal != ideal:
             message = "certificate target differs from the ideal file"
             _emit(args, {"error": message}, [f"error: {message}"])
@@ -302,9 +306,13 @@ def _cmd_verify_cert(args) -> int:
         cert = sv_sums(partition)
     else:
         try:
-            polys = tuple(parse_poly(s, ideal.n) for s in document["sums"])
-            cert = RadicalCertificate(polys, ideal, "manual")
+            sums = _strings(document["sums"], "sums")
         except (KeyError, ValueError) as exc:
+            raise _UsageError(f"malformed certificate document: {exc}") from exc
+        try:
+            polys = tuple(parse_poly(s, ideal.n) for s in sums)
+            cert = RadicalCertificate(polys, ideal, "manual")
+        except ValueError as exc:
             _emit(args, {"error": str(exc)}, [f"error: {exc}"])
             return CHECK_FAILED
     lines = [f"verified_sv={payload['verified_sv']}"]

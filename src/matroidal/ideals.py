@@ -123,17 +123,29 @@ class Ideal:
 
 
 def minimal_generators(monomials: Iterable[Monomial], n: int) -> Ideal:
-    """Canonicalize an arbitrary generating set to its minimal antichain."""
+    """Canonicalize an arbitrary generating set to its minimal antichain.
+
+    Monomials are taken by ascending degree, so any proper divisor is seen
+    before its multiples.  A distinct square-free monomial of the same
+    degree never divides another, so each one is compared only against the
+    kept generators of strictly lower degree: input of a single degree
+    does no pairwise work.
+    """
     _check_ambient(n)
     ms = set(monomials)
     for m in ms:
         _check_range(m, n)
-    kept: list[Monomial] = []
-    # Ascending degree: any proper divisor is seen before its multiples.
-    for m in sorted(ms, key=lambda m: (mono_degree(m), mono_vars(m))):
-        if not any(g & m == g for g in kept):
-            kept.append(m)
-    return Ideal(n, tuple(sorted(kept, key=mono_vars)))
+    lower: list[Monomial] = []  # kept, of lower degree than the current one
+    current: list[Monomial] = []  # kept, of the current degree
+    degree = -1
+    for m in sorted(ms, key=int.bit_count):
+        if m.bit_count() != degree:
+            degree = m.bit_count()
+            lower += current
+            current = []
+        if not any(g & m == g for g in lower):
+            current.append(m)
+    return Ideal(n, tuple(sorted(lower + current, key=mono_vars)))
 
 
 def is_zero_ideal(ideal: Ideal) -> bool:

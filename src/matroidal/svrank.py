@@ -70,6 +70,13 @@ def verify_sv(partition: SVPartition) -> SVCheck:
     Conditions: layers are nonempty and disjoint and cover the generators,
     the first layer is a singleton, and for i > 0 any two distinct p, p' in
     P_i have some earlier-layer element dividing p*p'.
+
+    The pair condition runs on bitmasks: the generators are numbered layer
+    by layer, so the earlier layers of P_i are a prefix mask, and the
+    generators dividing p*p' come from per-variable masks memoised by the
+    product's support (``_Dividers``); a support that held once in a
+    layer is not tested again there.  Pairs are visited in canonical order
+    within each layer, so the witness is the first failing pair.
     """
     layers = partition.layers
     if not layers:
@@ -89,14 +96,21 @@ def verify_sv(partition: SVPartition) -> SVCheck:
         return SVCheck(False, "union_mismatch", (missing, extra))
     if len(layers[0]) != 1:
         return SVCheck(False, "layer0_size", len(layers[0]))
-    earlier: list[Monomial] = sorted(layers[0])
-    for i, layer in enumerate(layers[1:], start=1):
-        ordered = sorted(layer, key=mono_vars)
-        for a, b in combinations(ordered, 2):
-            prod = a | b  # support of the (non-square-free) product
-            if not any(w & prod == w for w in earlier):
-                return SVCheck(False, "pair", (i, a, b))
-        earlier.extend(ordered)
+    ordered = [sorted(layer, key=mono_vars) for layer in layers]
+    dividers = _Dividers([g for layer in ordered for g in layer])
+    start = 1
+    for i, layer in enumerate(ordered[1:], start=1):
+        earlier = (1 << start) - 1
+        passed: set[Monomial] = set()  # supports of the pairs that held
+        for k, a in enumerate(layer):
+            for b in layer[k + 1 :]:
+                prod = a | b
+                if prod in passed:
+                    continue
+                if not dividers[prod] & earlier:
+                    return SVCheck(False, "pair", (i, a, b))
+                passed.add(prod)
+        start += len(layer)
     return SVCheck(True)
 
 
@@ -262,53 +276,59 @@ class SearchResult:
     nodes: int
 
 
-class _PairCovers:
-    """Lazily built table of the generators dividing each pairwise product.
+class _Dividers(dict):
+    """Memo from a product's support to the generators dividing the product.
 
-    ``row(a)[b]`` is the bitmask of generator indices w with w dividing
-    gens[a] * gens[b].  A row is built the first time generator a is
-    tested.  The entry depends only on the product's support, so entries
-    are memoised by support and each is computed from per-variable masks
-    (the generators containing x_v): w divides the product exactly when it
-    contains no variable outside the support.
+    ``dividers[prod]`` is the bitmask of generator indices w with w
+    dividing any monomial of support ``prod``, computed on first lookup
+    from per-variable masks (the generators containing x_v): w divides the
+    product exactly when it contains no variable outside the support.
     """
 
     def __init__(self, gens: list[Monomial]):
-        self._gens = gens
-        self._full = (1 << len(gens)) - 1
-        self._containing: dict[int, int] = {}
+        super().__init__()
+        containing: dict[int, int] = {}
         for i, g in enumerate(gens):
+            bit = 1 << i
             while g:
                 low = g & -g
-                self._containing[low] = self._containing.get(low, 0) | 1 << i
+                containing[low] = containing.get(low, 0) | bit
                 g ^= low
-        self._support = sum(self._containing)
-        self._by_support: dict[Monomial, int] = {}
-        self._rows: list[list[int] | None] = [None] * len(gens)
+        self._full = (1 << len(gens)) - 1
+        self._containing = containing
+        self._support = sum(containing)
 
-    def _dividing(self, prod: Monomial) -> int:
+    def __missing__(self, prod: Monomial) -> int:
         outside = self._support & ~prod
         excluded = 0
         while outside:
             low = outside & -outside
             excluded |= self._containing[low]
             outside ^= low
-        return self._full & ~excluded
+        cover = self[prod] = self._full & ~excluded
+        return cover
+
+
+class _PairCovers:
+    """Lazily built table of the generators dividing each pairwise product.
+
+    ``row(a)[b]`` is the bitmask of generator indices w with w dividing
+    gens[a] * gens[b].  A row is built the first time generator a is
+    tested, from entries memoised by the product's support (``_Dividers``).
+    """
+
+    def __init__(self, gens: list[Monomial]):
+        self._gens = gens
+        self._dividers = _Dividers(gens)
+        self._rows: list[list[int] | None] = [None] * len(gens)
 
     def row(self, a: int) -> list[int]:
         cached = self._rows[a]
         if cached is not None:
             return cached
-        by_support = self._by_support
+        dividers = self._dividers
         ga = self._gens[a]
-        row = []
-        for g in self._gens:
-            prod = ga | g
-            cover = by_support.get(prod)
-            if cover is None:
-                cover = by_support[prod] = self._dividing(prod)
-            row.append(cover)
-        self._rows[a] = row
+        row = self._rows[a] = [dividers[ga | g] for g in self._gens]
         return row
 
 
@@ -551,14 +571,32 @@ def certificate_document(
     }
 
 
+def _strings(value: object, what: str) -> list[str]:
+    if not isinstance(value, list) or not all(isinstance(s, str) for s in value):
+        raise ValueError(f"{what} must be a list of strings")
+    return value
+
+
 def partition_from_document(doc: dict[str, object]) -> SVPartition:
-    """Rebuild an SVPartition from the certificate JSON layout."""
+    """Rebuild an SVPartition from the certificate JSON layout.
+
+    A document without that layout (a missing key, a value of the wrong
+    type, a malformed monomial) raises KeyError, TypeError or ValueError.
+    """
     target = doc["target_ideal"]
     n = int(target["n"])  # type: ignore[index]
-    gens = {parse_mono(s) for s in target["generators"]}  # type: ignore[index]
+    gens = {
+        parse_mono(s)
+        for s in _strings(target["generators"], "target generators")  # type: ignore[index]
+    }
     ideal = minimal_generators(gens, n)
-    layers = tuple(
-        frozenset(parse_mono(s) for s in layer)
-        for layer in doc["layers"]  # type: ignore[union-attr]
+    layers = doc["layers"]
+    if not isinstance(layers, list):
+        raise ValueError("layers must be a list of layers")
+    return SVPartition(
+        ideal,
+        tuple(
+            frozenset(parse_mono(s) for s in _strings(layer, f"layer {i}"))
+            for i, layer in enumerate(layers)
+        ),
     )
-    return SVPartition(ideal, layers)

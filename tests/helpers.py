@@ -249,6 +249,64 @@ def reference_find_ordering(mi, strategy: str = "lex", seed: int = 0):
     )
 
 
+def reference_verify_sv(partition):
+    """The layering check with a scan of the earlier layers per pair.
+
+    ``verify_sv`` tests each pair against bitmasks of the earlier layers
+    and must return the same ``SVCheck``, failure witness included.
+    """
+    from matroidal import Monomial, SVCheck, mono_vars
+
+    layers = partition.layers
+    if not layers:
+        return SVCheck(False, "empty_partition")
+    seen: set[Monomial] = set()
+    for i, layer in enumerate(layers):
+        if not layer:
+            return SVCheck(False, "empty_layer", i)
+        overlap = layer & seen
+        if overlap:
+            return SVCheck(False, "overlap", (i, min(overlap)))
+        seen |= layer
+    genset = set(partition.ideal.gens)
+    if seen != genset:
+        missing = tuple(sorted(genset - seen))
+        extra = tuple(sorted(seen - genset))
+        return SVCheck(False, "union_mismatch", (missing, extra))
+    if len(layers[0]) != 1:
+        return SVCheck(False, "layer0_size", len(layers[0]))
+    earlier: list[Monomial] = sorted(layers[0])
+    for i, layer in enumerate(layers[1:], start=1):
+        ordered = sorted(layer, key=mono_vars)
+        for a, b in combinations(ordered, 2):
+            prod = a | b  # support of the (non-square-free) product
+            if not any(w & prod == w for w in earlier):
+                return SVCheck(False, "pair", (i, a, b))
+        earlier.extend(ordered)
+    return SVCheck(True)
+
+
+def reference_minimal_generators(monomials, n: int) -> Ideal:
+    """Minimal antichain by comparing each monomial with every kept one.
+
+    ``minimal_generators`` compares only against kept generators of lower
+    degree and must return the same ``Ideal``.
+    """
+    from matroidal import mono_degree, mono_vars
+    from matroidal.ideals import _check_ambient, _check_range
+
+    _check_ambient(n)
+    ms = set(monomials)
+    for m in ms:
+        _check_range(m, n)
+    kept = []
+    # Ascending degree: any proper divisor is seen before its multiples.
+    for m in sorted(ms, key=lambda m: (mono_degree(m), mono_vars(m))):
+        if not any(g & m == g for g in kept):
+            kept.append(m)
+    return Ideal(n, tuple(sorted(kept, key=mono_vars)))
+
+
 def reference_reduce(f, basis, order: str = "degrevlex"):
     """Normal form of f modulo the basis (full multivariate division).
 

@@ -181,6 +181,30 @@ def test_oracle_cap_below_one_is_a_usage_error(capsys, v42, v42_cert):
         assert "oracle cap must be at least 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"layers": [["x1*x2"], "x1*x3"]},
+        {"layers": [["x1*x2"], ["bogus"]]},
+        {"layers": 5},
+        {"layers": None, "sums": 7},
+        {"layers": None, "sums": None},
+        {"target_ideal": {"n": 4, "generators": "x1*x2"}},
+    ],
+)
+def test_verify_cert_malformed_document_is_a_usage_error(
+    capsys, v42, v42_cert, tmp_path, change
+):
+    with open(v42_cert) as f:
+        doc = json.load(f)
+    doc.update(change)
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(doc))
+    code = main(["verify-cert", v42, str(path)])
+    assert code == 3
+    assert "malformed certificate document" in capsys.readouterr().err
+
+
 def test_oracle_pair_budget_overrun_is_inconclusive(
     capsys, monkeypatch, v42, v42_cert
 ):

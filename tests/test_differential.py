@@ -12,20 +12,32 @@ queue.  ``reduce``, ``buchberger`` and ``verify_radical_cert`` must agree
 exactly with the ``max``-per-step division and ``min``-per-step pair choice
 they replaced: on every certificate family with n <= 6 that the
 benchmark's oracle workload checks, and on random polynomials.
+
+``verify_sv`` tests pairs against bitmasks of the earlier layers,
+``find_ordering`` computes colon steps from per-variable masks, and
+``minimal_generators`` compares a monomial only with kept generators of
+lower degree.  Each must agree exactly with the scan it replaced: the
+layering check on every certificate with n <= 6 and on corrupted copies of
+them, the colon kernel with ``colon_step_vars`` on random prefixes, and
+``minimal_generators`` on random mixed-degree sets.
 """
 
+import random
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from matroidal import (
     Ideal,
     InvariantViolation,
     Poly,
+    SVPartition,
+    ara_bounds,
     buchberger,
+    colon_step_vars,
     check_matroidal,
     degree2_cert,
     find_ordering,
@@ -40,10 +52,12 @@ from matroidal import (
     sv_sums,
     variable_cert,
     verify_radical_cert,
+    verify_sv,
     veronese_cert,
 )
 from matroidal.matroids import MatroidalIdeal
 from matroidal.oracle import BudgetExceededError
+from matroidal.quotients import _colon_vars
 
 from helpers import (
     contiguous_blocks,
@@ -51,9 +65,11 @@ from helpers import (
     reference_buchberger,
     reference_check_matroidal,
     reference_find_ordering,
+    reference_minimal_generators,
     reference_minimal_primes,
     reference_radical_check,
     reference_reduce,
+    reference_verify_sv,
 )
 
 CELLS = [(n, d) for n in range(1, 7) for d in range(1, n + 1)]
@@ -226,3 +242,111 @@ def test_reduce_matches_reference_against_any_basis(f_basis, order):
     nf = reduce(f, basis, order)
     assert nf == reference_reduce(f, basis, order)
     assert all(type(c) is Fraction for c in nf.terms.values())
+
+
+def _layered_certificates(enum_cache):
+    """The certificate of every ideal with n <= 6 that is a layered partition."""
+    for n, d in CELLS:
+        for mi in enum_cache(n, d):
+            cert = ara_bounds(mi, search_budget=20000).certificate
+            if isinstance(cert, SVPartition):
+                yield cert
+
+
+def _corruptions(partition, rng):
+    """Copies of a partition with one generator or layer moved, merged or lost."""
+    layers = [set(layer) for layer in partition.layers]
+    yield "identity", layers
+    if len(layers) < 2:
+        return
+    i, j = rng.sample(range(len(layers)), 2)
+    g = rng.choice(sorted(layers[i]))
+    moved = [set(layer) for layer in layers]
+    moved[i].discard(g)
+    moved[j].add(g)
+    yield "moved", moved
+    swapped = list(layers)
+    swapped[i], swapped[j] = swapped[j], swapped[i]
+    yield "swapped", swapped
+    k = min(i, j)
+    merged = layers[:k] + [layers[k] | layers[k + 1]] + layers[k + 2 :]
+    yield "merged", merged
+    dropped = [set(layer) for layer in layers]
+    dropped[i].discard(g)
+    yield "dropped", [layer for layer in dropped if layer]
+    duplicated = [set(layer) for layer in layers]
+    duplicated[j].add(g)
+    yield "duplicated", duplicated
+
+
+def test_verify_sv_matches_reference_on_certificates_and_corruptions(enum_cache):
+    rng = random.Random(5)
+    certificates = 0
+    outcomes = set()
+    for partition in _layered_certificates(enum_cache):
+        certificates += 1
+        for kind, layers in _corruptions(partition, rng):
+            copy = SVPartition(
+                partition.ideal, tuple(frozenset(layer) for layer in layers)
+            )
+            check = verify_sv(copy)
+            assert check == reference_verify_sv(copy), (kind, copy)
+            outcomes.add((kind, check.failure))
+    assert certificates == 2089
+    # Every corruption kind is caught at least once, and the pair witness
+    # (the first failing pair in order) is compared, not just the verdict.
+    assert {kind for kind, failure in outcomes if failure} == {
+        "moved", "swapped", "merged", "dropped", "duplicated"
+    }
+    assert {failure for _, failure in outcomes} >= {
+        None, "pair", "overlap", "union_mismatch", "layer0_size"
+    }
+
+
+@st.composite
+def monomial_sets(draw):
+    n = draw(st.integers(1, 8))
+    return n, draw(st.lists(st.integers(0, (1 << n) - 1), max_size=16))
+
+
+@settings(max_examples=300, deadline=None)
+@given(monomial_sets())
+def test_minimal_generators_matches_reference_on_mixed_degrees(n_monomials):
+    n, monomials = n_monomials
+    assert minimal_generators(monomials, n) == reference_minimal_generators(
+        monomials, n
+    )
+
+
+def _prefix_masks(prefix, n):
+    masks = [0] * n
+    for k, p in enumerate(prefix):
+        for v in range(n):
+            if p >> v & 1:
+                masks[v] |= 1 << k
+    return masks
+
+
+@st.composite
+def colon_cases(draw):
+    n = draw(st.integers(1, 7))
+    u = draw(st.integers(0, (1 << n) - 1))
+    prefix = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=12))
+    if draw(st.booleans()):
+        # A prefix element dividing u: its quotient is the unit ideal.
+        divisor = u & draw(st.integers(0, (1 << n) - 1))
+        prefix.insert(draw(st.integers(0, len(prefix))), divisor)
+    return n, prefix, u
+
+
+@settings(max_examples=400, deadline=None)
+@given(colon_cases())
+@example((3, [0b011, 0b101], 0b110))  # both quotients are single variables
+@example((3, [0b011, 0b100], 0b011))  # x1*x2 divides u
+def test_colon_kernel_matches_colon_step_vars(case):
+    n, prefix, u = case
+    singles = _colon_vars(_prefix_masks(prefix, n), u, (1 << len(prefix)) - 1)
+    step = None if singles is None else frozenset(
+        v for v in range(1, n + 1) if singles >> (v - 1) & 1
+    )
+    assert step == colon_step_vars(prefix, u)

@@ -10,10 +10,12 @@ from matroidal import (
     as_matroidal,
     certificate_document,
     degree2_cert,
+    minimal_primes,
     mono,
     partition_from_document,
     poly_str,
     product_cert,
+    q_index,
     recognize_var_block_product,
     recognize_veronese,
     relabel_ideal,
@@ -180,6 +182,18 @@ def test_search_cert_large_ideal_runs_out_of_budget(n, d):
     assert result.partition is None
     assert not result.exhausted
     assert result.nodes == 2001
+
+
+def test_veronese_13_6_end_to_end():
+    # The Veronese pipeline at 1716 generators: build, linear quotients,
+    # minimal primes and the Schmitt-Vogel layering with its full check.
+    v = veronese(13, 6)
+    assert len(v.ideal.gens) == comb(13, 6) == 1716
+    assert q_index(v) == 7
+    assert len(minimal_primes(v.ideal).primes) == comb(13, 8) == 1287
+    cert = veronese_cert(13, 6)
+    assert len(cert.layers) == 8
+    assert verify_sv(cert)
 
 
 def _outcome(result):
