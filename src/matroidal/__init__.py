@@ -97,6 +97,7 @@ from .svrank import (
     SVPartition,
     ara_bounds,
     certificate_document,
+    construct_certificate,
     degree2_cert,
     partition_from_document,
     product_cert,

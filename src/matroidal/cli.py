@@ -13,12 +13,7 @@ import json
 import sys
 from pathlib import Path
 
-from .decomposition import (
-    degree2_partition,
-    minimal_primes,
-    recognize_var_block_product,
-    recognize_veronese,
-)
+from .decomposition import degree2_partition, minimal_primes
 from .enumeration import conjecture_scan, enumerate_matroidal
 from .ideals import (
     Ideal,
@@ -32,16 +27,14 @@ from .oracle import BudgetExceededError, parse_poly, verify_radical_cert
 from .quotients import analyze
 from .svrank import (
     RadicalCertificate,
+    _ambient,
     _strings,
     certificate_document,
-    degree2_cert,
+    construct_certificate,
     partition_from_document,
-    product_cert,
     search_cert,
     sv_sums,
-    variable_cert,
     verify_sv,
-    veronese_cert,
 )
 
 USAGE_ERROR = 3
@@ -94,6 +87,11 @@ def _emit(args, payload: dict, text_lines: list[str]) -> None:
             print(line)
 
 
+def _fail(args, message: str) -> int:
+    _emit(args, {"error": message}, [f"error: {message}"])
+    return CHECK_FAILED
+
+
 def _load_ideal(path: str) -> Ideal:
     try:
         return parse_ideal(Path(path).read_text())
@@ -142,12 +140,9 @@ def _cmd_analyze(args) -> int:
     ideal = _load_ideal(args.file)
     mi = _require_matroidal(ideal)
     if isinstance(mi, str):
-        _emit(args, {"error": mi}, [f"error: {mi}"])
-        return CHECK_FAILED
+        return _fail(args, mi)
     if not has_full_support(ideal):
-        message = "support must be all of x1..xn"
-        _emit(args, {"error": message}, [f"error: {message}"])
-        return CHECK_FAILED
+        return _fail(args, "support must be all of x1..xn")
     report = analyze(mi)
     _emit(args, report, [f"{key}={value}" for key, value in report.items()])
     return OK
@@ -158,8 +153,7 @@ def _cmd_decompose(args) -> int:
     try:
         decomposition = minimal_primes(ideal)
     except ValueError as exc:
-        _emit(args, {"error": str(exc)}, [f"error: {exc}"])
-        return CHECK_FAILED
+        return _fail(args, str(exc))
     payload: dict[str, object] = {
         "primes": [sorted(p) for p in decomposition.primes],
         "height": decomposition.height,
@@ -186,13 +180,11 @@ def _cmd_partition(args) -> int:
     ideal = _load_ideal(args.file)
     mi = _require_matroidal(ideal)
     if isinstance(mi, str):
-        _emit(args, {"error": mi}, [f"error: {mi}"])
-        return CHECK_FAILED
+        return _fail(args, mi)
     try:
         partition = degree2_partition(mi)
     except ValueError as exc:
-        _emit(args, {"error": str(exc)}, [f"error: {exc}"])
-        return CHECK_FAILED
+        return _fail(args, str(exc))
     payload = {
         "parts": [sorted(p) for p in partition.parts],
         "signature": list(partition.signature),
@@ -212,41 +204,19 @@ def _cmd_cert(args) -> int:
     ideal = _load_ideal(args.file)
     mi = _require_matroidal(ideal)
     if isinstance(mi, str):
-        _emit(args, {"error": mi}, [f"error: {mi}"])
-        return CHECK_FAILED
+        return _fail(args, mi)
     if not has_full_support(ideal):
-        message = "support must be all of x1..xn"
-        _emit(args, {"error": message}, [f"error: {message}"])
-        return CHECK_FAILED
-    n, d = ideal.n, mi.d
-    choice = args.construction
-    cert = None
-    construction = None
-
-    def fail(message: str) -> int:
-        _emit(args, {"error": message}, [f"error: {message}"])
-        return CHECK_FAILED
-
-    if choice == "veronese" or (choice == "auto" and recognize_veronese(ideal)):
-        if not recognize_veronese(ideal):
-            return fail("not a square-free Veronese ideal")
-        cert = veronese_cert(n, d)
-        construction = "veronese"
-    elif choice in ("auto", "product"):
-        blocks = recognize_var_block_product(ideal)
-        if blocks is not None:
-            cert = product_cert([variable_cert(b, n) for b in blocks])
-            construction = "product"
-        elif choice == "product":
-            return fail("not a variable block product")
-    if cert is None and choice in ("auto", "degree2"):
-        if d == 2:
-            cert = degree2_cert(mi)
-            construction = "degree2"
-        elif choice == "degree2":
-            return fail("degree is not 2")
+        return _fail(args, "support must be all of x1..xn")
+    cert = construction = None
+    if args.construction != "search":
+        try:
+            built = construct_certificate(mi, args.construction)
+        except ValueError as exc:
+            return _fail(args, str(exc))
+        if built is not None:
+            construction, cert = built
     if cert is None:
-        size = args.size if args.size is not None else n - d + 1
+        size = args.size if args.size is not None else ideal.n - mi.d + 1
         result = search_cert(mi, size, budget=args.budget)
         construction = "search"
         if result.partition is None:
@@ -280,22 +250,18 @@ def _cmd_verify_cert(args) -> int:
         raise _UsageError(f"cannot read certificate from {args.cert}: {exc}") from exc
     payload: dict[str, object] = {"verified_sv": False, "oracle_checked": False}
     try:
-        target = document["target_ideal"]
-        stated_n = int(target["n"])
+        stated_n = _ambient(document)
     except (KeyError, TypeError, ValueError) as exc:
         raise _UsageError(f"malformed certificate document: {exc}") from exc
     if stated_n != ideal.n:
-        _emit(args, {"error": "ambient mismatch"}, ["error: ambient mismatch"])
-        return CHECK_FAILED
+        return _fail(args, "ambient mismatch")
     if document.get("layers") is not None:
         try:
             partition = partition_from_document(document)
         except (KeyError, TypeError, ValueError) as exc:
             raise _UsageError(f"malformed certificate document: {exc}") from exc
         if partition.ideal != ideal:
-            message = "certificate target differs from the ideal file"
-            _emit(args, {"error": message}, [f"error: {message}"])
-            return CHECK_FAILED
+            return _fail(args, "certificate target differs from the ideal file")
         check = verify_sv(partition)
         payload["verified_sv"] = bool(check)
         if not check:
@@ -307,14 +273,13 @@ def _cmd_verify_cert(args) -> int:
     else:
         try:
             sums = _strings(document["sums"], "sums")
+            polys = tuple(parse_poly(s, ideal.n) for s in sums)
         except (KeyError, ValueError) as exc:
             raise _UsageError(f"malformed certificate document: {exc}") from exc
         try:
-            polys = tuple(parse_poly(s, ideal.n) for s in sums)
             cert = RadicalCertificate(polys, ideal, "manual")
         except ValueError as exc:
-            _emit(args, {"error": str(exc)}, [f"error: {exc}"])
-            return CHECK_FAILED
+            return _fail(args, str(exc))
     lines = [f"verified_sv={payload['verified_sv']}"]
     if args.oracle:
         payload["oracle_checked"] = True

@@ -23,22 +23,13 @@ import numpy as np
 from .decomposition import (
     degree2_partition,
     minimal_primes,
-    recognize_var_block_product,
     recognize_veronese,
     unmixed_bounds_report,
 )
 from .ideals import Ideal, InvariantViolation, mono, mono_vars
 from .matroids import MatroidalIdeal
 from .quotients import find_ordering
-from .svrank import (
-    ara_bounds,
-    degree2_cert,
-    product_cert,
-    search_cert,
-    variable_cert,
-    verify_sv,
-    veronese_cert,
-)
+from .svrank import SVPartition, ara_bounds, search_cert, verify_sv
 
 # 2^C(n,d) search space with pruning; beyond this the walk is infeasible.
 MAX_SUBSETS = 24
@@ -216,6 +207,7 @@ class BatteryResult:
     ara_upper: int | None
     ara_exact: bool | None
     verdicts: dict[str, str]  # per theorem: "pass" | "fail" | "skip"
+    certificate: SVPartition | None  # the layering behind ``ara_upper``
 
 
 def theorem_battery(mi: MatroidalIdeal) -> BatteryResult:
@@ -263,9 +255,7 @@ def theorem_battery(mi: MatroidalIdeal) -> BatteryResult:
     if bounds is None or bounds.upper is None:
         verdicts["sv_certificate"] = "skip"
         verdicts["cm_iff_stci"] = "skip"
-        ara_lower = q + 1
-        ara_upper = None
-        ara_exact = None
+        ara_lower, ara_upper, ara_exact, certificate = q + 1, None, None, None
     else:
         verdicts["sv_certificate"] = (
             "pass" if bounds.upper == n - d + 1 else "fail"
@@ -275,6 +265,7 @@ def theorem_battery(mi: MatroidalIdeal) -> BatteryResult:
             "pass" if set_theoretic_ci == cohen_macaulay else "fail"
         )
         ara_lower, ara_upper, ara_exact = bounds.lower, bounds.upper, bounds.exact
+        certificate = bounds.certificate
     return BatteryResult(
         n=n,
         d=d,
@@ -286,16 +277,21 @@ def theorem_battery(mi: MatroidalIdeal) -> BatteryResult:
         ara_upper=ara_upper,
         ara_exact=ara_exact,
         verdicts=verdicts,
+        certificate=certificate,
     )
 
 
 @dataclass(frozen=True)
 class ScanReport:
-    """Aggregate of a enumeration scan: theorem counts and conjecture tallies.
+    """Aggregate of an enumeration scan: theorem counts and conjecture tallies.
 
-    Certified means a certificate of size n-d+1 was produced and
-    re-verified; inconclusive means neither construction applied nor the
-    budgeted search found one (never a refutation).
+    Certified means a layering of size n-d+1 was produced (by the
+    battery's construction, else by the budgeted search) and re-verified:
+    the scan itself passed it through ``verify_sv``.  Inconclusive means
+    every other outcome, never a refutation: no construction applied and
+    the search found nothing, the layering had another size, or the
+    re-check rejected it.  ``all_certificates_reverified`` is False when
+    some size-(n-d+1) layering failed the re-check.
     """
 
     n: int
@@ -316,7 +312,11 @@ def conjecture_scan(
     budget: int = 20000,
     up_to_symmetry: bool = True,
 ) -> ScanReport:
-    """Attempt a size-(n-d+1) certificate for every enumerated ideal."""
+    """Attempt a size-(n-d+1) certificate for every enumerated ideal.
+
+    The battery's construction is reused; ``search_cert`` runs only for
+    the ideals no construction covers.
+    """
     start = time.perf_counter()
     counts = {name: {"pass": 0, "fail": 0, "skip": 0} for name in THEOREMS}
     total = certified = inconclusive = 0
@@ -327,34 +327,15 @@ def conjecture_scan(
         battery = theorem_battery(mi)
         for name in THEOREMS:
             counts[name][battery.verdicts[name]] += 1
-        ideal = mi.ideal
-        got_size: int | None = None
-        reverified = False
-        if recognize_veronese(ideal):
-            cert = veronese_cert(n, d)
-            got_size = len(cert.layers)
-            reverified = bool(verify_sv(cert))
-        else:
-            blocks = recognize_var_block_product(ideal)
-            if blocks is not None:
-                folded = product_cert([variable_cert(b, n) for b in blocks])
-                got_size = len(folded.polys)
-                reverified = True  # term containment re-checked on build
-            elif d == 2:
-                cert = degree2_cert(mi)
-                got_size = len(cert.layers)
-                reverified = bool(verify_sv(cert))
-            else:
-                result = search_cert(mi, target, budget=budget)
-                if result.partition is not None:
-                    got_size = len(result.partition.layers)
-                    reverified = bool(verify_sv(result.partition))
-        if got_size == target and reverified:
-            certified += 1
-        else:
-            inconclusive += 1
-            if got_size == target and not reverified:
-                all_reverified = False
+        partition = battery.certificate
+        if partition is None:
+            partition = search_cert(mi, target, budget=budget).partition
+        if partition is not None and len(partition.layers) == target:
+            if verify_sv(partition):
+                certified += 1
+                continue
+            all_reverified = False
+        inconclusive += 1
     return ScanReport(
         n=n,
         d=d,

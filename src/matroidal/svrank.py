@@ -7,10 +7,11 @@ the ideal up to radical, so r+1 bounds the arithmetical rank from above.
 The projective dimension bounds it from below, and the two meet at
 q(I) + 1 = n - d + 1 whenever a certificate of that size exists.
 
-Three constructions are provided (square-free Veronese layering, folded
-products of disjointly supported certificates, and the degree-2 matrix
-anti-diagonals), plus a complete layered-partition search for everything
-else.
+``construct_certificate`` is the one construction ladder: square-free
+Veronese layering, then variable block products (layer k holds the
+generators whose block positions sum to k), then the degree-2 matrix
+anti-diagonals.  Every layering it returns has passed ``verify_sv``.
+A complete layered-partition search covers everything else.
 """
 
 from __future__ import annotations
@@ -114,6 +115,14 @@ def verify_sv(partition: SVPartition) -> SVCheck:
     return SVCheck(True)
 
 
+def _checked(partition: SVPartition, what: str) -> SVPartition:
+    """A constructed layering, after ``verify_sv`` accepted it."""
+    check = verify_sv(partition)
+    if not check:
+        raise InvariantViolation(f"{what} layering failed: {check.failure}")
+    return partition
+
+
 @dataclass(frozen=True)
 class RadicalCertificate:
     """Polynomials generating the target up to radical, with provenance.
@@ -173,11 +182,7 @@ def veronese_cert(n: int, d: int) -> SVPartition:
                 mono(c + (top,)) for c in combinations(range(1, top), d - 1)
             )
         )
-    partition = SVPartition(ideal, tuple(layers))
-    check = verify_sv(partition)
-    if not check:
-        raise InvariantViolation(f"Veronese layering failed: {check.failure}")
-    return partition
+    return _checked(SVPartition(ideal, tuple(layers)), "Veronese")
 
 
 def variable_cert(variables, n: int) -> RadicalCertificate:
@@ -253,11 +258,56 @@ def degree2_cert(mi: MatroidalIdeal) -> SVPartition:
     if top > n - 2 or sorted(layer_map) != list(range(top + 1)):
         raise InvariantViolation("degree-2 layering left a gap")
     layers = tuple(frozenset(layer_map[l]) for l in range(top + 1))
-    result = SVPartition(mi.ideal, layers)
-    check = verify_sv(result)
-    if not check:
-        raise InvariantViolation(f"degree-2 layering failed: {check.failure}")
-    return result
+    return _checked(SVPartition(mi.ideal, layers), "degree-2")
+
+
+def _product_layering(
+    ideal: Ideal, blocks: tuple[frozenset[int], ...]
+) -> SVPartition:
+    """Layer k holds the generators whose block positions sum to k.
+
+    A variable's position is its index in its sorted block.  The layer
+    sums are the anti-diagonals ``product_cert`` folds from the blocks'
+    variables, over n - #blocks + 1 layers.
+    """
+    position = {v: k for block in blocks for k, v in enumerate(sorted(block))}
+    layer_map: dict[int, set[Monomial]] = {}
+    for g in ideal.gens:
+        layer_map.setdefault(sum(position[v] for v in mono_vars(g)), set()).add(g)
+    layers = tuple(frozenset(layer_map[k]) for k in sorted(layer_map))
+    return _checked(SVPartition(ideal, layers), "block product")
+
+
+def construct_certificate(
+    mi: MatroidalIdeal, method: str = "auto"
+) -> tuple[str, SVPartition] | None:
+    """The first construction that applies, as ``(method, layering)``.
+
+    ``auto`` climbs the ladder: Veronese layering, then variable block
+    product, then degree-2 anti-diagonals, and returns None when none
+    applies.  A forced ``method`` that does not apply raises ValueError.
+    Every returned layering has passed ``verify_sv``.
+    """
+    ideal = mi.ideal
+    if method in ("auto", "veronese"):
+        if recognize_veronese(ideal):
+            return "veronese", veronese_cert(ideal.n, mi.d)
+        if method == "veronese":
+            raise ValueError("not a square-free Veronese ideal")
+    if method in ("auto", "product"):
+        blocks = recognize_var_block_product(ideal)
+        if blocks is not None:
+            return "product", _product_layering(ideal, blocks)
+        if method == "product":
+            raise ValueError("not a variable block product")
+    if method in ("auto", "degree2"):
+        if mi.d == 2:
+            return "degree2", degree2_cert(mi)
+        if method == "degree2":
+            raise ValueError("degree is not 2")
+    if method != "auto":
+        raise ValueError(f"unknown construction {method!r}")
+    return None
 
 
 @dataclass(frozen=True)
@@ -488,16 +538,16 @@ def search_cert(
 class AraBounds:
     """Bracketing of the arithmetical rank.
 
-    ``lower`` is the projective-dimension bound q(I)+1; ``upper`` the best
-    verified certificate size, when one was produced; ``exact`` when they
-    meet.  ``certificate`` carries the witnessing object.
+    ``lower`` is the projective-dimension bound q(I)+1; ``upper`` the size
+    of the verified layering ``certificate``, when one was produced;
+    ``exact`` when they meet.
     """
 
     lower: int
     upper: int | None
     exact: bool | None
     method: str | None
-    certificate: SVPartition | RadicalCertificate | None
+    certificate: SVPartition | None
 
 
 def ara_bounds(
@@ -505,36 +555,16 @@ def ara_bounds(
 ) -> AraBounds:
     """Lower bound q(I)+1 plus the best available certificate upper bound.
 
-    Constructions are tried by applicability (Veronese layering, block
-    product folding, degree-2 anti-diagonals); otherwise an optional
-    budgeted search at the lower bound.  Requires full support.
+    The certificate comes from ``construct_certificate``; when no
+    construction applies, from an optional budgeted search at the lower
+    bound.  Requires full support.
     """
-    ideal = mi.ideal
-    n, d = ideal.n, mi.d
     lower = q_index(mi) + 1
-    upper: int | None = None
-    method: str | None = None
-    certificate: SVPartition | RadicalCertificate | None = None
-    if recognize_veronese(ideal):
-        certificate = veronese_cert(n, d)
-        upper = len(certificate.layers)
-        method = "veronese"
-    else:
-        blocks = recognize_var_block_product(ideal)
-        if blocks is not None:
-            certificate = product_cert([variable_cert(b, n) for b in blocks])
-            upper = len(certificate.polys)
-            method = "product"
-        elif d == 2:
-            certificate = degree2_cert(mi)
-            upper = len(certificate.layers)
-            method = "degree2"
-        elif search:
-            result = search_cert(mi, lower, budget=search_budget)
-            if result.partition is not None:
-                certificate = result.partition
-                upper = len(result.partition.layers)
-                method = "search"
+    method, certificate = construct_certificate(mi) or (None, None)
+    if certificate is None and search:
+        certificate = search_cert(mi, lower, budget=search_budget).partition
+        method = "search" if certificate is not None else None
+    upper = len(certificate.layers) if certificate is not None else None
     exact = (upper == lower) if upper is not None else None
     return AraBounds(lower, upper, exact, method, certificate)
 
@@ -571,6 +601,14 @@ def certificate_document(
     }
 
 
+def _ambient(doc: dict[str, object]) -> int:
+    """The document's ``target_ideal.n``; only a JSON integer is accepted."""
+    n = doc["target_ideal"]["n"]  # type: ignore[index]
+    if type(n) is not int:
+        raise ValueError(f"n must be an integer, got {n!r}")
+    return n
+
+
 def _strings(value: object, what: str) -> list[str]:
     if not isinstance(value, list) or not all(isinstance(s, str) for s in value):
         raise ValueError(f"{what} must be a list of strings")
@@ -584,7 +622,7 @@ def partition_from_document(doc: dict[str, object]) -> SVPartition:
     type, a malformed monomial) raises KeyError, TypeError or ValueError.
     """
     target = doc["target_ideal"]
-    n = int(target["n"])  # type: ignore[index]
+    n = _ambient(doc)
     gens = {
         parse_mono(s)
         for s in _strings(target["generators"], "target generators")  # type: ignore[index]

@@ -456,3 +456,56 @@ def reference_radical_check(cert, basis, cap: int = 8):
     return RadicalCheck(
         verified=not failures, powers=powers, failures=tuple(failures), cap=cap
     )
+
+
+def reference_ara_bounds(
+    mi, search: bool = True, search_budget: int = 50000
+):
+    """Lower bound q(I)+1 plus the best available certificate upper bound.
+
+    The construction ladder as written out before the dispatcher: block
+    products come back as the folded ``product_cert`` polynomials, not as
+    a layering.  ``ara_bounds`` must pick the same method and size.
+    """
+    from matroidal import (
+        AraBounds,
+        RadicalCertificate,
+        SVPartition,
+        degree2_cert,
+        product_cert,
+        q_index,
+        recognize_var_block_product,
+        recognize_veronese,
+        search_cert,
+        variable_cert,
+        veronese_cert,
+    )
+
+    ideal = mi.ideal
+    n, d = ideal.n, mi.d
+    lower = q_index(mi) + 1
+    upper: int | None = None
+    method: str | None = None
+    certificate: SVPartition | RadicalCertificate | None = None
+    if recognize_veronese(ideal):
+        certificate = veronese_cert(n, d)
+        upper = len(certificate.layers)
+        method = "veronese"
+    else:
+        blocks = recognize_var_block_product(ideal)
+        if blocks is not None:
+            certificate = product_cert([variable_cert(b, n) for b in blocks])
+            upper = len(certificate.polys)
+            method = "product"
+        elif d == 2:
+            certificate = degree2_cert(mi)
+            upper = len(certificate.layers)
+            method = "degree2"
+        elif search:
+            result = search_cert(mi, lower, budget=search_budget)
+            if result.partition is not None:
+                certificate = result.partition
+                upper = len(result.partition.layers)
+                method = "search"
+    exact = (upper == lower) if upper is not None else None
+    return AraBounds(lower, upper, exact, method, certificate)

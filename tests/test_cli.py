@@ -10,6 +10,8 @@ from matroidal.cli import main
 
 V42 = "n=4\nx1 x2\nx1 x3\nx1 x4\nx2 x3\nx2 x4\nx3 x4\n"
 K22 = "n=4\nx1 x3\nx1 x4\nx2 x3\nx2 x4\n"
+# A (5,3) ideal that is neither Veronese nor a block product.
+S53 = "n=5\nx1 x2 x3\nx1 x2 x4\nx1 x3 x4\nx2 x3 x5\nx2 x4 x5\nx3 x4 x5\n"
 NOT_MATROIDAL = "n=4\nx1 x2\nx3 x4\n"
 
 
@@ -190,6 +192,10 @@ def test_oracle_cap_below_one_is_a_usage_error(capsys, v42, v42_cert):
         {"layers": None, "sums": 7},
         {"layers": None, "sums": None},
         {"target_ideal": {"n": 4, "generators": "x1*x2"}},
+        {"target_ideal": {"n": 4.9, "generators": ["x1*x2"]}},
+        {"target_ideal": {"n": "4", "generators": ["x1*x2"]}},
+        {"target_ideal": {"n": True, "generators": ["x1*x2"]}},
+        {"layers": None, "sums": ["bogus"]},
     ],
 )
 def test_verify_cert_malformed_document_is_a_usage_error(
@@ -224,12 +230,74 @@ def test_oracle_pair_budget_overrun_is_inconclusive(
     }
 
 
-def test_cert_product_construction(capsys, k22):
+def test_cert_product_construction(capsys, k22, tmp_path):
     code, doc = run_json(capsys, "cert", k22, "--construction", "product")
     assert code == 0
     assert doc["construction"] == "product"
-    assert doc["layers"] is None
-    assert len(doc["sums"]) == 3
+    assert doc["layers"] == [["x1*x3"], ["x1*x4", "x2*x3"], ["x2*x4"]]
+    assert doc["sums"] == ["x1*x3", "x2*x3+x1*x4", "x2*x4"]
+    assert doc["verified_sv"] is True
+    # The layering is checked without the oracle.
+    path = tmp_path / "product.json"
+    path.write_text(json.dumps(doc))
+    code, payload = run_json(capsys, "verify-cert", k22, str(path))
+    assert code == 0
+    assert payload["verified_sv"] is True
+
+
+V42_SUMS = ["x1*x2", "x1*x3+x2*x3", "x1*x4+x2*x4+x3*x4"]
+K22_SUMS = ["x1*x3", "x2*x3+x1*x4", "x2*x4"]
+S53_SUMS = ["x1*x2*x3", "x1*x3*x4+x2*x4*x5", "x1*x2*x4+x2*x3*x5+x3*x4*x5"]
+
+
+IDEALS = {"v42": V42, "k22": K22, "s53": S53}
+
+
+@pytest.mark.parametrize(
+    "name, choice, expected",
+    [
+        ("v42", "auto", ("veronese", V42_SUMS)),
+        ("v42", "veronese", ("veronese", V42_SUMS)),
+        ("v42", "product", "not a variable block product"),
+        ("v42", "degree2", ("degree2", V42_SUMS)),
+        ("v42", "search", ("search", ["x1*x2", "x3*x4", "x1*x3+x2*x3+x1*x4+x2*x4"])),
+        ("k22", "auto", ("product", K22_SUMS)),
+        ("k22", "veronese", "not a square-free Veronese ideal"),
+        ("k22", "product", ("product", K22_SUMS)),
+        ("k22", "degree2", ("degree2", K22_SUMS)),
+        ("k22", "search", ("search", ["x1*x3", "x2*x4", "x2*x3+x1*x4"])),
+        ("s53", "auto", ("search", S53_SUMS)),
+        ("s53", "veronese", "not a square-free Veronese ideal"),
+        ("s53", "product", "not a variable block product"),
+        ("s53", "degree2", "degree is not 2"),
+        ("s53", "search", ("search", S53_SUMS)),
+    ],
+)
+def test_cert_every_construction_choice(capsys, tmp_path, name, choice, expected):
+    path = tmp_path / f"{name}.txt"
+    path.write_text(IDEALS[name])
+    code, doc = run_json(capsys, "cert", str(path), "--construction", choice)
+    if isinstance(expected, str):
+        assert (code, doc) == (1, {"error": expected})
+        return
+    construction, sums = expected
+    assert code == 0
+    assert doc["construction"] == construction
+    assert doc["sums"] == sums
+    assert doc["verified_sv"] is True
+
+
+def test_verify_cert_sum_outside_target_fails_the_check(capsys, v42, v42_cert):
+    # A sum that parses but has a term outside the ideal is a failed check,
+    # not a malformed document.
+    with open(v42_cert) as f:
+        doc = json.load(f)
+    doc.update({"layers": None, "sums": ["x1*x2", "x1"]})
+    with open(v42_cert, "w") as f:
+        json.dump(doc, f)
+    code, payload = run_json(capsys, "verify-cert", v42, v42_cert)
+    assert code == 1
+    assert payload == {"error": "certificate term lies outside the target ideal"}
 
 
 def test_enumerate(capsys):

@@ -20,6 +20,10 @@ lower degree.  Each must agree exactly with the scan it replaced: the
 layering check on every certificate with n <= 6 and on corrupted copies of
 them, the colon kernel with ``colon_step_vars`` on random prefixes, and
 ``minimal_generators`` on random mixed-degree sets.
+
+``ara_bounds`` climbs one construction ladder, ``construct_certificate``,
+and must pick the method and size the ladder it replaced picked, on every
+ideal with n <= 6.
 """
 
 import random
@@ -62,6 +66,7 @@ from matroidal.quotients import _colon_vars
 from helpers import (
     contiguous_blocks,
     ideal_of,
+    reference_ara_bounds,
     reference_buchberger,
     reference_check_matroidal,
     reference_find_ordering,
@@ -244,6 +249,29 @@ def test_reduce_matches_reference_against_any_basis(f_basis, order):
     assert all(type(c) is Fraction for c in nf.terms.values())
 
 
+def test_ara_bounds_matches_the_written_out_ladder(enum_cache):
+    # The dispatcher picks the method and size the ladder picked; a block
+    # product's layer sums are the polynomials ``product_cert`` folded.
+    ideals = products = 0
+    for n, d in CELLS:
+        for mi in enum_cache(n, d):
+            ideals += 1
+            new = ara_bounds(mi, search=False)
+            old = reference_ara_bounds(mi, search=False)
+            assert (new.lower, new.upper, new.exact, new.method) == (
+                old.lower, old.upper, old.exact, old.method
+            )
+            if new.method == "product":
+                products += 1
+                assert sv_sums(new.certificate).polys == old.certificate.polys
+            elif old.certificate is None:
+                assert new.certificate is None
+            else:
+                assert new.certificate.layers == old.certificate.layers
+    assert ideals == 2356
+    assert products == 2356 - 2089
+
+
 def _layered_certificates(enum_cache):
     """The certificate of every ideal with n <= 6 that is a layered partition."""
     for n, d in CELLS:
@@ -292,7 +320,9 @@ def test_verify_sv_matches_reference_on_certificates_and_corruptions(enum_cache)
             check = verify_sv(copy)
             assert check == reference_verify_sv(copy), (kind, copy)
             outcomes.add((kind, check.failure))
-    assert certificates == 2089
+    # Every ideal: block products are layered too, not only the 2,089
+    # certificates of the other methods.
+    assert certificates == 2356
     # Every corruption kind is caught at least once, and the pair witness
     # (the first failing pair in order) is compared, not just the verdict.
     assert {kind for kind, failure in outcomes if failure} == {

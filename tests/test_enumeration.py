@@ -2,13 +2,16 @@ from itertools import permutations
 
 import pytest
 
+import matroidal.enumeration
 from matroidal import (
+    SVCheck,
     canonical_form,
     conjecture_scan,
     enumerate_matroidal,
     relabel_ideal,
     theorem_battery,
     var_block_product,
+    verify_sv,
     veronese,
 )
 
@@ -126,6 +129,40 @@ def test_battery_mixed_skips_unmixed_checks():
     assert result.verdicts["unmixed_bounds"] == "skip"
     assert result.verdicts["linear_quotient_index"] == "pass"
     assert result.verdicts["height_bound"] == "pass"
+
+
+def test_battery_carries_its_certificate():
+    result = theorem_battery(var_block_product([{1, 2}, {3, 4}]))
+    assert verify_sv(result.certificate)
+    assert len(result.certificate.layers) == result.ara_upper == 3
+
+
+def test_scan_counts_only_certificates_it_reverified(monkeypatch):
+    # Every counted certificate goes through the scan's own verify_sv; a
+    # check that rejects everything leaves nothing certified.
+    monkeypatch.setattr(
+        matroidal.enumeration, "verify_sv", lambda partition: SVCheck(False, "no")
+    )
+    report = conjecture_scan(4, 2, up_to_symmetry=False)
+    assert report.total_ideals == 14
+    assert (report.certified, report.inconclusive) == (0, 14)
+    assert not report.all_certificates_reverified
+
+
+def test_scan_searches_only_where_no_construction_applies(monkeypatch):
+    # The battery's certificate is reused: of the 106 labeled (5,3) ideals,
+    # only the 80 that are neither Veronese nor a block product are searched.
+    calls = []
+    search = matroidal.enumeration.search_cert
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(matroidal.enumeration, "search_cert", counted)
+    report = conjecture_scan(5, 3, up_to_symmetry=False)
+    assert (report.certified, report.inconclusive) == (106, 0)
+    assert len(calls) == 80
 
 
 def test_scan_degree2_fully_certified():

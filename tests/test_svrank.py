@@ -1,3 +1,4 @@
+import random
 from math import comb
 
 import pytest
@@ -9,6 +10,7 @@ from matroidal import (
     ara_bounds,
     as_matroidal,
     certificate_document,
+    construct_certificate,
     degree2_cert,
     minimal_primes,
     mono,
@@ -123,6 +125,42 @@ def test_product_cert_sizes():
             cert = product_cert([variable_cert(b, total) for b in blocks])
             assert len(cert.polys) == total - len(shape) + 1
             assert cert.target == var_block_product(blocks, total).ideal
+
+
+def test_product_layering_matches_the_folded_product():
+    rng = random.Random(11)
+    shapes = 0
+    for total in range(1, 9):
+        for shape in partition_shapes(total):
+            shapes += 1
+            perm = rng.sample(range(1, total + 1), total)
+            blocks = [{perm[v - 1] for v in b} for b in contiguous_blocks(shape)]
+            method, partition = construct_certificate(
+                var_block_product(blocks, total), "product"
+            )
+            assert method == "product"
+            assert verify_sv(partition)
+            assert len(partition.layers) == total - len(shape) + 1
+            folded = product_cert([variable_cert(b, total) for b in blocks])
+            sums = sv_sums(partition).polys
+            assert sums == folded.polys
+            assert list(map(poly_str, sums)) == list(map(poly_str, folded.polys))
+    assert shapes == 66
+
+
+def test_construct_certificate_ladder():
+    k22 = var_block_product([{1, 2}, {3, 4}])
+    assert construct_certificate(veronese(4, 2))[0] == "veronese"
+    assert construct_certificate(k22)[0] == "product"
+    assert construct_certificate(k22, "degree2")[0] == "degree2"
+    cone = matroidal_of(4, (1, 2, 3), (1, 2, 4), (1, 3, 4))  # x1 * V(3,2)
+    assert construct_certificate(cone) is None
+    with pytest.raises(ValueError, match="not a square-free Veronese ideal"):
+        construct_certificate(k22, "veronese")
+    with pytest.raises(ValueError, match="degree is not 2"):
+        construct_certificate(cone, "degree2")
+    with pytest.raises(ValueError, match="unknown construction 'search'"):
+        construct_certificate(k22, "search")
 
 
 def test_degree2_cert_examples():
@@ -263,6 +301,7 @@ def test_ara_bounds_examples():
     blocks = ara_bounds(var_block_product([{1, 2}, {3, 4}]))
     assert (blocks.lower, blocks.upper, blocks.exact) == (3, 3, True)
     assert blocks.method == "product"
+    assert verify_sv(blocks.certificate)
 
 
 def test_ara_bounds_search_path(enum_cache):
