@@ -201,6 +201,8 @@ def _cmd_partition(args) -> int:
 
 
 def _cmd_cert(args) -> int:
+    if args.size is not None and args.construction != "search":
+        raise _UsageError("--size applies only to --construction search")
     ideal = _load_ideal(args.file)
     mi = _require_matroidal(ideal)
     if isinstance(mi, str):
@@ -386,7 +388,10 @@ def build_parser() -> _Parser:
         default="auto",
     )
     p.add_argument(
-        "--size", type=_search_size, default=None, help="search target size"
+        "--size",
+        type=_search_size,
+        default=None,
+        help="search target size; only with --construction search",
     )
     p.add_argument(
         "--budget", type=_node_budget, default=50000, help="search node budget"

@@ -9,16 +9,18 @@ is abandoned only when no completion can ever satisfy it (repairs are
 fixed d-subsets, and decided-out subsets never return).  Pairs left open
 by optimism about undecided repairs are settled by an exact pass at the
 leaves, so yields are authoritative.
+
+With symmetry reduction an ideal is kept when no relabeling gives a
+smaller sorted generator encoding, decided by a pure-Python walk that
+places labels bottom up for any mix of degrees (``_smaller_relabeling``).
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import combinations
 from math import comb
-
-import numpy as np
 
 from .decomposition import (
     degree2_partition,
@@ -33,7 +35,7 @@ from .svrank import SVPartition, ara_bounds, search_cert, verify_sv
 
 # 2^C(n,d) search space with pruning; beyond this the walk is infeasible.
 MAX_SUBSETS = 24
-# Canonical forms minimize over all n! relabelings.
+# Canonicity walks place one label per level, n! placements at worst.
 MAX_SYMMETRY_VARS = 7
 
 
@@ -44,43 +46,56 @@ def _index_bits(mask: int):
         mask ^= low
 
 
-_PERM_TABLES: dict[int, np.ndarray] = {}
+def _smaller_relabeling(ideal: Ideal) -> tuple[int, ...] | None:
+    """A relabeling whose sorted generator encoding beats the ideal's own.
 
+    Labels 1, 2, ... go on the old variables depth first.  With labels 1..k
+    placed, the generators inside them are the encoding's masks below 2^k,
+    for any mix of degrees, so each placement fixes a prefix: its masks in
+    [2^(k-1), 2^k) against the ideal's own there.  Smaller returns at once,
+    larger prunes, equal goes deeper; ``None`` means the ideal is canonical.
+    """
+    n, gens = ideal.n, ideal.gens
+    end = 1 << n  # closes each range, so fewer masks in a range compare larger
+    own = [sorted(g for g in gens if g.bit_length() == k) + [end] for k in range(n + 1)]
+    containing = [[i for i, g in enumerate(gens) if g >> v & 1] for v in range(n)]
+    image = [0] * len(gens)  # new bits of each generator's placed variables
+    label = [0] * n  # new label of each old variable index, set on success
 
-def _perm_table(n: int) -> np.ndarray:
-    table = _PERM_TABLES.get(n)
-    if table is None:
-        rows = [(0,) + p for p in permutations(range(1, n + 1))]
-        table = np.array(rows, dtype=np.int64)
-        _PERM_TABLES[n] = table
-    return table
+    def walk(k: int, placed: int) -> bool:
+        bit = 1 << (k - 1)
+        for v in range(n):
+            if placed >> v & 1:
+                continue
+            inside = placed | 1 << v
+            for i in containing[v]:
+                image[i] |= bit
+            added = sorted([image[i] for i in containing[v] if not gens[i] & ~inside])
+            added.append(end)
+            if added < own[k] or (added == own[k] and walk(k + 1, inside)):
+                label[v] = k
+                return True
+            for i in containing[v]:
+                image[i] ^= bit
+        return False
+
+    if not walk(1, 0):
+        return None
+    free = iter(sorted(set(range(1, n + 1)) - set(label)))
+    return tuple(k or next(free) for k in label)
 
 
 def canonical_form(ideal: Ideal) -> tuple[int, ...]:
-    """Lexicographically smallest sorted generator encoding over relabelings."""
-    n = ideal.n
-    if n > MAX_SYMMETRY_VARS:
+    """Lexicographically smallest sorted generator encoding over relabelings.
+
+    Relabels by ``_smaller_relabeling`` until it returns ``None``; every
+    step lowers the encoding, so the descent ends at the minimum.
+    """
+    if ideal.n > MAX_SYMMETRY_VARS:
         raise ValueError(f"canonical forms supported up to n={MAX_SYMMETRY_VARS}")
-    gens = ideal.gens
-    if not gens:
-        return ()
-    degrees = {g.bit_count() for g in gens}
-    if len(degrees) == 1:
-        vars_arr = np.array([mono_vars(g) for g in gens], dtype=np.int64)
-        relabeled = _perm_table(n)[:, vars_arr]  # (n!, |G|, d)
-        masks = (np.int64(1) << (relabeled - 1)).sum(axis=2)
-        masks.sort(axis=1)
-        best = np.lexsort(masks.T[::-1])[0]
-        return tuple(int(x) for x in masks[best])
-    # Mixed degrees fall back to the direct scan (not on any hot path).
-    best_enc: tuple[int, ...] | None = None
-    for perm in permutations(range(1, n + 1)):
-        enc = tuple(
-            sorted(sum(1 << (perm[v - 1] - 1) for v in mono_vars(g)) for g in gens)
-        )
-        if best_enc is None or enc < best_enc:
-            best_enc = enc
-    return best_enc
+    while (perm := _smaller_relabeling(ideal)) is not None:
+        ideal = relabel_ideal(ideal, perm)
+    return tuple(sorted(ideal.gens))
 
 
 def relabel_ideal(ideal: Ideal, perm: tuple[int, ...]) -> Ideal:
@@ -154,7 +169,7 @@ def enumerate_matroidal(n: int, d: int, up_to_symmetry: bool = False):
             if chosen and sup == full and exchange_ok(chosen):
                 gens = tuple(subsets[i] for i in _index_bits(chosen))
                 ideal = Ideal(n, gens)
-                if up_to_symmetry and canonical_form(ideal) != tuple(sorted(gens)):
+                if up_to_symmetry and _smaller_relabeling(ideal) is not None:
                     continue
                 yield MatroidalIdeal(ideal, d)
             continue

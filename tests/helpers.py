@@ -1,8 +1,8 @@
 """Shared test constructions."""
 
-from itertools import combinations
+from itertools import combinations, permutations
 
-from matroidal import Ideal, as_matroidal, minimal_generators, mono
+from matroidal import Ideal, as_matroidal, minimal_generators, mono, mono_vars
 
 
 def ideal_of(n: int, *gens) -> Ideal:
@@ -65,6 +65,25 @@ def brute_force_matroidal(n: int, d: int) -> set[tuple[int, ...]]:
         if check_matroidal(Ideal(n, tuple(gens))):
             out.add(tuple(sorted(gens)))
     return out
+
+
+def reference_canonical_form(ideal: Ideal) -> tuple[int, ...]:
+    """Scan of all n! relabelings: the oracle for the canonicity walk.
+
+    ``enumeration._smaller_relabeling`` must return ``None`` exactly when
+    this minimum is the ideal's own sorted encoding, and ``canonical_form``
+    must return this minimum, for every mix of degrees.
+    """
+    n = ideal.n
+    gens = ideal.gens
+    best_enc: tuple[int, ...] | None = None
+    for perm in permutations(range(1, n + 1)):
+        enc = tuple(
+            sorted(sum(1 << (perm[v - 1] - 1) for v in mono_vars(g)) for g in gens)
+        )
+        if best_enc is None or enc < best_enc:
+            best_enc = enc
+    return best_enc
 
 
 class _Budget(Exception):

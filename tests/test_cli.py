@@ -161,6 +161,29 @@ def test_negative_budget_is_a_usage_error(capsys, v42):
     assert main(["scan", "--n", "5", "--d", "3", "--budget", "-1"]) == 3
 
 
+@pytest.mark.parametrize(
+    "construction",
+    [(), ("--construction", "auto"), ("--construction", "veronese")],
+)
+def test_size_outside_search_is_a_usage_error(capsys, v42, construction):
+    # A construction builds its own layering, so it has no size to honour.
+    code = main(["cert", v42, *construction, "--size", "2", "--json"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert "--size applies only to --construction search" in captured.err
+
+
+def test_size_with_search_targets_that_size(capsys, v42):
+    code, doc = run_json(
+        capsys, "cert", v42, "--construction", "search", "--size", "4"
+    )
+    assert code == 0
+    assert doc["construction"] == "search"
+    assert len(doc["sums"]) == 4
+    assert doc["verified_sv"] is True
+
+
 def test_search_size_below_one_is_a_usage_error(capsys, v42):
     for size in ("0", "-2"):
         code = main(["cert", v42, "--construction", "search", "--size", size])

@@ -24,6 +24,12 @@ them, the colon kernel with ``colon_step_vars`` on random prefixes, and
 ``ara_bounds`` climbs one construction ladder, ``construct_certificate``,
 and must pick the method and size the ladder it replaced picked, on every
 ideal with n <= 6.
+
+The symmetry filter asks the canonicity walk for a smaller relabeling, and
+``canonical_form`` descends along such relabelings.  Both must agree with
+the scan over all n! relabelings: on every ideal with n <= 5 and each of
+them with a generator dropped, on every 10th ideal with n = 6, and on
+random mixed-degree antichains with the zero and unit ideals.
 """
 
 import random
@@ -41,6 +47,7 @@ from matroidal import (
     SVPartition,
     ara_bounds,
     buchberger,
+    canonical_form,
     colon_step_vars,
     check_matroidal,
     degree2_cert,
@@ -52,6 +59,7 @@ from matroidal import (
     recognize_var_block_product,
     recognize_veronese,
     reduce,
+    relabel_ideal,
     search_cert,
     sv_sums,
     variable_cert,
@@ -59,6 +67,7 @@ from matroidal import (
     verify_sv,
     veronese_cert,
 )
+from matroidal.enumeration import _smaller_relabeling
 from matroidal.matroids import MatroidalIdeal
 from matroidal.oracle import BudgetExceededError
 from matroidal.quotients import _colon_vars
@@ -68,6 +77,7 @@ from helpers import (
     ideal_of,
     reference_ara_bounds,
     reference_buchberger,
+    reference_canonical_form,
     reference_check_matroidal,
     reference_find_ordering,
     reference_minimal_generators,
@@ -117,8 +127,8 @@ def test_orderings_match_the_recursive_search(enum_cache):
 
 
 @st.composite
-def antichains(draw, equal_degree: bool, max_gens: int = 12):
-    n = draw(st.integers(1, 7))
+def antichains(draw, equal_degree: bool, max_gens: int = 12, max_n: int = 7):
+    n = draw(st.integers(1, max_n))
     if equal_degree:
         d = draw(st.integers(1, n))
         pool = [mono(c) for c in combinations(range(1, n + 1), d)]
@@ -380,3 +390,37 @@ def test_colon_kernel_matches_colon_step_vars(case):
         v for v in range(1, n + 1) if singles >> (v - 1) & 1
     )
     assert step == colon_step_vars(prefix, u)
+
+
+def _assert_canonicity_agrees(ideal):
+    expected = reference_canonical_form(ideal)
+    own = tuple(sorted(ideal.gens))
+    relabeling = _smaller_relabeling(ideal)
+    assert (relabeling is None) == (expected == own), ideal
+    if relabeling is not None:
+        assert tuple(sorted(relabel_ideal(ideal, relabeling).gens)) < own
+    assert canonical_form(ideal) == expected, ideal
+    return relabeling is None
+
+
+def test_canonicity_walk_matches_the_relabeling_scan(enum_cache):
+    verdicts = set()
+    for n, d in CELLS:
+        ideals = enum_cache(n, d)
+        if n == 6:
+            ideals = ideals[::10]
+        for mi in ideals:
+            ideal = mi.ideal
+            verdicts.add(_assert_canonicity_agrees(ideal))
+            if n <= 5 and len(ideal.gens) > 1:
+                _assert_canonicity_agrees(Ideal(n, ideal.gens[1:]))
+    # Both verdicts occur, so the comparison is not vacuous.
+    assert verdicts == {True, False}
+
+
+@settings(max_examples=300, deadline=None)
+@given(antichains(False, max_n=6))
+@example(Ideal(6, ()))  # the zero ideal
+@example(Ideal(6, (0,)))  # the unit ideal
+def test_canonicity_walk_matches_the_scan_on_mixed_degrees(ideal):
+    _assert_canonicity_agrees(ideal)

@@ -1,9 +1,14 @@
+import os
+import subprocess
+import sys
 from itertools import permutations
+from pathlib import Path
 
 import pytest
 
 import matroidal.enumeration
 from matroidal import (
+    Ideal,
     SVCheck,
     canonical_form,
     conjecture_scan,
@@ -15,7 +20,7 @@ from matroidal import (
     veronese,
 )
 
-from helpers import brute_force_matroidal
+from helpers import brute_force_matroidal, ideal_of
 
 # Labeled counts of matroidal ideals with full support.  The d=1 column is
 # always 1, d=2 equals the number of set partitions of n into >= 2 parts,
@@ -50,6 +55,57 @@ SYMMETRY_COUNTS = {
     (6, 4): 18,
 }
 
+# The orbit representatives, in yield order, as sorted generator masks.
+REPRESENTATIVES = {
+    (6, 3): [
+        (7, 11, 13, 14, 19, 21, 22, 25, 26, 28, 35, 37, 38, 41, 42, 44, 49, 50, 52, 56),
+        (7, 11, 13, 14, 19, 21, 22, 25, 26, 28, 35, 37, 38, 41, 42, 44, 49, 50, 52),
+        (7, 11, 13, 14, 19, 21, 22, 25, 26, 35, 37, 38, 41, 42, 49, 50),
+        (7, 11, 13, 14, 19, 21, 22, 25, 26, 28, 35, 37, 38, 41, 42, 49, 52, 56),
+        (7, 11, 13, 19, 21, 25, 35, 37, 41, 49),
+        (7, 11, 13, 14, 19, 21, 22, 25, 26, 28, 35, 37, 38, 41, 42, 44),
+        (7, 11, 13, 14, 19, 21, 22, 25, 26, 35, 37, 38, 41, 42),
+        (7, 11, 13, 14, 19, 21, 22, 25, 26, 35, 37, 38, 41, 44, 50, 52, 56),
+        (7, 11, 13, 19, 21, 25, 35, 37, 41),
+        (7, 11, 13, 14, 19, 21, 22, 35, 37, 38),
+        (7, 11, 13, 14, 19, 21, 22, 35, 37, 42, 44, 50, 52),
+        (7, 11, 13, 14, 19, 21, 26, 28, 35, 37, 42, 44),
+        (7, 11, 13, 19, 21, 35, 37),
+        (7, 11, 13, 14, 19, 21, 22, 35, 41, 42, 49, 50),
+        (7, 11, 13, 14, 19, 21, 26, 28, 35, 38, 41, 44, 49, 50, 52, 56),
+        (7, 11, 13, 19, 21, 35, 41, 49),
+        (7, 11, 19, 35),
+        (7, 11, 13, 14, 19, 21, 22, 25, 26, 37, 38, 41, 42, 44, 49, 50, 52, 56),
+        (7, 11, 13, 14, 19, 21, 22, 25, 26, 37, 38, 41, 42, 49, 50),
+        (7, 11, 13, 14, 19, 21, 22, 25, 26, 37, 41, 44, 49, 52, 56),
+        (7, 11, 13, 19, 21, 25, 38, 42, 44, 50, 52, 56),
+        (7, 11, 13, 19, 21, 38, 42, 44, 50, 52),
+        (7, 11, 19, 37, 41, 49),
+        (7, 11, 13, 22, 26, 28, 38, 42, 44),
+        (7, 11, 21, 25, 38, 42, 52, 56),
+    ],
+    (6, 4): [
+        (15, 23, 27, 29, 30, 39, 43, 45, 46, 51, 53, 54, 57, 58, 60),
+        (15, 23, 27, 29, 30, 39, 43, 45, 46, 51, 53, 54, 57, 58),
+        (15, 23, 27, 29, 39, 43, 45, 51, 53, 57),
+        (15, 23, 27, 29, 30, 39, 43, 45, 46, 51, 53, 54),
+        (15, 23, 27, 29, 30, 39, 43, 45, 46, 51, 53, 58, 60),
+        (15, 23, 27, 29, 39, 43, 45, 51, 53),
+        (15, 23, 27, 39, 43, 51),
+        (15, 23, 27, 29, 30, 39, 43, 45, 46),
+        (15, 23, 27, 29, 30, 39, 43, 45, 54, 58, 60),
+        (15, 23, 27, 29, 39, 43, 45),
+        (15, 23, 27, 29, 39, 43, 46, 53, 54, 57, 58, 60),
+        (15, 23, 27, 29, 39, 43, 53, 57),
+        (15, 23, 27, 39, 43),
+        (15, 23, 39),
+        (15, 23, 27, 29, 46, 54, 58, 60),
+        (15, 23, 27, 45, 46, 53, 54, 57, 58),
+        (15, 23, 27, 45, 53, 57),
+        (15, 23, 43, 51),
+    ],
+}
+
 
 def test_full_counts(enum_cache):
     for (n, d), expected in FULL_COUNTS.items():
@@ -59,6 +115,31 @@ def test_full_counts(enum_cache):
 def test_symmetry_counts(enum_cache):
     for (n, d), expected in SYMMETRY_COUNTS.items():
         assert len(enum_cache(n, d, True)) == expected, (n, d)
+
+
+def test_symmetry_representatives(enum_cache):
+    for (n, d), expected in REPRESENTATIVES.items():
+        got = [tuple(sorted(mi.ideal.gens)) for mi in enum_cache(n, d, True)]
+        assert got == expected, (n, d)
+
+
+def test_imports_and_enumerates_without_numpy():
+    # A fresh interpreter with numpy blocked: the package must not need it.
+    code = (
+        "import sys\n"
+        "sys.modules['numpy'] = None\n"
+        "from matroidal import enumerate_matroidal\n"
+        "assert len(list(enumerate_matroidal(5, 3, up_to_symmetry=True))) == 9\n"
+    )
+    src = str(Path(matroidal.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
 
 
 def test_matches_brute_force_filter(enum_cache):
@@ -102,10 +183,15 @@ def test_orbit_expansion_recovers_full_enumeration(enum_cache):
 
 
 def test_canonical_form_is_orbit_invariant():
-    ideal = var_block_product([{1, 3}, {2, 4}]).ideal
-    base = canonical_form(ideal)
-    for perm in permutations(range(1, 5)):
-        assert canonical_form(relabel_ideal(ideal, perm)) == base
+    ideals = [
+        var_block_product([{1, 3}, {2, 4}]).ideal,
+        ideal_of(5, (1, 2), (2, 3, 4), (3, 5), (1, 4, 5)),  # mixed degrees
+        Ideal(6, REPRESENTATIVES[(6, 3)][-1]),
+    ]
+    for ideal in ideals:
+        base = canonical_form(ideal)
+        for perm in permutations(range(1, ideal.n + 1)):
+            assert canonical_form(relabel_ideal(ideal, perm)) == base
 
 
 def test_battery_veronese42():
