@@ -42,6 +42,9 @@ INCONCLUSIVE = 2
 CHECK_FAILED = 1
 OK = 0
 
+# Search node budget of ``cert`` when --budget is not given.
+CERT_BUDGET = 50000
+
 
 class _UsageError(Exception):
     pass
@@ -203,6 +206,8 @@ def _cmd_partition(args) -> int:
 def _cmd_cert(args) -> int:
     if args.size is not None and args.construction != "search":
         raise _UsageError("--size applies only to --construction search")
+    if args.budget is not None and args.construction not in ("auto", "search"):
+        raise _UsageError("--budget applies only to --construction auto or search")
     ideal = _load_ideal(args.file)
     mi = _require_matroidal(ideal)
     if isinstance(mi, str):
@@ -219,7 +224,8 @@ def _cmd_cert(args) -> int:
             construction, cert = built
     if cert is None:
         size = args.size if args.size is not None else ideal.n - mi.d + 1
-        result = search_cert(mi, size, budget=args.budget)
+        budget = args.budget if args.budget is not None else CERT_BUDGET
+        result = search_cert(mi, size, budget=budget)
         construction = "search"
         if result.partition is None:
             status = "exhausted" if result.exhausted else "budget_exceeded"
@@ -394,7 +400,11 @@ def build_parser() -> _Parser:
         help="search target size; only with --construction search",
     )
     p.add_argument(
-        "--budget", type=_node_budget, default=50000, help="search node budget"
+        "--budget",
+        type=_node_budget,
+        default=None,
+        help=f"search node budget (default {CERT_BUDGET}); "
+        "only with --construction auto or search",
     )
 
     p = add("verify-cert", _cmd_verify_cert, help="re-verify a certificate file")

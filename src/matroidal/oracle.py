@@ -18,6 +18,15 @@ integral coefficients travel as Python ints (exact, and much cheaper than
 This module is deliberately self-contained and shares no combinatorial
 shortcuts with the rest of the package: membership answers come from
 normal forms against a reduced basis, nothing else.
+
+The two radical verdicts rest on different facts.  Every polynomial
+Buchberger keeps lies in the certificate ideal, so a zero remainder proves
+membership against any such set, Groebner or not: "verified" rests on the
+zero remainders alone.  A nonzero remainder disproves membership only
+against a Groebner basis, so "not verified" (and the minimality of each
+recorded power) rests on the Groebner property of the basis.  That property
+is asserted, pair by pair with no criterion applied, before any failure is
+reported; ``buchberger`` asserts it on every call by default.
 """
 
 from __future__ import annotations
@@ -376,32 +385,24 @@ def _s_terms(f: _Divisor, g: _Divisor, lcm: Exponents) -> dict[Exponents, _Coeff
     return out
 
 
-def buchberger(
-    gens: Iterable[Poly],
-    order: str = "degrevlex",
-    max_pairs: int = 20000,
-    check: bool = True,
-) -> tuple[Poly, ...]:
-    """Reduced Groebner basis of the input polynomials.
+def _groebner(polys: list[Poly], order: str, max_pairs: int) -> list[_Divisor]:
+    """Reduced Groebner basis of nonzero polynomials, as prepared divisors.
 
-    Pair selection is the normal (minimal lcm in the term order) strategy:
-    open pairs sit in a heap keyed by ``(lcm, i, j)``, filled once as each
-    basis element arrives, so ties go to the lower indices.  Coprime
-    leading terms and the chain criterion prune pairs.  The basis is kept
-    as prepared divisors (see ``reduce``), extended as elements are added.
-    Processing more than ``max_pairs`` pairs raises
-    :class:`BudgetExceededError`; a negative budget raises ``ValueError``.
-    With ``check`` the defining property is asserted before returning: the
-    S-polynomial of every pair of the output reduces to zero, with no
-    criterion applied.
+    Every element is monic, integral coefficients are ints (see
+    ``_narrow``), and the list runs from the largest leading monomial down.
+    Every polynomial kept along the way, interreduced ones included, is a
+    remainder of members of the ideal the input generates, so it lies in
+    that ideal whether or not the pair criteria are right.  Only the claim
+    that the result is a Groebner basis rests on them; ``_assert_groebner``
+    checks that claim.  A negative budget or an empty input raises
+    ``ValueError``.
     """
     if max_pairs < 0:
         raise ValueError(f"pair budget must be nonnegative, got {max_pairs}")
-    key = ORDER_KEYS[order]
-    heap_key = HEAP_KEYS[order]
-    polys = [g for g in gens if g and g.terms]
     if not polys:
         raise ValueError("need at least one nonzero generator")
+    key = ORDER_KEYS[order]
+    heap_key = HEAP_KEYS[order]
     basis = _prepare(polys, order)
     lms = [b[0] for b in basis]
     pairs: list[tuple[object, int, int, Exponents]] = []
@@ -450,16 +451,51 @@ def buchberger(
         others = minimal[:i] + minimal[i + 1 :]
         # No other leading monomial divides b's, so it stays first, monic.
         nf = _normal_form(_terms(b), others, heap_key)
-        reduced.append((b[0], tuple(nf.items())[1:]))
+        reduced.append((b[0], tuple((e, _narrow(c)) for e, c in nf.items())[1:]))
     reduced.sort(key=lambda b: key(b[0]), reverse=True)
+    return reduced
+
+
+def _assert_groebner(
+    reduced: list[_Divisor], heap_key: Callable[[Exponents], object]
+) -> None:
+    """Raise unless the S-polynomial of every pair reduces to zero.
+
+    No criterion is applied: coprime leading terms and chains are divided
+    too, so the check does not lean on the criteria ``_groebner`` used.
+    """
+    for i in range(len(reduced)):
+        for j in range(i + 1, len(reduced)):
+            lcm = _exp_lcm(reduced[i][0], reduced[j][0])
+            if _normal_form(_s_terms(reduced[i], reduced[j], lcm), reduced, heap_key):
+                raise InvariantViolation(
+                    "S-polynomial of the output basis did not reduce to zero"
+                )
+
+
+def buchberger(
+    gens: Iterable[Poly],
+    order: str = "degrevlex",
+    max_pairs: int = 20000,
+    check: bool = True,
+) -> tuple[Poly, ...]:
+    """Reduced Groebner basis of the input polynomials.
+
+    Pair selection is the normal (minimal lcm in the term order) strategy:
+    open pairs sit in a heap keyed by ``(lcm, i, j)``, filled once as each
+    basis element arrives, so ties go to the lower indices.  Coprime
+    leading terms and the chain criterion prune pairs.  The basis is kept
+    as prepared divisors (see ``reduce``), extended as elements are added.
+    Processing more than ``max_pairs`` pairs raises
+    :class:`BudgetExceededError`; a negative budget raises ``ValueError``.
+    With ``check`` the defining property is asserted before returning: the
+    S-polynomial of every pair of the output reduces to zero, with no
+    criterion applied.
+    """
+    polys = [g for g in gens if g and g.terms]
+    reduced = _groebner(polys, order, max_pairs)
     if check:
-        for i in range(len(reduced)):
-            for j in range(i + 1, len(reduced)):
-                lcm = _exp_lcm(reduced[i][0], reduced[j][0])
-                if _normal_form(_s_terms(reduced[i], reduced[j], lcm), reduced, heap_key):
-                    raise InvariantViolation(
-                        "S-polynomial of the output basis did not reduce to zero"
-                    )
+        _assert_groebner(reduced, HEAP_KEYS[order])
     return tuple(_poly(polys[0].n, _terms(b)) for b in reduced)
 
 
@@ -479,7 +515,11 @@ class RadicalCheck:
 
     ``powers`` records, per generator, the least N <= cap with u^N in the
     certificate ideal; ``failures`` lists generators not certified within
-    the cap (inconclusive, never a disproof).
+    the cap (inconclusive, never a disproof).  ``verified=True`` rests on
+    the zero remainders alone: each power u^N divided to zero by members of
+    the certificate ideal.  ``verified=False``, and the claim that no
+    smaller power lies in the ideal, rest on the basis being a Groebner
+    basis, which is asserted before any failure is reported.
     """
 
     verified: bool
@@ -501,9 +541,17 @@ def verify_radical_cert(
     ideal iff each of its terms does).  The other containment is witnessed
     by finding, for every generator u, a power u^N (N <= cap) inside the
     ideal generated by the certificate polynomials.  The Groebner basis is
-    computed once and its divisors prepared once for every power u^N.  A cap
-    below 1 could verify nothing and raises ``ValueError``; a basis needing
-    more than ``max_pairs`` pairs raises :class:`BudgetExceededError`.
+    computed once, as prepared divisors, for every power u^N.
+
+    Every basis element lies in the certificate ideal, so a zero remainder
+    proves u^N is in it whether or not the basis is Groebner, and a verified
+    result needs no further check.  A nonzero remainder at the cap proves
+    nothing unless the basis is Groebner, so before a result with failures
+    is returned the S-polynomial of every pair of the basis is reduced (the
+    check of ``buchberger``); if one does not reduce to zero,
+    :class:`InvariantViolation` is raised instead of a verdict.  A cap below
+    1 could verify nothing and raises ``ValueError``; a basis needing more
+    than ``max_pairs`` pairs raises :class:`BudgetExceededError`.
     """
     if cap < 1:
         raise ValueError(f"oracle cap must be at least 1, got {cap}")
@@ -521,7 +569,7 @@ def verify_radical_cert(
                 raise ValueError(
                     f"certificate term {_term_str(e, p.terms[e])} lies outside the target ideal"
                 )
-    basis = _prepare(buchberger(cert.polys, order=order, max_pairs=max_pairs), order)
+    basis = _groebner(list(cert.polys), order, max_pairs)
     heap_key = HEAP_KEYS[order]
     powers: dict[Monomial, int] = {}
     failures: list[Monomial] = []
@@ -539,6 +587,8 @@ def verify_radical_cert(
             failures.append(g)
         else:
             powers[g] = found
+    if failures:
+        _assert_groebner(basis, heap_key)
     return RadicalCheck(
         verified=not failures,
         powers=powers,

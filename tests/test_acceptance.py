@@ -25,7 +25,7 @@ from matroidal import (
     verify_sv,
     veronese_cert,
 )
-from matroidal.svrank import ara_bounds
+from matroidal.svrank import ara_bounds, construct_certificate
 
 from helpers import contiguous_blocks, partition_shapes
 
@@ -186,6 +186,17 @@ def test_criterion_8_oracle_soundness(enum_cache):
         result = search_cert(mi, 3, budget=100000)
         if result.partition is not None:
             oracle_check(sv_sums(result.partition))
+    # The (6,3) orbits that no construction covers: all 21 have a size-4
+    # search layering, and the oracle must confirm each one.
+    searched = 0
+    for mi in enum_cache(6, 3, True):
+        if construct_certificate(mi) is not None:
+            continue
+        result = search_cert(mi, 4, budget=20000)
+        assert result.partition is not None, mi.ideal.gens
+        oracle_check(sv_sums(result.partition))
+        searched += 1
+    assert searched == 21
     print(
         f"ACCEPTANCE 8 PASS: oracle confirmed {checked} certificates "
         f"(worst {worst:.2f}s per ideal)"

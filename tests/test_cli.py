@@ -310,6 +310,31 @@ def test_cert_every_construction_choice(capsys, tmp_path, name, choice, expected
     assert doc["verified_sv"] is True
 
 
+@pytest.mark.parametrize("choice", ["veronese", "product", "degree2"])
+def test_budget_without_a_search_is_a_usage_error(capsys, v42, choice):
+    # These constructions never search, so they have no budget to honour.
+    code = main(["cert", v42, "--construction", choice, "--budget", "0", "--json"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert "--budget applies only to --construction auto or search" in captured.err
+
+
+def test_auto_spends_its_budget_only_on_the_search_fallback(capsys, v42, tmp_path):
+    code, doc = run_json(capsys, "cert", v42, "--budget", "0")
+    assert (code, doc["construction"]) == (0, "veronese")
+    path = tmp_path / "s53.txt"
+    path.write_text(S53)
+    code, payload = run_json(capsys, "cert", str(path), "--budget", "0")
+    assert code == 2
+    assert payload == {
+        "found": False,
+        "status": "budget_exceeded",
+        "nodes": 1,
+        "target_size": 3,
+    }
+
+
 def test_verify_cert_sum_outside_target_fails_the_check(capsys, v42, v42_cert):
     # A sum that parses but has a term outside the ideal is a failed check,
     # not a malformed document.

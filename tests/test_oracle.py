@@ -20,6 +20,7 @@ from matroidal import (
     veronese,
 )
 from matroidal import oracle
+from matroidal.ideals import InvariantViolation
 from matroidal.oracle import BudgetExceededError
 from matroidal.svrank import sv_sums, veronese_cert
 
@@ -218,6 +219,89 @@ def test_verify_radical_cert_inconclusive_single_sum():
     result = verify_radical_cert(cert, cap=6)
     assert not result.verified
     assert set(result.failures) == {mono((1,)), mono((2,))}
+
+
+def _counting(monkeypatch, name):
+    """Replace ``oracle.<name>`` with a wrapper; return its call list."""
+    calls = []
+    wrapped = getattr(oracle, name)
+
+    def counting(*args):
+        calls.append(1)
+        return wrapped(*args)
+
+    monkeypatch.setattr(oracle, name, counting)
+    return calls
+
+
+def _unreduced(polys, order, max_pairs):
+    # The input itself as the basis: it generates the ideal but, for the
+    # certificates below, is not a Groebner basis.
+    return oracle._prepare(polys, order)
+
+
+def test_verified_verdict_runs_no_all_pairs_check(monkeypatch):
+    # A zero remainder proves membership against any basis inside the
+    # ideal, so a verified result costs the basis plus one division per
+    # power tried, and nothing more.
+    cert = sv_sums(veronese_cert(4, 2))
+    checks = _counting(monkeypatch, "_assert_groebner")
+    divisions = _counting(monkeypatch, "_normal_form")
+    oracle._groebner(list(cert.polys), "degrevlex", 20000)
+    basis_divisions = len(divisions)
+    divisions.clear()
+    result = verify_radical_cert(cert, cap=6)
+    assert result.verified
+    assert checks == []
+    assert len(divisions) == basis_divisions + sum(result.powers.values())
+
+
+def test_failed_verdict_runs_the_all_pairs_check_once(monkeypatch):
+    target = ideal_of(2, (1,), (2,))
+    cert = RadicalCertificate((P("x1+x2", 2),), target, "manual")
+    checks = _counting(monkeypatch, "_assert_groebner")
+    result = verify_radical_cert(cert, cap=6)
+    assert not result.verified
+    assert len(checks) == 1
+
+
+def test_failed_verdict_on_a_non_groebner_basis_raises(monkeypatch):
+    # The leading terms of x1 + x2 and x1 are both x1, so x2 has a nonzero
+    # remainder against them although it lies in the ideal they generate.
+    target = ideal_of(2, (1,), (2,))
+    cert = RadicalCertificate((P("x1+x2", 2), P("x1", 2)), target, "manual")
+    assert verify_radical_cert(cert).verified
+    monkeypatch.setattr(oracle, "_groebner", _unreduced)
+    with pytest.raises(InvariantViolation, match="did not reduce to zero"):
+        verify_radical_cert(cert)
+
+
+def test_verified_verdict_does_not_need_a_groebner_basis(monkeypatch):
+    # The leading terms x1, x1*x2 and x2^2 miss x2, which lies in the ideal,
+    # so these are not a Groebner basis; yet a power of each generator
+    # divides to zero against them, which is proof enough.
+    target = ideal_of(2, (1,), (2,))
+    polys = (P("x1+x2", 2), P("x1+x1*x2", 2), P("x2^2", 2))
+    with pytest.raises(InvariantViolation):
+        oracle._assert_groebner(
+            _unreduced(list(polys), "degrevlex", 0), oracle.HEAP_KEYS["degrevlex"]
+        )
+    monkeypatch.setattr(oracle, "_groebner", _unreduced)
+    assert verify_radical_cert(RadicalCertificate(polys, target, "manual")).verified
+
+
+def test_buchberger_checks_its_output_by_default(monkeypatch):
+    monkeypatch.setattr(oracle, "_groebner", _unreduced)
+    gens = [P("x1+x2", 2), P("x1", 2)]
+    with pytest.raises(InvariantViolation, match="did not reduce to zero"):
+        buchberger(gens)
+    assert set(buchberger(gens, check=False)) == set(gens)
+
+
+def test_verify_radical_cert_rejects_a_negative_pair_budget():
+    cert = sv_sums(veronese_cert(3, 2))
+    with pytest.raises(ValueError, match="pair budget must be nonnegative"):
+        verify_radical_cert(cert, max_pairs=-1)
 
 
 def test_certificate_rejects_terms_outside_target():
