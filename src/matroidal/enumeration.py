@@ -1,14 +1,15 @@
 """Exhaustive enumeration of small matroidal ideals, batteries, and scans.
 
 Enumeration walks inclusion decisions over the d-subsets of the variables
-in lexicographic order.  Including a subset checks, for each pair it forms
-with an already-included one and each exchangeable variable, whether any
-repair subset is still available.  Pruning fires only when every repair is
-decided and excluded: the exchange condition is existential, so a branch
-is abandoned only when no completion can ever satisfy it (repairs are
-fixed d-subsets, and decided-out subsets never return).  Pairs left open
-by optimism about undecided repairs are settled by an exact pass at the
-leaves, so yields are authoritative.
+in lexicographic order.  Each exchange slot (an ordered pair of subsets and
+one exchangeable variable, with its fixed set of repair subsets) is checked
+once, when the last of its subsets is decided: by the inclusion of the
+later subset of the pair when every repair comes before it, else by the
+exclusion of its last repair.  A branch is pruned when a decided slot has
+both subsets of its pair chosen and no repair chosen; the exchange
+condition is existential, so no completion could satisfy it.  Every slot
+is decided by the leaves, so the exact exchange pass there is a guard
+that never rejects, and yields are authoritative.
 
 With symmetry reduction an ideal is kept when no relabeling gives a
 smaller sorted generator encoding, decided by a pure-Python walk that
@@ -31,10 +32,11 @@ from .decomposition import (
 from .ideals import Ideal, InvariantViolation, mono, mono_vars
 from .matroids import MatroidalIdeal
 from .quotients import find_ordering
-from .svrank import SVPartition, ara_bounds, search_cert, verify_sv
+from .svrank import SVPartition, construct_certificate, search_cert, verify_sv
 
-# 2^C(n,d) search space with pruning; beyond this the walk is infeasible.
-MAX_SUBSETS = 24
+# 2^C(n,d) search space with pruning; C(7,3) = 35 admits every n <= 7
+# cell.  The cap counts subsets, not work: (n, n-1) has 2^n - n - 1 ideals.
+MAX_SUBSETS = 35
 # Canonicity walks place one label per level, n! placements at worst.
 MAX_SYMMETRY_VARS = 7
 
@@ -133,11 +135,21 @@ def enumerate_matroidal(n: int, d: int, up_to_symmetry: bool = False):
     repairs: list[list[tuple[int, ...] | None]] = [
         [None] * k for _ in range(k)
     ]
+    # A slot (ordered pair a, b and one exchangeable variable) is decided at
+    # its highest index among a, b and its repairs.  closed_in[t] holds the
+    # slots decided by including t (t is the later of the pair and every
+    # repair comes before it), closed_out[t] those decided by excluding t
+    # (t is the last repair and comes after the pair), as (pair, repairs)
+    # masks.  A slot whose last repair is the later subset b itself is
+    # satisfied whenever the pair is chosen and is left out.
+    closed_in: list[list[tuple[int, int]]] = [[] for _ in range(k)]
+    closed_out: list[list[tuple[int, int]]] = [[] for _ in range(k)]
     for a, sa in enumerate(subsets):
         for b, sb in enumerate(subsets):
             if a == b:
                 continue
             incoming = mono_vars(sb & ~sa)
+            pair, later = 1 << a | 1 << b, max(a, b)
             slots = []
             for x in mono_vars(sa & ~sb):
                 base = sa ^ (1 << (x - 1))
@@ -145,10 +157,22 @@ def enumerate_matroidal(n: int, d: int, up_to_symmetry: bool = False):
                 for y in incoming:
                     m |= 1 << position[base | (1 << (y - 1))]
                 slots.append(m)
+                last = m.bit_length() - 1
+                if last > later:
+                    closed_out[last].append((pair, m))
+                elif last < later:
+                    closed_in[later].append((pair, m))
             repairs[a][b] = tuple(slots)
     suffix_support = [0] * (k + 1)
     for t in range(k - 1, -1, -1):
         suffix_support[t] = suffix_support[t + 1] | subsets[t]
+
+    def open_slot(decided: list[tuple[int, int]], chosen: int) -> bool:
+        """Whether some decided slot has its pair chosen and no repair."""
+        for pair, slot in decided:
+            if chosen & pair == pair and not chosen & slot:
+                return True
+        return False
 
     def exchange_ok(chosen: int) -> bool:
         indices = list(_index_bits(chosen))
@@ -173,27 +197,10 @@ def enumerate_matroidal(n: int, d: int, up_to_symmetry: bool = False):
                     continue
                 yield MatroidalIdeal(ideal, d)
             continue
-        if sup | suffix_support[t + 1] == full:
+        if sup | suffix_support[t + 1] == full and not open_slot(closed_out[t], chosen):
             stack.append((t + 1, chosen, sup))
         with_t = chosen | (1 << t)
-        undecided = ~((1 << (t + 1)) - 1)
-        viable = True
-        for j in _index_bits(chosen):
-            for slot in repairs[t][j]:
-                if slot & with_t or slot & undecided:
-                    continue
-                viable = False
-                break
-            if not viable:
-                break
-            for slot in repairs[j][t]:
-                if slot & with_t or slot & undecided:
-                    continue
-                viable = False
-                break
-            if not viable:
-                break
-        if viable:
+        if not open_slot(closed_in[t], with_t):
             stack.append((t + 1, with_t, sup | subsets[t]))
 
 
@@ -263,24 +270,28 @@ def theorem_battery(mi: MatroidalIdeal) -> BatteryResult:
     verdicts["cm_iff_veronese"] = (
         "pass" if cohen_macaulay == recognize_veronese(ideal) else "fail"
     )
-    try:
-        bounds = ara_bounds(mi, search=False)
-    except InvariantViolation:
-        bounds = None
-    if bounds is None or bounds.upper is None:
+    # The bounds ``ara_bounds(mi, search=False)`` gives, from this q: none
+    # when q misses n - d (``q_index`` raises) or a construction raises.
+    found = None
+    if q == n - d:
+        try:
+            found = construct_certificate(mi)
+        except InvariantViolation:
+            pass
+    ara_lower = q + 1
+    if found is None:
         verdicts["sv_certificate"] = "skip"
         verdicts["cm_iff_stci"] = "skip"
-        ara_lower, ara_upper, ara_exact, certificate = q + 1, None, None, None
+        ara_upper, ara_exact, certificate = None, None, None
     else:
-        verdicts["sv_certificate"] = (
-            "pass" if bounds.upper == n - d + 1 else "fail"
-        )
-        set_theoretic_ci = h == bounds.upper
+        certificate = found[1]
+        ara_upper = len(certificate.layers)
+        ara_exact = ara_upper == ara_lower
+        verdicts["sv_certificate"] = "pass" if ara_upper == n - d + 1 else "fail"
+        set_theoretic_ci = h == ara_upper
         verdicts["cm_iff_stci"] = (
             "pass" if set_theoretic_ci == cohen_macaulay else "fail"
         )
-        ara_lower, ara_upper, ara_exact = bounds.lower, bounds.upper, bounds.exact
-        certificate = bounds.certificate
     return BatteryResult(
         n=n,
         d=d,

@@ -67,6 +67,90 @@ def brute_force_matroidal(n: int, d: int) -> set[tuple[int, ...]]:
     return out
 
 
+def reference_enumerate_matroidal(n: int, d: int, up_to_symmetry: bool = False):
+    """The inclusion-only pruned DFS: the oracle for ``enumerate_matroidal``.
+
+    Including a subset checks the slots of each pair it forms with an
+    already-included one and prunes only when every repair is decided and
+    excluded; a slot closed by excluding its last repair is left to the
+    exact pass at the leaves.  Same nodes in the same order, so
+    ``enumerate_matroidal`` must yield the same sequence.  No argument
+    checks and no caps.
+    """
+    from matroidal.enumeration import _index_bits, _smaller_relabeling
+    from matroidal.matroids import MatroidalIdeal
+
+    subsets = [mono(c) for c in combinations(range(1, n + 1), d)]
+    k = len(subsets)
+    position = {s: t for t, s in enumerate(subsets)}
+    full = (1 << n) - 1
+    repairs: list[list[tuple[int, ...] | None]] = [
+        [None] * k for _ in range(k)
+    ]
+    for a, sa in enumerate(subsets):
+        for b, sb in enumerate(subsets):
+            if a == b:
+                continue
+            incoming = mono_vars(sb & ~sa)
+            slots = []
+            for x in mono_vars(sa & ~sb):
+                base = sa ^ (1 << (x - 1))
+                m = 0
+                for y in incoming:
+                    m |= 1 << position[base | (1 << (y - 1))]
+                slots.append(m)
+            repairs[a][b] = tuple(slots)
+    suffix_support = [0] * (k + 1)
+    for t in range(k - 1, -1, -1):
+        suffix_support[t] = suffix_support[t + 1] | subsets[t]
+
+    def exchange_ok(chosen: int) -> bool:
+        indices = list(_index_bits(chosen))
+        for a in indices:
+            row = repairs[a]
+            for b in indices:
+                if a == b:
+                    continue
+                for slot in row[b]:
+                    if not slot & chosen:
+                        return False
+        return True
+
+    stack: list[tuple[int, int, int]] = [(0, 0, 0)]
+    while stack:
+        t, chosen, sup = stack.pop()
+        if t == k:
+            if chosen and sup == full and exchange_ok(chosen):
+                gens = tuple(subsets[i] for i in _index_bits(chosen))
+                ideal = Ideal(n, gens)
+                if up_to_symmetry and _smaller_relabeling(ideal) is not None:
+                    continue
+                yield MatroidalIdeal(ideal, d)
+            continue
+        if sup | suffix_support[t + 1] == full:
+            stack.append((t + 1, chosen, sup))
+        with_t = chosen | (1 << t)
+        undecided = ~((1 << (t + 1)) - 1)
+        viable = True
+        for j in _index_bits(chosen):
+            for slot in repairs[t][j]:
+                if slot & with_t or slot & undecided:
+                    continue
+                viable = False
+                break
+            if not viable:
+                break
+            for slot in repairs[j][t]:
+                if slot & with_t or slot & undecided:
+                    continue
+                viable = False
+                break
+            if not viable:
+                break
+        if viable:
+            stack.append((t + 1, with_t, sup | subsets[t]))
+
+
 def reference_canonical_form(ideal: Ideal) -> tuple[int, ...]:
     """Scan of all n! relabelings: the oracle for the canonicity walk.
 

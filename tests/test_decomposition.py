@@ -73,8 +73,9 @@ def test_primes_intersection_equals_ideal(enum_cache):
 
 
 def test_primes_are_minimal_transversals_up_to_n8():
-    # Constructed families reach the n = 7, 8 part of the range the
-    # enumeration cap cannot.
+    # Constructed families reach n = 7, 8 without enumerating: the (8,3)
+    # and (8,4) cells are past the enumeration cap, and (7,3) takes
+    # seconds to enumerate.
     cases = [
         veronese(7, 3).ideal,
         veronese(8, 4).ideal,

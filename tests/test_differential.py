@@ -23,7 +23,13 @@ them, the colon kernel with ``colon_step_vars`` on random prefixes, and
 
 ``ara_bounds`` climbs one construction ladder, ``construct_certificate``,
 and must pick the method and size the ladder it replaced picked, on every
-ideal with n <= 6.
+ideal with n <= 6.  ``theorem_battery`` climbs the same ladder from its own
+q and must report the bounds ``ara_bounds`` reports on each of them.
+
+``enumerate_matroidal`` closes each exchange slot when its last subset is
+decided, also by an exclusion.  It must yield exactly the sequence of the
+DFS that checked slots only at inclusion, labeled and up to symmetry, on
+every cell with n <= 6.
 
 The symmetry filter asks the canonicity walk for a smaller relabeling, and
 ``canonical_form`` descends along such relabelings.  Both must agree with
@@ -62,6 +68,7 @@ from matroidal import (
     relabel_ideal,
     search_cert,
     sv_sums,
+    theorem_battery,
     variable_cert,
     verify_radical_cert,
     verify_sv,
@@ -79,6 +86,7 @@ from helpers import (
     reference_buchberger,
     reference_canonical_form,
     reference_check_matroidal,
+    reference_enumerate_matroidal,
     reference_find_ordering,
     reference_minimal_generators,
     reference_minimal_primes,
@@ -280,6 +288,26 @@ def test_ara_bounds_matches_the_written_out_ladder(enum_cache):
                 assert new.certificate.layers == old.certificate.layers
     assert ideals == 2356
     assert products == 2356 - 2089
+
+
+def test_battery_bounds_match_ara_bounds(enum_cache):
+    for n, d in CELLS:
+        for mi in enum_cache(n, d):
+            battery = theorem_battery(mi)
+            bounds = ara_bounds(mi, search=False)
+            assert (
+                battery.ara_lower,
+                battery.ara_upper,
+                battery.ara_exact,
+                battery.certificate,
+            ) == (bounds.lower, bounds.upper, bounds.exact, bounds.certificate)
+
+
+def test_enumeration_matches_the_inclusion_only_dfs(enum_cache):
+    for n, d in CELLS:
+        for sym in (False, True):
+            expected = list(reference_enumerate_matroidal(n, d, sym))
+            assert enum_cache(n, d, sym) == expected, (n, d, sym)
 
 
 def _layered_certificates(enum_cache):

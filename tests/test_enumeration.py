@@ -1,14 +1,18 @@
+import dataclasses
 import os
 import subprocess
 import sys
 from itertools import permutations
+from math import comb
 from pathlib import Path
 
 import pytest
 
 import matroidal.enumeration
+import matroidal.quotients
 from matroidal import (
     Ideal,
+    InvariantViolation,
     SVCheck,
     canonical_form,
     conjecture_scan,
@@ -25,8 +29,9 @@ from helpers import brute_force_matroidal, ideal_of
 # Labeled counts of matroidal ideals with full support.  The d=1 column is
 # always 1, d=2 equals the number of set partitions of n into >= 2 parts,
 # and d=n-1 equals 2^n - n - 1 (families of >= 2 coatoms); the remaining
-# cells are regression values from runs cross-validated against the
-# brute-force filter.
+# n <= 6 cells are regression values from runs cross-validated against the
+# brute-force filter, and (7,5) one from the inclusion-only DFS
+# (``helpers.reference_enumerate_matroidal``).
 FULL_COUNTS = {
     (2, 1): 1,
     (3, 2): 4,
@@ -41,6 +46,9 @@ FULL_COUNTS = {
     (6, 4): 642,
     (6, 5): 57,
     (6, 6): 1,
+    (7, 2): 876,
+    (7, 5): 3592,
+    (8, 2): 4139,
 }
 
 # One representative per relabeling orbit.
@@ -53,6 +61,8 @@ SYMMETRY_COUNTS = {
     (5, 3): 9,
     (6, 3): 25,
     (6, 4): 18,
+    (7, 2): 14,
+    (7, 5): 31,
 }
 
 # The orbit representatives, in yield order, as sorted generator masks.
@@ -172,6 +182,14 @@ def test_enumeration_caps():
         list(enumerate_matroidal(8, 1, up_to_symmetry=True))
 
 
+def test_cap_admits_every_n7_cell():
+    # The DFS includes before it excludes, so the first yield of a cell is
+    # the Veronese ideal of all its d-subsets.
+    for d in range(1, 8):
+        first = next(enumerate_matroidal(7, d))
+        assert len(first.ideal.gens) == comb(7, d), d
+
+
 def test_orbit_expansion_recovers_full_enumeration(enum_cache):
     for (n, d) in [(3, 2), (4, 2), (4, 3), (5, 2)]:
         full = {tuple(sorted(mi.ideal.gens)) for mi in enum_cache(n, d)}
@@ -221,6 +239,54 @@ def test_battery_carries_its_certificate():
     result = theorem_battery(var_block_product([{1, 2}, {3, 4}]))
     assert verify_sv(result.certificate)
     assert len(result.certificate.layers) == result.ara_upper == 3
+
+
+def test_battery_runs_find_ordering_once(monkeypatch):
+    # The battery's own q stands in for the second ordering q_index would find.
+    calls = []
+    find = matroidal.quotients.find_ordering
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return find(*args, **kwargs)
+
+    monkeypatch.setattr(matroidal.quotients, "find_ordering", counted)
+    monkeypatch.setattr(matroidal.enumeration, "find_ordering", counted)
+    ideals = [veronese(4, 2), var_block_product([{1, 2}, {3}])]
+    ideals += enumerate_matroidal(5, 3)
+    for mi in ideals:
+        calls.clear()
+        theorem_battery(mi)
+        assert len(calls) == 1, mi
+
+
+def test_battery_skips_the_bounds_when_q_misses(monkeypatch):
+    find = matroidal.quotients.find_ordering
+
+    def shifted(*args, **kwargs):
+        ordering = find(*args, **kwargs)
+        return dataclasses.replace(ordering, q=ordering.q + 1)
+
+    monkeypatch.setattr(matroidal.quotients, "find_ordering", shifted)
+    monkeypatch.setattr(matroidal.enumeration, "find_ordering", shifted)
+    result = theorem_battery(veronese(4, 2))
+    assert result.verdicts["linear_quotient_index"] == "fail"
+    assert result.verdicts["sv_certificate"] == "skip"
+    assert result.verdicts["cm_iff_stci"] == "skip"
+    assert (result.q, result.ara_lower) == (3, 4)
+    assert (result.ara_upper, result.ara_exact, result.certificate) == (None,) * 3
+
+
+def test_battery_skips_the_bounds_when_a_construction_raises(monkeypatch):
+    def broken(mi, method="auto"):
+        raise InvariantViolation("broken construction")
+
+    monkeypatch.setattr(matroidal.enumeration, "construct_certificate", broken)
+    result = theorem_battery(veronese(4, 2))
+    assert result.verdicts["sv_certificate"] == "skip"
+    assert result.verdicts["cm_iff_stci"] == "skip"
+    assert (result.q, result.ara_lower) == (2, 3)
+    assert (result.ara_upper, result.ara_exact, result.certificate) == (None,) * 3
 
 
 def test_scan_counts_only_certificates_it_reverified(monkeypatch):
