@@ -35,8 +35,12 @@ from .quotients import find_ordering
 from .svrank import SVPartition, construct_certificate, search_cert, verify_sv
 
 # 2^C(n,d) search space with pruning; C(7,3) = 35 admits every n <= 7
-# cell.  The cap counts subsets, not work: (n, n-1) has 2^n - n - 1 ideals.
+# cell.  The cap counts subsets, not work: for n >= 9 it admits only
+# (n, 1), (n, n) and (n, n-1), and (n, n-1) has 2^n - n - 1 ideals (every
+# family of at least two coatoms), so those cells are also capped by that
+# count, which admits them up to n = 16.
 MAX_SUBSETS = 35
+MAX_IDEALS = 1 << 16
 # Canonicity walks place one label per level, n! placements at worst.
 MAX_SYMMETRY_VARS = 7
 
@@ -123,6 +127,11 @@ def enumerate_matroidal(n: int, d: int, up_to_symmetry: bool = False):
     if comb(n, d) > MAX_SUBSETS:
         raise ValueError(
             f"C({n},{d})={comb(n, d)} exceeds the enumeration cap {MAX_SUBSETS}"
+        )
+    if d == n - 1 and 2**n - n - 1 > MAX_IDEALS:
+        raise ValueError(
+            f"({n},{d}) has 2^{n} - {n} - 1 = {2**n - n - 1} matroidal ideals, "
+            f"more than the enumeration cap {MAX_IDEALS}"
         )
     if up_to_symmetry and n > MAX_SYMMETRY_VARS:
         raise ValueError(f"symmetry reduction supported up to n={MAX_SYMMETRY_VARS}")

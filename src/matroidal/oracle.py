@@ -5,15 +5,22 @@ never floats), textbook Buchberger with the normal selection strategy and
 the coprimality / chain criteria, and bounded radical membership used to
 confirm that certificate polynomials generate an ideal up to radical.
 
-The bookkeeping follows heap-based division (Monagan and Pearce, 2007) and
-a pair queue (Gebauer and Moeller, 1988).  Division keeps the working terms
-in a heap ordered by the term order and prepares each divisor's leading
-term once; Buchberger keeps its open pairs in a heap keyed by lcm.  The
-arithmetic and the divisor rule (the first basis element whose leading
-monomial divides the lead term) are the textbook ones, so normal forms and
-reduced bases are exactly those of the plain algorithm.  Inside division,
-integral coefficients travel as Python ints (exact, and much cheaper than
-``Fraction``); every polynomial handed back carries ``Fraction``s.
+The bookkeeping follows heap-based division over packed exponent vectors
+(Monagan and Pearce, 2007) and a pair queue (Gebauer and Moeller, 1988).
+Inside division and Buchberger a monomial is one int (``_Layout``): a W-bit
+field per variable whose top bit is a guard bit, and for degrevlex a
+total-degree field on top.  A product is one addition, ``a`` divides ``b``
+iff ``(b - a) & GUARD`` is zero, and the rank, one int, is the term order:
+working terms sit in a heap of ranks, open pairs in a heap keyed by the
+rank of their lcm.  W starts at 8 and doubles until the input fits; a guard
+bit firing on any new term restarts the computation from its input at
+double width, so the field limit never changes a result.  The arithmetic
+and the divisor rule (the first basis element whose leading monomial
+divides the lead term) are the textbook ones, so normal forms and reduced
+bases are exactly those of the plain algorithm.  Inside division, integral
+coefficients travel as Python ints (exact, and much cheaper than
+``Fraction``); every polynomial handed back is a ``Poly`` of exponent tuples
+and ``Fraction``s.
 
 This module is deliberately self-contained and shares no combinatorial
 shortcuts with the rest of the package: membership answers come from
@@ -35,12 +42,13 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from operator import add, le, sub
-from typing import Callable, Iterable, Protocol
+from operator import lshift, sub
+from typing import Callable, Iterable, Protocol, TypeVar
 
 from .ideals import Ideal, InvariantViolation, Monomial, mono_vars
 
 Exponents = tuple[int, ...]
+_T = TypeVar("_T")
 
 
 class BudgetExceededError(RuntimeError):
@@ -58,13 +66,6 @@ def _lex_key(e: Exponents):
 ORDER_KEYS: dict[str, Callable[[Exponents], object]] = {
     "degrevlex": _grevlex_key,
     "lex": _lex_key,
-}
-
-# Min-heap key per order in ORDER_KEYS: heap_key(a) < heap_key(b) exactly
-# when a is the larger monomial, so a heap of terms pops the leading term.
-HEAP_KEYS: dict[str, Callable[[Exponents], object]] = {
-    "degrevlex": lambda e: (-sum(e), e[::-1]),
-    "lex": lambda e: tuple(-x for x in e),
 }
 
 
@@ -182,18 +183,6 @@ class Poly:
         return f"Poly({poly_str(self)!r})"
 
 
-def _exp_divides(a: Exponents, b: Exponents) -> bool:
-    return all(map(le, a, b))
-
-
-def _exp_sub(a: Exponents, b: Exponents) -> Exponents:
-    return tuple(map(sub, a, b))
-
-
-def _exp_lcm(a: Exponents, b: Exponents) -> Exponents:
-    return tuple(map(max, a, b))
-
-
 def _term_str(e: Exponents, c: Fraction) -> str:
     factors = []
     for i, exp in enumerate(e, start=1):
@@ -266,10 +255,81 @@ def parse_poly(text: str, n: int) -> Poly:
 
 # Internal coefficients: a Fraction, or an int where the value is integral.
 _Coeff = Fraction | int
-# A prepared divisor: the leading monomial and the other terms divided by
-# the leading coefficient, found once per basis element instead of once per
-# division step.
-_Divisor = tuple[Exponents, tuple[tuple[Exponents, _Coeff], ...]]
+# A prepared divisor: the packed leading monomial and the other terms divided
+# by the leading coefficient, found once per basis element instead of once
+# per division step.
+_Divisor = tuple[int, tuple[tuple[int, _Coeff], ...]]
+
+# The first field width tried; 8 bits hold exponents up to 127.
+_MIN_WIDTH = 8
+
+
+class _Overflow(Exception):
+    """An exponent does not fit its packed field: restart at double width."""
+
+
+class _Layout:
+    """Packed monomials of n variables in one term order (see the module).
+
+    A variable field holds exponents up to ``limit``; its top bit, the guard
+    bit, is clear in every packed monomial.  degrevlex puts x1 lowest and
+    the total degree above xn (``degree`` is its unit); lex puts x1 highest.
+    The rank ``p ^ mask`` orders monomials as the term order, and a heap of
+    ``p ^ flip``, that is ``~rank``, pops the leading one first.
+    """
+
+    __slots__ = ("width", "limit", "offsets", "degree", "guard", "values", "mask", "flip")
+
+    def __init__(self, n: int, order: str, width: int):
+        degrevlex = {"degrevlex": True, "lex": False}[order]
+        self.width = width
+        self.limit = limit = (1 << (width - 1)) - 1
+        self.offsets = [width * (i if degrevlex else n - 1 - i) for i in range(n)]
+        self.degree = 1 << (width * n) if degrevlex else 0
+        self.guard = sum((limit + 1) << o for o in self.offsets)
+        self.values = sum(limit << o for o in self.offsets)
+        self.mask = self.values if degrevlex else 0  # flips xn, ..., x1 in degrevlex
+        self.flip = ~self.mask
+
+    def pack(self, e: Exponents) -> int:
+        if max(e, default=0) > self.limit:
+            raise _Overflow
+        if min(e, default=0) < 0:
+            raise ValueError("exponents must be nonnegative")
+        return sum(map(lshift, e, self.offsets)) + sum(e) * self.degree
+
+    def unpack(self, p: int) -> Exponents:
+        return tuple(p >> o & self.limit for o in self.offsets)
+
+    def pack_terms(self, terms: dict[Exponents, _Coeff]) -> dict[int, _Coeff]:
+        return {self.pack(e): c for e, c in terms.items()}
+
+    def poly(self, n: int, terms: dict[int, _Coeff]) -> Poly:
+        p = Poly.zero(n)
+        p.terms = {self.unpack(e): Fraction(c) for e, c in terms.items()}
+        return p
+
+    def lcm(self, a: int, b: int) -> int:
+        """The per-field maximum, with the degree recomputed."""
+        guard = self.guard
+        ge = ((a | guard) - b) & guard  # the guard bit of each field where a >= b
+        ge -= ge >> (self.width - 1)  # ... turned into that field's value bits
+        m = a & ge | b & (self.values ^ ge)
+        return m + sum(self.unpack(m)) * self.degree if self.degree else m
+
+
+def _widening(run: Callable[[_Layout], _T], n: int, order: str) -> _T:
+    """``run`` at the first width, 8, 16, 32, ..., at which nothing overflows.
+
+    ``run`` packs its own input, so an input exponent past the limit also
+    lands here, and each retry starts again from the input.
+    """
+    width = _MIN_WIDTH
+    while True:
+        try:
+            return run(_Layout(n, order, width))
+        except _Overflow:
+            width *= 2
 
 
 def _narrow(c: _Coeff) -> _Coeff:
@@ -279,60 +339,59 @@ def _narrow(c: _Coeff) -> _Coeff:
     return c.numerator if c.denominator == 1 else c
 
 
-def _poly(n: int, terms: dict[Exponents, _Coeff]) -> Poly:
-    p = Poly.zero(n)
-    p.terms = {e: Fraction(c) for e, c in terms.items()}
-    return p
-
-
-def _monic(terms: dict[Exponents, _Coeff], lm: Exponents) -> _Divisor:
+def _monic(terms: dict[int, _Coeff], lm: int) -> _Divisor:
     inv = Fraction(1) / terms[lm]
     return lm, tuple((e, _narrow(c * inv)) for e, c in terms.items() if e != lm)
 
 
-def _prepare(basis: Iterable[Poly], order: str) -> list[_Divisor]:
-    heap_key = HEAP_KEYS[order]
-    return [_monic(b.terms, min(b.terms, key=heap_key)) for b in basis if b.terms]
+def _prepare(basis: Iterable[Poly], layout: _Layout) -> list[_Divisor]:
+    packed = [layout.pack_terms(b.terms) for b in basis if b.terms]
+    return [_monic(t, max(t, key=layout.mask.__xor__)) for t in packed]
 
 
-def _terms(d: _Divisor) -> dict[Exponents, _Coeff]:
+def _terms(d: _Divisor) -> dict[int, _Coeff]:
     """The monic polynomial of a prepared divisor, leading term first."""
     lm, tail = d
     return {lm: 1, **dict(tail)}
 
 
 def _normal_form(
-    terms: dict[Exponents, _Coeff],
-    divisors: list[_Divisor],
-    heap_key: Callable[[Exponents], object],
-) -> dict[Exponents, _Coeff]:
-    """Remainder of dividing the terms by the divisors, leading term first.
+    terms: dict[int, _Coeff], divisors: list[_Divisor], layout: _Layout
+) -> dict[int, _Coeff]:
+    """Remainder of dividing the packed terms by the divisors, leading term first.
 
-    The working polynomial's terms sit in a heap under the order's heap key,
-    so the lead term is a pop.  A term that cancels leaves its heap entry
-    behind; the entry is skipped when popped, since the term is no longer in
-    ``work``.  A cancelled term may come back and be pushed again, but every
-    term a step adds is below the lead term, so the earlier of its entries
-    takes it and the later one is skipped.
+    The working polynomial's packed terms sit in a heap of ``~rank`` ints
+    (see ``_Layout``), so the lead term is a pop and an XOR.  One subtraction
+    ``lt - lm`` is both the divisibility test (no guard bit set) and the
+    shift of the divisor's tail.  A shifted term past the field limit has a
+    guard bit set, so it is new to ``work``; it is caught there and raises
+    ``_Overflow``.  A term that cancels leaves its heap entry behind; the
+    entry is skipped when popped, since the term is no longer in ``work``.
+    A cancelled term may come back and be pushed again, but every term a
+    step adds is below the lead term, so the earlier of its entries takes
+    it and the later one is skipped.
     """
+    guard, flip = layout.guard, layout.flip
     work = {e: _narrow(c) for e, c in terms.items()}
-    heap = [(heap_key(e), e) for e in work]
+    heap = [e ^ flip for e in work]
     heapify(heap)
-    remainder: dict[Exponents, _Coeff] = {}
+    remainder: dict[int, _Coeff] = {}
     while heap:
-        lt = heappop(heap)[1]
+        lt = heappop(heap) ^ flip
         lc = work.pop(lt, None)
         if lc is None:
             continue
         for lm, tail in divisors:
-            if all(map(le, lm, lt)):
-                shift = tuple(map(sub, lt, lm))
+            shift = lt - lm
+            if not shift & guard:
                 for e, c in tail:
-                    te = tuple(map(add, e, shift))
+                    te = e + shift
                     old = work.get(te)
                     if old is None:
+                        if te & guard:
+                            raise _Overflow
                         work[te] = -lc * c
-                        heappush(heap, (heap_key(te), te))
+                        heappush(heap, te ^ flip)
                     else:
                         s = old - lc * c
                         if s:
@@ -351,66 +410,79 @@ def reduce(f: Poly, basis: Iterable[Poly], order: str = "degrevlex") -> Poly:
     Each step divides the lead term by the first basis element, in the
     given order, whose leading monomial divides it, so the result is the
     textbook remainder even when the basis is not a Groebner basis.  The
-    working terms are kept in a heap ordered by the term order (see
-    ``HEAP_KEYS``), and each divisor's leading term is found once per call.
+    working terms are packed and kept in a heap ordered by the term order
+    (see ``_normal_form``), and each divisor's leading term is found once
+    per call.
     """
-    return _poly(f.n, _normal_form(f.terms, _prepare(basis, order), HEAP_KEYS[order]))
+    basis = list(basis)
+
+    def run(layout: _Layout) -> Poly:
+        nf = _normal_form(layout.pack_terms(f.terms), _prepare(basis, layout), layout)
+        return layout.poly(f.n, nf)
+
+    return _widening(run, f.n, order)
 
 
 def s_polynomial(f: Poly, g: Poly, order: str = "degrevlex") -> Poly:
     lf, cf = f.leading(order)
     lg, cg = g.leading(order)
-    lcm = _exp_lcm(lf, lg)
-    mf = Poly(f.n, {_exp_sub(lcm, lf): Fraction(1) / cf})
-    mg = Poly(g.n, {_exp_sub(lcm, lg): Fraction(1) / cg})
+    lcm = tuple(map(max, lf, lg))
+    mf = Poly(f.n, {tuple(map(sub, lcm, lf)): Fraction(1) / cf})
+    mg = Poly(g.n, {tuple(map(sub, lcm, lg)): Fraction(1) / cg})
     return mf * f - mg * g
 
 
-def _s_terms(f: _Divisor, g: _Divisor, lcm: Exponents) -> dict[Exponents, _Coeff]:
+def _s_terms(f: _Divisor, g: _Divisor, lcm: int, layout: _Layout) -> dict[int, _Coeff]:
     """Terms of the S-polynomial of two prepared divisors with this lcm.
 
-    The leading terms cancel exactly, so only the tails are shifted.
+    The leading terms cancel exactly, so only the tails are shifted; a
+    shifted term past the field limit raises ``_Overflow``.
     """
     (lf, tf), (lg, tg) = f, g
-    sf = _exp_sub(lcm, lf)
-    sg = _exp_sub(lcm, lg)
-    out = {tuple(map(add, e, sf)): c for e, c in tf}
+    sf = lcm - lf
+    sg = lcm - lg
+    out = {e + sf: c for e, c in tf}
     for e, c in tg:
-        te = tuple(map(add, e, sg))
+        te = e + sg
         s = out.get(te, 0) - c
         if s:
             out[te] = s
         else:
             out.pop(te, None)
+    if any(map(layout.guard.__and__, out)):
+        raise _Overflow
     return out
 
 
-def _groebner(polys: list[Poly], order: str, max_pairs: int) -> list[_Divisor]:
+def _groebner(polys: list[Poly], layout: _Layout, max_pairs: int) -> list[_Divisor]:
     """Reduced Groebner basis of nonzero polynomials, as prepared divisors.
 
     Every element is monic, integral coefficients are ints (see
-    ``_narrow``), and the list runs from the largest leading monomial down.
-    Every polynomial kept along the way, interreduced ones included, is a
-    remainder of members of the ideal the input generates, so it lies in
-    that ideal whether or not the pair criteria are right.  Only the claim
-    that the result is a Groebner basis rests on them; ``_assert_groebner``
-    checks that claim.  A negative budget or an empty input raises
-    ``ValueError``.
+    ``_narrow``), monomials are packed by ``layout``, and the list runs from
+    the largest leading monomial down.  Open pairs sit in a heap keyed by
+    ``(lcm rank, i, j)``: the lcm is a per-field maximum of two packed
+    words, its rank one int, and a leading monomial divides it when a
+    subtraction sets no guard bit.  Every polynomial kept along the way,
+    interreduced ones included, is a remainder of members of the ideal the
+    input generates, so it lies in that ideal whether or not the pair
+    criteria are right.  Only the claim that the result is a Groebner basis
+    rests on them; ``_assert_groebner`` checks that claim.  A negative budget
+    or an empty input raises ``ValueError``; a term outgrowing its field
+    raises ``_Overflow`` (see ``_widening``).
     """
     if max_pairs < 0:
         raise ValueError(f"pair budget must be nonnegative, got {max_pairs}")
     if not polys:
         raise ValueError("need at least one nonzero generator")
-    key = ORDER_KEYS[order]
-    heap_key = HEAP_KEYS[order]
-    basis = _prepare(polys, order)
+    guard, mask = layout.guard, layout.mask
+    basis = _prepare(polys, layout)
     lms = [b[0] for b in basis]
-    pairs: list[tuple[object, int, int, Exponents]] = []
+    pairs: list[tuple[int, int, int, int]] = []
 
     def add_pairs(new: int) -> None:
         for k in range(new):
-            lcm = _exp_lcm(lms[k], lms[new])
-            heappush(pairs, (key(lcm), k, new, lcm))
+            lcm = layout.lcm(lms[k], lms[new])
+            heappush(pairs, (lcm ^ mask, k, new, lcm))
 
     for new in range(1, len(basis)):
         add_pairs(new)
@@ -422,11 +494,11 @@ def _groebner(polys: list[Poly], order: str, max_pairs: int) -> list[_Divisor]:
         handled += 1
         if handled > max_pairs:
             raise BudgetExceededError(f"pair budget {max_pairs} exceeded")
-        if lcm == tuple(map(add, lms[i], lms[j])):
+        if lcm == lms[i] + lms[j]:
             continue  # coprime leading terms
         chained = False
         for k in range(len(basis)):
-            if k in (i, j) or not _exp_divides(lms[k], lcm):
+            if k in (i, j) or lcm - lms[k] & guard:
                 continue
             p1 = (min(i, k), max(i, k))
             p2 = (min(j, k), max(j, k))
@@ -435,30 +507,27 @@ def _groebner(polys: list[Poly], order: str, max_pairs: int) -> list[_Divisor]:
                 break
         if chained:
             continue
-        h = _normal_form(_s_terms(basis[i], basis[j], lcm), basis, heap_key)
+        h = _normal_form(_s_terms(basis[i], basis[j], lcm, layout), basis, layout)
         if h:
             basis.append(_monic(h, next(iter(h))))
             lms.append(basis[-1][0])
             add_pairs(len(basis) - 1)
     # Minimalize: drop members whose leading monomial another one divides.
     keep: list[int] = []
-    for i in sorted(range(len(basis)), key=lambda i: key(lms[i])):
-        if not any(_exp_divides(lms[k], lms[i]) for k in keep):
+    for i in sorted(range(len(basis)), key=lambda i: lms[i] ^ mask):
+        if all(lms[i] - lms[k] & guard for k in keep):
             keep.append(i)
     minimal = [basis[i] for i in keep]
     reduced = []
     for i, b in enumerate(minimal):
         others = minimal[:i] + minimal[i + 1 :]
         # No other leading monomial divides b's, so it stays first, monic.
-        nf = _normal_form(_terms(b), others, heap_key)
-        reduced.append((b[0], tuple((e, _narrow(c)) for e, c in nf.items())[1:]))
-    reduced.sort(key=lambda b: key(b[0]), reverse=True)
+        reduced.append(_monic(_normal_form(_terms(b), others, layout), b[0]))
+    reduced.sort(key=lambda b: b[0] ^ mask, reverse=True)
     return reduced
 
 
-def _assert_groebner(
-    reduced: list[_Divisor], heap_key: Callable[[Exponents], object]
-) -> None:
+def _assert_groebner(reduced: list[_Divisor], layout: _Layout) -> None:
     """Raise unless the S-polynomial of every pair reduces to zero.
 
     No criterion is applied: coprime leading terms and chains are divided
@@ -466,8 +535,9 @@ def _assert_groebner(
     """
     for i in range(len(reduced)):
         for j in range(i + 1, len(reduced)):
-            lcm = _exp_lcm(reduced[i][0], reduced[j][0])
-            if _normal_form(_s_terms(reduced[i], reduced[j], lcm), reduced, heap_key):
+            lcm = layout.lcm(reduced[i][0], reduced[j][0])
+            s = _s_terms(reduced[i], reduced[j], lcm, layout)
+            if _normal_form(s, reduced, layout):
                 raise InvariantViolation(
                     "S-polynomial of the output basis did not reduce to zero"
                 )
@@ -493,10 +563,15 @@ def buchberger(
     criterion applied.
     """
     polys = [g for g in gens if g and g.terms]
-    reduced = _groebner(polys, order, max_pairs)
-    if check:
-        _assert_groebner(reduced, HEAP_KEYS[order])
-    return tuple(_poly(polys[0].n, _terms(b)) for b in reduced)
+    n = polys[0].n if polys else 0
+
+    def run(layout: _Layout) -> tuple[Poly, ...]:
+        reduced = _groebner(polys, layout, max_pairs)
+        if check:
+            _assert_groebner(reduced, layout)
+        return tuple(layout.poly(n, _terms(b)) for b in reduced)
+
+    return _widening(run, n, order)
 
 
 def member(f: Poly, basis: Iterable[Poly], order: str = "degrevlex") -> bool:
@@ -541,7 +616,8 @@ def verify_radical_cert(
     ideal iff each of its terms does).  The other containment is witnessed
     by finding, for every generator u, a power u^N (N <= cap) inside the
     ideal generated by the certificate polynomials.  The Groebner basis is
-    computed once, as prepared divisors, for every power u^N.
+    computed once, as prepared divisors, for every power u^N; each power is
+    the previous remainder times u, one addition per packed term.
 
     Every basis element lies in the certificate ideal, so a zero remainder
     proves u^N is in it whether or not the basis is Groebner, and a verified
@@ -569,29 +645,36 @@ def verify_radical_cert(
                 raise ValueError(
                     f"certificate term {_term_str(e, p.terms[e])} lies outside the target ideal"
                 )
-    basis = _groebner(list(cert.polys), order, max_pairs)
-    heap_key = HEAP_KEYS[order]
-    powers: dict[Monomial, int] = {}
-    failures: list[Monomial] = []
-    for g in genset:
-        current = Poly.from_monomial(g, n).terms
-        (u,) = current
-        found = None
-        for power in range(1, cap + 1):
-            nf = _normal_form(current, basis, heap_key)
-            if not nf:
-                found = power
-                break
-            current = {tuple(map(add, e, u)): c for e, c in nf.items()}
-        if found is None:
-            failures.append(g)
-        else:
-            powers[g] = found
-    if failures:
-        _assert_groebner(basis, heap_key)
-    return RadicalCheck(
-        verified=not failures,
-        powers=powers,
-        failures=tuple(failures),
-        cap=cap,
-    )
+    polys = list(cert.polys)
+
+    def run(layout: _Layout) -> RadicalCheck:
+        basis = _groebner(polys, layout, max_pairs)
+        guard = layout.guard
+        powers: dict[Monomial, int] = {}
+        failures: list[Monomial] = []
+        for g in genset:
+            current = layout.pack_terms(Poly.from_monomial(g, n).terms)
+            (u,) = current
+            found = None
+            for power in range(1, cap + 1):
+                nf = _normal_form(current, basis, layout)
+                if not nf:
+                    found = power
+                    break
+                current = {e + u: c for e, c in nf.items()}
+                if any(map(guard.__and__, current)):
+                    raise _Overflow
+            if found is None:
+                failures.append(g)
+            else:
+                powers[g] = found
+        if failures:
+            _assert_groebner(basis, layout)
+        return RadicalCheck(
+            verified=not failures,
+            powers=powers,
+            failures=tuple(failures),
+            cap=cap,
+        )
+
+    return _widening(run, n, order)

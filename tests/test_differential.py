@@ -7,11 +7,13 @@ transversal DFS and the recursive ordering search: on every ideal with
 n <= 6, on each of them with a generator dropped (mostly not matroidal), and
 on random antichains.
 
-The Groebner oracle divides through a term heap and picks pairs from a
-queue.  ``reduce``, ``buchberger`` and ``verify_radical_cert`` must agree
-exactly with the ``max``-per-step division and ``min``-per-step pair choice
-they replaced: on every certificate family with n <= 6 that the
-benchmark's oracle workload checks, and on random polynomials.
+The Groebner oracle packs each monomial into one int, divides through a
+term heap and picks pairs from a queue.  ``reduce``, ``buchberger`` and
+``verify_radical_cert`` must agree exactly with the exponent-tuple,
+``max``-per-step division and ``min``-per-step pair choice they replaced: on
+every certificate family with n <= 6 that the benchmark's oracle workload
+checks, on random polynomials, and on exponents on both sides of the packed
+field limits.
 
 ``verify_sv`` tests pairs against bitmasks of the earlier layers,
 ``find_ordering`` computes colon steps from per-variable masks, and
@@ -265,6 +267,47 @@ def test_reduce_matches_reference_against_any_basis(f_basis, order):
     nf = reduce(f, basis, order)
     assert nf == reference_reduce(f, basis, order)
     assert all(type(c) is Fraction for c in nf.terms.values())
+
+
+@st.composite
+def wide_inputs(draw):
+    """A polynomial and up to three binomials with exponents near field limits.
+
+    Each variable's exponents lie in one window of three: at 0, just below
+    or across 127 and 32767 (the limits of 8- and 16-bit fields), or across
+    2^16.  So inputs are packed on both sides of a limit, and the terms made
+    from them may pass it and force a restart at double width.  Every term
+    shares the factor x^lo of the window starts, and binomials keep every
+    remainder in Buchberger short.
+    """
+    n = draw(st.integers(1, 8))
+    windows = st.sampled_from((0, 125, 127, 32765, 32767, 65535))
+    starts = draw(st.lists(windows, min_size=n, max_size=n))
+    exponents = st.tuples(*[st.integers(lo, lo + 2) for lo in starts])
+    coeffs = st.sampled_from((-3, -2, -1, 1, 2, 3)).map(Fraction)
+
+    def poly(max_terms):
+        return st.dictionaries(exponents, coeffs, min_size=1, max_size=max_terms).map(
+            lambda terms: Poly(n, terms)
+        )
+
+    return draw(poly(4)), draw(st.lists(poly(2), min_size=1, max_size=3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(wide_inputs(), st.sampled_from(ORDERS))
+# Inputs that fit 8-bit fields, with a remainder that does not: x2^128, x2^200.
+@example((Poly(2, {(127, 1): 1}), [Poly(2, {(127, 0): 1, (0, 127): -1})]), "degrevlex")
+@example((Poly(2, {(2, 0): 1}), [Poly(2, {(1, 0): 1, (0, 100): -1})]), "lex")
+def test_wide_exponents_match_reference(f_gens, order):
+    f, gens = f_gens
+    assert reduce(f, gens, order) == reference_reduce(f, gens, order)
+    try:
+        basis = buchberger(gens, order=order, max_pairs=300)
+    except BudgetExceededError:
+        return  # as in the small-exponent differential
+    assert basis == reference_buchberger(gens, order=order)
+    assert reduce(f, basis, order) == reference_reduce(f, basis, order)
 
 
 def test_ara_bounds_matches_the_written_out_ladder(enum_cache):

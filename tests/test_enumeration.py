@@ -23,6 +23,8 @@ from matroidal import (
     verify_sv,
     veronese,
 )
+from matroidal.cli import main
+from matroidal.enumeration import MAX_IDEALS
 
 from helpers import brute_force_matroidal, ideal_of
 
@@ -180,6 +182,21 @@ def test_enumeration_caps():
         list(enumerate_matroidal(3, 4))
     with pytest.raises(ValueError):
         list(enumerate_matroidal(8, 1, up_to_symmetry=True))
+
+
+def test_coatom_cells_are_capped_by_their_count():
+    # (n, n-1) passes the subset cap up to n = 35 but has 2^n - n - 1
+    # ideals; past MAX_IDEALS it is refused before any work is done.
+    assert 2**16 - 16 - 1 <= MAX_IDEALS < 2**17 - 17 - 1
+    for n in (17, 24, 35):
+        with pytest.raises(ValueError, match=f"2\\^{n} - {n} - 1 = {2**n - n - 1}"):
+            next(enumerate_matroidal(n, n - 1))
+    assert main(["enumerate", "--n", "24", "--d", "23"]) == 3
+    # Still admitted: the largest capped cell, and one ideal cells up to n = 35.
+    assert len(next(enumerate_matroidal(16, 15)).ideal.gens) == 16
+    for n in (24, 35):
+        assert len(next(enumerate_matroidal(n, 1)).ideal.gens) == n
+        assert next(enumerate_matroidal(n, n)).ideal.gens == ((1 << n) - 1,)
 
 
 def test_cap_admits_every_n7_cell():

@@ -24,7 +24,12 @@ from matroidal.ideals import InvariantViolation
 from matroidal.oracle import BudgetExceededError
 from matroidal.svrank import sv_sums, veronese_cert
 
-from helpers import ideal_of
+from helpers import (
+    ideal_of,
+    reference_buchberger,
+    reference_radical_check,
+    reference_reduce,
+)
 
 
 def P(text, n):
@@ -234,10 +239,14 @@ def _counting(monkeypatch, name):
     return calls
 
 
-def _unreduced(polys, order, max_pairs):
+def _layout(n, order="degrevlex"):
+    return oracle._Layout(n, order, oracle._MIN_WIDTH)
+
+
+def _unreduced(polys, layout, max_pairs):
     # The input itself as the basis: it generates the ideal but, for the
     # certificates below, is not a Groebner basis.
-    return oracle._prepare(polys, order)
+    return oracle._prepare(polys, layout)
 
 
 def test_verified_verdict_runs_no_all_pairs_check(monkeypatch):
@@ -247,7 +256,7 @@ def test_verified_verdict_runs_no_all_pairs_check(monkeypatch):
     cert = sv_sums(veronese_cert(4, 2))
     checks = _counting(monkeypatch, "_assert_groebner")
     divisions = _counting(monkeypatch, "_normal_form")
-    oracle._groebner(list(cert.polys), "degrevlex", 20000)
+    oracle._groebner(list(cert.polys), _layout(cert.target.n), 20000)
     basis_divisions = len(divisions)
     divisions.clear()
     result = verify_radical_cert(cert, cap=6)
@@ -282,10 +291,9 @@ def test_verified_verdict_does_not_need_a_groebner_basis(monkeypatch):
     # divides to zero against them, which is proof enough.
     target = ideal_of(2, (1,), (2,))
     polys = (P("x1+x2", 2), P("x1+x1*x2", 2), P("x2^2", 2))
+    layout = _layout(2)
     with pytest.raises(InvariantViolation):
-        oracle._assert_groebner(
-            _unreduced(list(polys), "degrevlex", 0), oracle.HEAP_KEYS["degrevlex"]
-        )
+        oracle._assert_groebner(_unreduced(list(polys), layout, 0), layout)
     monkeypatch.setattr(oracle, "_groebner", _unreduced)
     assert verify_radical_cert(RadicalCertificate(polys, target, "manual")).verified
 
@@ -302,6 +310,59 @@ def test_verify_radical_cert_rejects_a_negative_pair_budget():
     cert = sv_sums(veronese_cert(3, 2))
     with pytest.raises(ValueError, match="pair budget must be nonnegative"):
         verify_radical_cert(cert, max_pairs=-1)
+
+
+def _widths(monkeypatch):
+    """Record the field width of every layout the oracle builds."""
+    widths = []
+    layout = oracle._Layout
+
+    def recording(n, order, width):
+        widths.append(width)
+        return layout(n, order, width)
+
+    monkeypatch.setattr(oracle, "_Layout", recording)
+    return widths
+
+
+def test_wide_exponent_certificate_matches_reference(monkeypatch):
+    # x1^40000 fits neither 8- nor 16-bit fields, so the oracle widens twice
+    # at entry, then walks the powers of x1 up to the certificate itself.
+    cert = RadicalCertificate((P("x1^40000", 1),), ideal_of(1, (1,)), "manual")
+    widths = _widths(monkeypatch)
+    result = verify_radical_cert(cert, cap=40000)
+    assert widths == [8, 16, 32]
+    assert result.powers == {mono((1,)): 40000}
+    basis = reference_buchberger(cert.polys)
+    assert result == reference_radical_check(cert, basis, cap=40000)
+
+
+def test_overflow_in_a_new_term_restarts_wider(monkeypatch):
+    # Each input fits 8-bit fields (exponents up to 127) but a term made from
+    # it does not: the guard bit fires and the work restarts at 16 bits.
+    widths = _widths(monkeypatch)
+    # In division: x1^2 -> x1*x2^100 -> x2^200.
+    f, g = P("x1^2", 2), P("x1+-1*x2^100", 2)
+    assert reduce(f, [g], "lex") == P("x2^200", 2) == reference_reduce(f, [g], "lex")
+    assert buchberger([f, g], "lex") == reference_buchberger([f, g], "lex")
+    # In an S-polynomial: that of x1^125*x2*x3^2 + x1^127 and x1^126*x3 is x1^128.
+    gens = [P("x1^125*x2*x3^2+x1^127", 3), P("x1^126*x3", 3)]
+    assert buchberger(gens) == reference_buchberger(gens)
+    # In the power loop: no power of x1 reduces against x1*x2, so x1^128 comes.
+    cert = RadicalCertificate((P("x1*x2", 2),), ideal_of(2, (1,)), "manual")
+    result = verify_radical_cert(cert, cap=130)
+    basis = reference_buchberger(cert.polys)
+    assert result == reference_radical_check(cert, basis, cap=130)
+    assert widths == [8, 16] * 4
+
+
+def test_negative_exponents_are_rejected():
+    # A packed field cannot hold a negative exponent, and division by a term
+    # order is defined for polynomials only.
+    with pytest.raises(ValueError, match="nonnegative"):
+        reduce(Poly(2, {(1, -1): 1}), [P("x1", 2)])
+    with pytest.raises(ValueError, match="nonnegative"):
+        buchberger([P("x1", 2), Poly(2, {(-1, 0): 1})])
 
 
 def test_certificate_rejects_terms_outside_target():
