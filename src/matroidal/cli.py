@@ -305,11 +305,14 @@ def _cmd_verify_cert(args) -> int:
             return INCONCLUSIVE
         payload["oracle"] = {
             "verified": result.verified,
+            "method": result.method,
             "cap": result.cap,
             "powers": {mono_str(g): p for g, p in result.powers.items()},
             "failures": [mono_str(g) for g in result.failures],
         }
-        lines.append(f"oracle verified={result.verified} (cap {result.cap})")
+        lines.append(
+            f"oracle verified={result.verified} (cap {result.cap}, {result.method})"
+        )
         _emit(args, payload, lines)
         if result.verified:
             return OK

@@ -8,8 +8,8 @@ later subset of the pair when every repair comes before it, else by the
 exclusion of its last repair.  A branch is pruned when a decided slot has
 both subsets of its pair chosen and no repair chosen; the exchange
 condition is existential, so no completion could satisfy it.  Every slot
-is decided by the leaves, so the exact exchange pass there is a guard
-that never rejects, and yields are authoritative.
+is decided by the leaves, so every leaf with full support satisfies the
+exchange condition and is yielded without a further check.
 
 With symmetry reduction an ideal is kept when no relabeling gives a
 smaller sorted generator encoding, decided by a pure-Python walk that
@@ -139,13 +139,9 @@ def enumerate_matroidal(n: int, d: int, up_to_symmetry: bool = False):
     k = len(subsets)
     position = {s: t for t, s in enumerate(subsets)}
     full = (1 << n) - 1
-    # repairs[a][b][x-slot] = bitmask over subset indices of the repairs of
-    # the ordered pair (subsets[a], subsets[b]) at that exchangeable variable.
-    repairs: list[list[tuple[int, ...] | None]] = [
-        [None] * k for _ in range(k)
-    ]
-    # A slot (ordered pair a, b and one exchangeable variable) is decided at
-    # its highest index among a, b and its repairs.  closed_in[t] holds the
+    # A slot (ordered pair a, b and one exchangeable variable, with the
+    # bitmask over subset indices of its repairs) is decided at its highest
+    # index among a, b and its repairs.  closed_in[t] holds the
     # slots decided by including t (t is the later of the pair and every
     # repair comes before it), closed_out[t] those decided by excluding t
     # (t is the last repair and comes after the pair), as (pair, repairs)
@@ -159,19 +155,16 @@ def enumerate_matroidal(n: int, d: int, up_to_symmetry: bool = False):
                 continue
             incoming = mono_vars(sb & ~sa)
             pair, later = 1 << a | 1 << b, max(a, b)
-            slots = []
             for x in mono_vars(sa & ~sb):
                 base = sa ^ (1 << (x - 1))
                 m = 0
                 for y in incoming:
                     m |= 1 << position[base | (1 << (y - 1))]
-                slots.append(m)
                 last = m.bit_length() - 1
                 if last > later:
                     closed_out[last].append((pair, m))
                 elif last < later:
                     closed_in[later].append((pair, m))
-            repairs[a][b] = tuple(slots)
     suffix_support = [0] * (k + 1)
     for t in range(k - 1, -1, -1):
         suffix_support[t] = suffix_support[t + 1] | subsets[t]
@@ -183,23 +176,11 @@ def enumerate_matroidal(n: int, d: int, up_to_symmetry: bool = False):
                 return True
         return False
 
-    def exchange_ok(chosen: int) -> bool:
-        indices = list(_index_bits(chosen))
-        for a in indices:
-            row = repairs[a]
-            for b in indices:
-                if a == b:
-                    continue
-                for slot in row[b]:
-                    if not slot & chosen:
-                        return False
-        return True
-
     stack: list[tuple[int, int, int]] = [(0, 0, 0)]
     while stack:
         t, chosen, sup = stack.pop()
         if t == k:
-            if chosen and sup == full and exchange_ok(chosen):
+            if chosen and sup == full:
                 gens = tuple(subsets[i] for i in _index_bits(chosen))
                 ideal = Ideal(n, gens)
                 if up_to_symmetry and _smaller_relabeling(ideal) is not None:

@@ -27,13 +27,18 @@ shortcuts with the rest of the package: membership answers come from
 normal forms against a reduced basis, nothing else.
 
 The two radical verdicts rest on different facts.  Every polynomial
-Buchberger keeps lies in the certificate ideal, so a zero remainder proves
+Buchberger keeps lies in the ideal of its input, so a zero remainder proves
 membership against any such set, Groebner or not: "verified" rests on the
-zero remainders alone.  A nonzero remainder disproves membership only
-against a Groebner basis, so "not verified" (and the minimality of each
-recorded power) rests on the Groebner property of the basis.  That property
-is asserted, pair by pair with no criterion applied, before any failure is
-reported; ``buchberger`` asserts it on every call by default.
+zero remainders alone.  The layered path divides powers of the terms of p_i
+by a basis of (M, p_i), where M holds the terms already proven to lie in
+rad(p_0..p_(i-1)), so each zero remainder puts a term in rad(p_0..p_i);
+the monolithic path divides powers of the generators by a basis of all the
+polynomials.  A nonzero remainder disproves membership only against a
+Groebner basis, so "not verified", which only the monolithic path reports,
+(and the minimality of each power it records) rests on the Groebner
+property of the basis.  That property is asserted, pair by pair with no
+criterion applied, before any failure is reported; ``buchberger`` asserts
+it on every call by default.
 """
 
 from __future__ import annotations
@@ -462,7 +467,9 @@ def _groebner(polys: list[Poly], layout: _Layout, max_pairs: int) -> list[_Divis
     the largest leading monomial down.  Open pairs sit in a heap keyed by
     ``(lcm rank, i, j)``: the lcm is a per-field maximum of two packed
     words, its rank one int, and a leading monomial divides it when a
-    subtraction sets no guard bit.  Every polynomial kept along the way,
+    subtraction sets no guard bit.  A pair of two monomials is never queued
+    (its S-polynomial is identically zero) and counts as processed for the
+    chain criterion from the start.  Every polynomial kept along the way,
     interreduced ones included, is a remainder of members of the ideal the
     input generates, so it lies in that ideal whether or not the pair
     criteria are right.  Only the claim that the result is a Groebner basis
@@ -478,15 +485,18 @@ def _groebner(polys: list[Poly], layout: _Layout, max_pairs: int) -> list[_Divis
     basis = _prepare(polys, layout)
     lms = [b[0] for b in basis]
     pairs: list[tuple[int, int, int, int]] = []
+    processed: set[tuple[int, int]] = set()
 
     def add_pairs(new: int) -> None:
         for k in range(new):
+            if not (basis[k][1] or basis[new][1]):
+                processed.add((k, new))  # two monomials: the S-polynomial is 0
+                continue
             lcm = layout.lcm(lms[k], lms[new])
             heappush(pairs, (lcm ^ mask, k, new, lcm))
 
     for new in range(1, len(basis)):
         add_pairs(new)
-    processed: set[tuple[int, int]] = set()
     handled = 0
     while pairs:
         _, i, j, lcm = heappop(pairs)
@@ -588,19 +598,108 @@ class _Certificate(Protocol):
 class RadicalCheck:
     """Outcome of bounded radical verification.
 
-    ``powers`` records, per generator, the least N <= cap with u^N in the
-    certificate ideal; ``failures`` lists generators not certified within
-    the cap (inconclusive, never a disproof).  ``verified=True`` rests on
-    the zero remainders alone: each power u^N divided to zero by members of
-    the certificate ideal.  ``verified=False``, and the claim that no
-    smaller power lies in the ideal, rest on the basis being a Groebner
-    basis, which is asserted before any failure is reported.
+    ``failures`` lists generators not certified within the cap
+    (inconclusive, never a disproof).  ``method`` names the path that gave
+    the verdict.  Under ``"groebner"``, ``powers`` records per generator the
+    least N <= cap with u^N in the certificate ideal.  Under ``"layered"``
+    it records the least N with u^N in (M, p), where p is the first
+    certificate polynomial having u as a term and M holds the terms of the
+    polynomials before p; that N may be smaller or larger than the first.
+    ``verified=True`` rests on zero remainders alone.  ``verified=False``,
+    only ever reported by ``"groebner"``, and the minimality of its powers
+    rest on the basis being a Groebner basis, which is asserted before any
+    failure is reported.
     """
 
     verified: bool
     powers: dict[Monomial, int]
     failures: tuple[Monomial, ...]
     cap: int
+    method: str  # "layered" | "groebner"
+
+
+def _exponents(g: Monomial, n: int) -> Exponents:
+    return tuple(g >> i & 1 for i in range(n))
+
+
+def _least_power(u: int, basis: list[_Divisor], layout: _Layout, cap: int) -> int | None:
+    """The least N <= cap with u^N dividing to zero by the basis, or None.
+
+    Each power is the previous remainder times u, one addition per term.
+    """
+    current: dict[int, _Coeff] = {u: 1}
+    for power in range(1, cap + 1):
+        nf = _normal_form(current, basis, layout)
+        if not nf:
+            return power
+        current = {e + u: c for e, c in nf.items()}
+        if any(map(layout.guard.__and__, current)):
+            raise _Overflow
+    return None
+
+
+def _layered_check(
+    cert: _Certificate, layout: _Layout, cap: int, max_pairs: int
+) -> RadicalCheck | None:
+    """Prove the terms of the polynomials in rad(p_0..p_i), one p_i at a time.
+
+    M holds the terms proven so far; by induction M lies in
+    rad(p_0..p_(i-1)).  Step i computes a basis of (M, p_i), one monomial
+    ideal plus one polynomial, and finds for each term a of p_i the least
+    N <= cap with a^N dividing to zero by it.  Every basis element lies in
+    (M, p_i), so a zero remainder puts a in rad(p_0..p_i) whether or not the
+    basis is Groebner; no all-pairs check is needed.  Under the
+    Schmitt-Vogel condition a*p_i is a^2 plus products a*b, each divisible
+    by a term of an earlier layer, so a^2 lies in (M, p_i).  Returns
+    ``None``, for the monolithic check to decide, unless every target
+    generator is a term of some polynomial, and as soon as a term is not
+    proven within the cap or a step exceeds the pair budget.
+    """
+    n = cert.target.n
+    gens = {g: _exponents(g, n) for g in cert.target.gens}
+    if not set(gens.values()) <= {e for p in cert.polys for e in p.terms}:
+        return None
+    proven: dict[Exponents, int] = {}
+    for p in cert.polys:
+        monomials = [Poly(n, {e: 1}) for e in proven]
+        try:
+            basis = _groebner(monomials + [p], layout, max_pairs)
+        except BudgetExceededError:
+            return None
+        step: dict[Exponents, int] = {}
+        for e in p.terms:
+            if e not in proven:
+                power = _least_power(layout.pack(e), basis, layout, cap)
+                if power is None:
+                    return None
+                step[e] = power
+        proven.update(step)
+    powers = {g: proven[e] for g, e in gens.items()}
+    return RadicalCheck(True, powers, (), cap, "layered")
+
+
+def _groebner_check(
+    cert: _Certificate, layout: _Layout, cap: int, max_pairs: int
+) -> RadicalCheck:
+    """The power of each generator against one basis of all the polynomials.
+
+    A verified result needs no further check.  Before a result with
+    failures is returned, ``_assert_groebner`` checks the basis and raises
+    :class:`InvariantViolation` instead of a verdict if it is not Groebner.
+    """
+    basis = _groebner(list(cert.polys), layout, max_pairs)
+    n = cert.target.n
+    powers: dict[Monomial, int] = {}
+    failures: list[Monomial] = []
+    for g in cert.target.gens:
+        found = _least_power(layout.pack(_exponents(g, n)), basis, layout, cap)
+        if found is None:
+            failures.append(g)
+        else:
+            powers[g] = found
+    if failures:
+        _assert_groebner(basis, layout)
+    return RadicalCheck(not failures, powers, tuple(failures), cap, "groebner")
 
 
 def verify_radical_cert(
@@ -614,20 +713,12 @@ def verify_radical_cert(
     Containment one way is structural: every term of every certificate
     polynomial must lie in the target (a polynomial lies in a monomial
     ideal iff each of its terms does).  The other containment is witnessed
-    by finding, for every generator u, a power u^N (N <= cap) inside the
-    ideal generated by the certificate polynomials.  The Groebner basis is
-    computed once, as prepared divisors, for every power u^N; each power is
-    the previous remainder times u, one addition per packed term.
-
-    Every basis element lies in the certificate ideal, so a zero remainder
-    proves u^N is in it whether or not the basis is Groebner, and a verified
-    result needs no further check.  A nonzero remainder at the cap proves
-    nothing unless the basis is Groebner, so before a result with failures
-    is returned the S-polynomial of every pair of the basis is reduced (the
-    check of ``buchberger``); if one does not reduce to zero,
-    :class:`InvariantViolation` is raised instead of a verdict.  A cap below
-    1 could verify nothing and raises ``ValueError``; a basis needing more
-    than ``max_pairs`` pairs raises :class:`BudgetExceededError`.
+    by a power u^N (N <= cap) of every generator u: first layer by layer
+    (``_layered_check``), and where that pass stops, inside the ideal of all
+    the certificate polynomials (``_groebner_check``), which alone can
+    report "not verified".  A cap below 1 could verify nothing and raises
+    ``ValueError``; a basis of all the polynomials needing more than
+    ``max_pairs`` pairs raises :class:`BudgetExceededError`.
     """
     if cap < 1:
         raise ValueError(f"oracle cap must be at least 1, got {cap}")
@@ -645,36 +736,11 @@ def verify_radical_cert(
                 raise ValueError(
                     f"certificate term {_term_str(e, p.terms[e])} lies outside the target ideal"
                 )
-    polys = list(cert.polys)
 
     def run(layout: _Layout) -> RadicalCheck:
-        basis = _groebner(polys, layout, max_pairs)
-        guard = layout.guard
-        powers: dict[Monomial, int] = {}
-        failures: list[Monomial] = []
-        for g in genset:
-            current = layout.pack_terms(Poly.from_monomial(g, n).terms)
-            (u,) = current
-            found = None
-            for power in range(1, cap + 1):
-                nf = _normal_form(current, basis, layout)
-                if not nf:
-                    found = power
-                    break
-                current = {e + u: c for e, c in nf.items()}
-                if any(map(guard.__and__, current)):
-                    raise _Overflow
-            if found is None:
-                failures.append(g)
-            else:
-                powers[g] = found
-        if failures:
-            _assert_groebner(basis, layout)
-        return RadicalCheck(
-            verified=not failures,
-            powers=powers,
-            failures=tuple(failures),
-            cap=cap,
-        )
+        layered = _layered_check(cert, layout, cap, max_pairs)
+        if layered is not None:
+            return layered
+        return _groebner_check(cert, layout, cap, max_pairs)
 
     return _widening(run, n, order)

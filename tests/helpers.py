@@ -569,8 +569,39 @@ def reference_radical_check(cert, basis, cap: int = 8):
         else:
             powers[g] = found
     return RadicalCheck(
-        verified=not failures, powers=powers, failures=tuple(failures), cap=cap
+        verified=not failures,
+        powers=powers,
+        failures=tuple(failures),
+        cap=cap,
+        method="groebner",
     )
+
+
+def groebner_radical_check(cert, cap: int = 8, max_pairs: int = 20000):
+    """The oracle's monolithic radical check alone, widening as needed."""
+    from matroidal import oracle
+
+    return oracle._widening(
+        lambda layout: oracle._groebner_check(cert, layout, cap, max_pairs),
+        cert.target.n,
+        "degrevlex",
+    )
+
+
+def in_radical(polys, u, n: int) -> bool:
+    """Whether the monomial u lies in rad(polys), by the Rabinowitsch trick.
+
+    u is in rad(J) iff 1 lies in J + (1 - t*u) with a new variable t, that
+    is iff the reduced Groebner basis of that ideal in n + 1 variables is
+    {1}.  Computed with ``reference_buchberger`` and no power bound, so it
+    shares neither the packed kernels nor the power loop with the oracle.
+    """
+    from matroidal import Poly
+
+    lifted = [Poly(n + 1, {e + (0,): c for e, c in p.terms.items()}) for p in polys]
+    u_t = tuple(u >> i & 1 for i in range(n)) + (1,)
+    lifted.append(Poly(n + 1, {(0,) * (n + 1): 1, u_t: -1}))
+    return reference_buchberger(lifted) == (Poly.constant(n + 1, 1),)
 
 
 def reference_ara_bounds(

@@ -111,6 +111,7 @@ def test_cert_and_verify_roundtrip(capsys, v42, tmp_path):
     )
     assert code == 0
     assert payload["oracle"]["verified"] is True
+    assert payload["oracle"]["method"] == "layered"
     assert payload["oracle"]["powers"]["x1*x2"] == 1
 
 
@@ -346,6 +347,26 @@ def test_verify_cert_sum_outside_target_fails_the_check(capsys, v42, v42_cert):
     code, payload = run_json(capsys, "verify-cert", v42, v42_cert)
     assert code == 1
     assert payload == {"error": "certificate term lies outside the target ideal"}
+
+
+def test_oracle_names_the_method_of_each_verdict(capsys, tmp_path):
+    # "not verified" only ever comes from the check against one Groebner
+    # basis of all the sums.
+    ideal = tmp_path / "x1x2.txt"
+    ideal.write_text("n=2\nx1\nx2\n")
+    cert = tmp_path / "x1x2.cert.json"
+    cases = (
+        (["x1+x2"], 2, (False, "groebner")),
+        (["x1", "x2"], 0, (True, "layered")),
+    )
+    for sums, code, verdict in cases:
+        doc = {"target_ideal": {"n": 2}, "layers": None, "sums": sums}
+        cert.write_text(json.dumps(doc))
+        got, payload = run_json(
+            capsys, "verify-cert", str(ideal), str(cert), "--oracle"
+        )
+        assert got == code
+        assert (payload["oracle"]["verified"], payload["oracle"]["method"]) == verdict
 
 
 def test_enumerate(capsys):

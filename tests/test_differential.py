@@ -8,12 +8,15 @@ n <= 6, on each of them with a generator dropped (mostly not matroidal), and
 on random antichains.
 
 The Groebner oracle packs each monomial into one int, divides through a
-term heap and picks pairs from a queue.  ``reduce``, ``buchberger`` and
-``verify_radical_cert`` must agree exactly with the exponent-tuple,
+term heap and picks pairs from a queue.  ``reduce``, ``buchberger`` and the
+monolithic radical check must agree exactly with the exponent-tuple,
 ``max``-per-step division and ``min``-per-step pair choice they replaced: on
 every certificate family with n <= 6 that the benchmark's oracle workload
 checks, on random polynomials, and on exponents on both sides of the packed
-field limits.
+field limits.  ``verify_radical_cert`` confirms those certificates layer by
+layer with the same verdicts.  On shuffled and edited certificates with
+n <= 5, each "verified" must survive the Rabinowitsch test of every
+generator, and each "not verified" must come from the monolithic check.
 
 ``verify_sv`` tests pairs against bitmasks of the earlier layers,
 ``find_ordering`` computes colon steps from per-variable masks, and
@@ -29,9 +32,10 @@ ideal with n <= 6.  ``theorem_battery`` climbs the same ladder from its own
 q and must report the bounds ``ara_bounds`` reports on each of them.
 
 ``enumerate_matroidal`` closes each exchange slot when its last subset is
-decided, also by an exclusion.  It must yield exactly the sequence of the
-DFS that checked slots only at inclusion, labeled and up to symmetry, on
-every cell with n <= 6.
+decided, also by an exclusion, and checks nothing at the leaves.  It must
+yield exactly the sequence of the DFS that checked slots only at inclusion
+and again at every leaf, labeled and up to symmetry, on every cell with
+n <= 6.
 
 The symmetry filter asks the canonicity walk for a smaller relabeling, and
 ``canonical_form`` descends along such relabelings.  Both must agree with
@@ -42,16 +46,18 @@ random mixed-degree antichains with the zero and unit ideals.
 
 import random
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from matroidal import (
     Ideal,
     InvariantViolation,
     Poly,
+    RadicalCertificate,
     SVPartition,
     ara_bounds,
     buchberger,
@@ -59,6 +65,7 @@ from matroidal import (
     colon_step_vars,
     check_matroidal,
     degree2_cert,
+    enumerate_matroidal,
     find_ordering,
     minimal_generators,
     minimal_primes,
@@ -83,7 +90,10 @@ from matroidal.quotients import _colon_vars
 
 from helpers import (
     contiguous_blocks,
+    groebner_radical_check,
     ideal_of,
+    in_radical,
+    partition_shapes,
     reference_ara_bounds,
     reference_buchberger,
     reference_canonical_form,
@@ -217,9 +227,73 @@ def test_oracle_matches_reference_on_certificates(enum_cache):
     for cert in _oracle_certificates(enum_cache):
         basis = reference_buchberger(cert.polys)
         assert buchberger(cert.polys) == basis, cert.target
-        assert verify_radical_cert(cert) == reference_radical_check(cert, basis)
+        expected = reference_radical_check(cert, basis)
+        assert groebner_radical_check(cert) == expected
+        result = verify_radical_cert(cert)
+        assert (result.verified, result.failures) == (expected.verified, expected.failures)
+        assert result.method == "layered"
         checked += 1
     assert checked == 80 + 10 + 1 + 2
+
+
+@cache
+def _small_certificates():
+    """(target, polynomials) of every certificate family with n <= 5."""
+    certs = [sv_sums(veronese_cert(n, d)) for n in range(2, 6) for d in range(1, n + 1)]
+    for n in (4, 5):
+        for mi in enumerate_matroidal(n, 2, up_to_symmetry=True):
+            certs.append(sv_sums(degree2_cert(mi)))
+    for total in range(2, 6):
+        for shape in partition_shapes(total):
+            if len(shape) > 1:
+                blocks = contiguous_blocks(shape)
+                certs.append(product_cert([variable_cert(b, total) for b in blocks]))
+    for mi in enumerate_matroidal(5, 3, up_to_symmetry=True):
+        if not (recognize_veronese(mi.ideal) or recognize_var_block_product(mi.ideal)):
+            certs.append(sv_sums(search_cert(mi, 3, budget=20000).partition))
+    return tuple((cert.target, cert.polys) for cert in certs)
+
+
+@st.composite
+def tampered_certificates(draw):
+    """A small certificate with its polynomials shuffled and up to two edits.
+
+    An edit takes one term out of a polynomial and drops it, moves it to
+    another polynomial (adding to a term there) or puts it back with its
+    sign flipped.  The result may or may not still generate the target up
+    to radical.
+    """
+    target, polys = draw(st.sampled_from(_small_certificates()))
+    n = target.n
+    terms = draw(st.permutations([dict(p.terms) for p in polys]))
+    for _ in range(draw(st.integers(0, 2))):
+        source = draw(st.sampled_from(terms))
+        e = draw(st.sampled_from(sorted(source)))
+        c = source.pop(e)
+        edit = draw(st.sampled_from(("drop", "move", "flip")))
+        if edit == "move":
+            other = draw(st.sampled_from(terms))
+            other[e] = other.get(e, 0) + c
+        elif edit == "flip":
+            source[e] = -c
+        terms = [t for t in terms if t]
+        assume(terms)
+    cert_polys = tuple(p for p in (Poly(n, t) for t in terms) if p)
+    assume(cert_polys)
+    return RadicalCertificate(cert_polys, target, "manual")
+
+
+@settings(max_examples=40, deadline=None)
+@given(tampered_certificates())
+def test_radical_verdicts_hold_on_tampered_certificates(cert):
+    # "verified" must be true of the radical, by an independent test that
+    # bounds no power; "not verified" comes only from the monolithic check.
+    result = verify_radical_cert(cert)
+    if result.verified:
+        n = cert.target.n
+        assert all(in_radical(cert.polys, g, n) for g in cert.target.gens)
+    else:
+        assert result.method == "groebner"
 
 
 @st.composite

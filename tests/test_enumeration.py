@@ -15,6 +15,7 @@ from matroidal import (
     InvariantViolation,
     SVCheck,
     canonical_form,
+    check_matroidal,
     conjecture_scan,
     enumerate_matroidal,
     relabel_ideal,
@@ -161,6 +162,14 @@ def test_matches_brute_force_filter(enum_cache):
             expected = brute_force_matroidal(n, d)
             got = {tuple(sorted(mi.ideal.gens)) for mi in enum_cache(n, d)}
             assert got == expected, (n, d)
+
+
+def test_every_yield_passes_the_exchange_check(enum_cache):
+    # Leaves are yielded unchecked: every exchange slot is decided above them.
+    for n in range(1, 7):
+        for d in range(1, n + 1):
+            for mi in enum_cache(n, d):
+                assert check_matroidal(mi.ideal), (n, d, mi.ideal.gens)
 
 
 def test_matches_brute_force_filter_64(enum_cache):

@@ -25,6 +25,7 @@ from matroidal.oracle import BudgetExceededError
 from matroidal.svrank import sv_sums, veronese_cert
 
 from helpers import (
+    groebner_radical_check,
     ideal_of,
     reference_buchberger,
     reference_radical_check,
@@ -198,8 +199,8 @@ def test_verify_radical_cert_trivial():
 
 def test_verify_radical_cert_veronese42_minimal_powers():
     cert = sv_sums(veronese_cert(4, 2))
-    result = verify_radical_cert(cert, cap=6)
-    assert result.verified
+    result = groebner_radical_check(cert, cap=6)
+    assert (result.verified, result.method) == (True, "groebner")
     powers = {mono_vars(g): p for g, p in result.powers.items()}
     assert powers == {
         (1, 2): 1,
@@ -209,6 +210,42 @@ def test_verify_radical_cert_veronese42_minimal_powers():
         (2, 4): 3,
         (3, 4): 2,
     }
+
+
+def test_layered_check_veronese42_powers():
+    # Each power is taken against the terms of the earlier layers plus one
+    # layer sum, so x1*x4 needs its square where the whole ideal needs a cube.
+    cert = sv_sums(veronese_cert(4, 2))
+    result = verify_radical_cert(cert, cap=6)
+    assert (result.verified, result.method) == (True, "layered")
+    powers = {mono_vars(g): p for g, p in result.powers.items()}
+    assert powers == {
+        (1, 2): 1,
+        (1, 3): 2,
+        (2, 3): 2,
+        (1, 4): 2,
+        (2, 4): 2,
+        (3, 4): 2,
+    }
+
+
+def test_layered_check_verifies_below_the_monolithic_cap():
+    # At cap 2 the cube of x1*x4 is out of reach of the monolithic check;
+    # the layered squares are a proof all the same.
+    cert = sv_sums(veronese_cert(4, 2))
+    assert not groebner_radical_check(cert, cap=2).verified
+    assert verify_radical_cert(cert, cap=2).method == "layered"
+
+
+def test_layered_check_falls_back_on_a_misordered_certificate():
+    # Layer 1 before layer 0: x1*x3 + x2*x3 alone has no power of x1*x3, so
+    # the layered pass stops and the monolithic check decides.
+    cert = sv_sums(veronese_cert(4, 2))
+    polys = (cert.polys[1], cert.polys[0]) + cert.polys[2:]
+    swapped = RadicalCertificate(polys, cert.target, "manual")
+    result = verify_radical_cert(swapped, cap=6)
+    assert (result.verified, result.method) == (True, "groebner")
+    assert result == groebner_radical_check(swapped, cap=6)
 
 
 def test_verify_radical_cert_rejects_cap_below_one():
@@ -259,10 +296,22 @@ def test_verified_verdict_runs_no_all_pairs_check(monkeypatch):
     oracle._groebner(list(cert.polys), _layout(cert.target.n), 20000)
     basis_divisions = len(divisions)
     divisions.clear()
-    result = verify_radical_cert(cert, cap=6)
+    result = groebner_radical_check(cert, cap=6)
     assert result.verified
     assert checks == []
     assert len(divisions) == basis_divisions + sum(result.powers.values())
+
+
+def test_layered_verdict_runs_no_all_pairs_check(monkeypatch):
+    # Each step's basis is only ever divided by, never checked; V(6,3) has
+    # four layers and twenty generators.
+    cert = sv_sums(veronese_cert(6, 3))
+    checks = _counting(monkeypatch, "_assert_groebner")
+    steps = _counting(monkeypatch, "_groebner")
+    result = verify_radical_cert(cert)
+    assert (result.verified, result.method) == (True, "layered")
+    assert len(steps) == len(cert.polys)
+    assert checks == []
 
 
 def test_failed_verdict_runs_the_all_pairs_check_once(monkeypatch):
@@ -270,8 +319,29 @@ def test_failed_verdict_runs_the_all_pairs_check_once(monkeypatch):
     cert = RadicalCertificate((P("x1+x2", 2),), target, "manual")
     checks = _counting(monkeypatch, "_assert_groebner")
     result = verify_radical_cert(cert, cap=6)
-    assert not result.verified
+    assert (result.verified, result.method) == (False, "groebner")
     assert len(checks) == 1
+
+
+def test_layered_pass_over_budget_falls_back(monkeypatch):
+    # A step that runs out of pairs hands the certificate on (here the first
+    # step is made to); so does a target generator that is no term.
+    cert = sv_sums(veronese_cert(4, 2))
+    expected = groebner_radical_check(cert, cap=6)
+    groebner = oracle._groebner
+    calls = []
+
+    def first_over_budget(*args):
+        calls.append(1)
+        if len(calls) == 1:
+            raise BudgetExceededError("pair budget exceeded")
+        return groebner(*args)
+
+    monkeypatch.setattr(oracle, "_groebner", first_over_budget)
+    assert verify_radical_cert(cert, cap=6) == expected
+    assert len(calls) == 2
+    squares = RadicalCertificate((P("x1^2", 1),), ideal_of(1, (1,)), "manual")
+    assert verify_radical_cert(squares).method == "groebner"
 
 
 def test_failed_verdict_on_a_non_groebner_basis_raises(monkeypatch):
