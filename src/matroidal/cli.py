@@ -55,31 +55,30 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _node_budget(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(
-            f"search budget must be nonnegative, got {value}"
-        )
-    return value
+def _int_at_least(least: int, name: str, rule: str):
+    """An argparse type: an int of at least ``least``, else "<rule>, got N".
+
+    ``name`` is what argparse prints for a value that is not an int.
+    """
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < least:
+            raise argparse.ArgumentTypeError(f"{rule}, got {value}")
+        return value
+
+    parse.__name__ = name
+    return parse
 
 
-def _search_size(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(
-            f"search size must be at least 1 layer, got {value}"
-        )
-    return value
+_node_budget = _int_at_least(0, "_node_budget", "search budget must be nonnegative")
+_search_size = _int_at_least(1, "_search_size", "search size must be at least 1 layer")
+_oracle_cap = _int_at_least(1, "_oracle_cap", "oracle cap must be at least 1")
 
 
-def _oracle_cap(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(
-            f"oracle cap must be at least 1, got {value}"
-        )
-    return value
+def _var_sets(sets) -> str:
+    """Variable sets as ``{x1, x2}; {x3}``."""
+    return "; ".join("{" + ", ".join(f"x{v}" for v in sorted(p)) + "}" for p in sets)
 
 
 def _emit(args, payload: dict, text_lines: list[str]) -> None:
@@ -163,10 +162,7 @@ def _cmd_decompose(args) -> int:
         "unmixed": decomposition.unmixed,
     }
     lines = [
-        "primes: " + "; ".join(
-            "{" + ", ".join(f"x{v}" for v in sorted(p)) + "}"
-            for p in decomposition.primes
-        ),
+        "primes: " + _var_sets(decomposition.primes),
         f"height={decomposition.height}",
         f"unmixed={decomposition.unmixed}",
     ]
@@ -192,13 +188,7 @@ def _cmd_partition(args) -> int:
         "parts": [sorted(p) for p in partition.parts],
         "signature": list(partition.signature),
     }
-    lines = [
-        "parts: " + "; ".join(
-            "{" + ", ".join(f"x{v}" for v in sorted(p)) + "}"
-            for p in partition.parts
-        ),
-        f"signature={partition.signature}",
-    ]
+    lines = ["parts: " + _var_sets(partition.parts), f"signature={partition.signature}"]
     _emit(args, payload, lines)
     return OK
 

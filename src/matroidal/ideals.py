@@ -15,7 +15,9 @@ import re
 from dataclasses import dataclass
 from typing import Iterable
 
-# One machine word of set bits; larger rings are out of scope by design.
+# The documented input limit on variables, enforced by ``mono`` and
+# ``minimal_generators``.  Nothing relies on a machine word: monomials are
+# Python ints of any width, and the oracle packs its own fields.
 MAX_VARS = 64
 
 Monomial = int

@@ -7,18 +7,17 @@ the ideal up to radical, so r+1 bounds the arithmetical rank from above.
 The projective dimension bounds it from below, and the two meet at
 q(I) + 1 = n - d + 1 whenever a certificate of that size exists.
 
-``construct_certificate`` is the one construction ladder: square-free
-Veronese layering, then variable block products (layer k holds the
-generators whose block positions sum to k), then the degree-2 matrix
-anti-diagonals.  Every layering it returns has passed ``verify_sv``.
+``construct_certificate`` is the one construction ladder.  Its rungs are
+one exchange rule read in a variable order: the natural order for
+square-free Veronese ideals and variable block products, the part order
+for degree-2 ideals.  Every layering it returns has passed ``verify_sv``.
 A complete layered-partition search covers everything else.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .decomposition import (
     degree2_partition,
@@ -123,6 +122,39 @@ def _checked(partition: SVPartition, what: str) -> SVPartition:
     return partition
 
 
+def _exchange_layering(ideal: Ideal, order: Iterable[int], what: str) -> SVPartition:
+    """Layer k holds the generators u with k external exchanges in ``order``.
+
+    A variable y outside u counts when it replaces a later variable x of u:
+    y precedes x in ``order`` and u - x + y is a generator (a colon variable
+    of the linear-quotient order; external activity).  The count is the
+    popcount of the OR over x in u of ``completions[u - x] & before[x]``.
+    """
+    before: dict[int, int] = {}  # keyed by the variable's bit
+    seen = 0
+    for v in order:
+        before[1 << (v - 1)] = seen
+        seen |= 1 << (v - 1)
+    completions: dict[Monomial, int] = {}  # the y with m + y a generator
+    for g in ideal.gens:
+        rest = g
+        while rest:
+            x = rest & -rest
+            completions[g ^ x] = completions.get(g ^ x, 0) | x
+            rest ^= x
+    layer_map: dict[int, set[Monomial]] = {}
+    for u in ideal.gens:
+        external = 0
+        rest = u
+        while rest:
+            x = rest & -rest
+            external |= completions[u ^ x] & before[x]
+            rest ^= x
+        layer_map.setdefault(external.bit_count(), set()).add(u)
+    layers = tuple(frozenset(layer_map.get(k, ())) for k in range(max(layer_map) + 1))
+    return _checked(SVPartition(ideal, layers), what)
+
+
 @dataclass(frozen=True)
 class RadicalCertificate:
     """Polynomials generating the target up to radical, with provenance.
@@ -170,19 +202,11 @@ def sv_sums(partition: SVPartition) -> RadicalCertificate:
 def veronese_cert(n: int, d: int) -> SVPartition:
     """Canonical layering of the square-free Veronese ideal.
 
-    Layer i holds the degree-d monomials in x1..x_{d+i} that involve
-    x_{d+i}; there are n-d+1 layers and layer sizes C(d+i-1, d-1).
+    The exchange rule in the natural order: y counts iff y is outside u
+    and below max u, so u sits in layer max u - d.  There are n-d+1
+    layers, and layer i > 0 holds C(d+i-1, d-1) generators.
     """
-    ideal = veronese(n, d).ideal
-    layers = [frozenset({mono(range(1, d + 1))})]
-    for i in range(1, n - d + 1):
-        top = d + i
-        layers.append(
-            frozenset(
-                mono(c + (top,)) for c in combinations(range(1, top), d - 1)
-            )
-        )
-    return _checked(SVPartition(ideal, tuple(layers)), "Veronese")
+    return _exchange_layering(veronese(n, d).ideal, range(1, n + 1), "Veronese")
 
 
 def variable_cert(variables, n: int) -> RadicalCertificate:
@@ -223,59 +247,15 @@ def product_cert(certs: list[RadicalCertificate]) -> RadicalCertificate:
 def degree2_cert(mi: MatroidalIdeal) -> SVPartition:
     """Anti-diagonal layering for a degree-2 matroidal ideal.
 
-    Variables are reindexed part-by-part with part sizes descending; the
-    generator pairing row variable i (in parts 1..m-1) with the j-th later
-    variable lands in layer i+j-2.  This yields exactly n-1 nonempty
-    layers for every full-support degree-2 matroidal ideal.
+    The exchange rule in the part order (parts by descending size, then
+    smallest member; members ascending).  For {a, b} with a the i-th
+    variable and b the j-th after a's part, the variables that count are
+    those before a and those between a's part and b: layer i + j - 2,
+    over exactly n-1 layers.
     """
-    partition = degree2_partition(mi)
-    parts = sorted(partition.parts, key=lambda p: (-len(p), sorted(p)))
-    order: list[int] = []
-    for part in parts:
-        order.extend(sorted(part))
-    position = {v: k + 1 for k, v in enumerate(order)}
-    sizes = [len(p) for p in parts]
-    prefixes = [0]
-    for s in sizes:
-        prefixes.append(prefixes[-1] + s)
-    part_of_position = {}
-    for k in range(len(parts)):
-        for pos in range(prefixes[k] + 1, prefixes[k + 1] + 1):
-            part_of_position[pos] = k
-    n = mi.ideal.n
-    layer_map: dict[int, set[Monomial]] = {}
-    for g in mi.ideal.gens:
-        a, b = sorted(mono_vars(g), key=lambda v: position[v])
-        i = position[a]
-        k = part_of_position[i]
-        j = position[b] - prefixes[k + 1]
-        if j < 1:
-            raise InvariantViolation(
-                f"generator {mono_str(g)} is not a cross-part pair"
-            )
-        layer_map.setdefault(i + j - 2, set()).add(g)
-    top = max(layer_map)
-    if top > n - 2 or sorted(layer_map) != list(range(top + 1)):
-        raise InvariantViolation("degree-2 layering left a gap")
-    layers = tuple(frozenset(layer_map[l]) for l in range(top + 1))
-    return _checked(SVPartition(mi.ideal, layers), "degree-2")
-
-
-def _product_layering(
-    ideal: Ideal, blocks: tuple[frozenset[int], ...]
-) -> SVPartition:
-    """Layer k holds the generators whose block positions sum to k.
-
-    A variable's position is its index in its sorted block.  The layer
-    sums are the anti-diagonals ``product_cert`` folds from the blocks'
-    variables, over n - #blocks + 1 layers.
-    """
-    position = {v: k for block in blocks for k, v in enumerate(sorted(block))}
-    layer_map: dict[int, set[Monomial]] = {}
-    for g in ideal.gens:
-        layer_map.setdefault(sum(position[v] for v in mono_vars(g)), set()).add(g)
-    layers = tuple(frozenset(layer_map[k]) for k in sorted(layer_map))
-    return _checked(SVPartition(ideal, layers), "block product")
+    parts = sorted(degree2_partition(mi).parts, key=lambda p: (-len(p), sorted(p)))
+    order = [v for part in parts for v in sorted(part)]
+    return _exchange_layering(mi.ideal, order, "degree-2")
 
 
 def construct_certificate(
@@ -286,18 +266,21 @@ def construct_certificate(
     ``auto`` climbs the ladder: Veronese layering, then variable block
     product, then degree-2 anti-diagonals, and returns None when none
     applies.  A forced ``method`` that does not apply raises ValueError.
+    In a block product y can replace only the variable of u in its own
+    block, so the natural order puts u in the sum of its block positions.
     Every returned layering has passed ``verify_sv``.
     """
     ideal = mi.ideal
+    natural = range(1, ideal.n + 1)
     if method in ("auto", "veronese"):
         if recognize_veronese(ideal):
-            return "veronese", veronese_cert(ideal.n, mi.d)
+            return "veronese", _exchange_layering(ideal, natural, "Veronese")
         if method == "veronese":
             raise ValueError("not a square-free Veronese ideal")
     if method in ("auto", "product"):
         blocks = recognize_var_block_product(ideal)
         if blocks is not None:
-            return "product", _product_layering(ideal, blocks)
+            return "product", _exchange_layering(ideal, natural, "block product")
         if method == "product":
             raise ValueError("not a variable block product")
     if method in ("auto", "degree2"):
@@ -569,10 +552,7 @@ def ara_bounds(
     return AraBounds(lower, upper, exact, method, certificate)
 
 
-def certificate_document(
-    cert: SVPartition | RadicalCertificate,
-    oracle_checked: bool = False,
-) -> dict[str, object]:
+def certificate_document(cert: SVPartition | RadicalCertificate) -> dict[str, object]:
     """JSON-ready certificate: target, layers, sums, verification flags."""
     if isinstance(cert, SVPartition):
         check = verify_sv(cert)
@@ -597,7 +577,7 @@ def certificate_document(
         "layers": layers,
         "sums": sum_strings,
         "verified_sv": verified,
-        "oracle_checked": oracle_checked,
+        "oracle_checked": False,
     }
 
 

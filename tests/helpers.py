@@ -604,27 +604,132 @@ def in_radical(polys, u, n: int) -> bool:
     return reference_buchberger(lifted) == (Poly.constant(n + 1, 1),)
 
 
+def reference_veronese_cert(n: int, d: int):
+    """Closed-form Veronese layering, as written before the exchange rule.
+
+    Layer i holds the degree-d monomials in x1..x_{d+i} that involve
+    x_{d+i}; there are n-d+1 layers and layer sizes C(d+i-1, d-1).
+    """
+    from matroidal import SVPartition, veronese
+    from matroidal.svrank import _checked
+
+    ideal = veronese(n, d).ideal
+    layers = [frozenset({mono(range(1, d + 1))})]
+    for i in range(1, n - d + 1):
+        top = d + i
+        layers.append(
+            frozenset(
+                mono(c + (top,)) for c in combinations(range(1, top), d - 1)
+            )
+        )
+    return _checked(SVPartition(ideal, tuple(layers)), "Veronese")
+
+
+def reference_degree2_cert(mi):
+    """Closed-form anti-diagonal layering of a degree-2 matroidal ideal.
+
+    Variables are reindexed part-by-part with part sizes descending; the
+    generator pairing row variable i (in parts 1..m-1) with the j-th later
+    variable lands in layer i+j-2.
+    """
+    from matroidal import InvariantViolation, SVPartition, degree2_partition, mono_str
+    from matroidal.svrank import _checked
+
+    partition = degree2_partition(mi)
+    parts = sorted(partition.parts, key=lambda p: (-len(p), sorted(p)))
+    order: list[int] = []
+    for part in parts:
+        order.extend(sorted(part))
+    position = {v: k + 1 for k, v in enumerate(order)}
+    sizes = [len(p) for p in parts]
+    prefixes = [0]
+    for s in sizes:
+        prefixes.append(prefixes[-1] + s)
+    part_of_position = {}
+    for k in range(len(parts)):
+        for pos in range(prefixes[k] + 1, prefixes[k + 1] + 1):
+            part_of_position[pos] = k
+    n = mi.ideal.n
+    layer_map: dict[int, set[int]] = {}
+    for g in mi.ideal.gens:
+        a, b = sorted(mono_vars(g), key=lambda v: position[v])
+        i = position[a]
+        k = part_of_position[i]
+        j = position[b] - prefixes[k + 1]
+        if j < 1:
+            raise InvariantViolation(
+                f"generator {mono_str(g)} is not a cross-part pair"
+            )
+        layer_map.setdefault(i + j - 2, set()).add(g)
+    top = max(layer_map)
+    if top > n - 2 or sorted(layer_map) != list(range(top + 1)):
+        raise InvariantViolation("degree-2 layering left a gap")
+    layers = tuple(frozenset(layer_map[l]) for l in range(top + 1))
+    return _checked(SVPartition(mi.ideal, layers), "degree-2")
+
+
+def reference_product_layering(ideal, blocks):
+    """Layer k holds the generators whose block positions sum to k.
+
+    A variable's position is its index in its sorted block.
+    """
+    from matroidal import SVPartition
+    from matroidal.svrank import _checked
+
+    position = {v: k for block in blocks for k, v in enumerate(sorted(block))}
+    layer_map: dict[int, set[int]] = {}
+    for g in ideal.gens:
+        layer_map.setdefault(sum(position[v] for v in mono_vars(g)), set()).add(g)
+    layers = tuple(frozenset(layer_map[k]) for k in sorted(layer_map))
+    return _checked(SVPartition(ideal, layers), "block product")
+
+
+def reference_construct_certificate(mi, method: str = "auto"):
+    """``construct_certificate`` on the closed forms it replaced."""
+    from matroidal import recognize_var_block_product, recognize_veronese
+
+    ideal = mi.ideal
+    if method in ("auto", "veronese"):
+        if recognize_veronese(ideal):
+            return "veronese", reference_veronese_cert(ideal.n, mi.d)
+        if method == "veronese":
+            raise ValueError("not a square-free Veronese ideal")
+    if method in ("auto", "product"):
+        blocks = recognize_var_block_product(ideal)
+        if blocks is not None:
+            return "product", reference_product_layering(ideal, blocks)
+        if method == "product":
+            raise ValueError("not a variable block product")
+    if method in ("auto", "degree2"):
+        if mi.d == 2:
+            return "degree2", reference_degree2_cert(mi)
+        if method == "degree2":
+            raise ValueError("degree is not 2")
+    if method != "auto":
+        raise ValueError(f"unknown construction {method!r}")
+    return None
+
+
 def reference_ara_bounds(
     mi, search: bool = True, search_budget: int = 50000
 ):
     """Lower bound q(I)+1 plus the best available certificate upper bound.
 
-    The construction ladder as written out before the dispatcher: block
-    products come back as the folded ``product_cert`` polynomials, not as
-    a layering.  ``ara_bounds`` must pick the same method and size.
+    The construction ladder as written out before the dispatcher, on the
+    closed-form layerings: block products come back as the folded
+    ``product_cert`` polynomials, not as a layering.  ``ara_bounds`` must
+    pick the same method and size.
     """
     from matroidal import (
         AraBounds,
         RadicalCertificate,
         SVPartition,
-        degree2_cert,
         product_cert,
         q_index,
         recognize_var_block_product,
         recognize_veronese,
         search_cert,
         variable_cert,
-        veronese_cert,
     )
 
     ideal = mi.ideal
@@ -634,7 +739,7 @@ def reference_ara_bounds(
     method: str | None = None
     certificate: SVPartition | RadicalCertificate | None = None
     if recognize_veronese(ideal):
-        certificate = veronese_cert(n, d)
+        certificate = reference_veronese_cert(n, d)
         upper = len(certificate.layers)
         method = "veronese"
     else:
@@ -644,7 +749,7 @@ def reference_ara_bounds(
             upper = len(certificate.polys)
             method = "product"
         elif d == 2:
-            certificate = degree2_cert(mi)
+            certificate = reference_degree2_cert(mi)
             upper = len(certificate.layers)
             method = "degree2"
         elif search:

@@ -30,6 +30,11 @@ them, the colon kernel with ``colon_step_vars`` on random prefixes, and
 and must pick the method and size the ladder it replaced picked, on every
 ideal with n <= 6.  ``theorem_battery`` climbs the same ladder from its own
 q and must report the bounds ``ara_bounds`` reports on each of them.
+Each rung reads one exchange rule in a variable order.  With ``auto`` and
+each forced method it must give the layers of the closed forms it
+replaced, or refuse with the same message: on every ideal with n <= 6 and
+on larger Veronese, block-product and degree-2 ideals, two of them
+relabeled.
 
 ``enumerate_matroidal`` closes each exchange slot when its last subset is
 decided, also by an exclusion, and checks nothing at the leaves.  It must
@@ -63,6 +68,7 @@ from matroidal import (
     buchberger,
     canonical_form,
     colon_step_vars,
+    construct_certificate,
     check_matroidal,
     degree2_cert,
     enumerate_matroidal,
@@ -78,9 +84,11 @@ from matroidal import (
     search_cert,
     sv_sums,
     theorem_battery,
+    var_block_product,
     variable_cert,
     verify_radical_cert,
     verify_sv,
+    veronese,
     veronese_cert,
 )
 from matroidal.enumeration import _smaller_relabeling
@@ -93,11 +101,13 @@ from helpers import (
     groebner_radical_check,
     ideal_of,
     in_radical,
+    multipartite_ideal,
     partition_shapes,
     reference_ara_bounds,
     reference_buchberger,
     reference_canonical_form,
     reference_check_matroidal,
+    reference_construct_certificate,
     reference_enumerate_matroidal,
     reference_find_ordering,
     reference_minimal_generators,
@@ -405,6 +415,50 @@ def test_ara_bounds_matches_the_written_out_ladder(enum_cache):
                 assert new.certificate.layers == old.certificate.layers
     assert ideals == 2356
     assert products == 2356 - 2089
+
+
+CONSTRUCTIONS = ("auto", "veronese", "product", "degree2", "search")
+
+
+def _construction_outcome(construct, mi, method):
+    try:
+        built = construct(mi, method)
+    except ValueError as exc:
+        return str(exc)
+    return built and (built[0], built[1].layers)
+
+
+def _relabeled(sizes, perm):
+    """Contiguous parts of ``sizes`` with variable v renamed perm[v - 1]."""
+    return [{perm[v - 1] for v in part} for part in contiguous_blocks(sizes)]
+
+
+def _larger_construction_inputs():
+    for n, d in ((9, 4), (10, 5), (12, 6), (13, 6)):
+        yield veronese(n, d)
+    for sizes in ((5, 5, 5), (3, 3, 3, 3), (4, 4, 4, 4)):
+        yield var_block_product(contiguous_blocks(sizes))
+    yield var_block_product(_relabeled((3, 2, 3), (5, 2, 8, 1, 7, 3, 6, 4)))
+    for sizes in ((3, 2, 4), (3, 2, 2, 4), (1,) * 10):
+        yield multipartite_ideal(contiguous_blocks(sizes))
+    yield multipartite_ideal(_relabeled((3, 2, 4), (4, 9, 1, 7, 2, 8, 3, 6, 5)))
+
+
+def test_constructions_match_the_closed_forms(enum_cache):
+    # Every rung reads one exchange rule in a variable order; it must give
+    # the layers of the Veronese, block-position and anti-diagonal closed
+    # forms, or refuse with the same message, for auto and each method.
+    inputs = [mi for n, d in CELLS for mi in enum_cache(n, d)]
+    inputs += _larger_construction_inputs()
+    built = 0
+    for mi in inputs:
+        for method in CONSTRUCTIONS:
+            new = _construction_outcome(construct_certificate, mi, method)
+            old = _construction_outcome(reference_construct_certificate, mi, method)
+            assert new == old, (mi.ideal.gens, method)
+            built += not isinstance(new, str) and new is not None
+    assert len(inputs) == 2356 + 12
+    assert built == 1095
 
 
 def test_battery_bounds_match_ara_bounds(enum_cache):
