@@ -97,6 +97,15 @@ def mono_str(m: Monomial) -> str:
 _MONO_FACTOR = re.compile(r"^x(\d+)$")
 
 
+def _square_free(variables: list[int]) -> Monomial:
+    """``mono`` of parsed variables; a repeated one would be a square."""
+    m = mono(variables)
+    if m.bit_count() < len(variables):
+        repeated = next(v for i, v in enumerate(variables) if v in variables[:i])
+        raise ValueError(f"repeated variable x{repeated}: not square-free")
+    return m
+
+
 def parse_mono(text: str) -> Monomial:
     """Parse ``x1*x3`` (or ``1`` for the unit monomial)."""
     text = text.strip()
@@ -108,7 +117,7 @@ def parse_mono(text: str) -> Monomial:
         if match is None:
             raise ValueError(f"malformed monomial factor {factor!r}")
         variables.append(int(match.group(1)))
-    return mono(variables)
+    return _square_free(variables)
 
 
 @dataclass(frozen=True)
@@ -295,7 +304,7 @@ def parse_ideal(text: str) -> Ideal:
             if match is None:
                 raise ValueError(f"malformed variable token {token!r}")
             variables.append(int(match.group(1)))
-        monomials.append(mono(variables))
+        monomials.append(_square_free(variables))
     if n is None:
         raise ValueError("missing 'n=<int>' header")
     return minimal_generators(monomials, n)

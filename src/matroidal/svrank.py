@@ -17,7 +17,7 @@ A complete layered-partition search covers everything else.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .decomposition import (
     degree2_partition,
@@ -189,6 +189,11 @@ def sv_sums(partition: SVPartition) -> RadicalCertificate:
         raise ValueError(
             f"unverified partition ({check.failure}): {check.witness}"
         )
+    return _layer_sums(partition)
+
+
+def _layer_sums(partition: SVPartition) -> RadicalCertificate:
+    """``sv_sums`` for a partition whose ``verify_sv`` check has passed."""
     n = partition.ideal.n
     polys = []
     for layer in partition.layers:
@@ -381,11 +386,24 @@ def search_cert(
     bitmask (the generators dividing their product) meets the mask of the
     earlier layers.  Within a layer, each candidate's "cannot share a layer
     with" mask is computed once, so admissibility is one AND against the
-    chosen set.  The walk keeps its own stack instead of recursing, so no
-    recursion depth grows with the number of generators.  Every node of
-    the exclusion-first subset tree costs one unit of ``budget``, counted
-    exactly as the list-based reference search in the test suite counts
-    it; a search that runs out reports ``budget + 1`` nodes.
+    chosen set.  The walk keeps its own stack instead of recursing once
+    per generator; the solver below recurses once per member of the layer
+    it builds.  Every node of the exclusion-first subset tree costs one
+    unit of ``budget``, counted exactly as the list-based reference search
+    in the test suite counts it; a search that runs out reports
+    ``budget + 1`` nodes.
+
+    The layer before the last is solved, not walked.  Its candidates S are
+    the independent sets of the conflict graph (two remaining generators
+    conflict when no earlier one divides their product), met in the walk's
+    order, and S leaves a valid last layer exactly when it meets every open
+    cover.  Each S adds the walk's nodes for it: its all-exclusion descent
+    and its leaf (S never takes everything: the first S is valid when no
+    pair conflicts).  When an open cover misses the taken set and every
+    later candidate that can join it, no extension can meet that cover and
+    the walk would return nothing there, so the subtree's nodes are counted
+    instead (memoised per layer).  The budget is checked on the running
+    total: it runs out where the walk's would.
     """
     if target_size < 1:
         raise ValueError("target size must be at least one layer")
@@ -396,14 +414,6 @@ def search_cert(
         return SearchResult(None, True, 0)
     row = _PairCovers(gens).row
     out_of_budget = SearchResult(None, False, budget + 1)
-
-    def open_covers(layer: list[int], earlier: int) -> Iterator[int]:
-        # Covers of the pairs of ``layer`` that no earlier generator divides.
-        for k, a in enumerate(layer):
-            cover = row(a)
-            for b in layer[k + 1 :]:
-                if not cover[b] & earlier:
-                    yield cover[b]
 
     def conflicts_of(remaining: list[int], j: int, earlier: int) -> int:
         cover = row(remaining[j])
@@ -426,6 +436,86 @@ def search_cert(
             )
         return SearchResult(partition, False, nodes)
 
+    def last_two(
+        remaining: list[int], earlier: int, upper: list[int]
+    ) -> SearchResult | None:
+        # The search's result if it ends in these last two layers, under
+        # the layers ``upper``; None once they are exhausted.
+        nonlocal nodes
+        size = len(remaining)
+        nodes += size  # the all-exclusion entry descent
+        if nodes > budget:
+            return out_of_budget
+        full = 0
+        weight = [0] * len(gens)  # by index: size - position, the descent
+        conflict = [0] * len(gens)
+        covers: set[int] = set()
+        for j, a in enumerate(remaining):
+            bit = 1 << a
+            full |= bit
+            weight[a] = size - j
+            cover = row(a)
+            for b in remaining[:j]:
+                if not cover[b] & earlier:
+                    conflict[a] |= 1 << b
+                    conflict[b] |= bit
+                    covers.add(cover[b])
+        counted: dict[int, tuple[int, int]] = {}
+
+        def count(cands: int) -> tuple[int, int]:
+            # Number and node cost of the nonempty independent subsets of
+            # ``cands`` by their highest member h, c(K) = c(K-h) + 1 +
+            # c(K-h-N(h)); cut short past the budget (each costs >= 2).
+            number = cost = 0
+            room = budget - nodes
+            rest = cands
+            while rest:
+                h = rest.bit_length() - 1
+                rest ^= 1 << h
+                sub = rest & ~conflict[h]
+                k = (counted.get(sub) or count(sub))[0] + 1 if sub else 1
+                number += k
+                cost += k * (weight[h] + 1)
+                if number > room:
+                    return number, cost
+            counted[cands] = number, cost
+            return number, cost
+
+        def solve(taken: int, cands: int, missing: list[int]) -> int:
+            # The first valid extension of ``taken`` by independent subsets
+            # of ``cands``, or 0; ``missing``: the covers ``taken`` misses.
+            nonlocal nodes
+            inter = alive = -1
+            for cover in missing:
+                inter &= cover
+                alive &= (1 << (cover & cands).bit_length()) - 1
+            above = cands & ~alive  # no extension there meets every cover
+            if above:
+                nodes += (counted.get(above) or count(above))[1]
+            cands &= alive
+            while cands:
+                c = cands.bit_length() - 1
+                cands ^= 1 << c
+                chosen = taken | 1 << c
+                nodes += weight[c] + 1
+                if nodes > budget:
+                    return 0
+                if inter >> c & 1:
+                    return chosen
+                later = above & ~conflict[c]
+                if later:
+                    rest = [cover for cover in missing if not cover >> c & 1]
+                    chosen = solve(chosen, later, rest)
+                    if chosen or nodes > budget:
+                        return chosen
+                above |= 1 << c
+            return 0
+
+        taken = solve(0, full, list(covers))
+        if nodes > budget:
+            return out_of_budget
+        return found(upper + [taken, full ^ taken], nodes) if taken else None
+
     if target_size == 1:
         # The only layer is the singleton P_0.
         return found([1], 0) if len(gens) == 1 else SearchResult(None, True, 0)
@@ -437,58 +527,45 @@ def search_cert(
         if nodes > budget:
             return out_of_budget
         if target_size == 2:
-            if next(open_covers(rest, first), None) is None:
+            # One layer after P_0: every pair in it needs a cover in P_0.
+            if all(row(a)[b] & first for a in rest for b in rest if a < b):
                 return found([first, sum(1 << h for h in rest)], nodes)
             continue
-        # One frame per open layer: [remaining, earlier-layer mask,
-        # lazily computed conflict masks by position, chosen mask, and for
-        # the layer before the last, the lazily computed open covers,
-        # smallest first as those are the likeliest to be missed].
-        # ``depth`` is the pick node just entered; None resumes a frame
-        # whose leaf has been handled, to backtrack from it.
-        stack = [[rest, first, [None] * len(rest), 0, None]]
+        if target_size == 3:
+            result = last_two(rest, first, [first])
+            if result:
+                return result
+            continue
+        # One frame per walked layer, each with at least two layers to go
+        # after it: [remaining, earlier-layer mask, lazily computed
+        # conflict masks by position, chosen mask].  ``depth`` is the pick
+        # node just entered; None resumes a frame whose leaf has been
+        # handled, to backtrack from it.
+        stack = [[rest, first, [None] * len(rest), 0]]
         depth: int | None = 0
         while stack:
             frame = stack[-1]
-            remaining, earlier, conflicts, taken, covers = frame
+            remaining, earlier, conflicts, taken = frame
             size = len(remaining)
             if depth is not None:
                 # All-exclusion descent to the leaf, one node per depth.
                 nodes += size - depth
                 if nodes > budget:
                     return out_of_budget
-                # Layers still to fill after this one: at least one, as a
-                # frame is opened only with two or more to go.
                 left = target_size - 1 - len(stack)
                 if taken and size - taken.bit_count() >= left:
                     nodes += 1
                     if nodes > budget:
                         return out_of_budget
-                    if left == 1:
-                        # The rest is a valid last layer exactly when
-                        # this layer meets every open cover: a cover
-                        # holds its own pair, so a met cover either
-                        # takes the pair out or divides its product.
-                        if covers is None:
-                            covers = frame[4] = sorted(
-                                set(open_covers(remaining, earlier)),
-                                key=int.bit_count,
-                            )
-                        for cover in covers:
-                            if not cover & taken:
-                                break
-                        else:
-                            last = sum(1 << h for h in remaining) ^ taken
-                            return found(
-                                [first] + [f[3] for f in stack] + [last],
-                                nodes,
-                            )
-                    else:
-                        rest = [h for h in remaining if not taken >> h & 1]
-                        below = earlier | taken
-                        stack.append([rest, below, [None] * len(rest), 0, None])
+                    rest = [h for h in remaining if not taken >> h & 1]
+                    below = earlier | taken
+                    if left > 2:
+                        stack.append([rest, below, [None] * len(rest), 0])
                         depth = 0
                         continue
+                    result = last_two(rest, below, [first] + [f[3] for f in stack])
+                    if result:
+                        return result
             # Backtrack to the deepest exclusion whose inclusion is allowed.
             j = size - 1
             while j >= 0:
@@ -556,7 +633,7 @@ def certificate_document(cert: SVPartition | RadicalCertificate) -> dict[str, ob
     """JSON-ready certificate: target, layers, sums, verification flags."""
     if isinstance(cert, SVPartition):
         check = verify_sv(cert)
-        sums = sv_sums(cert) if check else None
+        sums = _layer_sums(cert) if check else None
         target = cert.ideal
         layers = [
             [mono_str(m) for m in sorted(layer, key=mono_vars)]

@@ -2,6 +2,7 @@
 
 from itertools import combinations, permutations
 from operator import le, sub
+from typing import Iterator
 
 from matroidal import Ideal, as_matroidal, minimal_generators, mono, mono_vars
 
@@ -266,6 +267,149 @@ def reference_search_cert(mi, target_size: int, budget: int = 50000):
         return SearchResult(None, True, nodes)
     except _Budget:
         return SearchResult(None, False, nodes)
+
+
+def reference_walk_search_cert(mi, target_size: int, budget: int = 50000):
+    """The bitmask walk that visits every node of the layered-partition tree.
+
+    ``svrank.search_cert`` solves the layer before the last from its
+    conflict graph and counts the nodes of subtrees that cannot hold a
+    certificate instead of visiting them; the differential tests require
+    the same partition, ``exhausted`` flag and node count as this walk,
+    which keeps one explicit stack frame per open layer and tests every
+    leaf of the layer before the last against its open pair covers.
+    """
+    from matroidal import InvariantViolation, SearchResult, SVPartition, verify_sv
+    from matroidal.svrank import _PairCovers
+
+    if target_size < 1:
+        raise ValueError("target size must be at least one layer")
+    if budget < 0:
+        raise ValueError(f"search budget must be nonnegative, got {budget}")
+    gens = list(mi.ideal.gens)
+    if target_size > len(gens):
+        return SearchResult(None, True, 0)
+    row = _PairCovers(gens).row
+    out_of_budget = SearchResult(None, False, budget + 1)
+
+    def open_covers(layer: list[int], earlier: int) -> Iterator[int]:
+        # Covers of the pairs of ``layer`` that no earlier generator divides.
+        for k, a in enumerate(layer):
+            cover = row(a)
+            for b in layer[k + 1 :]:
+                if not cover[b] & earlier:
+                    yield cover[b]
+
+    def conflicts_of(remaining: list[int], j: int, earlier: int) -> int:
+        cover = row(remaining[j])
+        conflict = 0
+        for h in remaining[:j]:
+            if not cover[h] & earlier:
+                conflict |= 1 << h
+        return conflict
+
+    def found(masks: list[int], nodes: int) -> SearchResult:
+        layers = tuple(
+            frozenset(g for i, g in enumerate(gens) if mask >> i & 1)
+            for mask in masks
+        )
+        partition = SVPartition(mi.ideal, layers)
+        check = verify_sv(partition)
+        if not check:
+            raise InvariantViolation(
+                f"search produced an invalid partition: {check.failure}"
+            )
+        return SearchResult(partition, False, nodes)
+
+    if target_size == 1:
+        # The only layer is the singleton P_0.
+        return found([1], 0) if len(gens) == 1 else SearchResult(None, True, 0)
+    nodes = 0
+    for p0 in range(len(gens)):
+        first = 1 << p0
+        rest = [h for h in range(len(gens)) if h != p0]
+        nodes += 1
+        if nodes > budget:
+            return out_of_budget
+        if target_size == 2:
+            if next(open_covers(rest, first), None) is None:
+                return found([first, sum(1 << h for h in rest)], nodes)
+            continue
+        # One frame per open layer: [remaining, earlier-layer mask,
+        # lazily computed conflict masks by position, chosen mask, and for
+        # the layer before the last, the lazily computed open covers,
+        # smallest first as those are the likeliest to be missed].
+        # ``depth`` is the pick node just entered; None resumes a frame
+        # whose leaf has been handled, to backtrack from it.
+        stack = [[rest, first, [None] * len(rest), 0, None]]
+        depth: int | None = 0
+        while stack:
+            frame = stack[-1]
+            remaining, earlier, conflicts, taken, covers = frame
+            size = len(remaining)
+            if depth is not None:
+                # All-exclusion descent to the leaf, one node per depth.
+                nodes += size - depth
+                if nodes > budget:
+                    return out_of_budget
+                # Layers still to fill after this one: at least one, as a
+                # frame is opened only with two or more to go.
+                left = target_size - 1 - len(stack)
+                if taken and size - taken.bit_count() >= left:
+                    nodes += 1
+                    if nodes > budget:
+                        return out_of_budget
+                    if left == 1:
+                        # The rest is a valid last layer exactly when
+                        # this layer meets every open cover: a cover
+                        # holds its own pair, so a met cover either
+                        # takes the pair out or divides its product.
+                        if covers is None:
+                            covers = frame[4] = sorted(
+                                set(open_covers(remaining, earlier)),
+                                key=int.bit_count,
+                            )
+                        for cover in covers:
+                            if not cover & taken:
+                                break
+                        else:
+                            last = sum(1 << h for h in remaining) ^ taken
+                            return found(
+                                [first] + [f[3] for f in stack] + [last],
+                                nodes,
+                            )
+                    else:
+                        rest = [h for h in remaining if not taken >> h & 1]
+                        below = earlier | taken
+                        stack.append([rest, below, [None] * len(rest), 0, None])
+                        depth = 0
+                        continue
+            # Backtrack to the deepest exclusion whose inclusion is allowed.
+            j = size - 1
+            while j >= 0:
+                bit = 1 << remaining[j]
+                if taken & bit:
+                    taken ^= bit
+                else:
+                    conflict = conflicts[j]
+                    if conflict is None:
+                        conflict = conflicts[j] = conflicts_of(
+                            remaining, j, earlier
+                        )
+                    if not conflict & taken:
+                        taken |= bit
+                        nodes += 1
+                        if nodes > budget:
+                            return out_of_budget
+                        break
+                j -= 1
+            if j < 0:
+                stack.pop()
+                depth = None
+            else:
+                frame[3] = taken
+                depth = j + 1
+    return SearchResult(None, True, nodes)
 
 
 def reference_check_matroidal(ideal: Ideal):

@@ -1,8 +1,15 @@
+import contextlib
 import functools
+import io
 import json
+import re
+import tempfile
 from itertools import combinations
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import matroidal.cli
 from matroidal import verify_radical_cert
@@ -387,3 +394,67 @@ def test_usage_errors(capsys):
     assert main(["bogus"]) == 3
     assert main(["enumerate", "--n", "10", "--d", "5"]) == 3
     assert main(["check", "/nonexistent/file.txt"]) == 3
+
+
+_GOOD_LINES = V42.splitlines()[1:]
+_BAD_HEADERS = ["", "m=4", "n=", "n=-1", "n=0", "n=65", "n=4.0", "n=four", "x1 x2"]
+_OUT_OF_RANGE = ["x0", "x5", "x65", "x" + "9" * 30, "x" + "1" * 5000]
+
+
+def _repeated_variable():
+    # x_v twice in one generator: a square, which no square-free file holds.
+    return st.tuples(
+        st.integers(1, 4), st.lists(st.integers(1, 4), max_size=2)
+    ).map(lambda t: " ".join(f"x{v}" for v in (t[0], *t[1], t[0])))
+
+
+def _bad_token():
+    return st.text("xyn01234*=.-,", min_size=1, max_size=6).filter(
+        lambda t: re.fullmatch(r"x\d+", t) is None
+    )
+
+
+@st.composite
+def _malformed_ideal_file(draw):
+    lines = list(_GOOD_LINES)
+    if draw(st.booleans()):
+        header = draw(st.sampled_from(_BAD_HEADERS))
+    else:
+        header = "n=4"
+        bad = draw(
+            st.one_of(
+                _repeated_variable(),
+                _bad_token(),
+                st.sampled_from(_OUT_OF_RANGE),
+            )
+        )
+        prefix = draw(st.sampled_from(["", "x1 ", "x2 x3 "]))
+        lines.insert(draw(st.integers(0, len(lines))), prefix + bad)
+    return "\n".join([header, *lines]) + "\n"
+
+
+@given(
+    text=_malformed_ideal_file(),
+    command=st.sampled_from(["check", "analyze", "decompose", "partition", "cert"]),
+)
+@settings(max_examples=80, deadline=None)
+def test_malformed_ideal_files_are_usage_errors(text, command):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "ideal.txt"
+        path.write_text(text)
+        err = io.StringIO()
+        out = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(out):
+            code = main([command, str(path)])
+    assert code == 3, (text, out.getvalue())
+    assert out.getvalue() == ""
+    assert err.getvalue().startswith(f"usage error: cannot read ideal from {path}: ")
+    assert "Traceback" not in err.getvalue()
+
+
+def test_a_repeated_variable_is_a_usage_error(capsys, tmp_path):
+    # Read as x1 before, so the file passed as the matroidal ideal (x1).
+    path = tmp_path / "square.txt"
+    path.write_text("n=1\nx1 x1\n")
+    assert main(["check", str(path)]) == 3
+    assert "repeated variable x1" in capsys.readouterr().err

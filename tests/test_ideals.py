@@ -223,6 +223,17 @@ def test_text_format_rejects_garbage():
         parse_ideal("x1 x2\n")
 
 
+
+def test_repeated_variable_is_not_square_free():
+    # x1 x1 is the square x1^2, not the generator x1.
+    with pytest.raises(ValueError, match="repeated variable x1"):
+        parse_ideal("n=2\nx1 x1\n")
+    with pytest.raises(ValueError, match="repeated variable x3"):
+        parse_ideal("n=3\nx1 x2\nx3 x2 x3\n")
+    with pytest.raises(ValueError, match="repeated variable x1"):
+        parse_mono("x1*x1")
+    assert parse_mono("x2*x1") == parse_mono("x1*x2")
+
 def test_whole_ring_not_representable():
     with pytest.raises(ValueError):
         format_ideal(minimal_generators({UNIT}, 2))

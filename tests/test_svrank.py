@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import matroidal.svrank
 from matroidal import (
     SVPartition,
     ara_bounds,
@@ -36,6 +37,7 @@ from helpers import (
     matroidal_of,
     partition_shapes,
     reference_search_cert,
+    reference_walk_search_cert,
 )
 
 SEARCH_BUDGETS = (0, 7, 300, 20000)
@@ -294,6 +296,69 @@ def test_search_counters_are_pinned(enum_cache, n, d, searches, nodes):
     assert all(r.partition is not None for r in results)
 
 
+
+def _unconstructed(ideals):
+    return [mi for mi in ideals if construct_certificate(mi) is None]
+
+
+def _assert_search_matches_walk(mi, size, budgets):
+    for budget in budgets:
+        fast = _outcome(search_cert(mi, size, budget=budget))
+        walk = _outcome(reference_walk_search_cert(mi, size, budget=budget))
+        assert fast == walk, (mi.ideal.gens, size, budget)
+
+
+def test_search_cert_matches_the_walk_on_every_63_search(enum_cache):
+    # The 1,141 labeled (6,3) searches of the scan, where the layer before
+    # the last is solved and its dead subtrees counted rather than walked.
+    hard = _unconstructed(enum_cache(6, 3))
+    assert len(hard) == 1141
+    for mi in hard:
+        _assert_search_matches_walk(mi, 4, [20000])
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_search_cert_runs_out_inside_a_counted_subtree(enum_cache, data):
+    # Just below the node count of a successful search, most budgets run
+    # out inside a subtree that is counted instead of walked; the search
+    # must still stop at budget + 1 nodes with no partition.
+    n, d = data.draw(st.sampled_from(((5, 3), (6, 3), (6, 4))))
+    mi = data.draw(st.sampled_from(_unconstructed(enum_cache(n, d, True))))
+    size = n - d + 1
+    full = reference_walk_search_cert(mi, size, budget=20000)
+    assert full.partition is not None
+    budget = full.nodes - data.draw(st.integers(1, min(full.nodes, 64)))
+    result = search_cert(mi, size, budget=budget)
+    assert _outcome(result) == (None, False, budget + 1)
+    _assert_search_matches_walk(mi, size, [budget])
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("n,d", [(7, 3), (7, 4)])
+def test_search_cert_matches_the_walk_on_n7_orbits(enum_cache, n, d):
+    for mi in _unconstructed(enum_cache(n, d, True)):
+        _assert_search_matches_walk(mi, n - d + 1, SEARCH_BUDGETS)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize(
+    "n,d,size,searches,nodes,found,budget_outs",
+    [(7, 3, 5, 65, 1172520, 7, 58), (7, 4, 4, 81, 1222204, 29, 52)],
+)
+def test_deep_search_counters_are_pinned(
+    enum_cache, n, d, size, searches, nodes, found, budget_outs
+):
+    # Measured on the walk at budget 20,000.  At size 5 two walked layers
+    # sit above the one that is solved.
+    hard = _unconstructed(enum_cache(n, d, True))
+    results = [search_cert(mi, size, budget=20000) for mi in hard]
+    assert len(results) == searches
+    assert sum(r.nodes for r in results) == nodes
+    assert sum(r.partition is not None for r in results) == found
+    assert sum(r.nodes == 20001 for r in results) == budget_outs
+    assert not any(r.exhausted for r in results)
+
 def test_ara_bounds_examples():
     bounds = ara_bounds(veronese(4, 2))
     assert (bounds.lower, bounds.upper, bounds.exact) == (3, 3, True)
@@ -345,3 +410,20 @@ def test_certificate_document_roundtrip():
     assert doc["layers"] is None
     assert doc["verified_sv"] is False
     assert len(doc["sums"]) == 2
+
+
+def test_certificate_document_verifies_once(monkeypatch):
+    partition = veronese_cert(5, 2)
+    expected = certificate_document(partition)
+    calls = []
+
+    def counted(p):
+        calls.append(p)
+        return verify_sv(p)
+
+    monkeypatch.setattr(matroidal.svrank, "verify_sv", counted)
+    assert certificate_document(partition) == expected
+    assert calls == [partition]
+    bad = SVPartition(partition.ideal, (frozenset(partition.ideal.gens),))
+    doc = certificate_document(bad)
+    assert (doc["verified_sv"], doc["sums"]) == (False, [])
