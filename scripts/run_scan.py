@@ -24,8 +24,11 @@ def main() -> int:
     parser.set_defaults(sym=True)
     args = parser.parse_args()
 
-    report = conjecture_scan(args.n, args.d, budget=args.budget,
-                             up_to_symmetry=args.sym)
+    try:
+        report = conjecture_scan(args.n, args.d, budget=args.budget,
+                                 up_to_symmetry=args.sym)
+    except ValueError as exc:
+        parser.error(str(exc))
     if args.json:
         print(json.dumps(dataclasses.asdict(report), indent=2))
     else:

@@ -331,8 +331,11 @@ def conjecture_scan(
     """Attempt a size-(n-d+1) certificate for every enumerated ideal.
 
     The battery's construction is reused; ``search_cert`` runs only for
-    the ideals no construction covers.
+    the ideals no construction covers.  A negative ``budget`` raises
+    ValueError before anything is enumerated, searched or not.
     """
+    if budget < 0:
+        raise ValueError(f"search budget must be nonnegative, got {budget}")
     start = time.perf_counter()
     counts = {name: {"pass": 0, "fail": 0, "skip": 0} for name in THEOREMS}
     total = certified = inconclusive = 0

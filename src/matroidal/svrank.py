@@ -17,7 +17,7 @@ A complete layered-partition search covers everything else.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .decomposition import (
     degree2_partition,
@@ -347,29 +347,6 @@ class _Dividers(dict):
         return cover
 
 
-class _PairCovers:
-    """Lazily built table of the generators dividing each pairwise product.
-
-    ``row(a)[b]`` is the bitmask of generator indices w with w dividing
-    gens[a] * gens[b].  A row is built the first time generator a is
-    tested, from entries memoised by the product's support (``_Dividers``).
-    """
-
-    def __init__(self, gens: list[Monomial]):
-        self._gens = gens
-        self._dividers = _Dividers(gens)
-        self._rows: list[list[int] | None] = [None] * len(gens)
-
-    def row(self, a: int) -> list[int]:
-        cached = self._rows[a]
-        if cached is not None:
-            return cached
-        dividers = self._dividers
-        ga = self._gens[a]
-        row = self._rows[a] = [dividers[ga | g] for g in self._gens]
-        return row
-
-
 def search_cert(
     mi: MatroidalIdeal, target_size: int, budget: int = 50000
 ) -> SearchResult:
@@ -377,33 +354,41 @@ def search_cert(
 
     Layers are filled in order, so the divisibility condition for a layer
     is decided exactly against the finalized earlier layers: every pruned
-    branch is genuinely dead.  Generators are taken in canonical order and
-    subsets enumerated exclusion-first, which reaches small early layers
-    (the shape the constructions produce) quickly.
+    branch is genuinely dead.  Generators are indices and sets of them int
+    bitmasks.  Two candidates of a layer conflict when no generator of an
+    earlier layer divides their product (``_Dividers``); a layer takes an
+    independent set S of this conflict graph.
 
-    Generators are handled by index and sets of them as int bitmasks: a
-    pair of layer candidates is compatible when the lazily built pair-cover
-    bitmask (the generators dividing their product) meets the mask of the
-    earlier layers.  Within a layer, each candidate's "cannot share a layer
-    with" mask is computed once, so admissibility is one AND against the
-    chosen set.  The walk keeps its own stack instead of recursing once
-    per generator; the solver below recurses once per member of the layer
-    it builds.  Every node of the exclusion-first subset tree costs one
-    unit of ``budget``, counted exactly as the list-based reference search
-    in the test suite counts it; a search that runs out reports
-    ``budget + 1`` nodes.
+    After each singleton P_0 every layer goes through one routine, which
+    yields its sets S in the order of the exclusion-first walk over its
+    candidates: highest candidate first, each S before its extensions by
+    higher candidates, which reaches small early layers (the shape the
+    constructions produce) quickly.  Each node of that walk costs one unit
+    of ``budget``, as the list-based reference search in the test suite
+    counts it: a layer of ``size`` candidates adds ``size`` for its
+    all-exclusion descent, and each S adds size minus the position of its
+    highest member (that member's pick and the descent below it), plus a
+    leaf node when S leaves a generator for each later layer; only then
+    does the search go on below S.  The last layer takes what is left and
+    adds nothing: its node is the leaf before it.  The budget is checked
+    on the running total, so the search runs out where the walk would and
+    reports ``budget + 1`` nodes.
 
-    The layer before the last is solved, not walked.  Its candidates S are
-    the independent sets of the conflict graph (two remaining generators
-    conflict when no earlier one divides their product), met in the walk's
-    order, and S leaves a valid last layer exactly when it meets every open
-    cover.  Each S adds the walk's nodes for it: its all-exclusion descent
-    and its leaf (S never takes everything: the first S is valid when no
-    pair conflicts).  When an open cover misses the taken set and every
-    later candidate that can join it, no extension can meet that cover and
-    the walk would return nothing there, so the subtree's nodes are counted
-    instead (memoised per layer).  The budget is checked on the running
-    total: it runs out where the walk's would.
+    The layer before the last yields only the S that meet every open
+    cover, the generators dividing the product of a conflicting pair:
+    exactly the S that leave a valid last layer, as a cover holds its own
+    pair.  When a cover misses the taken set and every later candidate
+    that can join it, no S in that subtree is yielded, so its nodes are
+    counted, not walked, by the highest member h of the candidates K:
+    c(K) = c(K - h) + 1 + c(K - h - N(h)), memoised per layer.  The count
+    is exact because the walk's cost of an S depends on S alone.  That
+    layer builds its whole conflict graph up front, for the covers; a
+    walked layer finds a candidate's conflicts with higher ones when the
+    walk first reaches it.
+
+    Python recursion stays within one layer: once per member of S, which
+    comes after its 2^|S| - 2 other nonempty subsets at a node each, or
+    of a counted set.  The open layers sit on an explicit stack.
     """
     if target_size < 1:
         raise ValueError("target size must be at least one layer")
@@ -412,21 +397,14 @@ def search_cert(
     gens = list(mi.ideal.gens)
     if target_size > len(gens):
         return SearchResult(None, True, 0)
-    row = _PairCovers(gens).row
-    out_of_budget = SearchResult(None, False, budget + 1)
+    dividers = _Dividers(gens)
+    nodes = 0
 
-    def conflicts_of(remaining: list[int], j: int, earlier: int) -> int:
-        cover = row(remaining[j])
-        conflict = 0
-        for h in remaining[:j]:
-            if not cover[h] & earlier:
-                conflict |= 1 << h
-        return conflict
-
-    def found(masks: list[int], nodes: int) -> SearchResult:
+    def found(used: list[int]) -> SearchResult:
+        # ``used[k]``: the generators of layers 0..k.
         layers = tuple(
-            frozenset(g for i, g in enumerate(gens) if mask >> i & 1)
-            for mask in masks
+            frozenset(g for i, g in enumerate(gens) if (mask ^ below) >> i & 1)
+            for below, mask in zip([0] + used, used)
         )
         partition = SVPartition(mi.ideal, layers)
         check = verify_sv(partition)
@@ -436,30 +414,42 @@ def search_cert(
             )
         return SearchResult(partition, False, nodes)
 
-    def last_two(
-        remaining: list[int], earlier: int, upper: list[int]
-    ) -> SearchResult | None:
-        # The search's result if it ends in these last two layers, under
-        # the layers ``upper``; None once they are exhausted.
+    def layer(cands: int, earlier: int, left: int) -> Iterator[int]:
+        # The sets S this layer takes from the candidates ``cands`` under
+        # the ``earlier`` layers, ``left`` layers before the end, in order.
         nonlocal nodes
-        size = len(remaining)
+        members = [i for i in range(len(gens)) if cands >> i & 1]
+        size = len(members)
+        if not left:
+            # Only at size 2; later on, the layer before yields valid rests.
+            if all(
+                dividers[gens[a] | gens[b]] & earlier
+                for j, a in enumerate(members)
+                for b in members[:j]
+            ):
+                yield cands
+            return
         nodes += size  # the all-exclusion entry descent
         if nodes > budget:
-            return out_of_budget
-        full = 0
-        weight = [0] * len(gens)  # by index: size - position, the descent
-        conflict = [0] * len(gens)
-        covers: set[int] = set()
-        for j, a in enumerate(remaining):
-            bit = 1 << a
-            full |= bit
+            return
+        weight = [0] * len(gens)  # by index: size - position
+        for j, a in enumerate(members):
             weight[a] = size - j
-            cover = row(a)
-            for b in remaining[:j]:
-                if not cover[b] & earlier:
-                    conflict[a] |= 1 << b
-                    conflict[b] |= bit
-                    covers.add(cover[b])
+        covers: set[int] = set()
+        if left == 1:
+            conflict: list[int | None] = [0] * len(gens)
+            seen: list[tuple[int, Monomial]] = []
+            for a in members:
+                ga, bit = gens[a], 1 << a
+                for b, gb in seen:
+                    cover = dividers[ga | gb]
+                    if not cover & earlier:
+                        conflict[a] |= 1 << b
+                        conflict[b] |= bit
+                        covers.add(cover)
+                seen.append((a, ga))
+        else:
+            conflict = [None] * len(gens)  # conflicts above, once reached
         counted: dict[int, tuple[int, int]] = {}
 
         def count(cands: int) -> tuple[int, int]:
@@ -481,9 +471,12 @@ def search_cert(
             counted[cands] = number, cost
             return number, cost
 
-        def solve(taken: int, cands: int, missing: list[int]) -> int:
-            # The first valid extension of ``taken`` by independent subsets
-            # of ``cands``, or 0; ``missing``: the covers ``taken`` misses.
+        def extend(
+            taken: int, cands: int, missing: list[int], spare: int
+        ) -> Iterator[int]:
+            # ``taken`` plus each nonempty independent subset of ``cands``;
+            # ``missing``: the open covers ``taken`` misses; ``spare``:
+            # size - left - |taken|, positive when taken + c has a leaf.
             nonlocal nodes
             inter = alive = -1
             for cover in missing:
@@ -493,104 +486,60 @@ def search_cert(
             if above:
                 nodes += (counted.get(above) or count(above))[1]
             cands &= alive
+            leaf = spare > 0
             while cands:
                 c = cands.bit_length() - 1
-                cands ^= 1 << c
-                chosen = taken | 1 << c
-                nodes += weight[c] + 1
+                bit = 1 << c
+                cands ^= bit
+                chosen = taken | bit
+                nodes += weight[c] + leaf
                 if nodes > budget:
-                    return 0
-                if inter >> c & 1:
-                    return chosen
-                later = above & ~conflict[c]
-                if later:
-                    rest = [cover for cover in missing if not cover >> c & 1]
-                    chosen = solve(chosen, later, rest)
-                    if chosen or nodes > budget:
-                        return chosen
-                above |= 1 << c
-            return 0
+                    return
+                if leaf and inter >> c & 1:
+                    yield chosen
+                if above:
+                    conflicting = conflict[c]
+                    if conflicting is None:
+                        gc, conflicting = gens[c], 0
+                        for b in members[size - weight[c] + 1 :]:
+                            if not dividers[gc | gens[b]] & earlier:
+                                conflicting |= 1 << b
+                        conflict[c] = conflicting
+                    later = above & ~conflicting
+                    if later:
+                        rest = [cover for cover in missing if not cover >> c & 1]
+                        yield from extend(chosen, later, rest, spare - 1)
+                above |= bit
 
-        taken = solve(0, full, list(covers))
-        if nodes > budget:
-            return out_of_budget
-        return found(upper + [taken, full ^ taken], nodes) if taken else None
+        yield from extend(0, cands, list(covers), size - left)
 
     if target_size == 1:
         # The only layer is the singleton P_0.
-        return found([1], 0) if len(gens) == 1 else SearchResult(None, True, 0)
-    nodes = 0
+        return found([1]) if len(gens) == 1 else SearchResult(None, True, 0)
+    everyone = (1 << len(gens)) - 1
     for p0 in range(len(gens)):
-        first = 1 << p0
-        rest = [h for h in range(len(gens)) if h != p0]
         nodes += 1
         if nodes > budget:
-            return out_of_budget
-        if target_size == 2:
-            # One layer after P_0: every pair in it needs a cover in P_0.
-            if all(row(a)[b] & first for a in rest for b in rest if a < b):
-                return found([first, sum(1 << h for h in rest)], nodes)
-            continue
-        if target_size == 3:
-            result = last_two(rest, first, [first])
-            if result:
-                return result
-            continue
-        # One frame per walked layer, each with at least two layers to go
-        # after it: [remaining, earlier-layer mask, lazily computed
-        # conflict masks by position, chosen mask].  ``depth`` is the pick
-        # node just entered; None resumes a frame whose leaf has been
-        # handled, to backtrack from it.
-        stack = [[rest, first, [None] * len(rest), 0]]
-        depth: int | None = 0
+            return SearchResult(None, False, budget + 1)
+        # One routine per open layer; ``used[k]`` holds the generators of
+        # the layers below ``stack[k]``.
+        used = [1 << p0]
+        stack = [layer(everyone ^ used[0], used[0], target_size - 2)]
         while stack:
-            frame = stack[-1]
-            remaining, earlier, conflicts, taken = frame
-            size = len(remaining)
-            if depth is not None:
-                # All-exclusion descent to the leaf, one node per depth.
-                nodes += size - depth
-                if nodes > budget:
-                    return out_of_budget
-                left = target_size - 1 - len(stack)
-                if taken and size - taken.bit_count() >= left:
-                    nodes += 1
-                    if nodes > budget:
-                        return out_of_budget
-                    rest = [h for h in remaining if not taken >> h & 1]
-                    below = earlier | taken
-                    if left > 2:
-                        stack.append([rest, below, [None] * len(rest), 0])
-                        depth = 0
-                        continue
-                    result = last_two(rest, below, [first] + [f[3] for f in stack])
-                    if result:
-                        return result
-            # Backtrack to the deepest exclusion whose inclusion is allowed.
-            j = size - 1
-            while j >= 0:
-                bit = 1 << remaining[j]
-                if taken & bit:
-                    taken ^= bit
-                else:
-                    conflict = conflicts[j]
-                    if conflict is None:
-                        conflict = conflicts[j] = conflicts_of(
-                            remaining, j, earlier
-                        )
-                    if not conflict & taken:
-                        taken |= bit
-                        nodes += 1
-                        if nodes > budget:
-                            return out_of_budget
-                        break
-                j -= 1
-            if j < 0:
+            taken = next(stack[-1], 0)
+            if nodes > budget:
+                return SearchResult(None, False, budget + 1)
+            if not taken:
                 stack.pop()
-                depth = None
-            else:
-                frame[3] = taken
-                depth = j + 1
+                used.pop()
+                continue
+            below = used[-1] | taken
+            left = target_size - 1 - len(stack)
+            if left < 2:
+                # The rest, if any, is the last layer.
+                return found(used + [below] + [everyone] * left)
+            used.append(below)
+            stack.append(layer(everyone ^ below, below, left - 1))
     return SearchResult(None, True, nodes)
 
 

@@ -272,15 +272,16 @@ def reference_search_cert(mi, target_size: int, budget: int = 50000):
 def reference_walk_search_cert(mi, target_size: int, budget: int = 50000):
     """The bitmask walk that visits every node of the layered-partition tree.
 
-    ``svrank.search_cert`` solves the layer before the last from its
+    ``svrank.search_cert`` yields each layer's independent sets from its
     conflict graph and counts the nodes of subtrees that cannot hold a
     certificate instead of visiting them; the differential tests require
     the same partition, ``exhausted`` flag and node count as this walk,
     which keeps one explicit stack frame per open layer and tests every
-    leaf of the layer before the last against its open pair covers.
+    leaf of the layer before the last against its open pair covers.  It
+    shares no search code with the library: its pair covers come from a
+    plain divisibility scan over the generators.
     """
     from matroidal import InvariantViolation, SearchResult, SVPartition, verify_sv
-    from matroidal.svrank import _PairCovers
 
     if target_size < 1:
         raise ValueError("target size must be at least one layer")
@@ -289,7 +290,21 @@ def reference_walk_search_cert(mi, target_size: int, budget: int = 50000):
     gens = list(mi.ideal.gens)
     if target_size > len(gens):
         return SearchResult(None, True, 0)
-    row = _PairCovers(gens).row
+    dividing: dict[int, int] = {}  # by the product's support
+    rows: list[list[int] | None] = [None] * len(gens)
+
+    def row(a: int) -> list[int]:
+        # row(a)[b]: the generators dividing gens[a] * gens[b], as a mask.
+        if rows[a] is None:
+            for g in gens:
+                prod = gens[a] | g
+                if prod not in dividing:
+                    dividing[prod] = sum(
+                        1 << w for w, h in enumerate(gens) if h & prod == h
+                    )
+            rows[a] = [dividing[gens[a] | g] for g in gens]
+        return rows[a]
+
     out_of_budget = SearchResult(None, False, budget + 1)
 
     def open_covers(layer: list[int], earlier: int) -> Iterator[int]:

@@ -343,6 +343,34 @@ def test_scan_searches_only_where_no_construction_applies(monkeypatch):
     assert len(calls) == 80
 
 
+def test_scan_rejects_a_negative_budget_before_enumerating(monkeypatch):
+    # (4,2) never searches: only the up-front check can reject its budget.
+    def refuse(*args, **kwargs):
+        raise AssertionError("enumerated with a negative budget")
+
+    monkeypatch.setattr(matroidal.enumeration, "enumerate_matroidal", refuse)
+    for n, d in ((4, 2), (5, 3)):
+        with pytest.raises(ValueError, match="must be nonnegative, got -1"):
+            conjecture_scan(n, d, budget=-1)
+
+
+def test_run_scan_reports_a_negative_budget_as_a_usage_error():
+    root = Path(__file__).resolve().parents[1]
+    src = str(Path(matroidal.__file__).resolve().parents[1])
+    for n, d in (("4", "2"), ("5", "3")):
+        result = subprocess.run(
+            [sys.executable, str(root / "scripts" / "run_scan.py"),
+             "--n", n, "--d", d, "--budget", "-1"],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert result.returncode == 2, (n, d, result.stdout)
+        assert "search budget must be nonnegative, got -1" in result.stderr
+        assert "Traceback" not in result.stderr
+
+
 def test_scan_degree2_fully_certified():
     report = conjecture_scan(4, 2, budget=1000, up_to_symmetry=False)
     assert report.total_ideals == 14

@@ -1,4 +1,5 @@
 import random
+import sys
 from math import comb
 
 import pytest
@@ -332,6 +333,32 @@ def test_search_cert_runs_out_inside_a_counted_subtree(enum_cache, data):
     result = search_cert(mi, size, budget=budget)
     assert _outcome(result) == (None, False, budget + 1)
     _assert_search_matches_walk(mi, size, [budget])
+
+
+def test_search_cert_matches_the_walk_over_several_walked_layers(enum_cache):
+    # Sizes n - d + 2 to n - d + 4 put one to four walked layers above the
+    # layer before the last: 624 (ideal, size, budget) cases.
+    for n, d in ((5, 3), (6, 3), (6, 4)):
+        for mi in enum_cache(n, d, True):
+            for size in range(n - d + 2, n - d + 5):
+                _assert_search_matches_walk(mi, size, SEARCH_BUDGETS)
+
+
+def test_search_cert_keeps_deep_layer_stacks_off_the_python_stack():
+    # 924 singleton layers: a search that recursed once per layer would
+    # raise RecursionError under the default limit.
+    v = veronese(12, 6)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        result = search_cert(v, 924, budget=500000)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert result.nodes == 428270
+    assert not result.exhausted
+    assert len(result.partition.layers) == 924
+    assert all(len(layer) == 1 for layer in result.partition.layers)
+    assert verify_sv(result.partition)
 
 
 @pytest.mark.slow
