@@ -10,17 +10,31 @@ import sys
 import time
 
 from matroidal import enumerate_matroidal, theorem_battery
-from matroidal.enumeration import THEOREMS
+from matroidal.enumeration import THEOREMS, _check_cell
 
-DEFAULT_CELLS = ["2,1", "3,2", "4,2", "5,2", "6,2", "4,3", "5,3", "6,3"]
+DEFAULT_CELLS = [(2, 1), (3, 2), (4, 2), (5, 2), (6, 2), (4, 3), (5, 3), (6, 3)]
+
+
+def grid_cell(text: str) -> tuple[int, int]:
+    """An argparse type: an ``n,d`` pair that the enumeration takes."""
+    try:
+        n, d = (int(x) for x in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"a cell is two integers n,d, got {text!r}"
+        ) from None
+    try:
+        _check_cell(n, d, False)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return n, d
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--cells", nargs="*", default=DEFAULT_CELLS,
+    parser.add_argument("--cells", nargs="*", type=grid_cell, default=DEFAULT_CELLS,
                         help="grid cells as n,d pairs")
-    args = parser.parse_args()
-    cells = [tuple(int(x) for x in cell.split(",")) for cell in args.cells]
+    cells = parser.parse_args().cells
 
     header = f"{'cell':>7} {'ideals':>7} {'CM':>4} {'unmixed':>8} {'exact ara':>10} {'time':>7}  fails"
     print(header)

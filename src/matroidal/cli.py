@@ -81,6 +81,29 @@ def _var_sets(sets) -> str:
     return "; ".join("{" + ", ".join(f"x{v}" for v in sorted(p)) + "}" for p in sets)
 
 
+def _witness_text(failure: str | None, witness: object) -> str:
+    """A check's witness with its monomials written as ``x1*x2``.
+
+    Covers the bitmask witnesses of ``check_matroidal`` and ``verify_sv``;
+    the others (an exchange triple, a layer index or size) print as they are.
+    """
+    if failure == "mixed_degrees":
+        return ", ".join(mono_str(g) for g in witness)
+    if failure == "overlap":
+        i, g = witness
+        return f"layer {i}, {mono_str(g)}"
+    if failure == "pair":
+        i, a, b = witness
+        return f"layer {i}, {mono_str(a)}, {mono_str(b)}"
+    if failure == "union_mismatch":
+        missing, extra = witness
+        return "; ".join(
+            f"{name} [{', '.join(mono_str(g) for g in gens)}]"
+            for name, gens in (("missing", missing), ("extra", extra))
+        )
+    return str(witness)
+
+
 def _emit(args, payload: dict, text_lines: list[str]) -> None:
     if args.json:
         print(json.dumps(payload))
@@ -107,7 +130,7 @@ def _require_matroidal(ideal: Ideal) -> MatroidalIdeal | str:
     except ValueError as exc:
         return str(exc)
     if not check:
-        return f"not matroidal ({check.failure}): {check.witness}"
+        return f"not matroidal ({check.failure}): {_witness_text(check.failure, check.witness)}"
     return check.matroidal
 
 
@@ -128,13 +151,14 @@ def _cmd_check(args) -> int:
         }
         _emit(args, payload, [f"matroidal: d={mi.d}, {len(ideal.gens)} generators"])
         return OK
+    witness = _witness_text(check.failure, check.witness)
     payload = {
         "matroidal": False,
         "n": ideal.n,
         "failure": check.failure,
-        "witness": str(check.witness),
+        "witness": witness,
     }
-    _emit(args, payload, [f"not matroidal ({check.failure}): {check.witness}"])
+    _emit(args, payload, [f"not matroidal ({check.failure}): {witness}"])
     return CHECK_FAILED
 
 
@@ -263,9 +287,10 @@ def _cmd_verify_cert(args) -> int:
         check = verify_sv(partition)
         payload["verified_sv"] = bool(check)
         if not check:
+            witness = _witness_text(check.failure, check.witness)
             payload["failure"] = check.failure
-            payload["witness"] = str(check.witness)
-            _emit(args, payload, [f"sv check failed ({check.failure}): {check.witness}"])
+            payload["witness"] = witness
+            _emit(args, payload, [f"sv check failed ({check.failure}): {witness}"])
             return CHECK_FAILED
         cert = sv_sums(partition)
     else:

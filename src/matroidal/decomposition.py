@@ -3,7 +3,7 @@
 Minimal primes of a square-free monomial ideal are the minimal transversals
 of the generator supports: variable sets meeting every generator, none of
 whose proper subsets do.  On matroidal input they are the cocircuits of the
-matroid, read off as its fundamental cocircuits in O(|G| d n) lookups.
+matroid, read off as its fundamental cocircuits in O(|G| d) dict updates.
 Other input (mixed degrees, or a failing exchange) goes through a
 branch-and-bound on an uncovered generator, pruning strict supersets of
 transversals already found.
@@ -71,10 +71,10 @@ def minimal_primes(ideal: Ideal) -> PrimeDecomposition:
         found = _fundamental_cocircuits(gens)
     if found is None:
         found = _minimal_transversals(gens)
-    ordered = sorted(found, key=lambda c: (c.bit_count(), mono_vars(c)))
-    heights = {c.bit_count() for c in ordered}
+    ordered = sorted((c.bit_count(), mono_vars(c)) for c in found)
+    heights = {h for h, _ in ordered}
     return PrimeDecomposition(
-        primes=tuple(frozenset(mono_vars(c)) for c in ordered),
+        primes=tuple(frozenset(vs) for _, vs in ordered),
         height=min(heights),
         unmixed=len(heights) == 1,
     )

@@ -115,12 +115,11 @@ def relabel_ideal(ideal: Ideal, perm: tuple[int, ...]) -> Ideal:
     return Ideal(ideal.n, gens)
 
 
-def enumerate_matroidal(n: int, d: int, up_to_symmetry: bool = False):
-    """Yield every matroidal ideal of degree d with support {x1..xn}.
+def _check_cell(n: int, d: int, up_to_symmetry: bool) -> None:
+    """Raise ValueError unless ``enumerate_matroidal`` takes the cell (n, d).
 
-    Deterministic and restart-stable.  With ``up_to_symmetry`` only the
-    ideals equal to their own canonical form are yielded, one per
-    relabeling orbit.
+    The enumeration is a generator and checks only when first resumed, so
+    a caller that must reject a bad cell before any output calls this.
     """
     if not 1 <= d <= n:
         raise ValueError(f"need 1 <= d <= n, got d={d}, n={n}")
@@ -135,6 +134,16 @@ def enumerate_matroidal(n: int, d: int, up_to_symmetry: bool = False):
         )
     if up_to_symmetry and n > MAX_SYMMETRY_VARS:
         raise ValueError(f"symmetry reduction supported up to n={MAX_SYMMETRY_VARS}")
+
+
+def enumerate_matroidal(n: int, d: int, up_to_symmetry: bool = False):
+    """Yield every matroidal ideal of degree d with support {x1..xn}.
+
+    Deterministic and restart-stable.  With ``up_to_symmetry`` only the
+    ideals equal to their own canonical form are yielded, one per
+    relabeling orbit.
+    """
+    _check_cell(n, d, up_to_symmetry)
     subsets = [mono(c) for c in combinations(range(1, n + 1), d)]
     k = len(subsets)
     position = {s: t for t, s in enumerate(subsets)}

@@ -4,9 +4,9 @@ An equal-degree square-free monomial ideal is matroidal when its generator
 supports satisfy the basis exchange condition: for generators B1, B2 and
 any x in B1 - B2 there is a y in B2 - B1 with (B1 - x) + y again a
 generator.  The checker builds the fundamental cocircuits
-C(B, x) = {x} + {y not in B : B - x + y in G} of every generator B with
-hashed lookups, O(|G| d n) in all, and accepts when each of them meets
-every generator.  The pairwise scan runs only on failure, to name the
+C(B, x) = {x} + {y not in B : B - x + y in G} of every generator B from one
+completion map, O(|G| d) dict updates in all, and accepts when each of them
+meets every generator.  The pairwise scan runs only on failure, to name the
 lexicographically first failing exchange.
 """
 
@@ -93,42 +93,55 @@ def check_matroidal(ideal: Ideal) -> MatroidCheck:
     return MatroidCheck(None, "exchange", _first_exchange_failure(ideal.gens))
 
 
+def _completions(gens: tuple[Monomial, ...]) -> dict[Monomial, int]:
+    """The completion map: g - x to the mask of all y with g - x + y in G.
+
+    Keys are g - x for every generator g and x in g.  One pass over the
+    generators, |G| d dict updates: each g adds its own x to the entry of
+    g - x.
+    """
+    completions: dict[Monomial, int] = {}
+    for g in gens:
+        rest = g
+        while rest:
+            x = rest & -rest
+            completions[g ^ x] = completions.get(g ^ x, 0) | x
+            rest ^= x
+    return completions
+
+
 def _fundamental_cocircuits(gens: tuple[Monomial, ...]) -> set[int] | None:
     """The distinct fundamental cocircuits of equal-degree generators.
 
     For each generator B and x in B, C(B, x) is x together with every
-    support variable y outside B such that B - x + y is a generator.  A
-    generator B2 missing C(B, x) is exactly a failing exchange triple
-    (B, B2, x), so ``None`` is returned iff the exchange condition fails.
-    Otherwise the sets are the cocircuits of the matroid whose bases are
-    the generators, which are exactly its minimal transversals (Oxley,
-    *Matroid Theory*, ch. 2).
+    support variable y outside B such that B - x + y is a generator.  That
+    is exactly the completion mask of B - x: it holds x because B is a
+    generator, and every other y in it lies outside B.  Every key of the
+    map is some B - x, so the set of its values is the set of fundamental
+    cocircuits.  A generator B2 missing C(B, x) is exactly a failing
+    exchange triple (B, B2, x), so ``None`` is returned iff the exchange
+    condition fails.  Otherwise the sets are the cocircuits of the matroid
+    whose bases are the generators, which are exactly its minimal
+    transversals (Oxley, *Matroid Theory*, ch. 2).
     """
-    genset = set(gens)
-    supp = 0
-    for g in gens:
-        supp |= g
-    cocircuits: set[int] = set()
-    for b in gens:
-        outside = [1 << (y - 1) for y in mono_vars(supp & ~b)]
-        for x in mono_vars(b):
-            xbit = 1 << (x - 1)
-            base = b ^ xbit
-            c = xbit
-            for ybit in outside:
-                if base | ybit in genset:
-                    c |= ybit
-            cocircuits.add(c)
-    # holders[v]: the generators containing x_v, as a mask of their indices.
+    cocircuits = set(_completions(gens).values())
+    # holders[v]: the generators containing the variable of bit v, as a
+    # mask of their indices.
     holders: dict[int, int] = {}
     for i, g in enumerate(gens):
-        for v in mono_vars(g):
+        rest = g
+        while rest:
+            v = rest & -rest
             holders[v] = holders.get(v, 0) | (1 << i)
+            rest ^= v
     everyone = (1 << len(gens)) - 1
     for c in cocircuits:
         met = 0
-        for v in mono_vars(c):
+        rest = c
+        while rest:
+            v = rest & -rest
             met |= holders[v]
+            rest ^= v
         if met != everyone:
             return None
     return cocircuits

@@ -35,7 +35,7 @@ from .ideals import (
     parse_mono,
     star_product,
 )
-from .matroids import MatroidalIdeal, veronese
+from .matroids import MatroidalIdeal, _completions, veronese
 from .oracle import Poly, poly_str
 from .quotients import q_index
 
@@ -135,13 +135,7 @@ def _exchange_layering(ideal: Ideal, order: Iterable[int], what: str) -> SVParti
     for v in order:
         before[1 << (v - 1)] = seen
         seen |= 1 << (v - 1)
-    completions: dict[Monomial, int] = {}  # the y with m + y a generator
-    for g in ideal.gens:
-        rest = g
-        while rest:
-            x = rest & -rest
-            completions[g ^ x] = completions.get(g ^ x, 0) | x
-            rest ^= x
+    completions = _completions(ideal.gens)  # the y with m + y a generator
     layer_map: dict[int, set[Monomial]] = {}
     for u in ideal.gens:
         external = 0

@@ -132,6 +132,54 @@ def test_verify_cert_detects_tampering(capsys, v42, tmp_path):
     assert payload["failure"] == "pair"
 
 
+def test_check_writes_the_mixed_degree_witness_as_monomials(capsys, tmp_path):
+    mixed = tmp_path / "mixed.txt"
+    mixed.write_text("n=3\nx1\nx2 x3\n")
+    code, out = run(capsys, "check", str(mixed))
+    assert code == 1
+    assert out == "not matroidal (mixed_degrees): x1, x2*x3\n"
+    code, payload = run_json(capsys, "check", str(mixed))
+    assert code == 1
+    assert payload["failure"] == "mixed_degrees"
+    assert payload["witness"] == "x1, x2*x3"
+
+
+# Edits of the V(4,2) layers [x1*x2], [x1*x3, x2*x3], [x1*x4, x2*x4, x3*x4].
+@pytest.mark.parametrize(
+    "layers, failure, witness",
+    [
+        (
+            [["x1*x2"], ["x1*x3", "x2*x3", "x1*x4"], ["x2*x4", "x3*x4"]],
+            "pair",
+            "layer 1, x1*x3, x1*x4",
+        ),
+        (
+            [["x1*x2"], ["x1*x3", "x2*x3"], ["x1*x4", "x2*x4", "x3*x4", "x2*x3"]],
+            "overlap",
+            "layer 2, x2*x3",
+        ),
+        (
+            [["x1*x2"], ["x1*x3", "x2*x3"], ["x1*x4", "x2*x4", "x1*x2*x3"]],
+            "union_mismatch",
+            "missing [x3*x4]; extra [x1*x2*x3]",
+        ),
+    ],
+)
+def test_verify_cert_writes_the_witness_as_monomials(
+    capsys, v42, v42_cert, tmp_path, layers, failure, witness
+):
+    doc = json.loads(Path(v42_cert).read_text())
+    doc["layers"] = layers
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(doc))
+    code, out = run(capsys, "verify-cert", v42, str(path))
+    assert code == 1
+    assert out == f"sv check failed ({failure}): {witness}\n"
+    code, payload = run_json(capsys, "verify-cert", v42, str(path))
+    assert code == 1
+    assert (payload["failure"], payload["witness"]) == (failure, witness)
+
+
 def test_cert_search_inconclusive(capsys, v42):
     code, payload = run_json(
         capsys, "cert", v42, "--construction", "search", "--size", "2"

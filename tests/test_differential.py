@@ -5,7 +5,9 @@ reads matroidal primes off those cocircuits, and ``find_ordering`` walks an
 explicit stack.  Each must agree exactly with the pairwise exchange scan, the
 transversal DFS and the recursive ordering search: on every ideal with
 n <= 6, on each of them with a generator dropped (mostly not matroidal), and
-on random antichains.
+on random antichains.  The cocircuit kernel is also held to both oracles on
+Veronese ideals and relabeled block products up to n = 12 and on the n = 7
+orbit representatives (slow), each also with its first generator dropped.
 
 The Groebner oracle packs each monomial into one int, divides through a
 term heap and picks pairs from a queue.  ``reduce``, ``buchberger`` and the
@@ -145,6 +147,34 @@ def test_kernels_match_oracles_on_every_small_ideal(enum_cache):
                 dropped_failures.add(check_matroidal(dropped).failure)
     # The sweep reaches both verdicts, so the witness comparison is not vacuous.
     assert dropped_failures == {None, "exchange"}
+
+
+def _assert_agree_with_and_without_the_first_generator(ideal):
+    _assert_check_and_primes_agree(ideal)
+    _assert_check_and_primes_agree(Ideal(ideal.n, ideal.gens[1:]))
+
+
+# Past n = 6 the transversal reference slows fast: the 4+4+4+4 product
+# (256 generators and primes) takes over a minute, so it keeps to its
+# closed-form test.
+@pytest.mark.parametrize("n, d", [(8, 4), (9, 4), (9, 5), (10, 5)])
+def test_kernels_match_oracles_on_larger_veronese_ideals(n, d):
+    _assert_agree_with_and_without_the_first_generator(veronese(n, d).ideal)
+
+
+@pytest.mark.parametrize("shape", [(2, 3, 4), (3, 3, 3, 3), (4, 4, 4)])
+def test_kernels_match_oracles_on_relabeled_block_products(shape):
+    n = sum(shape)
+    perm = tuple(random.Random(n).sample(range(1, n + 1), n))
+    product = var_block_product(contiguous_blocks(shape)).ideal
+    _assert_agree_with_and_without_the_first_generator(relabel_ideal(product, perm))
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("n,d", [(7, 3), (7, 4)])
+def test_kernels_match_oracles_on_n7_orbits(enum_cache, n, d):
+    for mi in enum_cache(n, d, True):
+        _assert_agree_with_and_without_the_first_generator(mi.ideal)
 
 
 def test_orderings_match_the_recursive_search(enum_cache):

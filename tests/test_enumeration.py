@@ -1,5 +1,6 @@
 import dataclasses
 import os
+import random
 import subprocess
 import sys
 from itertools import permutations
@@ -18,6 +19,7 @@ from matroidal import (
     check_matroidal,
     conjecture_scan,
     enumerate_matroidal,
+    minimal_generators,
     relabel_ideal,
     theorem_battery,
     var_block_product,
@@ -170,6 +172,19 @@ def test_every_yield_passes_the_exchange_check(enum_cache):
         for d in range(1, n + 1):
             for mi in enum_cache(n, d):
                 assert check_matroidal(mi.ideal), (n, d, mi.ideal.gens)
+
+
+def test_yields_and_their_relabelings_are_canonical(enum_cache):
+    # Both build Ideal(...) without canonicalising; each must be the ideal
+    # that minimal_generators builds from the same generators.
+    rng = random.Random(5)
+    for n in range(1, 7):
+        for d in range(1, n + 1):
+            for sym in (False, True):
+                for mi in enum_cache(n, d, sym):
+                    perm = tuple(rng.sample(range(1, n + 1), n))
+                    for ideal in (mi.ideal, relabel_ideal(mi.ideal, perm)):
+                        assert ideal == minimal_generators(ideal.gens, n), (n, d)
 
 
 def test_matches_brute_force_filter_64(enum_cache):
@@ -369,6 +384,33 @@ def test_run_scan_reports_a_negative_budget_as_a_usage_error():
         assert result.returncode == 2, (n, d, result.stdout)
         assert "search budget must be nonnegative, got -1" in result.stderr
         assert "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize(
+    "cell, message",
+    [
+        ("9,3", "C(9,3)=84 exceeds the enumeration cap 35"),
+        ("3,5", "need 1 <= d <= n, got d=5, n=3"),
+        ("4", "a cell is two integers n,d, got '4'"),
+        ("a,b", "a cell is two integers n,d, got 'a,b'"),
+    ],
+)
+def test_run_grid_reports_a_bad_cell_as_a_usage_error(cell, message):
+    root = Path(__file__).resolve().parents[1]
+    src = str(Path(matroidal.__file__).resolve().parents[1])
+    # The good cell comes first: nothing may be printed before the check.
+    result = subprocess.run(
+        [sys.executable, str(root / "scripts" / "run_grid.py"),
+         "--cells", "3,2", cell],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert message in result.stderr
+    assert "Traceback" not in result.stderr
 
 
 def test_scan_degree2_fully_certified():
