@@ -21,6 +21,7 @@ from .ideals import (
     has_full_support,
     mono_str,
     parse_ideal,
+    witness_text,
 )
 from .matroids import MatroidalIdeal, check_matroidal
 from .oracle import BudgetExceededError, parse_poly, verify_radical_cert
@@ -28,12 +29,12 @@ from .quotients import analyze
 from .svrank import (
     RadicalCertificate,
     _ambient,
+    _layer_sums,
     _strings,
     certificate_document,
     construct_certificate,
     partition_from_document,
     search_cert,
-    sv_sums,
     verify_sv,
 )
 
@@ -81,29 +82,6 @@ def _var_sets(sets) -> str:
     return "; ".join("{" + ", ".join(f"x{v}" for v in sorted(p)) + "}" for p in sets)
 
 
-def _witness_text(failure: str | None, witness: object) -> str:
-    """A check's witness with its monomials written as ``x1*x2``.
-
-    Covers the bitmask witnesses of ``check_matroidal`` and ``verify_sv``;
-    the others (an exchange triple, a layer index or size) print as they are.
-    """
-    if failure == "mixed_degrees":
-        return ", ".join(mono_str(g) for g in witness)
-    if failure == "overlap":
-        i, g = witness
-        return f"layer {i}, {mono_str(g)}"
-    if failure == "pair":
-        i, a, b = witness
-        return f"layer {i}, {mono_str(a)}, {mono_str(b)}"
-    if failure == "union_mismatch":
-        missing, extra = witness
-        return "; ".join(
-            f"{name} [{', '.join(mono_str(g) for g in gens)}]"
-            for name, gens in (("missing", missing), ("extra", extra))
-        )
-    return str(witness)
-
-
 def _emit(args, payload: dict, text_lines: list[str]) -> None:
     if args.json:
         print(json.dumps(payload))
@@ -130,7 +108,7 @@ def _require_matroidal(ideal: Ideal) -> MatroidalIdeal | str:
     except ValueError as exc:
         return str(exc)
     if not check:
-        return f"not matroidal ({check.failure}): {_witness_text(check.failure, check.witness)}"
+        return f"not matroidal ({check.failure}): {witness_text(check.failure, check.witness)}"
     return check.matroidal
 
 
@@ -151,7 +129,7 @@ def _cmd_check(args) -> int:
         }
         _emit(args, payload, [f"matroidal: d={mi.d}, {len(ideal.gens)} generators"])
         return OK
-    witness = _witness_text(check.failure, check.witness)
+    witness = witness_text(check.failure, check.witness)
     payload = {
         "matroidal": False,
         "n": ideal.n,
@@ -287,12 +265,12 @@ def _cmd_verify_cert(args) -> int:
         check = verify_sv(partition)
         payload["verified_sv"] = bool(check)
         if not check:
-            witness = _witness_text(check.failure, check.witness)
+            witness = witness_text(check.failure, check.witness)
             payload["failure"] = check.failure
             payload["witness"] = witness
             _emit(args, payload, [f"sv check failed ({check.failure}): {witness}"])
             return CHECK_FAILED
-        cert = sv_sums(partition)
+        cert = _layer_sums(partition)
     else:
         try:
             sums = _strings(document["sums"], "sums")

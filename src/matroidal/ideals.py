@@ -94,6 +94,30 @@ def mono_str(m: Monomial) -> str:
     return "*".join(f"x{v}" for v in mono_vars(m))
 
 
+def witness_text(failure: str | None, witness: object) -> str:
+    """A check's witness with its monomials written as ``x1*x2``.
+
+    Covers the bitmask witnesses of ``check_matroidal`` and ``verify_sv``
+    for messages; the others (an exchange triple, a layer index or size)
+    print as they are.  The check results keep their ints.
+    """
+    if failure == "mixed_degrees":
+        return ", ".join(mono_str(g) for g in witness)
+    if failure == "overlap":
+        i, g = witness
+        return f"layer {i}, {mono_str(g)}"
+    if failure == "pair":
+        i, a, b = witness
+        return f"layer {i}, {mono_str(a)}, {mono_str(b)}"
+    if failure == "union_mismatch":
+        missing, extra = witness
+        return "; ".join(
+            f"{name} [{', '.join(mono_str(g) for g in gens)}]"
+            for name, gens in (("missing", missing), ("extra", extra))
+        )
+    return str(witness)
+
+
 _MONO_FACTOR = re.compile(r"^x(\d+)$")
 
 

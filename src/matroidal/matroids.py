@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, product as iter_product
+from typing import Iterable
 
 from .ideals import (
     Ideal,
@@ -29,6 +30,7 @@ from .ideals import (
     mono_str,
     mono_vars,
     support_mask,
+    witness_text,
 )
 
 
@@ -70,7 +72,8 @@ class MatroidCheck:
 class NotMatroidalError(ValueError):
     def __init__(self, check: MatroidCheck):
         self.check = check
-        super().__init__(f"not a matroidal ideal ({check.failure}): {check.witness}")
+        witness = witness_text(check.failure, check.witness)
+        super().__init__(f"not a matroidal ideal ({check.failure}): {witness}")
 
 
 def check_matroidal(ideal: Ideal) -> MatroidCheck:
@@ -93,14 +96,18 @@ def check_matroidal(ideal: Ideal) -> MatroidCheck:
     return MatroidCheck(None, "exchange", _first_exchange_failure(ideal.gens))
 
 
-def _completions(gens: tuple[Monomial, ...]) -> dict[Monomial, int]:
+def _completions(
+    gens: Iterable[Monomial], completions: dict[Monomial, int] | None = None
+) -> dict[Monomial, int]:
     """The completion map: g - x to the mask of all y with g - x + y in G.
 
     Keys are g - x for every generator g and x in g.  One pass over the
     generators, |G| d dict updates: each g adds its own x to the entry of
-    g - x.
+    g - x.  Given a map, the generators are added to it in place, so a map
+    can be grown one batch of generators at a time.
     """
-    completions: dict[Monomial, int] = {}
+    if completions is None:
+        completions = {}
     for g in gens:
         rest = g
         while rest:
@@ -108,6 +115,18 @@ def _completions(gens: tuple[Monomial, ...]) -> dict[Monomial, int]:
             completions[g ^ x] = completions.get(g ^ x, 0) | x
             rest ^= x
     return completions
+
+
+def _holders(gens: Iterable[Monomial]) -> dict[int, int]:
+    """Variable bit to the mask of the indices of the generators holding it."""
+    holders: dict[int, int] = {}
+    for i, g in enumerate(gens):
+        bit = 1 << i
+        while g:
+            v = g & -g
+            holders[v] = holders.get(v, 0) | bit
+            g ^= v
+    return holders
 
 
 def _fundamental_cocircuits(gens: tuple[Monomial, ...]) -> set[int] | None:
@@ -125,15 +144,7 @@ def _fundamental_cocircuits(gens: tuple[Monomial, ...]) -> set[int] | None:
     transversals (Oxley, *Matroid Theory*, ch. 2).
     """
     cocircuits = set(_completions(gens).values())
-    # holders[v]: the generators containing the variable of bit v, as a
-    # mask of their indices.
-    holders: dict[int, int] = {}
-    for i, g in enumerate(gens):
-        rest = g
-        while rest:
-            v = rest & -rest
-            holders[v] = holders.get(v, 0) | (1 << i)
-            rest ^= v
+    holders = _holders(gens)
     everyone = (1 << len(gens)) - 1
     for c in cocircuits:
         met = 0

@@ -34,8 +34,9 @@ from .ideals import (
     mono_vars,
     parse_mono,
     star_product,
+    witness_text,
 )
-from .matroids import MatroidalIdeal, _completions, veronese
+from .matroids import MatroidalIdeal, _completions, _holders, veronese
 from .oracle import Poly, poly_str
 from .quotients import q_index
 
@@ -71,12 +72,27 @@ def verify_sv(partition: SVPartition) -> SVCheck:
     the first layer is a singleton, and for i > 0 any two distinct p, p' in
     P_i have some earlier-layer element dividing p*p'.
 
-    The pair condition runs on bitmasks: the generators are numbered layer
-    by layer, so the earlier layers of P_i are a prefix mask, and the
-    generators dividing p*p' come from per-variable masks memoised by the
-    product's support (``_Dividers``); a support that held once in a
-    layer is not tested again there.  Pairs are visited in canonical order
-    within each layer, so the witness is the first failing pair.
+    The pair condition first runs a single-exchange pass per layer
+    (``_unsettled_pairs``).  A completion map of the earlier layers gives,
+    for each a in P_i and x in a, every y with a - x + y in an earlier
+    layer; each b in P_i holding such a y is settled with a, since
+    a - x + y lies in the union of a and b and so divides a*b.  This is
+    sound for any partition, matroidal or not, and costs about
+    |P_i| d (n - d) mask operations instead of |P_i|^2 pair tests.  Only
+    the pairs left over go through the exact scan: the generators
+    are numbered layer by layer, so the earlier layers of P_i are a prefix
+    mask, and the generators dividing p*p' come from per-variable masks
+    memoised by the product's support (``_Dividers``); a support that held
+    once in a layer is not tested again there.  The scan visits the pairs
+    left over in canonical order within the layer, and every settled pair
+    holds, so the witness is still the first failing pair in that order.
+    The scan's masks and the canonical sort are built only when some pair
+    is left over.
+
+    Measured, not proven: the pass left no pair over on any exchange
+    layering tried, that is every ``construct_certificate`` result of the
+    grid cells, every search result of the (6,3) scan and Veronese
+    layerings up to V(15,7); then the scan never runs.
     """
     layers = partition.layers
     if not layers:
@@ -96,22 +112,71 @@ def verify_sv(partition: SVPartition) -> SVCheck:
         return SVCheck(False, "union_mismatch", (missing, extra))
     if len(layers[0]) != 1:
         return SVCheck(False, "layer0_size", len(layers[0]))
-    ordered = [sorted(layer, key=mono_vars) for layer in layers]
-    dividers = _Dividers([g for layer in ordered for g in layer])
-    start = 1
-    for i, layer in enumerate(ordered[1:], start=1):
-        earlier = (1 << start) - 1
-        passed: set[Monomial] = set()  # supports of the pairs that held
-        for k, a in enumerate(layer):
-            for b in layer[k + 1 :]:
+    earlier = _completions(layers[0])  # of the layers before P_i
+    dividers: _Dividers | None = None
+    start = len(layers[0])
+    for i, layer in enumerate(layers[1:], start=1):
+        left = _unsettled_pairs(layer, earlier)
+        if left:
+            if dividers is None:
+                dividers = _Dividers([g for part in layers for g in part])
+            canonical = sorted(layer, key=mono_vars)
+            rank = {g: k for k, g in enumerate(canonical)}
+            prefix = (1 << start) - 1
+            passed: set[Monomial] = set()  # supports of the pairs that held
+            for ka, kb in sorted(sorted((rank[a], rank[b])) for a, b in left):
+                a, b = canonical[ka], canonical[kb]
                 prod = a | b
                 if prod in passed:
                     continue
-                if not dividers[prod] & earlier:
+                if not dividers[prod] & prefix:
                     return SVCheck(False, "pair", (i, a, b))
                 passed.add(prod)
+        _completions(layer, earlier)
         start += len(layer)
     return SVCheck(True)
+
+
+def _unsettled_pairs(
+    layer: Iterable[Monomial], earlier: dict[Monomial, int]
+) -> list[tuple[Monomial, Monomial]]:
+    """The pairs of ``layer`` that no single exchange settles.
+
+    ``earlier`` is the completion map of the earlier layers, so
+    ``earlier[a - x]`` holds every y with a - x + y in an earlier layer.
+    ``covered[k]`` is the mask of the members holding such a y for member
+    k; a pair is settled when either member covers the other.
+    """
+    members = list(layer)
+    if len(members) < 2:
+        return []
+    holders = _holders(members)
+    covered = []
+    for a in members:
+        ys = 0
+        rest = a
+        while rest:
+            x = rest & -rest
+            ys |= earlier.get(a ^ x, 0)
+            rest ^= x
+        mask = 0
+        while ys:
+            y = ys & -ys
+            mask |= holders.get(y, 0)
+            ys ^= y
+        covered.append(mask)
+    full = (1 << len(members)) - 1
+    left = []
+    for k, mask in enumerate(covered):
+        # The partners j > k that member k does not cover.
+        miss = full & ~mask & ~((2 << k) - 1)
+        while miss:
+            low = miss & -miss
+            j = low.bit_length() - 1
+            if not covered[j] >> k & 1:
+                left.append((members[k], members[j]))
+            miss ^= low
+    return left
 
 
 def _checked(partition: SVPartition, what: str) -> SVPartition:
@@ -180,9 +245,8 @@ def sv_sums(partition: SVPartition) -> RadicalCertificate:
     """Layer sums of a verified partition, as a radical certificate."""
     check = verify_sv(partition)
     if not check:
-        raise ValueError(
-            f"unverified partition ({check.failure}): {check.witness}"
-        )
+        witness = witness_text(check.failure, check.witness)
+        raise ValueError(f"unverified partition ({check.failure}): {witness}")
     return _layer_sums(partition)
 
 
@@ -319,13 +383,7 @@ class _Dividers(dict):
 
     def __init__(self, gens: list[Monomial]):
         super().__init__()
-        containing: dict[int, int] = {}
-        for i, g in enumerate(gens):
-            bit = 1 << i
-            while g:
-                low = g & -g
-                containing[low] = containing.get(low, 0) | bit
-                g ^= low
+        containing = _holders(gens)
         self._full = (1 << len(gens)) - 1
         self._containing = containing
         self._support = sum(containing)

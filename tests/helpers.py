@@ -549,6 +549,21 @@ def reference_verify_sv(partition):
     return SVCheck(True)
 
 
+def moved_generator(partition, source: int, to: int, position: int = 0):
+    """The layering with one generator of layer ``source`` moved to ``to``.
+
+    The generator is the one at ``position`` of the layer in canonical
+    order (``mono_vars``); a layer left empty stays, as an empty layer.
+    """
+    from matroidal import SVPartition
+
+    layers = [set(layer) for layer in partition.layers]
+    g = sorted(layers[source], key=mono_vars)[position]
+    layers[source].discard(g)
+    layers[to].add(g)
+    return SVPartition(partition.ideal, tuple(frozenset(layer) for layer in layers))
+
+
 def reference_minimal_generators(monomials, n: int) -> Ideal:
     """Minimal antichain by comparing each monomial with every kept one.
 

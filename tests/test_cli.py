@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import matroidal.cli
+import matroidal.svrank
 from matroidal import verify_radical_cert
 from matroidal.cli import main
 
@@ -120,6 +121,21 @@ def test_cert_and_verify_roundtrip(capsys, v42, tmp_path):
     assert payload["oracle"]["verified"] is True
     assert payload["oracle"]["method"] == "layered"
     assert payload["oracle"]["powers"]["x1*x2"] == 1
+
+
+def test_verify_cert_checks_the_layering_once(capsys, v42, v42_cert, monkeypatch):
+    calls = []
+    verify = matroidal.svrank.verify_sv
+
+    def counted(partition):
+        calls.append(partition)
+        return verify(partition)
+
+    monkeypatch.setattr(matroidal.svrank, "verify_sv", counted)
+    monkeypatch.setattr(matroidal.cli, "verify_sv", counted)
+    code, payload = run_json(capsys, "verify-cert", v42, v42_cert, "--oracle")
+    assert (code, payload["verified_sv"], payload["oracle"]["verified"]) == (0, True, True)
+    assert len(calls) == 1
 
 
 def test_verify_cert_detects_tampering(capsys, v42, tmp_path):

@@ -21,7 +21,8 @@ from matroidal import (
     var_block_product,
     veronese,
 )
-from matroidal.matroids import as_matroidal
+from matroidal.ideals import InvariantViolation
+from matroidal.matroids import MatroidalIdeal, as_matroidal
 
 from helpers import ideal_of, matroidal_of, multipartite_ideal
 
@@ -167,6 +168,17 @@ def test_contraction_examples():
     assert quotients == ideal_of(4, (2, 3), (2, 4), (3, 4))
     with pytest.raises(ValueError):
         contraction(blocks, 5)
+
+
+def test_contraction_passes_on_the_written_witness():
+    # Not matroidal, so the contraction at x1, {x2, x3*x4}, is not either.
+    unchecked = MatroidalIdeal(ideal_of(4, (1, 2), (1, 3, 4)), 2)
+    with pytest.raises(InvariantViolation) as info:
+        contraction(unchecked, 1)
+    assert str(info.value) == (
+        "contraction at x1 lost the exchange condition: "
+        "not a matroidal ideal (mixed_degrees): x2, x3*x4"
+    )
 
 
 def test_contraction_preserves_structure(enum_cache):

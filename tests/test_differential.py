@@ -20,13 +20,17 @@ layer with the same verdicts.  On shuffled and edited certificates with
 n <= 5, each "verified" must survive the Rabinowitsch test of every
 generator, and each "not verified" must come from the monolithic check.
 
-``verify_sv`` tests pairs against bitmasks of the earlier layers,
-``find_ordering`` computes colon steps from per-variable masks, and
-``minimal_generators`` compares a monomial only with kept generators of
-lower degree.  Each must agree exactly with the scan it replaced: the
-layering check on every certificate with n <= 6 and on corrupted copies of
-them, the colon kernel with ``colon_step_vars`` on random prefixes, and
-``minimal_generators`` on random mixed-degree sets.
+``verify_sv`` settles pairs by single exchanges and tests the pairs left
+over against bitmasks of the earlier layers, ``find_ordering`` computes
+colon steps from per-variable masks, and ``minimal_generators`` compares a
+monomial only with kept generators of lower degree.  Each must agree
+exactly with the scan it replaced: the layering check on every certificate
+with n <= 6 and on corrupted copies of them, on random layerings of random
+mixed-degree families (some with an earlier-layer exchange injected, so
+one layer holds settled pairs and pairs left over) and on V(9,4) and
+V(12,6) with a generator moved up or down a layer; the colon kernel with
+``colon_step_vars`` on random prefixes, and ``minimal_generators`` on
+random mixed-degree sets.
 
 ``ara_bounds`` climbs one construction ladder, ``construct_certificate``,
 and must pick the method and size the ladder it replaced picked, on every
@@ -78,6 +82,7 @@ from matroidal import (
     minimal_generators,
     minimal_primes,
     mono,
+    mono_vars,
     product_cert,
     recognize_var_block_product,
     recognize_veronese,
@@ -94,15 +99,17 @@ from matroidal import (
     veronese_cert,
 )
 from matroidal.enumeration import _smaller_relabeling
-from matroidal.matroids import MatroidalIdeal
+from matroidal.matroids import MatroidalIdeal, _completions
 from matroidal.oracle import BudgetExceededError
 from matroidal.quotients import _colon_vars
+from matroidal.svrank import _unsettled_pairs
 
 from helpers import (
     contiguous_blocks,
     groebner_radical_check,
     ideal_of,
     in_radical,
+    moved_generator,
     multipartite_ideal,
     partition_shapes,
     reference_ara_bounds,
@@ -570,6 +577,112 @@ def test_verify_sv_matches_reference_on_certificates_and_corruptions(enum_cache)
     assert {failure for _, failure in outcomes} >= {
         None, "pair", "overlap", "union_mismatch", "layer0_size"
     }
+
+
+def _random_layering(rng):
+    """A random layering of a random square-free family with n <= 8.
+
+    Degrees may be mixed.  P_0 is a singleton and every other generator
+    goes to a random later layer.  Some draws then take a pair a, b of one
+    layer and put w = a - x + y, with x in a - b and y in b - a, into an
+    earlier layer (adding w to the family when it keeps the family an
+    antichain), so that w settles that pair by a single exchange while
+    other pairs of the layer may stay open.
+    """
+    n = rng.randint(2, 8)
+    family = {rng.randrange(1, 1 << n) for _ in range(rng.randint(2, 14))}
+    gens = list(minimal_generators(family, n).gens)
+    rng.shuffle(gens)
+    depth = rng.randint(1, 4)
+    layers = [{gens[0]}] + [set() for _ in range(depth)]
+    for g in gens[1:]:
+        layers[rng.randint(1, depth)].add(g)
+    crowded = [i for i in range(1, depth + 1) if len(layers[i]) > 1]
+    if crowded and rng.random() < 0.7:
+        i = rng.choice(crowded)
+        a, b = rng.sample(sorted(layers[i]), 2)
+        x = rng.choice(mono_vars(a & ~b))
+        y = rng.choice(mono_vars(b & ~a))
+        w = a ^ (1 << (x - 1)) | (1 << (y - 1))
+        if w not in gens and len(minimal_generators(gens + [w], n).gens) > len(gens):
+            gens.append(w)
+        if w in gens and w not in layers[0]:
+            for layer in layers:
+                layer.discard(w)
+            j = rng.randrange(i)
+            if j:
+                layers[j].add(w)
+            else:
+                layers[1] |= layers[0]
+                layers[0] = {w}
+    return SVPartition(
+        minimal_generators(gens, n),
+        tuple(frozenset(layer) for layer in layers if layer),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_verify_sv_matches_reference_on_random_layerings(rng):
+    partition = _random_layering(rng)
+    assert verify_sv(partition) == reference_verify_sv(partition)
+
+
+def test_random_layerings_hold_settled_and_leftover_pairs_in_one_layer():
+    # The Hypothesis test above is not vacuous for the fast path: its
+    # layerings reach layers where the single-exchange pass settles some
+    # pairs and leaves others to the scan, and both verdicts occur.
+    rng = random.Random(7)
+    mixed = 0
+    verdicts = set()
+    for _ in range(300):
+        partition = _random_layering(rng)
+        check = verify_sv(partition)
+        assert check == reference_verify_sv(partition)
+        verdicts.add(check.failure)
+        earlier = _completions(partition.layers[0])
+        for layer in partition.layers[1:]:
+            pairs = len(layer) * (len(layer) - 1) // 2
+            if 0 < len(_unsettled_pairs(layer, earlier)) < pairs:
+                mixed += 1
+            _completions(layer, earlier)
+    assert mixed >= 20
+    assert {None, "pair"} <= verdicts
+
+
+def _tampered_veronese():
+    """V(9,4) and V(12,6) layerings with one generator moved a layer.
+
+    Every layer's first generator in canonical order goes one layer up and
+    one layer down; on V(9,4) its last one too, and on V(12,6) the first
+    generator of every later layer goes into layer 1.
+    """
+    for n, d in ((9, 4), (12, 6)):
+        partition = veronese_cert(n, d)
+        depth = len(partition.layers)
+        moves = {
+            (i, to, 0) for i in range(depth) for to in (i - 1, i + 1) if 0 <= to < depth
+        }
+        if n == 9:
+            moves |= {(i, to, -1) for i, to, _ in moves}
+        else:
+            moves |= {(i, 1, 0) for i in range(2, depth)}
+        for source, to, position in sorted(moves):
+            yield moved_generator(partition, source, to, position)
+
+
+def test_verify_sv_matches_reference_on_tampered_veronese_layerings():
+    failures = []
+    for partition in _tampered_veronese():
+        check = verify_sv(partition)
+        assert check == reference_verify_sv(partition)
+        failures.append(check.failure)
+    assert set(failures) == {"empty_layer", "layer0_size", "pair"}
+    # The smallest generator of the last V(12,6) layer, moved into layer 1.
+    partition = moved_generator(veronese_cert(12, 6), 6, 1)
+    check = verify_sv(partition)
+    assert check == reference_verify_sv(partition)
+    assert check.failure == "pair" and check.witness[0] == 1
 
 
 @st.composite

@@ -43,6 +43,20 @@ def test_mixed_degrees_is_a_distinct_failure():
         as_matroidal(ideal_of(3, (1,), (2, 3)))
 
 
+def test_not_matroidal_message_writes_the_witness_as_monomials():
+    with pytest.raises(NotMatroidalError) as info:
+        as_matroidal(Ideal(3, (1, 6)))
+    assert str(info.value) == "not a matroidal ideal (mixed_degrees): x1, x2*x3"
+    # The check itself keeps the bitmasks.
+    assert info.value.check.witness == (1, 6)
+    with pytest.raises(NotMatroidalError) as info:
+        as_matroidal(ideal_of(4, (1, 2), (3, 4)))
+    assert str(info.value) == (
+        "not a matroidal ideal (exchange): B1=x1*x2, B2=x3*x4, x=x1: "
+        "no y in B2-B1 repairs the exchange"
+    )
+
+
 def test_check_rejects_zero_and_unit():
     with pytest.raises(ValueError):
         check_matroidal(Ideal(3, ()))

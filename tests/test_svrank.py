@@ -36,8 +36,10 @@ from helpers import (
     contiguous_blocks,
     ideal_of,
     matroidal_of,
+    moved_generator,
     partition_shapes,
     reference_search_cert,
+    reference_verify_sv,
     reference_walk_search_cert,
 )
 
@@ -81,6 +83,55 @@ def test_verify_sv_failure_witnesses():
     assert i == 1 and {a, b} == {mono((3, 4)), mono((1, 3))}
 
 
+class _NoScan(Exception):
+    pass
+
+
+class _RaisingDividers:
+    def __init__(self, gens):
+        raise _NoScan
+
+
+def test_the_single_exchange_pass_settles_the_constructions(enum_cache, monkeypatch):
+    # With the exact pair scan made to raise, only the single-exchange pass
+    # can accept, so a silent fallback to the scan would fail here.
+    labeled = [
+        c[1]
+        for n in range(1, 7)
+        for d in range(1, n + 1)
+        for c in map(construct_certificate, enum_cache(n, d))
+        if c is not None
+    ]
+    assert len(labeled) == 499
+    certificates = [
+        veronese_cert(12, 6),
+        *(
+            construct_certificate(var_block_product(contiguous_blocks(shape)))[1]
+            for shape in ((3, 3, 3, 3), (5, 5, 5))
+        ),
+        *labeled,
+    ]
+    monkeypatch.setattr(matroidal.svrank, "_Dividers", _RaisingDividers)
+    assert all(verify_sv(p) for p in certificates)
+    # A pair the pass cannot settle goes to the scan.
+    tampered = moved_generator(certificates[0], 6, 1)
+    with pytest.raises(_NoScan):
+        verify_sv(tampered)
+
+
+def test_verify_sv_at_scale():
+    # V(15,7): 6,435 generators over 9 layers.
+    partition = veronese_cert(15, 7)
+    assert [len(layer) for layer in partition.layers] == [
+        comb(k + 6, 6) for k in range(9)
+    ]
+    assert verify_sv(partition)
+    tampered = moved_generator(partition, 8, 1)
+    check = verify_sv(tampered)
+    assert check == reference_verify_sv(tampered)
+    assert check.failure == "pair" and check.witness[0] == 1
+
+
 def test_sv_sums_examples():
     cert = sv_sums(veronese_cert(4, 2))
     assert [poly_str(p) for p in cert.polys] == [
@@ -97,8 +148,17 @@ def test_sv_sums_examples():
 
 def test_sv_sums_rejects_unverified():
     ideal = ideal_of(3, (1, 2), (2, 3))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^unverified partition \(layer0_size\): 2$"):
         sv_sums(SVPartition(ideal, (frozenset(ideal.gens),)))
+    v42 = veronese(4, 2).ideal
+    layers = (
+        frozenset({mono((1, 2))}),
+        frozenset({mono((1, 3)), mono((3, 4))}),
+        frozenset({mono((1, 4)), mono((2, 3)), mono((2, 4))}),
+    )
+    with pytest.raises(ValueError) as info:
+        sv_sums(SVPartition(v42, layers))
+    assert str(info.value) == "unverified partition (pair): layer 1, x1*x3, x3*x4"
 
 
 def test_veronese_cert_layer_sizes():
