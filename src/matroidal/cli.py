@@ -230,7 +230,8 @@ def _cmd_cert(args) -> int:
             _emit(args, payload, [f"no certificate of size {size}: {status}"])
             return INCONCLUSIVE
         cert = result.partition
-    document = certificate_document(cert)
+    # Both the ladder and the search return layerings that passed verify_sv.
+    document = certificate_document(cert, verified=True)
     document["construction"] = construction
     size = len(document["sums"])
     _emit(

@@ -7,6 +7,13 @@ matroid, read off as its fundamental cocircuits in O(|G| d) dict updates.
 Other input (mixed degrees, or a failing exchange) goes through a
 branch-and-bound on an uncovered generator, pruning strict supersets of
 transversals already found.
+
+A matroid is a variable block product exactly when d of its cocircuits
+are pairwise disjoint with sizes multiplying to the generator count
+(``_cocircuit_blocks``, which the theorem battery uses).
+``recognize_var_block_product`` finds blocks by a component search on any
+input; the public ladder and unmixed bounds use it, and the tests hold the
+cocircuit reading to it.
 """
 
 from __future__ import annotations
@@ -249,36 +256,52 @@ def recognize_var_block_product(
     return tuple(sorted(components, key=sorted))
 
 
-def unmixed_bounds_report(mi: MatroidalIdeal) -> dict[str, object]:
-    """Assert h+d-1 <= n <= h*d for an unmixed ideal and report tightness.
+def _cocircuit_blocks(
+    cocircuits: set[int], d: int, size: int
+) -> tuple[int, ...] | None:
+    """The blocks of a variable block product, read off its cocircuits.
 
-    The lower bound is tight exactly for square-free Veronese ideals; the
-    upper bound exactly for products of d blocks of h distinct variables.
-    Both tightness flags are cross-checked against the recognizers.
+    ``cocircuits`` are the cocircuits of a rank-d matroid with ``size``
+    bases, as masks.  It is a block product exactly when there are d of
+    them, pairwise disjoint, with sizes multiplying to ``size``: each basis
+    meets every cocircuit, so it takes one variable from each, and the
+    bases are then all such transversals.  Returns the blocks ordered by
+    their smallest variable, or None.
     """
-    ideal = mi.ideal
-    n, d = ideal.n, mi.d
-    if n < 2:
-        raise ValueError("need n >= 2")
-    if not has_full_support(ideal):
-        raise ValueError("support must be all of x1..xn")
-    decomposition = minimal_primes(ideal)
-    if not decomposition.unmixed:
-        raise ValueError("ideal is mixed: minimal primes have unequal heights")
-    h = decomposition.height
+    if len(cocircuits) != d:
+        return None
+    union, product = 0, 1
+    for c in cocircuits:
+        if union & c:
+            return None
+        union |= c
+        product *= c.bit_count()
+    if product != size:
+        return None
+    return tuple(sorted(cocircuits, key=lambda c: c & -c))
+
+
+def _unmixed_bounds(
+    n: int, d: int, h: int, veronese: bool, block_sizes: tuple[int, ...] | None
+) -> dict[str, object]:
+    """The bounds and tightness checks of :func:`unmixed_bounds_report`.
+
+    ``h`` is the height of an unmixed ideal with full support, ``veronese``
+    whether it is square-free Veronese, and ``block_sizes`` the sizes of
+    its blocks when it is a variable block product, else None.
+    """
     if not h + d - 1 <= n <= h * d:
         raise InvariantViolation(
             f"unmixed bounds failed: h={h}, d={d}, n={n}"
         )
     lower_tight = n == h + d - 1
     upper_tight = n == h * d
-    if lower_tight != recognize_veronese(ideal):
+    if lower_tight != veronese:
         raise InvariantViolation("lower tightness disagrees with Veronese recognizer")
-    blocks = recognize_var_block_product(ideal)
     equal_blocks = (
-        blocks is not None
-        and len(blocks) == d
-        and all(len(b) == h for b in blocks)
+        block_sizes is not None
+        and len(block_sizes) == d
+        and all(size == h for size in block_sizes)
     )
     if upper_tight != equal_blocks:
         raise InvariantViolation("upper tightness disagrees with block recognizer")
@@ -289,3 +312,28 @@ def unmixed_bounds_report(mi: MatroidalIdeal) -> dict[str, object]:
         "lower_tight": lower_tight,
         "upper_tight": upper_tight,
     }
+
+
+def unmixed_bounds_report(mi: MatroidalIdeal) -> dict[str, object]:
+    """Assert h+d-1 <= n <= h*d for an unmixed ideal and report tightness.
+
+    The lower bound is tight exactly for square-free Veronese ideals; the
+    upper bound exactly for products of d blocks of h distinct variables.
+    Both tightness flags are cross-checked against the recognizers.
+    """
+    ideal = mi.ideal
+    if ideal.n < 2:
+        raise ValueError("need n >= 2")
+    if not has_full_support(ideal):
+        raise ValueError("support must be all of x1..xn")
+    decomposition = minimal_primes(ideal)
+    if not decomposition.unmixed:
+        raise ValueError("ideal is mixed: minimal primes have unequal heights")
+    blocks = recognize_var_block_product(ideal)
+    return _unmixed_bounds(
+        ideal.n,
+        mi.d,
+        decomposition.height,
+        recognize_veronese(ideal),
+        None if blocks is None else tuple(map(len, blocks)),
+    )

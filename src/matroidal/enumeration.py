@@ -24,15 +24,17 @@ from itertools import combinations
 from math import comb
 
 from .decomposition import (
+    _cocircuit_blocks,
+    _unmixed_bounds,
     degree2_partition,
     minimal_primes,
+    recognize_var_block_product,
     recognize_veronese,
-    unmixed_bounds_report,
 )
-from .ideals import Ideal, InvariantViolation, mono, mono_vars
-from .matroids import MatroidalIdeal
-from .quotients import find_ordering
-from .svrank import SVPartition, construct_certificate, search_cert, verify_sv
+from .ideals import Ideal, InvariantViolation, has_full_support, mono, mono_vars
+from .matroids import MatroidalIdeal, _fundamental_cocircuits
+from .quotients import _lex_q
+from .svrank import SVPartition, _ladder, search_cert, verify_sv
 
 # 2^C(n,d) search space with pruning; C(7,3) = 35 admits every n <= 7
 # cell.  The cap counts subsets, not work: for n >= 9 it admits only
@@ -234,47 +236,84 @@ class BatteryResult:
 def theorem_battery(mi: MatroidalIdeal) -> BatteryResult:
     """Run every applicable structural check on a full-support ideal.
 
+    Each invariant is computed once, from two per-ideal structures.  q is
+    the largest colon step of one exact pass in the canonical (descending
+    lex) order, in which matroidal ideals have linear quotients
+    (Herzog-Takayama 2002); ``find_ordering`` runs only if a step is not
+    variable-generated.  The rest comes from one set of fundamental
+    cocircuits, which are the minimal primes (Oxley, *Matroid Theory*,
+    ch. 2): the height and unmixedness are their sizes, the degree-2
+    parts are their complements, the ideal is Veronese when it has
+    C(n, d) generators, and a block product when d of them are disjoint
+    with sizes multiplying to the generator count.  These facts feed the
+    unmixed bounds and the construction ladder, whose layering passes
+    ``verify_sv``.  When the cocircuits are not those of a matroid (an
+    unvalidated ``MatroidalIdeal``), the facts come from
+    ``minimal_primes`` and the recognizers instead.
+
     Failures are recorded as verdicts rather than raised: a failure here
     means a toolkit bug and deserves a report, not a crash.
     """
     ideal = mi.ideal
+    gens = ideal.gens
     n, d = ideal.n, mi.d
     verdicts: dict[str, str] = {}
-    q = find_ordering(mi).q
+    q = _lex_q(mi)
     verdicts["linear_quotient_index"] = "pass" if q == n - d else "fail"
-    decomposition = minimal_primes(ideal)
-    h = decomposition.height
+    cocircuits = None
+    if all(g.bit_count() == d for g in gens):  # the kernel assumes degree d
+        cocircuits = _fundamental_cocircuits(gens)
+    if cocircuits is not None:
+        primes = cocircuits
+        veronese = len(gens) == comb(n, d)
+        blocks = _cocircuit_blocks(cocircuits, d, len(gens))
+    else:
+        primes = {mono(p) for p in minimal_primes(ideal).primes}
+        veronese = recognize_veronese(ideal)
+        found_blocks = recognize_var_block_product(ideal)
+        blocks = None if found_blocks is None else tuple(map(mono, found_blocks))
+    sizes = {p.bit_count() for p in primes}
+    h = min(sizes)
+    unmixed = len(sizes) == 1
     verdicts["height_bound"] = "pass" if h <= q + 1 else "fail"
+    partition = None
     if d == 2:
         try:
             partition = degree2_partition(mi)
-            everything = frozenset(range(1, n + 1))
-            complements = {everything - part for part in partition.parts}
-            verdicts["degree2_structure"] = (
-                "pass" if complements == set(decomposition.primes) else "fail"
-            )
+            everything = (1 << n) - 1
+            complements = {everything & ~mono(part) for part in partition.parts}
+            verdicts["degree2_structure"] = "pass" if complements == primes else "fail"
         except InvariantViolation:
             verdicts["degree2_structure"] = "fail"
     else:
         verdicts["degree2_structure"] = "skip"
-    if decomposition.unmixed and n >= 2:
+    if unmixed and n >= 2:
+        # The bounds hold for full support only, as unmixed_bounds_report checks.
+        if not has_full_support(ideal):
+            raise ValueError("support must be all of x1..xn")
+        block_sizes = None if blocks is None else tuple(b.bit_count() for b in blocks)
         try:
-            unmixed_bounds_report(mi)
+            _unmixed_bounds(n, d, h, veronese, block_sizes)
             verdicts["unmixed_bounds"] = "pass"
         except InvariantViolation:
             verdicts["unmixed_bounds"] = "fail"
     else:
         verdicts["unmixed_bounds"] = "skip"
     cohen_macaulay = h == q + 1
-    verdicts["cm_iff_veronese"] = (
-        "pass" if cohen_macaulay == recognize_veronese(ideal) else "fail"
-    )
+    verdicts["cm_iff_veronese"] = "pass" if cohen_macaulay == veronese else "fail"
     # The bounds ``ara_bounds(mi, search=False)`` gives, from this q: none
     # when q misses n - d (``q_index`` raises) or a construction raises.
     found = None
     if q == n - d:
         try:
-            found = construct_certificate(mi)
+            # A partition that failed its check above raises again here.
+            found = _ladder(
+                mi,
+                "auto",
+                lambda: veronese,
+                lambda: blocks is not None,
+                lambda: partition or degree2_partition(mi),
+            )
         except InvariantViolation:
             pass
     ara_lower = q + 1
@@ -296,7 +335,7 @@ def theorem_battery(mi: MatroidalIdeal) -> BatteryResult:
         d=d,
         q=q,
         height=h,
-        unmixed=decomposition.unmixed,
+        unmixed=unmixed,
         cohen_macaulay=cohen_macaulay,
         ara_lower=ara_lower,
         ara_upper=ara_upper,

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from typing import Sequence
 
 from .decomposition import height
 from .ideals import InvariantViolation, Monomial, has_full_support, mono_vars
@@ -88,6 +89,49 @@ def _preference(gens: tuple[Monomial, ...], n: int, strategy: str, seed: int) ->
     raise ValueError(f"unknown ordering strategy {strategy!r}")
 
 
+def _flip(masks: list[int], u: Monomial, bit: int) -> None:
+    """Toggle ``bit`` in ``masks[v]`` for every variable x_{v+1} of u."""
+    while u:
+        low = u & -u
+        masks[low.bit_length() - 1] ^= bit
+        u ^= low
+
+
+def _colon_pass(order: Sequence[Monomial], n: int) -> list[int] | None:
+    """The colon variables of each step of ``order``, or None.
+
+    One exact pass on per-variable masks: step j (from the second
+    generator on) is ``_colon_vars`` of the j-th generator against the
+    positions before it, as a monomial.  None at the first step whose
+    colon ideal is not variable-generated.
+    """
+    masks = [0] * n  # positions in ``order`` containing x_{v+1}
+    steps = []
+    for position, u in enumerate(order):
+        bit = 1 << position
+        if position:
+            singles = _colon_vars(masks, u, bit - 1)
+            if singles is None:
+                return None
+            steps.append(singles)
+        _flip(masks, u, bit)
+    return steps
+
+
+def _lex_q(mi: MatroidalIdeal) -> int:
+    """q(I) from one colon pass in the canonical (descending lex) order.
+
+    Matroidal ideals have linear quotients in that order (Herzog-Takayama
+    2002), so only the step sizes are kept.  When a step is not
+    variable-generated, as on an unvalidated ``MatroidalIdeal``, this is
+    ``find_ordering(mi).q``; q does not depend on the ordering.
+    """
+    steps = _colon_pass(mi.ideal.gens, mi.ideal.n)
+    if steps is None:
+        return find_ordering(mi).q
+    return max((s.bit_count() for s in steps), default=0)
+
+
 def find_ordering(
     mi: MatroidalIdeal, strategy: str = "lex", seed: int = 0
 ) -> QuotientOrdering:
@@ -100,19 +144,25 @@ def find_ordering(
     The colon step runs on per-variable masks over the positions placed so
     far (``_colon_vars``), updated as a generator is placed or undone, so
     a step costs O(n) mask operations instead of a pass over the prefix;
-    it agrees with :func:`colon_step_vars` on every prefix.  Each scan for
-    the next generator starts at the lowest unused preference index, not
-    at the front.  The walk keeps its own stack (the preference index
-    chosen at each depth), so its size is bounded by memory, not the
-    recursion limit.  Matroidal ideals have linear quotients in the
-    canonical (descending lex) generator order (Herzog-Takayama 2002), so
-    with the default ``"lex"`` preference the walk places the generators
-    in that order and never backtracks.  Exhausting the search is an
+    it agrees with :func:`colon_step_vars` on every prefix.  The walk
+    first tries the whole preference order in one pass
+    (``_colon_pass``), which is where it would go if no step failed.
+    Otherwise each scan for the next generator starts at the lowest
+    unused preference index, not at the front.  The walk keeps its own
+    stack (the preference index chosen at each depth), so its size is
+    bounded by memory, not the recursion limit.  Matroidal ideals have
+    linear quotients in the canonical (descending lex) generator order
+    (Herzog-Takayama 2002), so with the default ``"lex"`` preference the
+    one pass places every generator.  Exhausting the search is an
     invariant violation.
     """
     preference = _preference(mi.ideal.gens, mi.ideal.n, strategy, seed)
-    if len(preference) == 1:
-        return QuotientOrdering((preference[0],), (), 0)
+    passed = _colon_pass(preference, mi.ideal.n)
+    if passed is not None:
+        steps = tuple(frozenset(mono_vars(s)) for s in passed)
+        return QuotientOrdering(
+            tuple(preference), steps, max((len(s) for s in steps), default=0)
+        )
     size = len(preference)
     used = [False] * size
     lowest = 0  # the lowest unused preference index
@@ -135,10 +185,7 @@ def find_ordering(
             used[i] = True
             chosen.append(i)
             order.append(u)
-            while u:
-                low = u & -u
-                masks[low.bit_length() - 1] |= bit
-                u ^= low
+            _flip(masks, u, bit)
             while lowest < size and used[lowest]:
                 lowest += 1
             start = lowest
@@ -153,11 +200,7 @@ def find_ordering(
             i = chosen.pop()
             used[i] = False
             lowest = min(lowest, i)
-            u = order.pop()
-            while u:
-                low = u & -u
-                masks[low.bit_length() - 1] ^= bit >> 1
-                u ^= low
+            _flip(masks, order.pop(), bit >> 1)
             if order:
                 steps.pop()
             start = i + 1

@@ -7,19 +7,22 @@ the ideal up to radical, so r+1 bounds the arithmetical rank from above.
 The projective dimension bounds it from below, and the two meet at
 q(I) + 1 = n - d + 1 whenever a certificate of that size exists.
 
-``construct_certificate`` is the one construction ladder.  Its rungs are
-one exchange rule read in a variable order: the natural order for
-square-free Veronese ideals and variable block products, the part order
-for degree-2 ideals.  Every layering it returns has passed ``verify_sv``.
+``construct_certificate`` is the one construction ladder; the theorem
+battery climbs its core, ``_ladder``, with the Veronese and block-product
+facts it has already read off the cocircuits.  Its rungs are one exchange
+rule read in a variable order: the natural order for square-free
+Veronese ideals and variable block products, the part order for degree-2
+ideals.  Every layering it returns has passed ``verify_sv``.
 A complete layered-partition search covers everything else.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .decomposition import (
+    MultipartitePartition,
     degree2_partition,
     recognize_var_block_product,
     recognize_veronese,
@@ -316,9 +319,14 @@ def degree2_cert(mi: MatroidalIdeal) -> SVPartition:
     those before a and those between a's part and b: layer i + j - 2,
     over exactly n-1 layers.
     """
-    parts = sorted(degree2_partition(mi).parts, key=lambda p: (-len(p), sorted(p)))
+    return _degree2_layering(mi.ideal, degree2_partition(mi))
+
+
+def _degree2_layering(ideal: Ideal, partition: MultipartitePartition) -> SVPartition:
+    """:func:`degree2_cert` on the ideal's degree-2 partition."""
+    parts = sorted(partition.parts, key=lambda p: (-len(p), sorted(p)))
     order = [v for part in parts for v in sorted(part)]
-    return _exchange_layering(mi.ideal, order, "degree-2")
+    return _exchange_layering(ideal, order, "degree-2")
 
 
 def construct_certificate(
@@ -331,24 +339,49 @@ def construct_certificate(
     applies.  A forced ``method`` that does not apply raises ValueError.
     In a block product y can replace only the variable of u in its own
     block, so the natural order puts u in the sum of its block positions.
-    Every returned layering has passed ``verify_sv``.
+    Every returned layering has passed ``verify_sv``.  The rungs are
+    recognised by ``recognize_veronese`` and
+    ``recognize_var_block_product``, each only when its rung is reached.
+    """
+    ideal = mi.ideal
+    return _ladder(
+        mi,
+        method,
+        lambda: recognize_veronese(ideal),
+        lambda: recognize_var_block_product(ideal) is not None,
+        lambda: degree2_partition(mi),
+    )
+
+
+def _ladder(
+    mi: MatroidalIdeal,
+    method: str,
+    is_veronese: Callable[[], bool],
+    is_product: Callable[[], bool],
+    partition: Callable[[], MultipartitePartition],
+) -> tuple[str, SVPartition] | None:
+    """:func:`construct_certificate` on facts its caller already holds.
+
+    ``is_veronese`` and ``is_product`` say whether the ideal is square-free
+    Veronese and a variable block product, and ``partition`` gives its
+    degree-2 partition; each is called at most once, when the ladder
+    reaches its rung.
     """
     ideal = mi.ideal
     natural = range(1, ideal.n + 1)
     if method in ("auto", "veronese"):
-        if recognize_veronese(ideal):
+        if is_veronese():
             return "veronese", _exchange_layering(ideal, natural, "Veronese")
         if method == "veronese":
             raise ValueError("not a square-free Veronese ideal")
     if method in ("auto", "product"):
-        blocks = recognize_var_block_product(ideal)
-        if blocks is not None:
+        if is_product():
             return "product", _exchange_layering(ideal, natural, "block product")
         if method == "product":
             raise ValueError("not a variable block product")
     if method in ("auto", "degree2"):
         if mi.d == 2:
-            return "degree2", degree2_cert(mi)
+            return "degree2", _degree2_layering(ideal, partition())
         if method == "degree2":
             raise ValueError("degree is not 2")
     if method != "auto":
@@ -630,18 +663,25 @@ def ara_bounds(
     return AraBounds(lower, upper, exact, method, certificate)
 
 
-def certificate_document(cert: SVPartition | RadicalCertificate) -> dict[str, object]:
-    """JSON-ready certificate: target, layers, sums, verification flags."""
+def certificate_document(
+    cert: SVPartition | RadicalCertificate, verified: bool | None = None
+) -> dict[str, object]:
+    """JSON-ready certificate: target, layers, sums, verification flags.
+
+    ``verified`` is the ``verify_sv`` verdict on a layering that has
+    already been checked, such as one from ``construct_certificate`` or
+    ``search_cert``; when it is None the layering is checked here.
+    """
     if isinstance(cert, SVPartition):
-        check = verify_sv(cert)
-        sums = _layer_sums(cert) if check else None
+        if verified is None:
+            verified = bool(verify_sv(cert))
+        sums = _layer_sums(cert) if verified else None
         target = cert.ideal
         layers = [
             [mono_str(m) for m in sorted(layer, key=mono_vars)]
             for layer in cert.layers
         ]
         sum_strings = [poly_str(p) for p in sums.polys] if sums else []
-        verified = bool(check)
     else:
         target = cert.target
         layers = None

@@ -934,3 +934,88 @@ def reference_ara_bounds(
                 method = "search"
     exact = (upper == lower) if upper is not None else None
     return AraBounds(lower, upper, exact, method, certificate)
+
+
+def reference_battery(mi):
+    """``theorem_battery`` as composed before it read one cocircuit set.
+
+    q comes from ``find_ordering``, the primes from ``minimal_primes``, and
+    the unmixed bounds, Veronese test and certificate from the public
+    ``unmixed_bounds_report``, ``recognize_veronese`` and
+    ``construct_certificate``, each recomputing what it needs.
+    """
+    from matroidal import (
+        BatteryResult,
+        InvariantViolation,
+        construct_certificate,
+        degree2_partition,
+        find_ordering,
+        minimal_primes,
+        recognize_veronese,
+        unmixed_bounds_report,
+    )
+
+    ideal = mi.ideal
+    n, d = ideal.n, mi.d
+    verdicts: dict[str, str] = {}
+    q = find_ordering(mi).q
+    verdicts["linear_quotient_index"] = "pass" if q == n - d else "fail"
+    decomposition = minimal_primes(ideal)
+    h = decomposition.height
+    verdicts["height_bound"] = "pass" if h <= q + 1 else "fail"
+    if d == 2:
+        try:
+            partition = degree2_partition(mi)
+            everything = frozenset(range(1, n + 1))
+            complements = {everything - part for part in partition.parts}
+            verdicts["degree2_structure"] = (
+                "pass" if complements == set(decomposition.primes) else "fail"
+            )
+        except InvariantViolation:
+            verdicts["degree2_structure"] = "fail"
+    else:
+        verdicts["degree2_structure"] = "skip"
+    if decomposition.unmixed and n >= 2:
+        try:
+            unmixed_bounds_report(mi)
+            verdicts["unmixed_bounds"] = "pass"
+        except InvariantViolation:
+            verdicts["unmixed_bounds"] = "fail"
+    else:
+        verdicts["unmixed_bounds"] = "skip"
+    cohen_macaulay = h == q + 1
+    verdicts["cm_iff_veronese"] = (
+        "pass" if cohen_macaulay == recognize_veronese(ideal) else "fail"
+    )
+    found = None
+    if q == n - d:
+        try:
+            found = construct_certificate(mi)
+        except InvariantViolation:
+            pass
+    ara_lower = q + 1
+    if found is None:
+        verdicts["sv_certificate"] = "skip"
+        verdicts["cm_iff_stci"] = "skip"
+        ara_upper, ara_exact, certificate = None, None, None
+    else:
+        certificate = found[1]
+        ara_upper = len(certificate.layers)
+        ara_exact = ara_upper == ara_lower
+        verdicts["sv_certificate"] = "pass" if ara_upper == n - d + 1 else "fail"
+        verdicts["cm_iff_stci"] = (
+            "pass" if (h == ara_upper) == cohen_macaulay else "fail"
+        )
+    return BatteryResult(
+        n=n,
+        d=d,
+        q=q,
+        height=h,
+        unmixed=decomposition.unmixed,
+        cohen_macaulay=cohen_macaulay,
+        ara_lower=ara_lower,
+        ara_upper=ara_upper,
+        ara_exact=ara_exact,
+        verdicts=verdicts,
+        certificate=certificate,
+    )

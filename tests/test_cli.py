@@ -138,6 +138,27 @@ def test_verify_cert_checks_the_layering_once(capsys, v42, v42_cert, monkeypatch
     assert len(calls) == 1
 
 
+def test_cert_checks_the_layering_once(capsys, tmp_path, monkeypatch):
+    # The ladder's layering has passed verify_sv; the document reuses that
+    # verdict instead of checking the 924 generators of V(12,6) again.
+    lines = [" ".join(f"x{v}" for v in c) for c in combinations(range(1, 13), 6)]
+    path = tmp_path / "v126.txt"
+    path.write_text("n=12\n" + "\n".join(lines) + "\n")
+    calls = []
+    verify = matroidal.svrank.verify_sv
+
+    def counted(partition):
+        calls.append(partition)
+        return verify(partition)
+
+    monkeypatch.setattr(matroidal.svrank, "verify_sv", counted)
+    monkeypatch.setattr(matroidal.cli, "verify_sv", counted)
+    code, payload = run_json(capsys, "cert", str(path))
+    assert (code, payload["construction"], payload["verified_sv"]) == (0, "veronese", True)
+    assert [len(layer) for layer in payload["layers"]] == [1, 6, 21, 56, 126, 252, 462]
+    assert len(calls) == 1
+
+
 def test_verify_cert_detects_tampering(capsys, v42, tmp_path):
     _, doc = run_json(capsys, "cert", v42)
     doc["layers"][1], doc["layers"][2] = doc["layers"][2], doc["layers"][1]

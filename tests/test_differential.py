@@ -36,6 +36,17 @@ random mixed-degree sets.
 and must pick the method and size the ladder it replaced picked, on every
 ideal with n <= 6.  ``theorem_battery`` climbs the same ladder from its own
 q and must report the bounds ``ara_bounds`` reports on each of them.
+
+``theorem_battery`` takes q from one colon pass in canonical order and
+everything else from one set of fundamental cocircuits.  Its results must
+equal ``reference_battery``'s, the composition of ``find_ordering``,
+``minimal_primes``, the recognizers, ``unmixed_bounds_report`` and
+``construct_certificate`` it replaced: on every ideal with n <= 6, and
+(slow) on the relabeled (7,3) and (7,4) orbit representatives, V(9,4) and
+relabeled 4+4 and 4+4+4 products.  On each, the pass's q must equal
+``find_ordering``'s and the blocks read off the cocircuits must equal
+``recognize_var_block_product``'s, also on a relabeled 4+4+4+4 product.
+An unvalidated ideal whose canonical order fails takes both fallbacks.
 Each rung reads one exchange rule in a variable order.  With ``auto`` and
 each forced method it must give the layers of the closed forms it
 replaced, or refuse with the same message: on every ideal with n <= 6 and
@@ -98,10 +109,11 @@ from matroidal import (
     veronese,
     veronese_cert,
 )
+from matroidal.decomposition import _cocircuit_blocks
 from matroidal.enumeration import _smaller_relabeling
-from matroidal.matroids import MatroidalIdeal, _completions
+from matroidal.matroids import MatroidalIdeal, _completions, _fundamental_cocircuits
 from matroidal.oracle import BudgetExceededError
-from matroidal.quotients import _colon_vars
+from matroidal.quotients import _colon_pass, _colon_vars, _lex_q
 from matroidal.svrank import _unsettled_pairs
 
 from helpers import (
@@ -113,6 +125,7 @@ from helpers import (
     multipartite_ideal,
     partition_shapes,
     reference_ara_bounds,
+    reference_battery,
     reference_buchberger,
     reference_canonical_form,
     reference_check_matroidal,
@@ -509,6 +522,74 @@ def test_battery_bounds_match_ara_bounds(enum_cache):
                 battery.ara_exact,
                 battery.certificate,
             ) == (bounds.lower, bounds.upper, bounds.exact, bounds.certificate)
+
+
+def _assert_battery_kernels_agree(mi):
+    # The q pass and the cocircuit block reading against their oracles,
+    # then the whole battery against its old composition.
+    ideal = mi.ideal
+    assert _colon_pass(ideal.gens, ideal.n) is not None
+    assert _lex_q(mi) == find_ordering(mi).q
+    cocircuits = _fundamental_cocircuits(ideal.gens)
+    blocks = _cocircuit_blocks(cocircuits, mi.d, len(ideal.gens))
+    expected = recognize_var_block_product(ideal)
+    assert (blocks and tuple(frozenset(mono_vars(b)) for b in blocks)) == expected
+    assert theorem_battery(mi) == reference_battery(mi)
+    return blocks is not None
+
+
+def test_battery_matches_its_old_composition_on_every_small_ideal(enum_cache):
+    ideals = products = 0
+    for n, d in CELLS:
+        for mi in enum_cache(n, d):
+            ideals += 1
+            products += _assert_battery_kernels_agree(mi)
+    assert ideals == 2356
+    # The 267 product rungs of the ladder and the 11 V(n, 1) and V(n, n).
+    assert products == 267 + 11
+
+
+def test_cocircuit_blocks_match_the_recognizer_on_a_relabeled_product():
+    perm = tuple(random.Random(16).sample(range(1, 17), 16))
+    mi = var_block_product(_relabeled((4, 4, 4, 4), perm))
+    gens = mi.ideal.gens
+    blocks = _cocircuit_blocks(_fundamental_cocircuits(gens), 4, len(gens))
+    expected = recognize_var_block_product(mi.ideal)
+    assert tuple(frozenset(mono_vars(b)) for b in blocks) == expected
+    assert sorted(map(sorted, expected)) == sorted(map(sorted, _relabeled((4, 4, 4, 4), perm)))
+
+
+def test_battery_falls_back_where_the_lex_order_fails():
+    # Not matroidal (x1x4, x2x3 and x = x4 has no exchange), passed in
+    # unvalidated: the canonical order stops at x2x3, whose colon ideal is
+    # (x1x4), but x1x4, x3x4, x2x3 has linear quotients with q = 1.
+    mi = MatroidalIdeal(ideal_of(4, (1, 4), (2, 3), (3, 4)), 2)
+    assert _colon_pass(mi.ideal.gens, 4) is None
+    assert _lex_q(mi) == find_ordering(mi).q == 1
+    assert _fundamental_cocircuits(mi.ideal.gens) is None
+    result = theorem_battery(mi)
+    assert result == reference_battery(mi)
+    assert (result.q, result.height, result.unmixed) == (1, 2, True)
+    assert result.verdicts["linear_quotient_index"] == "fail"
+
+
+def _battery_slow_inputs(enum_cache):
+    rng = random.Random(7)
+    for n, d in ((7, 3), (7, 4)):
+        for mi in enum_cache(n, d, True):
+            perm = tuple(rng.sample(range(1, n + 1), n))
+            yield MatroidalIdeal(relabel_ideal(mi.ideal, perm), d)
+    yield veronese(9, 4)
+    for sizes in ((4, 4), (4, 4, 4)):
+        perm = tuple(rng.sample(range(1, sum(sizes) + 1), sum(sizes)))
+        yield var_block_product(_relabeled(sizes, perm))
+
+
+@pytest.mark.slow
+def test_battery_matches_its_old_composition_on_larger_ideals(enum_cache):
+    products = [_assert_battery_kernels_agree(mi) for mi in _battery_slow_inputs(enum_cache)]
+    assert len(products) == 70 + 85 + 3
+    assert products[-2:] == [True, True]
 
 
 def test_enumeration_matches_the_inclusion_only_dfs(enum_cache):

@@ -1,4 +1,3 @@
-import dataclasses
 import os
 import random
 import subprocess
@@ -9,8 +8,11 @@ from pathlib import Path
 
 import pytest
 
+import matroidal.decomposition
 import matroidal.enumeration
+import matroidal.matroids
 import matroidal.quotients
+import matroidal.svrank
 from matroidal import (
     Ideal,
     InvariantViolation,
@@ -282,34 +284,37 @@ def test_battery_carries_its_certificate():
     assert len(result.certificate.layers) == result.ara_upper == 3
 
 
-def test_battery_runs_find_ordering_once(monkeypatch):
-    # The battery's own q stands in for the second ordering q_index would find.
-    calls = []
+def test_battery_runs_the_colon_pass_once(monkeypatch):
+    # The battery's q comes from one colon pass in canonical order; on
+    # matroidal input no step fails, so find_ordering never runs.
+    passes, orderings = [], []
+    colon_pass = matroidal.quotients._colon_pass
     find = matroidal.quotients.find_ordering
 
-    def counted(*args, **kwargs):
-        calls.append(args[0])
+    def counted_pass(*args, **kwargs):
+        passes.append(args[0])
+        return colon_pass(*args, **kwargs)
+
+    def counted_find(*args, **kwargs):
+        orderings.append(args[0])
         return find(*args, **kwargs)
 
-    monkeypatch.setattr(matroidal.quotients, "find_ordering", counted)
-    monkeypatch.setattr(matroidal.enumeration, "find_ordering", counted)
+    monkeypatch.setattr(matroidal.quotients, "_colon_pass", counted_pass)
+    monkeypatch.setattr(matroidal.quotients, "find_ordering", counted_find)
+    monkeypatch.setattr(matroidal, "find_ordering", counted_find)
     ideals = [veronese(4, 2), var_block_product([{1, 2}, {3}])]
     ideals += enumerate_matroidal(5, 3)
     for mi in ideals:
-        calls.clear()
+        passes.clear()
+        orderings.clear()
         theorem_battery(mi)
-        assert len(calls) == 1, mi
+        assert len(passes) == 1, mi
+        assert orderings == [], mi
 
 
 def test_battery_skips_the_bounds_when_q_misses(monkeypatch):
-    find = matroidal.quotients.find_ordering
-
-    def shifted(*args, **kwargs):
-        ordering = find(*args, **kwargs)
-        return dataclasses.replace(ordering, q=ordering.q + 1)
-
-    monkeypatch.setattr(matroidal.quotients, "find_ordering", shifted)
-    monkeypatch.setattr(matroidal.enumeration, "find_ordering", shifted)
+    lex_q = matroidal.enumeration._lex_q
+    monkeypatch.setattr(matroidal.enumeration, "_lex_q", lambda mi: lex_q(mi) + 1)
     result = theorem_battery(veronese(4, 2))
     assert result.verdicts["linear_quotient_index"] == "fail"
     assert result.verdicts["sv_certificate"] == "skip"
@@ -319,15 +324,66 @@ def test_battery_skips_the_bounds_when_q_misses(monkeypatch):
 
 
 def test_battery_skips_the_bounds_when_a_construction_raises(monkeypatch):
-    def broken(mi, method="auto"):
+    def broken(mi, method, *facts):
         raise InvariantViolation("broken construction")
 
-    monkeypatch.setattr(matroidal.enumeration, "construct_certificate", broken)
+    monkeypatch.setattr(matroidal.enumeration, "_ladder", broken)
     result = theorem_battery(veronese(4, 2))
     assert result.verdicts["sv_certificate"] == "skip"
     assert result.verdicts["cm_iff_stci"] == "skip"
     assert (result.q, result.ara_lower) == (2, 3)
     assert (result.ara_upper, result.ara_exact, result.certificate) == (None,) * 3
+
+
+def test_battery_reads_one_cocircuit_set(monkeypatch):
+    # One _fundamental_cocircuits call gives the primes, the Veronese and
+    # block-product facts; the generic paths are never entered, and the
+    # ladder reuses the battery's degree-2 partition.
+    calls = {
+        name: []
+        for name in (
+            "_fundamental_cocircuits",
+            "degree2_partition",
+            "minimal_primes",
+            "recognize_var_block_product",
+            "recognize_veronese",
+            "unmixed_bounds_report",
+        )
+    }
+    modules = (
+        matroidal,
+        matroidal.decomposition,
+        matroidal.enumeration,
+        matroidal.matroids,
+        matroidal.quotients,
+        matroidal.svrank,
+    )
+    for name, log in calls.items():
+        original = getattr(matroidal.decomposition, name)
+
+        def counted(*args, _original=original, _log=log, **kwargs):
+            _log.append(args[0])
+            return _original(*args, **kwargs)
+
+        for module in modules:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted)
+    ideals = [veronese(4, 2), var_block_product([{1, 2}, {3, 4}])]
+    ideals += [var_block_product([{1, 2}, {3}])]
+    ideals += enumerate_matroidal(5, 2)
+    ideals += enumerate_matroidal(5, 3)
+    for mi in ideals:
+        for log in calls.values():
+            log.clear()
+        theorem_battery(mi)
+        assert {name: len(log) for name, log in calls.items()} == {
+            "_fundamental_cocircuits": 1,
+            "degree2_partition": int(mi.d == 2),
+            "minimal_primes": 0,
+            "recognize_var_block_product": 0,
+            "recognize_veronese": 0,
+            "unmixed_bounds_report": 0,
+        }, mi
 
 
 def test_scan_counts_only_certificates_it_reverified(monkeypatch):

@@ -511,6 +511,9 @@ def test_certificate_document_verifies_once(monkeypatch):
     monkeypatch.setattr(matroidal.svrank, "verify_sv", counted)
     assert certificate_document(partition) == expected
     assert calls == [partition]
+    # A known verdict is taken as given.
+    assert certificate_document(partition, verified=True) == expected
+    assert calls == [partition]
     bad = SVPartition(partition.ideal, (frozenset(partition.ideal.gens),))
     doc = certificate_document(bad)
     assert (doc["verified_sv"], doc["sums"]) == (False, [])
