@@ -127,7 +127,9 @@ def degree2_partition(mi: MatroidalIdeal) -> MultipartitePartition:
     plus all its non-neighbors among the remaining variables, then recurse.
     The defining properties (parts partition the variables, cross pairs
     generate, intra pairs do not, at least two parts) are verified before
-    returning; a failure on validated input is an invariant violation.
+    returning, each variable's pairs by one test of its adjacency mask; the
+    ordered pair loops run only to name the first failing pair.  A failure
+    on validated input is an invariant violation.
     """
     ideal = mi.ideal
     n = ideal.n
@@ -142,16 +144,33 @@ def degree2_partition(mi: MatroidalIdeal) -> MultipartitePartition:
         a, b = mono_vars(g)
         adjacency[a] |= 1 << (b - 1)
         adjacency[b] |= 1 << (a - 1)
-    remaining = (1 << n) - 1
+    full = (1 << n) - 1
+    remaining = full
     part_masks: list[int] = []
     while remaining:
         anchor = (remaining & -remaining).bit_length()
         part = remaining & ~adjacency[anchor]
         part_masks.append(part)
         remaining &= ~part
-    genset = set(ideal.gens)
     if len(part_masks) < 2:
         raise InvariantViolation("fewer than two parts for a degree-2 ideal")
+    for part in part_masks:
+        for a in mono_vars(part):
+            # Cross pairs: a meets every variable outside its part.  Intra
+            # pairs: a meets none inside it.
+            if adjacency[a] | part != full or adjacency[a] & part:
+                raise _first_bad_pair(part_masks, set(ideal.gens))
+    parts = tuple(frozenset(mono_vars(p)) for p in part_masks)
+    signature = tuple(sorted((len(p) for p in parts), reverse=True))
+    return MultipartitePartition(parts, signature)
+
+
+def _first_bad_pair(part_masks: list[int], genset: set[int]) -> InvariantViolation:
+    """The error naming the first failing pair of :func:`degree2_partition`.
+
+    Part by part: its cross pairs, in part order, then its intra pairs.
+    Only called once the adjacency masks have found a failure.
+    """
     for i, p in enumerate(part_masks):
         for j, q in enumerate(part_masks):
             if i == j:
@@ -159,18 +178,16 @@ def degree2_partition(mi: MatroidalIdeal) -> MultipartitePartition:
             for a in mono_vars(p):
                 for b in mono_vars(q):
                     if (1 << (a - 1)) | (1 << (b - 1)) not in genset:
-                        raise InvariantViolation(
+                        return InvariantViolation(
                             f"cross pair x{a}x{b} is not a generator"
                         )
         for a in mono_vars(p):
             for b in mono_vars(p):
                 if a < b and (1 << (a - 1)) | (1 << (b - 1)) in genset:
-                    raise InvariantViolation(
+                    return InvariantViolation(
                         f"intra-part pair x{a}x{b} is a generator"
                     )
-    parts = tuple(frozenset(mono_vars(p)) for p in part_masks)
-    signature = tuple(sorted((len(p) for p in parts), reverse=True))
-    return MultipartitePartition(parts, signature)
+    return InvariantViolation("a part fails its adjacency masks, but every pair holds")
 
 
 def multipartite_signature(mi: MatroidalIdeal) -> tuple[int, ...]:

@@ -12,8 +12,15 @@ is decided by the leaves, so every leaf with full support satisfies the
 exchange condition and is yielded without a further check.
 
 With symmetry reduction an ideal is kept when no relabeling gives a
-smaller sorted generator encoding, decided by a pure-Python walk that
-places labels bottom up for any mix of degrees (``_smaller_relabeling``).
+smaller sorted generator encoding.  Relabeling keeps full support and the
+exchange condition, so every relabeling of a leaf is another leaf of the
+same DFS.  The first leaf of each orbit closes it under the n - 1
+adjacent transpositions, each a two-bit swap on every mask, and maps each
+member to the orbit's least encoding; every later member looks itself up
+and consumes its entry, and a leaf is kept when it is that least
+encoding.  ``canonical_form`` decides single ideals, of any mix of
+degrees, by a pure-Python walk that places labels bottom up
+(``_smaller_relabeling``); the tests hold the orbit filter to it.
 """
 
 from __future__ import annotations
@@ -32,7 +39,7 @@ from .decomposition import (
     recognize_veronese,
 )
 from .ideals import Ideal, InvariantViolation, has_full_support, mono, mono_vars
-from .matroids import MatroidalIdeal, _fundamental_cocircuits
+from .matroids import MatroidalIdeal, _completions, _fundamental_cocircuits
 from .quotients import _lex_q
 from .svrank import SVPartition, _ladder, search_cert, verify_sv
 
@@ -43,7 +50,9 @@ from .svrank import SVPartition, _ladder, search_cert, verify_sv
 # count, which admits them up to n = 16.
 MAX_SUBSETS = 35
 MAX_IDEALS = 1 << 16
-# Canonicity walks place one label per level, n! placements at worst.
+# Bounds ``canonical_form``'s walk, which places one label per level (n!
+# placements at worst), and the orbit map of a symmetry-reduced
+# enumeration, which can hold up to a whole cell's labeled encodings.
 MAX_SYMMETRY_VARS = 7
 
 
@@ -91,6 +100,37 @@ def _smaller_relabeling(ideal: Ideal) -> tuple[int, ...] | None:
         return None
     free = iter(sorted(set(range(1, n + 1)) - set(label)))
     return tuple(k or next(free) for k in label)
+
+
+def _adjacent_swaps(n: int) -> list[list[int]]:
+    """For each bit i < n - 1, every mask below 2^n with bits i, i+1 swapped."""
+    tables = []
+    for i in range(n - 1):
+        both = 3 << i
+        tables.append(
+            [m ^ both if (m >> i ^ m >> (i + 1)) & 1 else m for m in range(1 << n)]
+        )
+    return tables
+
+
+def _orbit(
+    encoding: tuple[int, ...], swaps: list[list[int]]
+) -> set[tuple[int, ...]]:
+    """Every sorted generator encoding a relabeling gives ``encoding``.
+
+    A search under the adjacent transpositions ``_adjacent_swaps(n)``,
+    which generate the symmetric group: |orbit| (n - 1) swaps in all.
+    """
+    orbit = {encoding}
+    frontier = [encoding]
+    while frontier:
+        masks = frontier.pop()
+        for table in swaps:
+            image = tuple(sorted(map(table.__getitem__, masks)))
+            if image not in orbit:
+                orbit.add(image)
+                frontier.append(image)
+    return orbit
 
 
 def canonical_form(ideal: Ideal) -> tuple[int, ...]:
@@ -143,7 +183,9 @@ def enumerate_matroidal(n: int, d: int, up_to_symmetry: bool = False):
 
     Deterministic and restart-stable.  With ``up_to_symmetry`` only the
     ideals equal to their own canonical form are yielded, one per
-    relabeling orbit.
+    relabeling orbit, in the same order.  Canonicity costs one orbit
+    closure per orbit, |cell| (n - 1) swaps in all, through a map local
+    to the call that is empty again when the DFS ends.
     """
     _check_cell(n, d, up_to_symmetry)
     subsets = [mono(c) for c in combinations(range(1, n + 1), d)]
@@ -187,16 +229,27 @@ def enumerate_matroidal(n: int, d: int, up_to_symmetry: bool = False):
                 return True
         return False
 
+    # Each orbit is closed once, at its first leaf; every member is a leaf
+    # of this DFS, met exactly once, and consumes its entry when it is.
+    orbit_min: dict[tuple[int, ...], tuple[int, ...]] = {}
+    swaps = _adjacent_swaps(n) if up_to_symmetry else []
     stack: list[tuple[int, int, int]] = [(0, 0, 0)]
     while stack:
         t, chosen, sup = stack.pop()
         if t == k:
             if chosen and sup == full:
                 gens = tuple(subsets[i] for i in _index_bits(chosen))
-                ideal = Ideal(n, gens)
-                if up_to_symmetry and _smaller_relabeling(ideal) is not None:
-                    continue
-                yield MatroidalIdeal(ideal, d)
+                if up_to_symmetry:
+                    encoding = tuple(sorted(gens))
+                    least = orbit_min.pop(encoding, None)
+                    if least is None:
+                        orbit = _orbit(encoding, swaps)
+                        least = min(orbit)
+                        orbit.discard(encoding)
+                        orbit_min.update(dict.fromkeys(orbit, least))
+                    if encoding != least:
+                        continue
+                yield MatroidalIdeal(Ideal(n, gens), d)
             continue
         if sup | suffix_support[t + 1] == full and not open_slot(closed_out[t], chosen):
             stack.append((t + 1, chosen, sup))
@@ -240,8 +293,10 @@ def theorem_battery(mi: MatroidalIdeal) -> BatteryResult:
     the largest colon step of one exact pass in the canonical (descending
     lex) order, in which matroidal ideals have linear quotients
     (Herzog-Takayama 2002); ``find_ordering`` runs only if a step is not
-    variable-generated.  The rest comes from one set of fundamental
-    cocircuits, which are the minimal primes (Oxley, *Matroid Theory*,
+    variable-generated.  The rest comes from one completion map
+    (``matroids._completions``), built once: its values are the fundamental
+    cocircuits, and the ladder's exchange layering reads it.  The
+    cocircuits are the minimal primes (Oxley, *Matroid Theory*,
     ch. 2): the height and unmixedness are their sizes, the degree-2
     parts are their complements, the ideal is Veronese when it has
     C(n, d) generators, and a block product when d of them are disjoint
@@ -260,9 +315,10 @@ def theorem_battery(mi: MatroidalIdeal) -> BatteryResult:
     verdicts: dict[str, str] = {}
     q = _lex_q(mi)
     verdicts["linear_quotient_index"] = "pass" if q == n - d else "fail"
+    completions = _completions(gens)  # shared by the cocircuits and the ladder
     cocircuits = None
     if all(g.bit_count() == d for g in gens):  # the kernel assumes degree d
-        cocircuits = _fundamental_cocircuits(gens)
+        cocircuits = _fundamental_cocircuits(gens, completions)
     if cocircuits is not None:
         primes = cocircuits
         veronese = len(gens) == comb(n, d)
@@ -313,6 +369,7 @@ def theorem_battery(mi: MatroidalIdeal) -> BatteryResult:
                 lambda: veronese,
                 lambda: blocks is not None,
                 lambda: partition or degree2_partition(mi),
+                completions,
             )
         except InvariantViolation:
             pass

@@ -129,7 +129,9 @@ def _holders(gens: Iterable[Monomial]) -> dict[int, int]:
     return holders
 
 
-def _fundamental_cocircuits(gens: tuple[Monomial, ...]) -> set[int] | None:
+def _fundamental_cocircuits(
+    gens: tuple[Monomial, ...], completions: dict[Monomial, int] | None = None
+) -> set[int] | None:
     """The distinct fundamental cocircuits of equal-degree generators.
 
     For each generator B and x in B, C(B, x) is x together with every
@@ -141,9 +143,12 @@ def _fundamental_cocircuits(gens: tuple[Monomial, ...]) -> set[int] | None:
     exchange triple (B, B2, x), so ``None`` is returned iff the exchange
     condition fails.  Otherwise the sets are the cocircuits of the matroid
     whose bases are the generators, which are exactly its minimal
-    transversals (Oxley, *Matroid Theory*, ch. 2).
+    transversals (Oxley, *Matroid Theory*, ch. 2).  ``completions`` is
+    ``_completions(gens)`` when the caller has already built it.
     """
-    cocircuits = set(_completions(gens).values())
+    if completions is None:
+        completions = _completions(gens)
+    cocircuits = set(completions.values())
     holders = _holders(gens)
     everyone = (1 << len(gens)) - 1
     for c in cocircuits:

@@ -190,20 +190,28 @@ def _checked(partition: SVPartition, what: str) -> SVPartition:
     return partition
 
 
-def _exchange_layering(ideal: Ideal, order: Iterable[int], what: str) -> SVPartition:
+def _exchange_layering(
+    ideal: Ideal,
+    order: Iterable[int],
+    what: str,
+    completions: dict[Monomial, int] | None = None,
+) -> SVPartition:
     """Layer k holds the generators u with k external exchanges in ``order``.
 
     A variable y outside u counts when it replaces a later variable x of u:
     y precedes x in ``order`` and u - x + y is a generator (a colon variable
     of the linear-quotient order; external activity).  The count is the
-    popcount of the OR over x in u of ``completions[u - x] & before[x]``.
+    popcount of the OR over x in u of ``completions[u - x] & before[x]``;
+    ``completions`` is ``_completions(ideal.gens)``, built here unless the
+    caller passes it.
     """
     before: dict[int, int] = {}  # keyed by the variable's bit
     seen = 0
     for v in order:
         before[1 << (v - 1)] = seen
         seen |= 1 << (v - 1)
-    completions = _completions(ideal.gens)  # the y with m + y a generator
+    if completions is None:
+        completions = _completions(ideal.gens)  # the y with m + y a generator
     layer_map: dict[int, set[Monomial]] = {}
     for u in ideal.gens:
         external = 0
@@ -322,11 +330,15 @@ def degree2_cert(mi: MatroidalIdeal) -> SVPartition:
     return _degree2_layering(mi.ideal, degree2_partition(mi))
 
 
-def _degree2_layering(ideal: Ideal, partition: MultipartitePartition) -> SVPartition:
+def _degree2_layering(
+    ideal: Ideal,
+    partition: MultipartitePartition,
+    completions: dict[Monomial, int] | None = None,
+) -> SVPartition:
     """:func:`degree2_cert` on the ideal's degree-2 partition."""
     parts = sorted(partition.parts, key=lambda p: (-len(p), sorted(p)))
     order = [v for part in parts for v in sorted(part)]
-    return _exchange_layering(ideal, order, "degree-2")
+    return _exchange_layering(ideal, order, "degree-2", completions)
 
 
 def construct_certificate(
@@ -359,29 +371,33 @@ def _ladder(
     is_veronese: Callable[[], bool],
     is_product: Callable[[], bool],
     partition: Callable[[], MultipartitePartition],
+    completions: dict[Monomial, int] | None = None,
 ) -> tuple[str, SVPartition] | None:
     """:func:`construct_certificate` on facts its caller already holds.
 
     ``is_veronese`` and ``is_product`` say whether the ideal is square-free
     Veronese and a variable block product, and ``partition`` gives its
     degree-2 partition; each is called at most once, when the ladder
-    reaches its rung.
+    reaches its rung.  ``completions``, when given, is the ideal's
+    completion map, passed on to ``_exchange_layering``.
     """
     ideal = mi.ideal
     natural = range(1, ideal.n + 1)
     if method in ("auto", "veronese"):
         if is_veronese():
-            return "veronese", _exchange_layering(ideal, natural, "Veronese")
+            layering = _exchange_layering(ideal, natural, "Veronese", completions)
+            return "veronese", layering
         if method == "veronese":
             raise ValueError("not a square-free Veronese ideal")
     if method in ("auto", "product"):
         if is_product():
-            return "product", _exchange_layering(ideal, natural, "block product")
+            layering = _exchange_layering(ideal, natural, "block product", completions)
+            return "product", layering
         if method == "product":
             raise ValueError("not a variable block product")
     if method in ("auto", "degree2"):
         if mi.d == 2:
-            return "degree2", _degree2_layering(ideal, partition())
+            return "degree2", _degree2_layering(ideal, partition(), completions)
         if method == "degree2":
             raise ValueError("degree is not 2")
     if method != "auto":

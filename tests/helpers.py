@@ -799,6 +799,59 @@ def reference_veronese_cert(n: int, d: int):
     return _checked(SVPartition(ideal, tuple(layers)), "Veronese")
 
 
+def reference_degree2_partition(mi):
+    """``degree2_partition`` checking every ordered pair: the oracle.
+
+    Same parts, and on failure the same first failing pair: part by part,
+    its cross pairs in part order, then its intra pairs.
+    """
+    from matroidal import InvariantViolation, MultipartitePartition
+    from matroidal.ideals import has_full_support
+
+    ideal = mi.ideal
+    n = ideal.n
+    if mi.d != 2:
+        raise ValueError("degree-2 partition needs a degree-2 ideal")
+    if n < 2:
+        raise ValueError("need n >= 2")
+    if not has_full_support(ideal):
+        raise ValueError("support must be all of x1..xn")
+    adjacency = {v: 0 for v in range(1, n + 1)}
+    for g in ideal.gens:
+        a, b = mono_vars(g)
+        adjacency[a] |= 1 << (b - 1)
+        adjacency[b] |= 1 << (a - 1)
+    remaining = (1 << n) - 1
+    part_masks: list[int] = []
+    while remaining:
+        anchor = (remaining & -remaining).bit_length()
+        part = remaining & ~adjacency[anchor]
+        part_masks.append(part)
+        remaining &= ~part
+    genset = set(ideal.gens)
+    if len(part_masks) < 2:
+        raise InvariantViolation("fewer than two parts for a degree-2 ideal")
+    for i, p in enumerate(part_masks):
+        for j, q in enumerate(part_masks):
+            if i == j:
+                continue
+            for a in mono_vars(p):
+                for b in mono_vars(q):
+                    if (1 << (a - 1)) | (1 << (b - 1)) not in genset:
+                        raise InvariantViolation(
+                            f"cross pair x{a}x{b} is not a generator"
+                        )
+        for a in mono_vars(p):
+            for b in mono_vars(p):
+                if a < b and (1 << (a - 1)) | (1 << (b - 1)) in genset:
+                    raise InvariantViolation(
+                        f"intra-part pair x{a}x{b} is a generator"
+                    )
+    parts = tuple(frozenset(mono_vars(p)) for p in part_masks)
+    signature = tuple(sorted((len(p) for p in parts), reverse=True))
+    return MultipartitePartition(parts, signature)
+
+
 def reference_degree2_cert(mi):
     """Closed-form anti-diagonal layering of a degree-2 matroidal ideal.
 

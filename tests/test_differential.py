@@ -59,17 +59,26 @@ yield exactly the sequence of the DFS that checked slots only at inclusion
 and again at every leaf, labeled and up to symmetry, on every cell with
 n <= 6.
 
-The symmetry filter asks the canonicity walk for a smaller relabeling, and
-``canonical_form`` descends along such relabelings.  Both must agree with
-the scan over all n! relabelings: on every ideal with n <= 5 and each of
-them with a generator dropped, on every 10th ideal with n = 6, and on
-random mixed-degree antichains with the zero and unit ideals.
+The symmetry filter closes each orbit under the adjacent transpositions;
+the closure must be the set of all n! relabelings of every ideal with
+n <= 5, and (slow) the (7,3) and (7,4) orbit lists must be the labeled
+lists filtered by the canonicity walk, in order.  The walk asks for a
+smaller relabeling, and ``canonical_form`` descends along such
+relabelings.  Both must agree with the scan over all n! relabelings: on
+every ideal with n <= 5 and each of them with a generator dropped, on
+every 10th ideal with n = 6, and on random mixed-degree antichains with
+the zero and unit ideals.
+
+``degree2_partition`` checks each variable's pairs with one test of its
+adjacency mask.  It must give the parts, or the first failing pair, of
+the ordered pair loops it replaced: on every degree-2 ideal with n <= 6,
+each with one generator dropped and each with one pair added.
 """
 
 import random
 from fractions import Fraction
 from functools import cache
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -88,6 +97,7 @@ from matroidal import (
     construct_certificate,
     check_matroidal,
     degree2_cert,
+    degree2_partition,
     enumerate_matroidal,
     find_ordering,
     minimal_generators,
@@ -110,7 +120,7 @@ from matroidal import (
     veronese_cert,
 )
 from matroidal.decomposition import _cocircuit_blocks
-from matroidal.enumeration import _smaller_relabeling
+from matroidal.enumeration import _adjacent_swaps, _orbit, _smaller_relabeling
 from matroidal.matroids import MatroidalIdeal, _completions, _fundamental_cocircuits
 from matroidal.oracle import BudgetExceededError
 from matroidal.quotients import _colon_pass, _colon_vars, _lex_q
@@ -130,6 +140,7 @@ from helpers import (
     reference_canonical_form,
     reference_check_matroidal,
     reference_construct_certificate,
+    reference_degree2_partition,
     reference_enumerate_matroidal,
     reference_find_ordering,
     reference_minimal_generators,
@@ -597,6 +608,49 @@ def test_enumeration_matches_the_inclusion_only_dfs(enum_cache):
         for sym in (False, True):
             expected = list(reference_enumerate_matroidal(n, d, sym))
             assert enum_cache(n, d, sym) == expected, (n, d, sym)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("n,d", [(7, 3), (7, 4)])
+def test_n7_orbits_are_the_labeled_lists_filtered_by_the_walk(enum_cache, n, d):
+    expected = [mi for mi in enum_cache(n, d) if _smaller_relabeling(mi.ideal) is None]
+    assert enum_cache(n, d, True) == expected
+
+
+def test_adjacent_transpositions_close_every_orbit(enum_cache):
+    for n, d in CELLS:
+        if n > 5:
+            continue
+        swaps = _adjacent_swaps(n)
+        perms = list(permutations(range(1, n + 1)))
+        for mi in enum_cache(n, d):
+            relabelings = {tuple(sorted(relabel_ideal(mi.ideal, p).gens)) for p in perms}
+            assert _orbit(tuple(sorted(mi.ideal.gens)), swaps) == relabelings, mi
+
+
+def _partition_outcome(partition, mi):
+    try:
+        return partition(mi)
+    except (InvariantViolation, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def test_degree2_partition_matches_the_pair_loops(enum_cache):
+    outcomes = set()
+    for n in range(2, 7):
+        for mi in enum_cache(n, 2):
+            gens = set(mi.ideal.gens)
+            pairs = {mono(p) for p in combinations(range(1, n + 1), 2)}
+            tampered = [gens - {g} for g in gens] + [gens | {p} for p in pairs - gens]
+            for family in [gens] + tampered:
+                copy = MatroidalIdeal(minimal_generators(family, n), 2)
+                got = _partition_outcome(degree2_partition, copy)
+                assert got == _partition_outcome(reference_degree2_partition, copy), family
+                outcomes.add(got[1].split(" x")[0] if isinstance(got, tuple) else "parts")
+    # Both failing pairs are reached, so the message comparison is not
+    # vacuous.  (With full support x1 has a neighbour, so there are always
+    # at least two parts.)
+    assert outcomes == {"parts", "cross pair", "intra-part pair", "support must be all of"}
 
 
 def _layered_certificates(enum_cache):

@@ -58,8 +58,12 @@ FULL_COUNTS = {
     (8, 2): 4139,
 }
 
-# One representative per relabeling orbit.
+# One representative per relabeling orbit.  Cells with d = 1 or d = n hold
+# one ideal, and (n, n-1) one orbit per number of coatoms, 2 to n.
 SYMMETRY_COUNTS = {
+    **{(n, 1): 1 for n in range(1, 7)},
+    **{(n, n): 1 for n in range(2, 7)},
+    **{(n, n - 1): n - 1 for n in (5, 6)},
     (3, 2): 2,
     (4, 2): 4,
     (5, 2): 6,
@@ -132,6 +136,18 @@ def test_full_counts(enum_cache):
 def test_symmetry_counts(enum_cache):
     for (n, d), expected in SYMMETRY_COUNTS.items():
         assert len(enum_cache(n, d, True)) == expected, (n, d)
+
+
+def test_symmetry_reduction_closes_orbits_without_the_walk(monkeypatch):
+    # Not through enum_cache: the lists must be built with the walk refused.
+    def refuse(ideal):
+        raise AssertionError("the enumeration ran the canonicity walk")
+
+    monkeypatch.setattr(matroidal.enumeration, "_smaller_relabeling", refuse)
+    for n in range(1, 7):
+        for d in range(1, n + 1):
+            orbits = enumerate_matroidal(n, d, up_to_symmetry=True)
+            assert sum(1 for _ in orbits) == SYMMETRY_COUNTS[(n, d)], (n, d)
 
 
 def test_symmetry_representatives(enum_cache):
@@ -384,6 +400,39 @@ def test_battery_reads_one_cocircuit_set(monkeypatch):
             "recognize_veronese": 0,
             "unmixed_bounds_report": 0,
         }, mi
+
+
+def test_battery_builds_one_completion_map(monkeypatch):
+    # On matroidal input the cocircuits and the ladder's exchange layering
+    # share one map of the whole generator set; verify_sv's per-layer maps
+    # are not counted.
+    ideals = [veronese(4, 2), var_block_product([{1, 2}, {3, 4}])]
+    ideals += [var_block_product([{1, 2}, {3}])]
+    for d in (2, 3, 4):
+        ideals += enumerate_matroidal(5, d)
+    builds, verifying = [], []
+    completions = matroidal.matroids._completions
+    verify = matroidal.svrank.verify_sv
+
+    def counted(gens, *rest):
+        if not verifying:
+            builds.append(tuple(gens))
+        return completions(gens, *rest)
+
+    def flagged(partition):
+        verifying.append(partition)
+        try:
+            return verify(partition)
+        finally:
+            verifying.pop()
+
+    for module in (matroidal.matroids, matroidal.svrank, matroidal.enumeration):
+        monkeypatch.setattr(module, "_completions", counted)
+    monkeypatch.setattr(matroidal.svrank, "verify_sv", flagged)
+    for mi in ideals:
+        builds.clear()
+        theorem_battery(mi)
+        assert builds == [mi.ideal.gens], mi
 
 
 def test_scan_counts_only_certificates_it_reverified(monkeypatch):
