@@ -8,12 +8,10 @@ Other input (mixed degrees, or a failing exchange) goes through a
 branch-and-bound on an uncovered generator, pruning strict supersets of
 transversals already found.
 
-A matroid is a variable block product exactly when d of its cocircuits
-are pairwise disjoint with sizes multiplying to the generator count
-(``_cocircuit_blocks``, which the theorem battery uses).
-``recognize_var_block_product`` finds blocks by a component search on any
-input; the public ladder and unmixed bounds use it, and the tests hold the
-cocircuit reading to it.
+The primes, the Veronese test (C(n, d) generators) and the blocks of a
+variable block product (d disjoint cocircuits whose sizes multiply to the
+generator count) come from one completion map in ``_structure``, the
+record every reader of those facts shares.
 """
 
 from __future__ import annotations
@@ -24,6 +22,7 @@ from math import comb
 from .ideals import (
     Ideal,
     InvariantViolation,
+    Monomial,
     has_full_support,
     is_unit_ideal,
     is_zero_ideal,
@@ -35,6 +34,7 @@ from .ideals import (
 from .matroids import (
     MatroidalIdeal,
     NotMatroidalError,
+    _completions,
     _fundamental_cocircuits,
     as_matroidal,
 )
@@ -61,24 +61,51 @@ class MultipartitePartition:
     signature: tuple[int, ...]
 
 
+@dataclass(frozen=True)
+class _Structure:
+    """The completion map, the primes and both shapes' facts, as masks."""
+
+    completions: dict[Monomial, int]
+    primes: frozenset[int]
+    veronese: bool
+    blocks: tuple[int, ...] | None
+
+
+def _structure(ideal: Ideal) -> _Structure:
+    """The structure record of ``ideal``, on one completion map.
+
+    On matroidal input the primes are the fundamental cocircuits.  Other
+    input is neither Veronese nor a block product, both being matroidal,
+    and its primes come from the transversal DFS.
+    """
+    gens = ideal.gens
+    completions = _completions(gens)
+    degrees = {mono_degree(g) for g in gens}
+    cocircuits = None
+    if len(degrees) == 1 and 0 not in degrees:  # the unit ideal has no matroid
+        cocircuits = _fundamental_cocircuits(gens, completions)
+    if cocircuits is None:
+        primes = frozenset(_minimal_transversals(gens))
+        return _Structure(completions, primes, False, None)
+    d = degrees.pop()
+    return _Structure(
+        completions,
+        frozenset(cocircuits),
+        len(gens) == comb(ideal.n, d),  # every d-subset, so full support
+        _cocircuit_blocks(cocircuits, d, len(gens)),
+    )
+
+
 def minimal_primes(ideal: Ideal) -> PrimeDecomposition:
     """All minimal transversals of the generator supports.
 
-    Equal-degree input whose fundamental cocircuits all meet every
-    generator is matroidal, and those cocircuits are the answer; anything
-    else falls back to the transversal DFS.
+    On matroidal input these are its cocircuits (``_structure``).
     """
     if is_zero_ideal(ideal):
         raise ValueError("the zero ideal has no minimal variable primes")
     if is_unit_ideal(ideal):
         raise ValueError("the whole ring has no minimal primes")
-    gens = ideal.gens
-    found = None
-    if len({mono_degree(g) for g in gens}) == 1:
-        found = _fundamental_cocircuits(gens)
-    if found is None:
-        found = _minimal_transversals(gens)
-    ordered = sorted((c.bit_count(), mono_vars(c)) for c in found)
+    ordered = sorted((c.bit_count(), mono_vars(c)) for c in _structure(ideal).primes)
     heights = {h for h, _ in ordered}
     return PrimeDecomposition(
         primes=tuple(frozenset(vs) for _, vs in ordered),
@@ -228,49 +255,17 @@ def recognize_veronese(ideal: Ideal) -> bool:
 def recognize_var_block_product(
     ideal: Ideal,
 ) -> tuple[frozenset[int], ...] | None:
-    """Reconstruct variable blocks whose transversals are exactly G(I).
+    """The variable blocks whose transversals are exactly G(I), or None.
 
-    Blocks are the connected components of the never-co-occur relation on
-    the support; the transversal property is then verified exactly, so a
-    reconstruction that does not reproduce the generators returns ``None``.
+    Blocks come ordered by their smallest variable, read off the
+    cocircuits by ``_cocircuit_blocks``.
     """
     if is_zero_ideal(ideal) or is_unit_ideal(ideal):
         return None
-    degrees = {mono_degree(g) for g in ideal.gens}
-    if len(degrees) != 1:
+    blocks = _structure(ideal).blocks
+    if blocks is None:
         return None
-    d = degrees.pop()
-    co = {}
-    for g in ideal.gens:
-        for v in mono_vars(g):
-            co[v] = co.get(v, 0) | g
-    sup = sorted(co)
-    unseen = set(sup)
-    components: list[frozenset[int]] = []
-    while unseen:
-        start = min(unseen)
-        comp = {start}
-        frontier = [start]
-        while frontier:
-            v = frontier.pop()
-            for u in list(unseen):
-                if u != v and u not in comp and not co[v] & (1 << (u - 1)):
-                    comp.add(u)
-                    frontier.append(u)
-        unseen -= comp
-        components.append(frozenset(comp))
-    if len(components) != d:
-        return None
-    masks = [sum(1 << (v - 1) for v in c) for c in components]
-    for g in ideal.gens:
-        if any((g & m).bit_count() != 1 for m in masks):
-            return None
-    expected = 1
-    for c in components:
-        expected *= len(c)
-    if len(ideal.gens) != expected:
-        return None
-    return tuple(sorted(components, key=sorted))
+    return tuple(frozenset(mono_vars(b)) for b in blocks)
 
 
 def _cocircuit_blocks(
@@ -336,21 +331,22 @@ def unmixed_bounds_report(mi: MatroidalIdeal) -> dict[str, object]:
 
     The lower bound is tight exactly for square-free Veronese ideals; the
     upper bound exactly for products of d blocks of h distinct variables.
-    Both tightness flags are cross-checked against the recognizers.
+    Both tightness flags are cross-checked against the ideal's structure.
     """
     ideal = mi.ideal
     if ideal.n < 2:
         raise ValueError("need n >= 2")
     if not has_full_support(ideal):
         raise ValueError("support must be all of x1..xn")
-    decomposition = minimal_primes(ideal)
-    if not decomposition.unmixed:
+    structure = _structure(ideal)
+    heights = {p.bit_count() for p in structure.primes}
+    if len(heights) != 1:
         raise ValueError("ideal is mixed: minimal primes have unequal heights")
-    blocks = recognize_var_block_product(ideal)
+    blocks = structure.blocks
     return _unmixed_bounds(
         ideal.n,
         mi.d,
-        decomposition.height,
-        recognize_veronese(ideal),
-        None if blocks is None else tuple(map(len, blocks)),
+        heights.pop(),
+        structure.veronese,
+        None if blocks is None else tuple(b.bit_count() for b in blocks),
     )

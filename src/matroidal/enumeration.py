@@ -30,16 +30,9 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
-from .decomposition import (
-    _cocircuit_blocks,
-    _unmixed_bounds,
-    degree2_partition,
-    minimal_primes,
-    recognize_var_block_product,
-    recognize_veronese,
-)
+from .decomposition import _structure, _unmixed_bounds, degree2_partition
 from .ideals import Ideal, InvariantViolation, has_full_support, mono, mono_vars
-from .matroids import MatroidalIdeal, _completions, _fundamental_cocircuits
+from .matroids import MatroidalIdeal
 from .quotients import _lex_q
 from .svrank import SVPartition, _ladder, search_cert, verify_sv
 
@@ -293,41 +286,23 @@ def theorem_battery(mi: MatroidalIdeal) -> BatteryResult:
     the largest colon step of one exact pass in the canonical (descending
     lex) order, in which matroidal ideals have linear quotients
     (Herzog-Takayama 2002); ``find_ordering`` runs only if a step is not
-    variable-generated.  The rest comes from one completion map
-    (``matroids._completions``), built once: its values are the fundamental
-    cocircuits, and the ladder's exchange layering reads it.  The
-    cocircuits are the minimal primes (Oxley, *Matroid Theory*,
-    ch. 2): the height and unmixedness are their sizes, the degree-2
-    parts are their complements, the ideal is Veronese when it has
-    C(n, d) generators, and a block product when d of them are disjoint
-    with sizes multiplying to the generator count.  These facts feed the
-    unmixed bounds and the construction ladder, whose layering passes
-    ``verify_sv``.  When the cocircuits are not those of a matroid (an
-    unvalidated ``MatroidalIdeal``), the facts come from
-    ``minimal_primes`` and the recognizers instead.
+    variable-generated.  The rest comes from one structure record
+    (``decomposition._structure``): the primes give the height,
+    unmixedness and, as complements, the degree-2 parts; its Veronese and
+    block facts and completion map feed the unmixed bounds and the ladder.
 
-    Failures are recorded as verdicts rather than raised: a failure here
-    means a toolkit bug and deserves a report, not a crash.
+    Support short of x1..xn raises ValueError first.  Other failures are
+    recorded as verdicts: they mean a toolkit bug, not bad input.
     """
     ideal = mi.ideal
-    gens = ideal.gens
+    if not has_full_support(ideal):
+        raise ValueError("support must be all of x1..xn")
     n, d = ideal.n, mi.d
     verdicts: dict[str, str] = {}
     q = _lex_q(mi)
     verdicts["linear_quotient_index"] = "pass" if q == n - d else "fail"
-    completions = _completions(gens)  # shared by the cocircuits and the ladder
-    cocircuits = None
-    if all(g.bit_count() == d for g in gens):  # the kernel assumes degree d
-        cocircuits = _fundamental_cocircuits(gens, completions)
-    if cocircuits is not None:
-        primes = cocircuits
-        veronese = len(gens) == comb(n, d)
-        blocks = _cocircuit_blocks(cocircuits, d, len(gens))
-    else:
-        primes = {mono(p) for p in minimal_primes(ideal).primes}
-        veronese = recognize_veronese(ideal)
-        found_blocks = recognize_var_block_product(ideal)
-        blocks = None if found_blocks is None else tuple(map(mono, found_blocks))
+    structure = _structure(ideal)
+    primes = structure.primes
     sizes = {p.bit_count() for p in primes}
     h = min(sizes)
     unmixed = len(sizes) == 1
@@ -344,33 +319,26 @@ def theorem_battery(mi: MatroidalIdeal) -> BatteryResult:
     else:
         verdicts["degree2_structure"] = "skip"
     if unmixed and n >= 2:
-        # The bounds hold for full support only, as unmixed_bounds_report checks.
-        if not has_full_support(ideal):
-            raise ValueError("support must be all of x1..xn")
+        blocks = structure.blocks
         block_sizes = None if blocks is None else tuple(b.bit_count() for b in blocks)
         try:
-            _unmixed_bounds(n, d, h, veronese, block_sizes)
+            _unmixed_bounds(n, d, h, structure.veronese, block_sizes)
             verdicts["unmixed_bounds"] = "pass"
         except InvariantViolation:
             verdicts["unmixed_bounds"] = "fail"
     else:
         verdicts["unmixed_bounds"] = "skip"
     cohen_macaulay = h == q + 1
-    verdicts["cm_iff_veronese"] = "pass" if cohen_macaulay == veronese else "fail"
+    verdicts["cm_iff_veronese"] = (
+        "pass" if cohen_macaulay == structure.veronese else "fail"
+    )
     # The bounds ``ara_bounds(mi, search=False)`` gives, from this q: none
     # when q misses n - d (``q_index`` raises) or a construction raises.
     found = None
     if q == n - d:
         try:
             # A partition that failed its check above raises again here.
-            found = _ladder(
-                mi,
-                "auto",
-                lambda: veronese,
-                lambda: blocks is not None,
-                lambda: partition or degree2_partition(mi),
-                completions,
-            )
+            found = _ladder(mi, "auto", structure, partition)
         except InvariantViolation:
             pass
     ara_lower = q + 1

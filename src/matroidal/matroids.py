@@ -91,23 +91,22 @@ def check_matroidal(ideal: Ideal) -> MatroidCheck:
         lo = next(g for g in ideal.gens if mono_degree(g) == degrees[0])
         hi = next(g for g in ideal.gens if mono_degree(g) == degrees[-1])
         return MatroidCheck(None, "mixed_degrees", (lo, hi))
-    if _fundamental_cocircuits(ideal.gens) is not None:
+    if _fundamental_cocircuits(ideal.gens, _completions(ideal.gens)) is not None:
         return MatroidCheck(MatroidalIdeal(ideal, degrees[0]))
     return MatroidCheck(None, "exchange", _first_exchange_failure(ideal.gens))
 
 
 def _completions(
-    gens: Iterable[Monomial], completions: dict[Monomial, int] | None = None
+    gens: Iterable[Monomial], into: dict[Monomial, int] | None = None
 ) -> dict[Monomial, int]:
     """The completion map: g - x to the mask of all y with g - x + y in G.
 
     Keys are g - x for every generator g and x in g.  One pass over the
     generators, |G| d dict updates: each g adds its own x to the entry of
-    g - x.  Given a map, the generators are added to it in place, so a map
-    can be grown one batch of generators at a time.
+    g - x.  Given a map ``into``, the generators are added to it in place,
+    so a map can be grown one batch of generators at a time.
     """
-    if completions is None:
-        completions = {}
+    completions = {} if into is None else into
     for g in gens:
         rest = g
         while rest:
@@ -130,7 +129,7 @@ def _holders(gens: Iterable[Monomial]) -> dict[int, int]:
 
 
 def _fundamental_cocircuits(
-    gens: tuple[Monomial, ...], completions: dict[Monomial, int] | None = None
+    gens: tuple[Monomial, ...], completions: dict[Monomial, int]
 ) -> set[int] | None:
     """The distinct fundamental cocircuits of equal-degree generators.
 
@@ -144,10 +143,8 @@ def _fundamental_cocircuits(
     condition fails.  Otherwise the sets are the cocircuits of the matroid
     whose bases are the generators, which are exactly its minimal
     transversals (Oxley, *Matroid Theory*, ch. 2).  ``completions`` is
-    ``_completions(gens)`` when the caller has already built it.
+    ``_completions(gens)``.
     """
-    if completions is None:
-        completions = _completions(gens)
     cocircuits = set(completions.values())
     holders = _holders(gens)
     everyone = (1 << len(gens)) - 1

@@ -8,9 +8,9 @@ The projective dimension bounds it from below, and the two meet at
 q(I) + 1 = n - d + 1 whenever a certificate of that size exists.
 
 ``construct_certificate`` is the one construction ladder; the theorem
-battery climbs its core, ``_ladder``, with the Veronese and block-product
-facts it has already read off the cocircuits.  Its rungs are one exchange
-rule read in a variable order: the natural order for square-free
+battery climbs its core, ``_ladder``, with the structure record
+(``decomposition._structure``) it has already built.  Its rungs are one
+exchange rule read in a variable order: the natural order for square-free
 Veronese ideals and variable block products, the part order for degree-2
 ideals.  Every layering it returns has passed ``verify_sv``.
 A complete layered-partition search covers everything else.
@@ -19,13 +19,13 @@ A complete layered-partition search covers everything else.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from .decomposition import (
     MultipartitePartition,
+    _Structure,
+    _structure,
     degree2_partition,
-    recognize_var_block_product,
-    recognize_veronese,
 )
 from .ideals import (
     Ideal,
@@ -194,7 +194,7 @@ def _exchange_layering(
     ideal: Ideal,
     order: Iterable[int],
     what: str,
-    completions: dict[Monomial, int] | None = None,
+    completions: dict[Monomial, int],
 ) -> SVPartition:
     """Layer k holds the generators u with k external exchanges in ``order``.
 
@@ -202,16 +202,14 @@ def _exchange_layering(
     y precedes x in ``order`` and u - x + y is a generator (a colon variable
     of the linear-quotient order; external activity).  The count is the
     popcount of the OR over x in u of ``completions[u - x] & before[x]``;
-    ``completions`` is ``_completions(ideal.gens)``, built here unless the
-    caller passes it.
+    ``completions`` is ``_completions(ideal.gens)``, the y with
+    u - x + y a generator.
     """
     before: dict[int, int] = {}  # keyed by the variable's bit
     seen = 0
     for v in order:
         before[1 << (v - 1)] = seen
         seen |= 1 << (v - 1)
-    if completions is None:
-        completions = _completions(ideal.gens)  # the y with m + y a generator
     layer_map: dict[int, set[Monomial]] = {}
     for u in ideal.gens:
         external = 0
@@ -280,7 +278,10 @@ def veronese_cert(n: int, d: int) -> SVPartition:
     and below max u, so u sits in layer max u - d.  There are n-d+1
     layers, and layer i > 0 holds C(d+i-1, d-1) generators.
     """
-    return _exchange_layering(veronese(n, d).ideal, range(1, n + 1), "Veronese")
+    ideal = veronese(n, d).ideal
+    return _exchange_layering(
+        ideal, range(1, n + 1), "Veronese", _completions(ideal.gens)
+    )
 
 
 def variable_cert(variables, n: int) -> RadicalCertificate:
@@ -327,13 +328,14 @@ def degree2_cert(mi: MatroidalIdeal) -> SVPartition:
     those before a and those between a's part and b: layer i + j - 2,
     over exactly n-1 layers.
     """
-    return _degree2_layering(mi.ideal, degree2_partition(mi))
+    ideal = mi.ideal
+    return _degree2_layering(ideal, degree2_partition(mi), _completions(ideal.gens))
 
 
 def _degree2_layering(
     ideal: Ideal,
     partition: MultipartitePartition,
-    completions: dict[Monomial, int] | None = None,
+    completions: dict[Monomial, int],
 ) -> SVPartition:
     """:func:`degree2_cert` on the ideal's degree-2 partition."""
     parts = sorted(partition.parts, key=lambda p: (-len(p), sorted(p)))
@@ -352,52 +354,44 @@ def construct_certificate(
     In a block product y can replace only the variable of u in its own
     block, so the natural order puts u in the sum of its block positions.
     Every returned layering has passed ``verify_sv``.  The rungs are
-    recognised by ``recognize_veronese`` and
-    ``recognize_var_block_product``, each only when its rung is reached.
+    recognised from the ideal's structure record.
     """
-    ideal = mi.ideal
-    return _ladder(
-        mi,
-        method,
-        lambda: recognize_veronese(ideal),
-        lambda: recognize_var_block_product(ideal) is not None,
-        lambda: degree2_partition(mi),
-    )
+    return _ladder(mi, method, _structure(mi.ideal))
 
 
 def _ladder(
     mi: MatroidalIdeal,
     method: str,
-    is_veronese: Callable[[], bool],
-    is_product: Callable[[], bool],
-    partition: Callable[[], MultipartitePartition],
-    completions: dict[Monomial, int] | None = None,
+    structure: _Structure,
+    partition: MultipartitePartition | None = None,
 ) -> tuple[str, SVPartition] | None:
     """:func:`construct_certificate` on facts its caller already holds.
 
-    ``is_veronese`` and ``is_product`` say whether the ideal is square-free
-    Veronese and a variable block product, and ``partition`` gives its
-    degree-2 partition; each is called at most once, when the ladder
-    reaches its rung.  ``completions``, when given, is the ideal's
-    completion map, passed on to ``_exchange_layering``.
+    ``structure`` is ``decomposition._structure(mi.ideal)``: its Veronese
+    and block facts pick the rungs, and its completion map feeds
+    ``_exchange_layering``.  ``partition``, when given, is the ideal's
+    degree-2 partition; otherwise it is computed if the ladder reaches
+    that rung.
     """
     ideal = mi.ideal
     natural = range(1, ideal.n + 1)
+    completions = structure.completions
     if method in ("auto", "veronese"):
-        if is_veronese():
+        if structure.veronese:
             layering = _exchange_layering(ideal, natural, "Veronese", completions)
             return "veronese", layering
         if method == "veronese":
             raise ValueError("not a square-free Veronese ideal")
     if method in ("auto", "product"):
-        if is_product():
+        if structure.blocks is not None:
             layering = _exchange_layering(ideal, natural, "block product", completions)
             return "product", layering
         if method == "product":
             raise ValueError("not a variable block product")
     if method in ("auto", "degree2"):
         if mi.d == 2:
-            return "degree2", _degree2_layering(ideal, partition(), completions)
+            partition = partition or degree2_partition(mi)
+            return "degree2", _degree2_layering(ideal, partition, completions)
         if method == "degree2":
             raise ValueError("degree is not 2")
     if method != "auto":

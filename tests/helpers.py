@@ -470,6 +470,78 @@ def reference_minimal_primes(ideal: Ideal):
     )
 
 
+def reference_var_block_product(ideal: Ideal):
+    """Variable blocks by a component search, whatever the input.
+
+    Blocks are the connected components of the never-co-occur relation on
+    the support; the transversal property is then verified exactly, so a
+    reconstruction that does not reproduce the generators gives ``None``.
+    ``recognize_var_block_product`` reads the blocks off the cocircuits
+    instead, and must agree.
+    """
+    from matroidal import is_unit_ideal, is_zero_ideal, mono_degree
+
+    if is_zero_ideal(ideal) or is_unit_ideal(ideal):
+        return None
+    degrees = {mono_degree(g) for g in ideal.gens}
+    if len(degrees) != 1:
+        return None
+    d = degrees.pop()
+    co = {}
+    for g in ideal.gens:
+        for v in mono_vars(g):
+            co[v] = co.get(v, 0) | g
+    unseen = set(co)
+    components: list[frozenset[int]] = []
+    while unseen:
+        start = min(unseen)
+        comp = {start}
+        frontier = [start]
+        while frontier:
+            v = frontier.pop()
+            for u in list(unseen):
+                if u != v and u not in comp and not co[v] & (1 << (u - 1)):
+                    comp.add(u)
+                    frontier.append(u)
+        unseen -= comp
+        components.append(frozenset(comp))
+    if len(components) != d:
+        return None
+    masks = [mono(c) for c in components]
+    for g in ideal.gens:
+        if any((g & m).bit_count() != 1 for m in masks):
+            return None
+    expected = 1
+    for c in components:
+        expected *= len(c)
+    if len(ideal.gens) != expected:
+        return None
+    return tuple(sorted(components, key=sorted))
+
+
+def reference_unmixed_bounds_report(mi):
+    """``unmixed_bounds_report`` on the transversal DFS and component search."""
+    from matroidal import has_full_support, recognize_veronese
+    from matroidal.decomposition import _unmixed_bounds
+
+    ideal = mi.ideal
+    if ideal.n < 2:
+        raise ValueError("need n >= 2")
+    if not has_full_support(ideal):
+        raise ValueError("support must be all of x1..xn")
+    decomposition = reference_minimal_primes(ideal)
+    if not decomposition.unmixed:
+        raise ValueError("ideal is mixed: minimal primes have unequal heights")
+    blocks = reference_var_block_product(ideal)
+    return _unmixed_bounds(
+        ideal.n,
+        mi.d,
+        decomposition.height,
+        recognize_veronese(ideal),
+        None if blocks is None else tuple(map(len, blocks)),
+    )
+
+
 def reference_find_ordering(mi, strategy: str = "lex", seed: int = 0):
     """Recursive backtracking search for a linear-quotient ordering.
 
@@ -913,7 +985,7 @@ def reference_product_layering(ideal, blocks):
 
 def reference_construct_certificate(mi, method: str = "auto"):
     """``construct_certificate`` on the closed forms it replaced."""
-    from matroidal import recognize_var_block_product, recognize_veronese
+    from matroidal import recognize_veronese
 
     ideal = mi.ideal
     if method in ("auto", "veronese"):
@@ -922,7 +994,7 @@ def reference_construct_certificate(mi, method: str = "auto"):
         if method == "veronese":
             raise ValueError("not a square-free Veronese ideal")
     if method in ("auto", "product"):
-        blocks = recognize_var_block_product(ideal)
+        blocks = reference_var_block_product(ideal)
         if blocks is not None:
             return "product", reference_product_layering(ideal, blocks)
         if method == "product":
@@ -953,7 +1025,6 @@ def reference_ara_bounds(
         SVPartition,
         product_cert,
         q_index,
-        recognize_var_block_product,
         recognize_veronese,
         search_cert,
         variable_cert,
@@ -970,7 +1041,7 @@ def reference_ara_bounds(
         upper = len(certificate.layers)
         method = "veronese"
     else:
-        blocks = recognize_var_block_product(ideal)
+        blocks = reference_var_block_product(ideal)
         if blocks is not None:
             certificate = product_cert([variable_cert(b, n) for b in blocks])
             upper = len(certificate.polys)
@@ -990,30 +1061,30 @@ def reference_ara_bounds(
 
 
 def reference_battery(mi):
-    """``theorem_battery`` as composed before it read one cocircuit set.
+    """``theorem_battery`` as composed before it read one structure record.
 
-    q comes from ``find_ordering``, the primes from ``minimal_primes``, and
-    the unmixed bounds, Veronese test and certificate from the public
-    ``unmixed_bounds_report``, ``recognize_veronese`` and
-    ``construct_certificate``, each recomputing what it needs.
+    q comes from ``find_ordering``, the primes from the transversal DFS,
+    and the unmixed bounds, Veronese test and certificate from
+    ``reference_unmixed_bounds_report``, ``recognize_veronese`` and
+    ``reference_construct_certificate``, each recomputing what it needs.
     """
     from matroidal import (
         BatteryResult,
         InvariantViolation,
-        construct_certificate,
         degree2_partition,
         find_ordering,
-        minimal_primes,
+        has_full_support,
         recognize_veronese,
-        unmixed_bounds_report,
     )
 
     ideal = mi.ideal
+    if not has_full_support(ideal):
+        raise ValueError("support must be all of x1..xn")
     n, d = ideal.n, mi.d
     verdicts: dict[str, str] = {}
     q = find_ordering(mi).q
     verdicts["linear_quotient_index"] = "pass" if q == n - d else "fail"
-    decomposition = minimal_primes(ideal)
+    decomposition = reference_minimal_primes(ideal)
     h = decomposition.height
     verdicts["height_bound"] = "pass" if h <= q + 1 else "fail"
     if d == 2:
@@ -1030,7 +1101,7 @@ def reference_battery(mi):
         verdicts["degree2_structure"] = "skip"
     if decomposition.unmixed and n >= 2:
         try:
-            unmixed_bounds_report(mi)
+            reference_unmixed_bounds_report(mi)
             verdicts["unmixed_bounds"] = "pass"
         except InvariantViolation:
             verdicts["unmixed_bounds"] = "fail"
@@ -1043,7 +1114,7 @@ def reference_battery(mi):
     found = None
     if q == n - d:
         try:
-            found = construct_certificate(mi)
+            found = reference_construct_certificate(mi)
         except InvariantViolation:
             pass
     ara_lower = q + 1

@@ -38,15 +38,20 @@ ideal with n <= 6.  ``theorem_battery`` climbs the same ladder from its own
 q and must report the bounds ``ara_bounds`` reports on each of them.
 
 ``theorem_battery`` takes q from one colon pass in canonical order and
-everything else from one set of fundamental cocircuits.  Its results must
-equal ``reference_battery``'s, the composition of ``find_ordering``,
-``minimal_primes``, the recognizers, ``unmixed_bounds_report`` and
-``construct_certificate`` it replaced: on every ideal with n <= 6, and
-(slow) on the relabeled (7,3) and (7,4) orbit representatives, V(9,4) and
-relabeled 4+4 and 4+4+4 products.  On each, the pass's q must equal
-``find_ordering``'s and the blocks read off the cocircuits must equal
-``recognize_var_block_product``'s, also on a relabeled 4+4+4+4 product.
-An unvalidated ideal whose canonical order fails takes both fallbacks.
+everything else from one structure record (``decomposition._structure``).
+Its results must equal ``reference_battery``'s, the composition of
+``find_ordering``, the transversal DFS, the component search for blocks,
+the unmixed bounds and the closed-form ladder, none of which reads that
+record: on every ideal with n <= 6, and (slow) on the relabeled (7,3) and
+(7,4) orbit representatives, V(9,4) and relabeled 4+4 and 4+4+4 products.
+On each, the pass's q must equal ``find_ordering``'s and the blocks read
+off the cocircuits must equal the component search's, also on a
+relabeled 4+4+4+4 product.  An unvalidated ideal whose canonical order
+fails takes the ``find_ordering`` fallback.  The minimal primes, block
+recognizer, unmixed bounds, construction ladder and battery must give
+the references' results or errors on unvalidated input: every ideal with
+n <= 5, each with a generator dropped or a d-subset added, the ideals
+with n <= 4 in a ring with one more variable, and random antichains.
 Each rung reads one exchange rule in a variable order.  With ``auto`` and
 each forced method it must give the layers of the closed forms it
 replaced, or refuse with the same message: on every ideal with n <= 6 and
@@ -100,6 +105,7 @@ from matroidal import (
     degree2_partition,
     enumerate_matroidal,
     find_ordering,
+    has_full_support,
     minimal_generators,
     minimal_primes,
     mono,
@@ -112,6 +118,7 @@ from matroidal import (
     search_cert,
     sv_sums,
     theorem_battery,
+    unmixed_bounds_report,
     var_block_product,
     variable_cert,
     verify_radical_cert,
@@ -147,6 +154,8 @@ from helpers import (
     reference_minimal_primes,
     reference_radical_check,
     reference_reduce,
+    reference_unmixed_bounds_report,
+    reference_var_block_product,
     reference_verify_sv,
 )
 
@@ -541,10 +550,11 @@ def _assert_battery_kernels_agree(mi):
     ideal = mi.ideal
     assert _colon_pass(ideal.gens, ideal.n) is not None
     assert _lex_q(mi) == find_ordering(mi).q
-    cocircuits = _fundamental_cocircuits(ideal.gens)
+    cocircuits = _fundamental_cocircuits(ideal.gens, _completions(ideal.gens))
     blocks = _cocircuit_blocks(cocircuits, mi.d, len(ideal.gens))
-    expected = recognize_var_block_product(ideal)
+    expected = reference_var_block_product(ideal)
     assert (blocks and tuple(frozenset(mono_vars(b)) for b in blocks)) == expected
+    assert recognize_var_block_product(ideal) == expected
     assert theorem_battery(mi) == reference_battery(mi)
     return blocks is not None
 
@@ -564,9 +574,11 @@ def test_cocircuit_blocks_match_the_recognizer_on_a_relabeled_product():
     perm = tuple(random.Random(16).sample(range(1, 17), 16))
     mi = var_block_product(_relabeled((4, 4, 4, 4), perm))
     gens = mi.ideal.gens
-    blocks = _cocircuit_blocks(_fundamental_cocircuits(gens), 4, len(gens))
-    expected = recognize_var_block_product(mi.ideal)
+    cocircuits = _fundamental_cocircuits(gens, _completions(gens))
+    blocks = _cocircuit_blocks(cocircuits, 4, len(gens))
+    expected = reference_var_block_product(mi.ideal)
     assert tuple(frozenset(mono_vars(b)) for b in blocks) == expected
+    assert recognize_var_block_product(mi.ideal) == expected
     assert sorted(map(sorted, expected)) == sorted(map(sorted, _relabeled((4, 4, 4, 4), perm)))
 
 
@@ -577,11 +589,75 @@ def test_battery_falls_back_where_the_lex_order_fails():
     mi = MatroidalIdeal(ideal_of(4, (1, 4), (2, 3), (3, 4)), 2)
     assert _colon_pass(mi.ideal.gens, 4) is None
     assert _lex_q(mi) == find_ordering(mi).q == 1
-    assert _fundamental_cocircuits(mi.ideal.gens) is None
+    assert _fundamental_cocircuits(mi.ideal.gens, _completions(mi.ideal.gens)) is None
     result = theorem_battery(mi)
     assert result == reference_battery(mi)
     assert (result.q, result.height, result.unmixed) == (1, 2, True)
     assert result.verdicts["linear_quotient_index"] == "fail"
+
+
+def _outcome(read, *args):
+    try:
+        return read(*args)
+    except (InvariantViolation, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def _structure_inputs(enum_cache):
+    """Ideals for the unvalidated-input differential, matroidal or not.
+
+    Every labeled ideal with n <= 5, each with one generator dropped and
+    each with one d-subset added, those with n <= 4 also in a ring with one
+    more variable, and random antichains with n <= 6.
+    """
+    for n in range(1, 6):
+        for d in range(1, n + 1):
+            subsets = {mono(c) for c in combinations(range(1, n + 1), d)}
+            for mi in enum_cache(n, d):
+                gens = set(mi.ideal.gens)
+                added = [gens | {s} for s in subsets - gens]
+                for family in [gens] + [gens - {g} for g in gens] + added:
+                    if family:
+                        yield minimal_generators(family, n)
+                if n <= 4:
+                    yield minimal_generators(gens, n + 1)
+    rng = random.Random(19)
+    for _ in range(400):
+        n = rng.randint(3, 6)
+        pool = rng.sample(range(1, 1 << n), rng.randint(2, 7))
+        yield minimal_generators(pool, n)
+
+
+def test_structure_readers_match_the_references_on_unvalidated_input(enum_cache):
+    # The minimal primes, block recognizer, unmixed bounds, construction
+    # ladder and battery read one structure record; on input that is not
+    # matroidal, mixed in degree or short of full support, each must give
+    # the references' result or raise the same error.
+    kinds = set()
+    for ideal in _structure_inputs(enum_cache):
+        mi = MatroidalIdeal(ideal, min(g.bit_count() for g in ideal.gens))
+        check = check_matroidal(ideal)
+        kinds.add((check.failure, has_full_support(ideal)))
+        pairs = [
+            (minimal_primes, reference_minimal_primes, ideal),
+            (recognize_var_block_product, reference_var_block_product, ideal),
+            (unmixed_bounds_report, reference_unmixed_bounds_report, mi),
+            (theorem_battery, reference_battery, mi),
+        ]
+        for read, reference, arg in pairs:
+            assert _outcome(read, arg) == _outcome(reference, arg), (read, ideal)
+        for method in CONSTRUCTIONS:
+            new = _outcome(construct_certificate, mi, method)
+            old = _outcome(reference_construct_certificate, mi, method)
+            assert new == old, (ideal.gens, method)
+    failures = (None, "exchange", "mixed_degrees")
+    assert kinds == {(f, s) for f in failures for s in (False, True)}
+    # The ladder also takes the zero and unit ideals unvalidated.
+    for gens in ((), (0,)):
+        mi = MatroidalIdeal(Ideal(3, gens), 0)
+        for method in CONSTRUCTIONS:
+            new = _outcome(construct_certificate, mi, method)
+            assert new == _outcome(reference_construct_certificate, mi, method)
 
 
 def _battery_slow_inputs(enum_cache):

@@ -17,6 +17,7 @@ from matroidal import (
     Ideal,
     InvariantViolation,
     SVCheck,
+    as_matroidal,
     canonical_form,
     check_matroidal,
     conjecture_scan,
@@ -30,6 +31,7 @@ from matroidal import (
 )
 from matroidal.cli import main
 from matroidal.enumeration import MAX_IDEALS
+from matroidal.matroids import MatroidalIdeal
 
 from helpers import brute_force_matroidal, ideal_of
 
@@ -328,6 +330,26 @@ def test_battery_runs_the_colon_pass_once(monkeypatch):
         assert orderings == [], mi
 
 
+@pytest.mark.parametrize(
+    "gens",
+    [
+        ((1, 2, 3), (1, 2, 4)),  # primes {x1}, {x2}, {x3, x4}: mixed
+        ((1, 2), (1, 3), (2, 3)),  # primes of height 2: unmixed
+    ],
+)
+def test_battery_requires_full_support_first(monkeypatch, gens):
+    # x5 is in no generator.  The check comes before q: none of the
+    # battery's verdicts, such as a false linear_quotient_index failure
+    # (q = 1 against n - d = 2 for the first ideal), is computed.
+    def refuse(mi):
+        raise AssertionError("computed q without full support")
+
+    mi = as_matroidal(ideal_of(5, *gens))
+    monkeypatch.setattr(matroidal.enumeration, "_lex_q", refuse)
+    with pytest.raises(ValueError, match=r"^support must be all of x1\.\.xn$"):
+        theorem_battery(mi)
+
+
 def test_battery_skips_the_bounds_when_q_misses(monkeypatch):
     lex_q = matroidal.enumeration._lex_q
     monkeypatch.setattr(matroidal.enumeration, "_lex_q", lambda mi: lex_q(mi) + 1)
@@ -403,13 +425,18 @@ def test_battery_reads_one_cocircuit_set(monkeypatch):
 
 
 def test_battery_builds_one_completion_map(monkeypatch):
-    # On matroidal input the cocircuits and the ladder's exchange layering
-    # share one map of the whole generator set; verify_sv's per-layer maps
-    # are not counted.
+    # The structure record and the ladder's exchange layering share one map
+    # of the whole generator set; verify_sv's per-layer maps are not
+    # counted.  The last two inputs are passed in unvalidated: the first is
+    # not matroidal (x1x4, x2x3 and x = x4 has no exchange), the second of
+    # mixed degree.  Their primes come from the transversal DFS, still
+    # after a single map.
     ideals = [veronese(4, 2), var_block_product([{1, 2}, {3, 4}])]
     ideals += [var_block_product([{1, 2}, {3}])]
     for d in (2, 3, 4):
         ideals += enumerate_matroidal(5, d)
+    ideals += [MatroidalIdeal(ideal_of(4, (1, 4), (2, 3), (3, 4)), 2)]
+    ideals += [MatroidalIdeal(ideal_of(4, (1,), (2, 3), (2, 4), (3, 4)), 1)]
     builds, verifying = [], []
     completions = matroidal.matroids._completions
     verify = matroidal.svrank.verify_sv
@@ -426,7 +453,7 @@ def test_battery_builds_one_completion_map(monkeypatch):
         finally:
             verifying.pop()
 
-    for module in (matroidal.matroids, matroidal.svrank, matroidal.enumeration):
+    for module in (matroidal.matroids, matroidal.svrank, matroidal.decomposition):
         monkeypatch.setattr(module, "_completions", counted)
     monkeypatch.setattr(matroidal.svrank, "verify_sv", flagged)
     for mi in ideals:
