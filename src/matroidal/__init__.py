@@ -70,9 +70,9 @@ from .matroids import (
 from .oracle import (
     BudgetExceededError,
     Poly,
+    RadicalCertificate,
     RadicalCheck,
     buchberger,
-    member,
     parse_poly,
     poly_str,
     reduce,
@@ -91,7 +91,6 @@ from .quotients import (
 )
 from .svrank import (
     AraBounds,
-    RadicalCertificate,
     SearchResult,
     SVCheck,
     SVPartition,

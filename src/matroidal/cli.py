@@ -24,10 +24,14 @@ from .ideals import (
     witness_text,
 )
 from .matroids import MatroidalIdeal, check_matroidal
-from .oracle import BudgetExceededError, parse_poly, verify_radical_cert
+from .oracle import (
+    BudgetExceededError,
+    RadicalCertificate,
+    parse_poly,
+    verify_radical_cert,
+)
 from .quotients import analyze
 from .svrank import (
-    RadicalCertificate,
     _ambient,
     _layer_sums,
     _strings,

@@ -28,6 +28,7 @@ from .ideals import (
     is_zero_ideal,
     minimal_generators,
     mono_degree,
+    mono_str,
     mono_vars,
     support_mask,
 )
@@ -162,6 +163,12 @@ def degree2_partition(mi: MatroidalIdeal) -> MultipartitePartition:
     n = ideal.n
     if mi.d != 2:
         raise ValueError("degree-2 partition needs a degree-2 ideal")
+    other = next((g for g in ideal.gens if mono_degree(g) != 2), None)
+    if other is not None:
+        raise ValueError(
+            "degree-2 partition needs every generator of degree 2, "
+            f"got {mono_str(other)}"
+        )
     if n < 2:
         raise ValueError("need n >= 2")
     if not has_full_support(ideal):

@@ -38,7 +38,7 @@ Groebner basis, so "not verified", which only the monolithic path reports,
 (and the minimality of each power it records) rests on the Groebner
 property of the basis.  That property is asserted, pair by pair with no
 criterion applied, before any failure is reported; ``buchberger`` asserts
-it on every call by default.
+it on every call.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from operator import lshift, sub
-from typing import Callable, Iterable, Protocol, TypeVar
+from typing import Callable, Iterable, TypeVar
 
 from .ideals import Ideal, InvariantViolation, Monomial, mono_vars
 
@@ -99,13 +99,13 @@ class Poly:
         return cls(n, {tuple([0] * n): Fraction(c)})
 
     @classmethod
-    def from_monomial(cls, m: Monomial, n: int, coeff=1, power: int = 1) -> Poly:
+    def from_monomial(cls, m: Monomial, n: int) -> Poly:
         e = [0] * n
         for v in mono_vars(m):
             if v > n:
                 raise ValueError(f"variable x{v} out of range for n={n}")
-            e[v - 1] = power
-        return cls(n, {tuple(e): Fraction(coeff)})
+            e[v - 1] = 1
+        return cls(n, {tuple(e): Fraction(1)})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -205,11 +205,11 @@ def _term_str(e: Exponents, c: Fraction) -> str:
     return f"{c}*{body}"
 
 
-def poly_str(p: Poly, order: str = "degrevlex") -> str:
-    """Render in the grammar ``term (+ term)*``; zero prints as ``0``."""
+def poly_str(p: Poly) -> str:
+    """Render ``term (+ term)*`` in degrevlex order; zero prints as ``0``."""
     if p.is_zero():
         return "0"
-    key = ORDER_KEYS[order]
+    key = ORDER_KEYS["degrevlex"]
     return "+".join(
         _term_str(e, p.terms[e]) for e in sorted(p.terms, key=key, reverse=True)
     )
@@ -554,10 +554,7 @@ def _assert_groebner(reduced: list[_Divisor], layout: _Layout) -> None:
 
 
 def buchberger(
-    gens: Iterable[Poly],
-    order: str = "degrevlex",
-    max_pairs: int = 20000,
-    check: bool = True,
+    gens: Iterable[Poly], order: str = "degrevlex", max_pairs: int = 20000
 ) -> tuple[Poly, ...]:
     """Reduced Groebner basis of the input polynomials.
 
@@ -568,30 +565,47 @@ def buchberger(
     as prepared divisors (see ``reduce``), extended as elements are added.
     Processing more than ``max_pairs`` pairs raises
     :class:`BudgetExceededError`; a negative budget raises ``ValueError``.
-    With ``check`` the defining property is asserted before returning: the
-    S-polynomial of every pair of the output reduces to zero, with no
-    criterion applied.
+    The defining property is asserted before returning: the S-polynomial of
+    every pair of the output reduces to zero, with no criterion applied.
     """
     polys = [g for g in gens if g and g.terms]
     n = polys[0].n if polys else 0
 
     def run(layout: _Layout) -> tuple[Poly, ...]:
         reduced = _groebner(polys, layout, max_pairs)
-        if check:
-            _assert_groebner(reduced, layout)
+        _assert_groebner(reduced, layout)
         return tuple(layout.poly(n, _terms(b)) for b in reduced)
 
     return _widening(run, n, order)
 
 
-def member(f: Poly, basis: Iterable[Poly], order: str = "degrevlex") -> bool:
-    """Ideal membership against a Groebner basis via the normal form."""
-    return reduce(f, basis, order).is_zero()
+@dataclass(frozen=True)
+class RadicalCertificate:
+    """Polynomials generating the target up to radical, with provenance.
 
+    Construction is the one input check: every polynomial is a nonzero
+    ``Poly`` in the target's ring, and every term lies in the target, so
+    each polynomial does (a polynomial lies in a monomial ideal iff each of
+    its terms does).
+    """
 
-class _Certificate(Protocol):
     polys: tuple[Poly, ...]
     target: Ideal
+    provenance: str  # "sv_partition" | "product_composition" | "manual"
+
+    def __post_init__(self):
+        genset = set(self.target.gens)
+        for p in self.polys:
+            if not isinstance(p, Poly):
+                raise TypeError(f"certificate polynomial is not a Poly: {p!r}")
+            if p.is_zero():
+                raise ValueError("certificate contains the zero polynomial")
+            if p.n != self.target.n:
+                raise ValueError("certificate polynomial in the wrong ring")
+            for e in p.terms:
+                sup = sum(1 << i for i, exp in enumerate(e) if exp)
+                if sup not in genset and not any(g & sup == g for g in genset):
+                    raise ValueError("certificate term lies outside the target ideal")
 
 
 @dataclass(frozen=True)
@@ -639,7 +653,7 @@ def _least_power(u: int, basis: list[_Divisor], layout: _Layout, cap: int) -> in
 
 
 def _layered_check(
-    cert: _Certificate, layout: _Layout, cap: int, max_pairs: int
+    cert: RadicalCertificate, layout: _Layout, cap: int, max_pairs: int
 ) -> RadicalCheck | None:
     """Prove the terms of the polynomials in rad(p_0..p_i), one p_i at a time.
 
@@ -679,7 +693,7 @@ def _layered_check(
 
 
 def _groebner_check(
-    cert: _Certificate, layout: _Layout, cap: int, max_pairs: int
+    cert: RadicalCertificate, layout: _Layout, cap: int, max_pairs: int
 ) -> RadicalCheck:
     """The power of each generator against one basis of all the polynomials.
 
@@ -703,39 +717,25 @@ def _groebner_check(
 
 
 def verify_radical_cert(
-    cert: _Certificate,
-    cap: int = 8,
-    order: str = "degrevlex",
-    max_pairs: int = 20000,
+    cert: RadicalCertificate, cap: int = 8, max_pairs: int = 20000
 ) -> RadicalCheck:
     """Check that the certificate polynomials generate the target up to radical.
 
     Containment one way is structural: every term of every certificate
-    polynomial must lie in the target (a polynomial lies in a monomial
-    ideal iff each of its terms does).  The other containment is witnessed
-    by a power u^N (N <= cap) of every generator u: first layer by layer
+    polynomial lies in the target, which ``RadicalCertificate`` checked on
+    construction.  The other containment is witnessed by a power u^N
+    (N <= cap) of every generator u: first layer by layer
     (``_layered_check``), and where that pass stops, inside the ideal of all
     the certificate polynomials (``_groebner_check``), which alone can
-    report "not verified".  A cap below 1 could verify nothing and raises
+    report "not verified".  Anything but a ``RadicalCertificate`` raises
+    ``TypeError``; a cap below 1 could verify nothing and raises
     ``ValueError``; a basis of all the polynomials needing more than
     ``max_pairs`` pairs raises :class:`BudgetExceededError`.
     """
+    if not isinstance(cert, RadicalCertificate):
+        raise TypeError(f"expected a RadicalCertificate, got {type(cert).__name__}")
     if cap < 1:
         raise ValueError(f"oracle cap must be at least 1, got {cap}")
-    target = cert.target
-    n = target.n
-    genset = target.gens
-    for p in cert.polys:
-        if not isinstance(p, Poly) or p.n != n:
-            raise ValueError("certificate polynomials must live in the target ring")
-        if p.is_zero():
-            raise ValueError("certificate contains the zero polynomial")
-        for e in p.terms:
-            sup = sum(1 << (i) for i, exp in enumerate(e) if exp)
-            if not any(g & sup == g for g in genset):
-                raise ValueError(
-                    f"certificate term {_term_str(e, p.terms[e])} lies outside the target ideal"
-                )
 
     def run(layout: _Layout) -> RadicalCheck:
         layered = _layered_check(cert, layout, cap, max_pairs)
@@ -743,4 +743,4 @@ def verify_radical_cert(
             return layered
         return _groebner_check(cert, layout, cap, max_pairs)
 
-    return _widening(run, n, order)
+    return _widening(run, cert.target.n, "degrevlex")

@@ -40,7 +40,7 @@ from .ideals import (
     witness_text,
 )
 from .matroids import MatroidalIdeal, _completions, _holders, veronese
-from .oracle import Poly, poly_str
+from .oracle import Poly, RadicalCertificate, _exponents, poly_str
 from .quotients import q_index
 
 
@@ -223,33 +223,6 @@ def _exchange_layering(
     return _checked(SVPartition(ideal, layers), what)
 
 
-@dataclass(frozen=True)
-class RadicalCertificate:
-    """Polynomials generating the target up to radical, with provenance.
-
-    Every term of every polynomial must lie in the target, so each
-    polynomial does; construction validates this term-wise.
-    """
-
-    polys: tuple[Poly, ...]
-    target: Ideal
-    provenance: str  # "sv_partition" | "product_composition" | "manual"
-
-    def __post_init__(self):
-        genset = self.target.gens
-        for p in self.polys:
-            if p.is_zero():
-                raise ValueError("certificate contains the zero polynomial")
-            if p.n != self.target.n:
-                raise ValueError("certificate polynomial in the wrong ring")
-            for e in p.terms:
-                sup = sum(1 << i for i, exp in enumerate(e) if exp)
-                if not any(g & sup == g for g in genset):
-                    raise ValueError(
-                        "certificate term lies outside the target ideal"
-                    )
-
-
 def sv_sums(partition: SVPartition) -> RadicalCertificate:
     """Layer sums of a verified partition, as a radical certificate."""
     check = verify_sv(partition)
@@ -264,10 +237,8 @@ def _layer_sums(partition: SVPartition) -> RadicalCertificate:
     n = partition.ideal.n
     polys = []
     for layer in partition.layers:
-        s = Poly.zero(n)
-        for m in sorted(layer, key=mono_vars):
-            s = s + Poly.from_monomial(m, n)
-        polys.append(s)
+        gens = sorted(layer, key=mono_vars)
+        polys.append(Poly(n, {_exponents(m, n): 1 for m in gens}))
     return RadicalCertificate(tuple(polys), partition.ideal, "sv_partition")
 
 

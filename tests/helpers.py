@@ -877,13 +877,19 @@ def reference_degree2_partition(mi):
     Same parts, and on failure the same first failing pair: part by part,
     its cross pairs in part order, then its intra pairs.
     """
-    from matroidal import InvariantViolation, MultipartitePartition
+    from matroidal import InvariantViolation, MultipartitePartition, mono_str
     from matroidal.ideals import has_full_support
 
     ideal = mi.ideal
     n = ideal.n
     if mi.d != 2:
         raise ValueError("degree-2 partition needs a degree-2 ideal")
+    for g in ideal.gens:
+        if len(mono_vars(g)) != 2:
+            raise ValueError(
+                "degree-2 partition needs every generator of degree 2, "
+                f"got {mono_str(g)}"
+            )
     if n < 2:
         raise ValueError("need n >= 2")
     if not has_full_support(ideal):

@@ -4,8 +4,10 @@ import pytest
 
 from matroidal import (
     Ideal,
+    construct_certificate,
     contains,
     contraction,
+    degree2_cert,
     degree2_partition,
     height,
     is_unmixed,
@@ -17,6 +19,7 @@ from matroidal import (
     recognize_veronese,
     relabel_ideal,
     support,
+    theorem_battery,
     unmixed_bounds_report,
     var_block_product,
     veronese,
@@ -126,6 +129,29 @@ def test_degree2_partition_preconditions():
         degree2_partition(veronese(3, 3))
     with pytest.raises(ValueError):
         degree2_partition(matroidal_of(4, (1, 2), (2, 3)))  # support misses x4
+
+
+def test_degree2_readers_name_a_generator_of_another_degree():
+    # Unvalidated input whose d says 2 while a generator has degree 3.  The
+    # battery reaches the partition only where its colon pass succeeds, so
+    # it runs on the second ideal alone.
+    reads = [
+        degree2_partition,
+        multipartite_signature,
+        degree2_cert,
+        lambda mi: construct_certificate(mi, "auto"),
+        lambda mi: construct_certificate(mi, "degree2"),
+    ]
+    cases = [
+        (ideal_of(5, (1, 2, 5), (3, 4)), "x1*x2*x5", reads),
+        (ideal_of(4, (1, 2), (1, 3, 4)), "x1*x3*x4", reads + [theorem_battery]),
+    ]
+    for ideal, other, calls in cases:
+        message = f"degree-2 partition needs every generator of degree 2, got {other}"
+        for read in calls:
+            with pytest.raises(ValueError) as caught:
+                read(MatroidalIdeal(ideal, 2))
+            assert str(caught.value) == message
 
 
 def test_multipartite_signatures():

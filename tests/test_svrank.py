@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import matroidal.svrank
 from matroidal import (
+    Poly,
     SVPartition,
     ara_bounds,
     as_matroidal,
@@ -16,6 +17,7 @@ from matroidal import (
     degree2_cert,
     minimal_primes,
     mono,
+    mono_vars,
     partition_from_document,
     poly_str,
     product_cert,
@@ -144,6 +146,25 @@ def test_sv_sums_examples():
     assert [poly_str(p) for p in sv_sums(principal).polys] == ["x1*x2*x3"]
     k22 = degree2_cert(var_block_product([{1, 2}, {3, 4}]))
     assert len(sv_sums(k22).polys) == 3
+
+
+def test_sv_sums_are_the_sums_of_their_layers(enum_cache):
+    # Each layer sum, built in one pass, equals the term-by-term sum, term
+    # order included.
+    partitions = [veronese_cert(n, d) for n in range(1, 9) for d in range(1, n + 1)]
+    for n, d in ((5, 3), (6, 2), (6, 3)):
+        for mi in enum_cache(n, d):
+            found = construct_certificate(mi)
+            if found is not None:
+                partitions.append(found[1])
+    for partition in partitions:
+        n = partition.ideal.n
+        for poly, layer in zip(sv_sums(partition).polys, partition.layers, strict=True):
+            expected = Poly.zero(n)
+            for m in sorted(layer, key=mono_vars):
+                expected = expected + Poly.from_monomial(m, n)
+            assert poly == expected
+            assert list(poly.terms) == list(expected.terms)
 
 
 def test_sv_sums_rejects_unverified():
