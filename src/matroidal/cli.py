@@ -13,7 +13,7 @@ import json
 import sys
 from pathlib import Path
 
-from .decomposition import degree2_partition, minimal_primes
+from .decomposition import _decompose, degree2_partition
 from .enumeration import conjecture_scan, enumerate_matroidal
 from .ideals import (
     Ideal,
@@ -159,7 +159,7 @@ def _cmd_analyze(args) -> int:
 def _cmd_decompose(args) -> int:
     ideal = _load_ideal(args.file)
     try:
-        decomposition = minimal_primes(ideal)
+        decomposition, mi = _decompose(ideal)
     except ValueError as exc:
         return _fail(args, str(exc))
     payload: dict[str, object] = {
@@ -172,8 +172,7 @@ def _cmd_decompose(args) -> int:
         f"height={decomposition.height}",
         f"unmixed={decomposition.unmixed}",
     ]
-    mi = _require_matroidal(ideal)
-    if isinstance(mi, MatroidalIdeal) and mi.d == 2 and has_full_support(ideal):
+    if mi is not None and mi.d == 2 and has_full_support(ideal):
         signature = degree2_partition(mi).signature
         payload["signature"] = list(signature)
         lines.append(f"signature={signature}")

@@ -10,8 +10,8 @@ transversals already found.
 
 The primes, the Veronese test (C(n, d) generators) and the blocks of a
 variable block product (d disjoint cocircuits whose sizes multiply to the
-generator count) come from one completion map in ``_structure``, the
-record every reader of those facts shares.
+generator count) are read off the cocircuits a ``MatroidalIdeal`` carries;
+a bare ``Ideal`` is checked first.
 """
 
 from __future__ import annotations
@@ -22,23 +22,15 @@ from math import comb
 from .ideals import (
     Ideal,
     InvariantViolation,
-    Monomial,
     has_full_support,
     is_unit_ideal,
     is_zero_ideal,
     minimal_generators,
     mono_degree,
-    mono_str,
     mono_vars,
     support_mask,
 )
-from .matroids import (
-    MatroidalIdeal,
-    NotMatroidalError,
-    _completions,
-    _fundamental_cocircuits,
-    as_matroidal,
-)
+from .matroids import MatroidalIdeal, NotMatroidalError, _matroid, as_matroidal
 
 
 @dataclass(frozen=True)
@@ -62,57 +54,32 @@ class MultipartitePartition:
     signature: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class _Structure:
-    """The completion map, the primes and both shapes' facts, as masks."""
-
-    completions: dict[Monomial, int]
-    primes: frozenset[int]
-    veronese: bool
-    blocks: tuple[int, ...] | None
-
-
-def _structure(ideal: Ideal) -> _Structure:
-    """The structure record of ``ideal``, on one completion map.
-
-    On matroidal input the primes are the fundamental cocircuits.  Other
-    input is neither Veronese nor a block product, both being matroidal,
-    and its primes come from the transversal DFS.
-    """
-    gens = ideal.gens
-    completions = _completions(gens)
-    degrees = {mono_degree(g) for g in gens}
-    cocircuits = None
-    if len(degrees) == 1 and 0 not in degrees:  # the unit ideal has no matroid
-        cocircuits = _fundamental_cocircuits(gens, completions)
-    if cocircuits is None:
-        primes = frozenset(_minimal_transversals(gens))
-        return _Structure(completions, primes, False, None)
-    d = degrees.pop()
-    return _Structure(
-        completions,
-        frozenset(cocircuits),
-        len(gens) == comb(ideal.n, d),  # every d-subset, so full support
-        _cocircuit_blocks(cocircuits, d, len(gens)),
-    )
-
-
-def minimal_primes(ideal: Ideal) -> PrimeDecomposition:
-    """All minimal transversals of the generator supports.
-
-    On matroidal input these are its cocircuits (``_structure``).
-    """
+def _decompose(ideal: Ideal) -> tuple[PrimeDecomposition, MatroidalIdeal | None]:
+    """:func:`minimal_primes`, and the ideal as a ``MatroidalIdeal`` or None."""
     if is_zero_ideal(ideal):
         raise ValueError("the zero ideal has no minimal variable primes")
     if is_unit_ideal(ideal):
         raise ValueError("the whole ring has no minimal primes")
-    ordered = sorted((c.bit_count(), mono_vars(c)) for c in _structure(ideal).primes)
+    mi = _matroid(ideal)
+    primes = _minimal_transversals(ideal.gens) if mi is None else mi._cocircuits
+    ordered = sorted((c.bit_count(), mono_vars(c)) for c in primes)
     heights = {h for h, _ in ordered}
-    return PrimeDecomposition(
+    decomposition = PrimeDecomposition(
         primes=tuple(frozenset(vs) for _, vs in ordered),
         height=min(heights),
         unmixed=len(heights) == 1,
     )
+    return decomposition, mi
+
+
+def minimal_primes(ideal: Ideal) -> PrimeDecomposition:
+    """All minimal transversals of the generator supports (cocircuits if matroidal)."""
+    return _decompose(ideal)[0]
+
+
+def _is_veronese(mi: MatroidalIdeal) -> bool:
+    """Whether ``mi`` holds every d-subset of x1..xn (so has full support)."""
+    return len(mi.ideal.gens) == comb(mi.ideal.n, mi.d)
 
 
 def _minimal_transversals(gens: tuple[int, ...]) -> list[int]:
@@ -163,14 +130,6 @@ def degree2_partition(mi: MatroidalIdeal) -> MultipartitePartition:
     n = ideal.n
     if mi.d != 2:
         raise ValueError("degree-2 partition needs a degree-2 ideal")
-    other = next((g for g in ideal.gens if mono_degree(g) != 2), None)
-    if other is not None:
-        raise ValueError(
-            "degree-2 partition needs every generator of degree 2, "
-            f"got {mono_str(other)}"
-        )
-    if n < 2:
-        raise ValueError("need n >= 2")
     if not has_full_support(ideal):
         raise ValueError("support must be all of x1..xn")
     adjacency = {v: 0 for v in range(1, n + 1)}
@@ -265,29 +224,27 @@ def recognize_var_block_product(
     """The variable blocks whose transversals are exactly G(I), or None.
 
     Blocks come ordered by their smallest variable, read off the
-    cocircuits by ``_cocircuit_blocks``.
+    cocircuits by ``_cocircuit_blocks``.  Only a matroidal ideal is one.
     """
-    if is_zero_ideal(ideal) or is_unit_ideal(ideal):
-        return None
-    blocks = _structure(ideal).blocks
+    mi = _matroid(ideal)
+    blocks = None if mi is None else _cocircuit_blocks(mi)
     if blocks is None:
         return None
     return tuple(frozenset(mono_vars(b)) for b in blocks)
 
 
-def _cocircuit_blocks(
-    cocircuits: set[int], d: int, size: int
-) -> tuple[int, ...] | None:
+def _cocircuit_blocks(mi: MatroidalIdeal) -> tuple[int, ...] | None:
     """The blocks of a variable block product, read off its cocircuits.
 
-    ``cocircuits`` are the cocircuits of a rank-d matroid with ``size``
-    bases, as masks.  It is a block product exactly when there are d of
-    them, pairwise disjoint, with sizes multiplying to ``size``: each basis
-    meets every cocircuit, so it takes one variable from each, and the
-    bases are then all such transversals.  Returns the blocks ordered by
-    their smallest variable, or None.
+    The instance's cocircuits are those of a rank-d matroid whose bases are
+    the generators, as masks.  It is a block product exactly when there
+    are d of them, pairwise disjoint, with sizes multiplying to the
+    generator count: each basis meets every cocircuit, so it takes one
+    variable from each, and the bases are then all such transversals.
+    Returns the blocks ordered by their smallest variable, or None.
     """
-    if len(cocircuits) != d:
+    cocircuits = mi._cocircuits
+    if len(cocircuits) != mi.d:
         return None
     union, product = 0, 1
     for c in cocircuits:
@@ -295,7 +252,7 @@ def _cocircuit_blocks(
             return None
         union |= c
         product *= c.bit_count()
-    if product != size:
+    if product != len(mi.ideal.gens):
         return None
     return tuple(sorted(cocircuits, key=lambda c: c & -c))
 
@@ -338,22 +295,21 @@ def unmixed_bounds_report(mi: MatroidalIdeal) -> dict[str, object]:
 
     The lower bound is tight exactly for square-free Veronese ideals; the
     upper bound exactly for products of d blocks of h distinct variables.
-    Both tightness flags are cross-checked against the ideal's structure.
+    Both tightness flags are cross-checked against the ideal's cocircuits.
     """
     ideal = mi.ideal
     if ideal.n < 2:
         raise ValueError("need n >= 2")
     if not has_full_support(ideal):
         raise ValueError("support must be all of x1..xn")
-    structure = _structure(ideal)
-    heights = {p.bit_count() for p in structure.primes}
+    heights = {p.bit_count() for p in mi._cocircuits}
     if len(heights) != 1:
         raise ValueError("ideal is mixed: minimal primes have unequal heights")
-    blocks = structure.blocks
+    blocks = _cocircuit_blocks(mi)
     return _unmixed_bounds(
         ideal.n,
         mi.d,
         heights.pop(),
-        structure.veronese,
+        _is_veronese(mi),
         None if blocks is None else tuple(b.bit_count() for b in blocks),
     )

@@ -30,9 +30,9 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
-from .decomposition import _structure, _unmixed_bounds, degree2_partition
+from .decomposition import _is_veronese, degree2_partition, unmixed_bounds_report
 from .ideals import Ideal, InvariantViolation, has_full_support, mono, mono_vars
-from .matroids import MatroidalIdeal
+from .matroids import MatroidalIdeal, _unchecked
 from .quotients import _lex_q
 from .svrank import SVPartition, _ladder, search_cert, verify_sv
 
@@ -242,7 +242,7 @@ def enumerate_matroidal(n: int, d: int, up_to_symmetry: bool = False):
                         orbit_min.update(dict.fromkeys(orbit, least))
                     if encoding != least:
                         continue
-                yield MatroidalIdeal(Ideal(n, gens), d)
+                yield _unchecked(Ideal(n, gens), d)
             continue
         if sup | suffix_support[t + 1] == full and not open_slot(closed_out[t], chosen):
             stack.append((t + 1, chosen, sup))
@@ -282,14 +282,13 @@ class BatteryResult:
 def theorem_battery(mi: MatroidalIdeal) -> BatteryResult:
     """Run every applicable structural check on a full-support ideal.
 
-    Each invariant is computed once, from two per-ideal structures.  q is
-    the largest colon step of one exact pass in the canonical (descending
-    lex) order, in which matroidal ideals have linear quotients
-    (Herzog-Takayama 2002); ``find_ordering`` runs only if a step is not
-    variable-generated.  The rest comes from one structure record
-    (``decomposition._structure``): the primes give the height,
-    unmixedness and, as complements, the degree-2 parts; its Veronese and
-    block facts and completion map feed the unmixed bounds and the ladder.
+    Each invariant is computed once.  q is the largest colon step of one
+    exact pass in the canonical (descending lex) order, in which matroidal
+    ideals have linear quotients (Herzog-Takayama 2002).  The rest is read
+    off the instance: its cocircuits are the primes (the height,
+    unmixedness and, as complements, the degree-2 parts) and give the
+    Veronese and block facts of the unmixed bounds and the ladder, and its
+    completion map feeds the ladder.
 
     Support short of x1..xn raises ValueError first.  Other failures are
     recorded as verdicts: they mean a toolkit bug, not bad input.
@@ -301,8 +300,8 @@ def theorem_battery(mi: MatroidalIdeal) -> BatteryResult:
     verdicts: dict[str, str] = {}
     q = _lex_q(mi)
     verdicts["linear_quotient_index"] = "pass" if q == n - d else "fail"
-    structure = _structure(ideal)
-    primes = structure.primes
+    primes = mi._cocircuits
+    veronese = _is_veronese(mi)
     sizes = {p.bit_count() for p in primes}
     h = min(sizes)
     unmixed = len(sizes) == 1
@@ -319,10 +318,8 @@ def theorem_battery(mi: MatroidalIdeal) -> BatteryResult:
     else:
         verdicts["degree2_structure"] = "skip"
     if unmixed and n >= 2:
-        blocks = structure.blocks
-        block_sizes = None if blocks is None else tuple(b.bit_count() for b in blocks)
         try:
-            _unmixed_bounds(n, d, h, structure.veronese, block_sizes)
+            unmixed_bounds_report(mi)
             verdicts["unmixed_bounds"] = "pass"
         except InvariantViolation:
             verdicts["unmixed_bounds"] = "fail"
@@ -330,7 +327,7 @@ def theorem_battery(mi: MatroidalIdeal) -> BatteryResult:
         verdicts["unmixed_bounds"] = "skip"
     cohen_macaulay = h == q + 1
     verdicts["cm_iff_veronese"] = (
-        "pass" if cohen_macaulay == structure.veronese else "fail"
+        "pass" if cohen_macaulay == veronese else "fail"
     )
     # The bounds ``ara_bounds(mi, search=False)`` gives, from this q: none
     # when q misses n - d (``q_index`` raises) or a construction raises.
@@ -338,7 +335,7 @@ def theorem_battery(mi: MatroidalIdeal) -> BatteryResult:
     if q == n - d:
         try:
             # A partition that failed its check above raises again here.
-            found = _ladder(mi, "auto", structure, partition)
+            found = _ladder(mi, "auto", partition)
         except InvariantViolation:
             pass
     ara_lower = q + 1

@@ -150,6 +150,7 @@ class Ideal:
 
     ``gens`` is assumed divisibility-minimal and canonically sorted (by
     variable tuple); build instances through :func:`minimal_generators`.
+    ``check_matroidal``, so also ``MatroidalIdeal``, refuses any other order.
     The whole ring is ``gens == (UNIT,)``; the zero ideal is ``gens == ()``.
     """
 

@@ -7,12 +7,14 @@ generator.  The checker builds the fundamental cocircuits
 C(B, x) = {x} + {y not in B : B - x + y in G} of every generator B from one
 completion map, O(|G| d) dict updates in all, and accepts when each of them
 meets every generator.  The pairwise scan runs only on failure, to name the
-lexicographically first failing exchange.
+lexicographically first failing exchange.  It is the ``MatroidalIdeal``
+constructor, whose instance keeps the map and cocircuits for its readers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations, product as iter_product
 from typing import Iterable
 
@@ -36,10 +38,49 @@ from .ideals import (
 
 @dataclass(frozen=True)
 class MatroidalIdeal:
-    """A validated matroidal ideal together with its uniform degree."""
+    """A validated matroidal ideal together with its uniform degree.
+
+    The constructor raises as :func:`as_matroidal` does, or on a ``d`` that
+    is not the generators' degree.  Its check's completion map and
+    cocircuits are not fields: ``==``, ``hash`` and ``repr`` ignore them.
+    """
 
     ideal: Ideal
     d: int
+
+    def __post_init__(self) -> None:
+        # as_matroidal runs only on failure, to raise with the witness.
+        checked = _matroid(self.ideal) or as_matroidal(self.ideal)
+        if checked.d != self.d:
+            raise ValueError(
+                f"d={self.d} differs from the generators' degree {checked.d}"
+            )
+        object.__setattr__(self, "_completion_map", checked._completion_map)
+        object.__setattr__(self, "_cocircuits", checked._cocircuits)
+
+    @cached_property
+    def _completion_map(self) -> dict[Monomial, int]:
+        return _completions(self.ideal.gens)
+
+    @cached_property
+    def _cocircuits(self) -> frozenset[int]:
+        """The fundamental cocircuits: the values of the completion map."""
+        return frozenset(self._completion_map.values())
+
+
+def _unchecked(ideal: Ideal, d: int, **record: object) -> MatroidalIdeal:
+    """A ``MatroidalIdeal`` for a caller that has checked ``ideal`` already.
+
+    Of ``_completion_map`` and ``_cocircuits``, one not in ``record`` is
+    built when first read.  Attributes are set as the dataclass ``__init__``
+    sets them, which builds no dict per instance.
+    """
+    mi = object.__new__(MatroidalIdeal)
+    object.__setattr__(mi, "ideal", ideal)
+    object.__setattr__(mi, "d", d)
+    for name, value in record.items():
+        object.__setattr__(mi, name, value)
+    return mi
 
 
 @dataclass(frozen=True)
@@ -81,19 +122,46 @@ def check_matroidal(ideal: Ideal) -> MatroidCheck:
 
     Witnesses are first-found in lexicographic generator order, so failures
     are reproducible.  Mixed generator degrees are a distinct failure kind.
+    The zero and unit ideals and generators out of canonical order raise
+    ValueError.
     """
+    mi = _matroid(ideal)
+    if mi is not None:
+        return MatroidCheck(mi)
     if is_zero_ideal(ideal):
         raise ValueError("the zero ideal has no matroid structure")
     if is_unit_ideal(ideal):
         raise ValueError("the whole ring has no matroid structure")
-    degrees = sorted({mono_degree(g) for g in ideal.gens})
+    gens = ideal.gens
+    degrees = sorted({mono_degree(g) for g in gens})
     if len(degrees) > 1:
-        lo = next(g for g in ideal.gens if mono_degree(g) == degrees[0])
-        hi = next(g for g in ideal.gens if mono_degree(g) == degrees[-1])
+        lo = next(g for g in gens if mono_degree(g) == degrees[0])
+        hi = next(g for g in gens if mono_degree(g) == degrees[-1])
         return MatroidCheck(None, "mixed_degrees", (lo, hi))
-    if _fundamental_cocircuits(ideal.gens, _completions(ideal.gens)) is not None:
-        return MatroidCheck(MatroidalIdeal(ideal, degrees[0]))
-    return MatroidCheck(None, "exchange", _first_exchange_failure(ideal.gens))
+    for a, b in zip(gens, gens[1:]):
+        if mono_vars(a) >= mono_vars(b):
+            raise ValueError(
+                "generators out of canonical order: "
+                f"{mono_str(a)} before {mono_str(b)}"
+            )
+    return MatroidCheck(None, "exchange", _first_exchange_failure(gens))
+
+
+def _matroid(ideal: Ideal) -> MatroidalIdeal | None:
+    """:func:`check_matroidal`'s instance, or None, with no witness named."""
+    gens = ideal.gens
+    if not gens or not gens[0]:
+        return None
+    d = gens[0].bit_count()
+    for a, b in zip(gens, gens[1:]):
+        # In canonical order a holds the lowest variable where a and b differ.
+        if b.bit_count() != d or not a & (a ^ b) & -(a ^ b):
+            return None
+    completions = _completions(gens)
+    cocircuits = _fundamental_cocircuits(gens, completions)
+    if cocircuits is None:
+        return None
+    return _unchecked(ideal, d, _completion_map=completions, _cocircuits=cocircuits)
 
 
 def _completions(
@@ -130,7 +198,7 @@ def _holders(gens: Iterable[Monomial]) -> dict[int, int]:
 
 def _fundamental_cocircuits(
     gens: tuple[Monomial, ...], completions: dict[Monomial, int]
-) -> set[int] | None:
+) -> frozenset[int] | None:
     """The distinct fundamental cocircuits of equal-degree generators.
 
     For each generator B and x in B, C(B, x) is x together with every
@@ -145,7 +213,7 @@ def _fundamental_cocircuits(
     transversals (Oxley, *Matroid Theory*, ch. 2).  ``completions`` is
     ``_completions(gens)``.
     """
-    cocircuits = set(completions.values())
+    cocircuits = frozenset(completions.values())
     holders = _holders(gens)
     everyone = (1 << len(gens)) - 1
     for c in cocircuits:

@@ -14,7 +14,6 @@ import random
 from dataclasses import dataclass
 from typing import Sequence
 
-from .decomposition import height
 from .ideals import InvariantViolation, Monomial, has_full_support, mono_vars
 from .matroids import MatroidalIdeal
 
@@ -122,13 +121,12 @@ def _lex_q(mi: MatroidalIdeal) -> int:
     """q(I) from one colon pass in the canonical (descending lex) order.
 
     Matroidal ideals have linear quotients in that order (Herzog-Takayama
-    2002), so only the step sizes are kept.  When a step is not
-    variable-generated, as on an unvalidated ``MatroidalIdeal``, this is
-    ``find_ordering(mi).q``; q does not depend on the ordering.
+    2002), so only the step sizes are kept; a step that is not
+    variable-generated is an invariant violation.
     """
     steps = _colon_pass(mi.ideal.gens, mi.ideal.n)
     if steps is None:
-        return find_ordering(mi).q
+        raise InvariantViolation("no linear quotients in the canonical order")
     return max((s.bit_count() for s in steps), default=0)
 
 
@@ -238,14 +236,14 @@ def depth(mi: MatroidalIdeal) -> int:
 
 def is_cohen_macaulay(mi: MatroidalIdeal) -> bool:
     """R/I is Cohen-Macaulay iff height(I) = q(I) + 1."""
-    return height(mi.ideal) == q_index(mi) + 1
+    return min(c.bit_count() for c in mi._cocircuits) == q_index(mi) + 1
 
 
 def analyze(mi: MatroidalIdeal) -> dict[str, object]:
     """The homological summary surfaced by the CLI."""
     ideal = mi.ideal
     q = q_index(mi)
-    h = height(ideal)
+    h = min(c.bit_count() for c in mi._cocircuits)
     return {
         "n": ideal.n,
         "d": mi.d,

@@ -7,12 +7,12 @@ the ideal up to radical, so r+1 bounds the arithmetical rank from above.
 The projective dimension bounds it from below, and the two meet at
 q(I) + 1 = n - d + 1 whenever a certificate of that size exists.
 
-``construct_certificate`` is the one construction ladder; the theorem
-battery climbs its core, ``_ladder``, with the structure record
-(``decomposition._structure``) it has already built.  Its rungs are one
-exchange rule read in a variable order: the natural order for square-free
-Veronese ideals and variable block products, the part order for degree-2
-ideals.  Every layering it returns has passed ``verify_sv``.
+``construct_certificate`` is the one construction ladder, recognised from
+and layered on the cocircuits and completion map a ``MatroidalIdeal``
+carries.  Its rungs are one exchange rule read in a variable order: the
+natural order for square-free Veronese ideals and variable block
+products, the part order for degree-2 ideals.  Every layering it returns
+has passed ``verify_sv``.
 A complete layered-partition search covers everything else.
 """
 
@@ -23,8 +23,8 @@ from typing import Iterable, Iterator
 
 from .decomposition import (
     MultipartitePartition,
-    _Structure,
-    _structure,
+    _cocircuit_blocks,
+    _is_veronese,
     degree2_partition,
 )
 from .ideals import (
@@ -191,20 +191,17 @@ def _checked(partition: SVPartition, what: str) -> SVPartition:
 
 
 def _exchange_layering(
-    ideal: Ideal,
-    order: Iterable[int],
-    what: str,
-    completions: dict[Monomial, int],
+    mi: MatroidalIdeal, order: Iterable[int], what: str
 ) -> SVPartition:
     """Layer k holds the generators u with k external exchanges in ``order``.
 
     A variable y outside u counts when it replaces a later variable x of u:
     y precedes x in ``order`` and u - x + y is a generator (a colon variable
     of the linear-quotient order; external activity).  The count is the
-    popcount of the OR over x in u of ``completions[u - x] & before[x]``;
-    ``completions`` is ``_completions(ideal.gens)``, the y with
-    u - x + y a generator.
+    popcount of the OR over x in u of ``completions[u - x] & before[x]``,
+    on the instance's completion map: the y with u - x + y a generator.
     """
+    ideal, completions = mi.ideal, mi._completion_map
     before: dict[int, int] = {}  # keyed by the variable's bit
     seen = 0
     for v in order:
@@ -249,10 +246,7 @@ def veronese_cert(n: int, d: int) -> SVPartition:
     and below max u, so u sits in layer max u - d.  There are n-d+1
     layers, and layer i > 0 holds C(d+i-1, d-1) generators.
     """
-    ideal = veronese(n, d).ideal
-    return _exchange_layering(
-        ideal, range(1, n + 1), "Veronese", _completions(ideal.gens)
-    )
+    return _exchange_layering(veronese(n, d), range(1, n + 1), "Veronese")
 
 
 def variable_cert(variables, n: int) -> RadicalCertificate:
@@ -299,19 +293,16 @@ def degree2_cert(mi: MatroidalIdeal) -> SVPartition:
     those before a and those between a's part and b: layer i + j - 2,
     over exactly n-1 layers.
     """
-    ideal = mi.ideal
-    return _degree2_layering(ideal, degree2_partition(mi), _completions(ideal.gens))
+    return _degree2_layering(mi, degree2_partition(mi))
 
 
 def _degree2_layering(
-    ideal: Ideal,
-    partition: MultipartitePartition,
-    completions: dict[Monomial, int],
+    mi: MatroidalIdeal, partition: MultipartitePartition
 ) -> SVPartition:
     """:func:`degree2_cert` on the ideal's degree-2 partition."""
     parts = sorted(partition.parts, key=lambda p: (-len(p), sorted(p)))
     order = [v for part in parts for v in sorted(part)]
-    return _exchange_layering(ideal, order, "degree-2", completions)
+    return _exchange_layering(mi, order, "degree-2")
 
 
 def construct_certificate(
@@ -324,45 +315,32 @@ def construct_certificate(
     applies.  A forced ``method`` that does not apply raises ValueError.
     In a block product y can replace only the variable of u in its own
     block, so the natural order puts u in the sum of its block positions.
-    Every returned layering has passed ``verify_sv``.  The rungs are
-    recognised from the ideal's structure record.
+    Every returned layering has passed ``verify_sv``.
     """
-    return _ladder(mi, method, _structure(mi.ideal))
+    return _ladder(mi, method)
 
 
 def _ladder(
     mi: MatroidalIdeal,
     method: str,
-    structure: _Structure,
     partition: MultipartitePartition | None = None,
 ) -> tuple[str, SVPartition] | None:
-    """:func:`construct_certificate` on facts its caller already holds.
-
-    ``structure`` is ``decomposition._structure(mi.ideal)``: its Veronese
-    and block facts pick the rungs, and its completion map feeds
-    ``_exchange_layering``.  ``partition``, when given, is the ideal's
-    degree-2 partition; otherwise it is computed if the ladder reaches
-    that rung.
-    """
-    ideal = mi.ideal
-    natural = range(1, ideal.n + 1)
-    completions = structure.completions
+    """:func:`construct_certificate`, reusing the degree-2 ``partition`` if given."""
+    natural = range(1, mi.ideal.n + 1)
     if method in ("auto", "veronese"):
-        if structure.veronese:
-            layering = _exchange_layering(ideal, natural, "Veronese", completions)
-            return "veronese", layering
+        if _is_veronese(mi):
+            return "veronese", _exchange_layering(mi, natural, "Veronese")
         if method == "veronese":
             raise ValueError("not a square-free Veronese ideal")
     if method in ("auto", "product"):
-        if structure.blocks is not None:
-            layering = _exchange_layering(ideal, natural, "block product", completions)
-            return "product", layering
+        if _cocircuit_blocks(mi) is not None:
+            return "product", _exchange_layering(mi, natural, "block product")
         if method == "product":
             raise ValueError("not a variable block product")
     if method in ("auto", "degree2"):
         if mi.d == 2:
             partition = partition or degree2_partition(mi)
-            return "degree2", _degree2_layering(ideal, partition, completions)
+            return "degree2", _degree2_layering(mi, partition)
         if method == "degree2":
             raise ValueError("degree is not 2")
     if method != "auto":

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import matroidal.cli
+import matroidal.matroids
 import matroidal.svrank
 from matroidal import verify_radical_cert
 from matroidal.cli import main
@@ -89,6 +90,29 @@ def test_decompose(capsys, k22):
         "unmixed": True,
         "signature": [2, 2],
     }
+
+
+def test_decompose_checks_its_file_once(capsys, monkeypatch, k22, tmp_path):
+    # One completion map for a matroidal file, and no exchange witness
+    # scan for one that is not: its primes come from the DFS.
+    builds, scans = [], []
+    completions = matroidal.matroids._completions
+    scan = matroidal.matroids._first_exchange_failure
+    monkeypatch.setattr(
+        matroidal.matroids, "_completions", lambda gens: builds.append(gens) or completions(gens)
+    )
+    monkeypatch.setattr(
+        matroidal.matroids, "_first_exchange_failure", lambda gens: scans.append(gens) or scan(gens)
+    )
+    code, payload = run_json(capsys, "decompose", k22)
+    assert (code, payload["signature"], len(builds), scans) == (0, [2, 2], 1, [])
+    bad = tmp_path / "bad.txt"
+    bad.write_text(NOT_MATROIDAL)
+    builds.clear()
+    code, payload = run_json(capsys, "decompose", str(bad))
+    assert code == 0
+    assert payload == {"primes": [[1, 3], [1, 4], [2, 3], [2, 4]], "height": 2, "unmixed": True}
+    assert (len(builds), scans) == (1, [])
 
 
 def test_partition(capsys, k22):

@@ -4,10 +4,8 @@ import pytest
 
 from matroidal import (
     Ideal,
-    construct_certificate,
     contains,
     contraction,
-    degree2_cert,
     degree2_partition,
     height,
     is_unmixed,
@@ -19,13 +17,12 @@ from matroidal import (
     recognize_veronese,
     relabel_ideal,
     support,
-    theorem_battery,
     unmixed_bounds_report,
     var_block_product,
     veronese,
 )
 from matroidal.ideals import InvariantViolation
-from matroidal.matroids import MatroidalIdeal, as_matroidal
+from matroidal.matroids import _unchecked, as_matroidal
 
 from helpers import ideal_of, matroidal_of, multipartite_ideal
 
@@ -131,29 +128,6 @@ def test_degree2_partition_preconditions():
         degree2_partition(matroidal_of(4, (1, 2), (2, 3)))  # support misses x4
 
 
-def test_degree2_readers_name_a_generator_of_another_degree():
-    # Unvalidated input whose d says 2 while a generator has degree 3.  The
-    # battery reaches the partition only where its colon pass succeeds, so
-    # it runs on the second ideal alone.
-    reads = [
-        degree2_partition,
-        multipartite_signature,
-        degree2_cert,
-        lambda mi: construct_certificate(mi, "auto"),
-        lambda mi: construct_certificate(mi, "degree2"),
-    ]
-    cases = [
-        (ideal_of(5, (1, 2, 5), (3, 4)), "x1*x2*x5", reads),
-        (ideal_of(4, (1, 2), (1, 3, 4)), "x1*x3*x4", reads + [theorem_battery]),
-    ]
-    for ideal, other, calls in cases:
-        message = f"degree-2 partition needs every generator of degree 2, got {other}"
-        for read in calls:
-            with pytest.raises(ValueError) as caught:
-                read(MatroidalIdeal(ideal, 2))
-            assert str(caught.value) == message
-
-
 def test_multipartite_signatures():
     assert multipartite_signature(veronese(6, 2)) == (1, 1, 1, 1, 1, 1)
     assert multipartite_signature(multipartite_ideal([{1, 2, 3}, {4, 5, 6}])) == (3, 3)
@@ -197,8 +171,9 @@ def test_contraction_examples():
 
 
 def test_contraction_passes_on_the_written_witness():
-    # Not matroidal, so the contraction at x1, {x2, x3*x4}, is not either.
-    unchecked = MatroidalIdeal(ideal_of(4, (1, 2), (1, 3, 4)), 2)
+    # Not matroidal, so the contraction at x1, {x2, x3*x4}, is not either;
+    # built past the constructor's check, through the private path.
+    unchecked = _unchecked(ideal_of(4, (1, 2), (1, 3, 4)), 2)
     with pytest.raises(InvariantViolation) as info:
         contraction(unchecked, 1)
     assert str(info.value) == (

@@ -38,7 +38,8 @@ ideal with n <= 6.  ``theorem_battery`` climbs the same ladder from its own
 q and must report the bounds ``ara_bounds`` reports on each of them.
 
 ``theorem_battery`` takes q from one colon pass in canonical order and
-everything else from one structure record (``decomposition._structure``).
+everything else from the completion map and cocircuits its
+``MatroidalIdeal`` carries.
 Its results must equal ``reference_battery``'s, the composition of
 ``find_ordering``, the transversal DFS, the component search for blocks,
 the unmixed bounds and the closed-form ladder, none of which reads that
@@ -46,12 +47,14 @@ record: on every ideal with n <= 6, and (slow) on the relabeled (7,3) and
 (7,4) orbit representatives, V(9,4) and relabeled 4+4 and 4+4+4 products.
 On each, the pass's q must equal ``find_ordering``'s and the blocks read
 off the cocircuits must equal the component search's, also on a
-relabeled 4+4+4+4 product.  An unvalidated ideal whose canonical order
-fails takes the ``find_ordering`` fallback.  The minimal primes, block
-recognizer, unmixed bounds, construction ladder and battery must give
-the references' results or errors on unvalidated input: every ideal with
-n <= 5, each with a generator dropped or a d-subset added, the ideals
-with n <= 4 in a ring with one more variable, and random antichains.
+relabeled 4+4+4+4 product.  The ``MatroidalIdeal`` constructor must
+accept exactly where the pairwise scan accepts and otherwise name the
+same failure and witness; the minimal primes and block recognizer of the
+bare ``Ideal`` must give the references' results on every input, and on
+what the constructor accepts so must the unmixed bounds, construction
+ladder and battery: every ideal with n <= 5, each with a generator
+dropped or a d-subset added, the ideals with n <= 4 in a ring with one
+more variable, and random antichains.
 Each rung reads one exchange rule in a variable order.  With ``auto`` and
 each forced method it must give the layers of the closed forms it
 replaced, or refuse with the same message: on every ideal with n <= 6 and
@@ -126,9 +129,15 @@ from matroidal import (
     veronese,
     veronese_cert,
 )
+from matroidal import matroids
 from matroidal.decomposition import _cocircuit_blocks
 from matroidal.enumeration import _adjacent_swaps, _orbit, _smaller_relabeling
-from matroidal.matroids import MatroidalIdeal, _completions, _fundamental_cocircuits
+from matroidal.matroids import (
+    MatroidalIdeal,
+    NotMatroidalError,
+    _completions,
+    _fundamental_cocircuits,
+)
 from matroidal.oracle import BudgetExceededError
 from matroidal.quotients import _colon_pass, _colon_vars, _lex_q
 from matroidal.svrank import _unsettled_pairs
@@ -258,8 +267,9 @@ BACKTRACKING = [
 
 
 def _unchecked(ideal):
+    # Past the constructor's check, through the library's private path;
     # find_ordering reads only the generators, never the degree.
-    return MatroidalIdeal(ideal, ideal.gens[0].bit_count())
+    return matroids._unchecked(ideal, ideal.gens[0].bit_count())
 
 
 @pytest.mark.parametrize("n, gens", BACKTRACKING)
@@ -546,12 +556,13 @@ def test_battery_bounds_match_ara_bounds(enum_cache):
 
 def _assert_battery_kernels_agree(mi):
     # The q pass and the cocircuit block reading against their oracles,
-    # then the whole battery against its old composition.
+    # then the whole battery against its old composition.  The instance's
+    # cocircuits, built lazily at an enumeration leaf, are the checker's.
     ideal = mi.ideal
     assert _colon_pass(ideal.gens, ideal.n) is not None
     assert _lex_q(mi) == find_ordering(mi).q
-    cocircuits = _fundamental_cocircuits(ideal.gens, _completions(ideal.gens))
-    blocks = _cocircuit_blocks(cocircuits, mi.d, len(ideal.gens))
+    assert mi._cocircuits == _fundamental_cocircuits(ideal.gens, _completions(ideal.gens))
+    blocks = _cocircuit_blocks(mi)
     expected = reference_var_block_product(ideal)
     assert (blocks and tuple(frozenset(mono_vars(b)) for b in blocks)) == expected
     assert recognize_var_block_product(ideal) == expected
@@ -573,27 +584,11 @@ def test_battery_matches_its_old_composition_on_every_small_ideal(enum_cache):
 def test_cocircuit_blocks_match_the_recognizer_on_a_relabeled_product():
     perm = tuple(random.Random(16).sample(range(1, 17), 16))
     mi = var_block_product(_relabeled((4, 4, 4, 4), perm))
-    gens = mi.ideal.gens
-    cocircuits = _fundamental_cocircuits(gens, _completions(gens))
-    blocks = _cocircuit_blocks(cocircuits, 4, len(gens))
+    blocks = _cocircuit_blocks(mi)
     expected = reference_var_block_product(mi.ideal)
     assert tuple(frozenset(mono_vars(b)) for b in blocks) == expected
     assert recognize_var_block_product(mi.ideal) == expected
     assert sorted(map(sorted, expected)) == sorted(map(sorted, _relabeled((4, 4, 4, 4), perm)))
-
-
-def test_battery_falls_back_where_the_lex_order_fails():
-    # Not matroidal (x1x4, x2x3 and x = x4 has no exchange), passed in
-    # unvalidated: the canonical order stops at x2x3, whose colon ideal is
-    # (x1x4), but x1x4, x3x4, x2x3 has linear quotients with q = 1.
-    mi = MatroidalIdeal(ideal_of(4, (1, 4), (2, 3), (3, 4)), 2)
-    assert _colon_pass(mi.ideal.gens, 4) is None
-    assert _lex_q(mi) == find_ordering(mi).q == 1
-    assert _fundamental_cocircuits(mi.ideal.gens, _completions(mi.ideal.gens)) is None
-    result = theorem_battery(mi)
-    assert result == reference_battery(mi)
-    assert (result.q, result.height, result.unmixed) == (1, 2, True)
-    assert result.verdicts["linear_quotient_index"] == "fail"
 
 
 def _outcome(read, *args):
@@ -604,7 +599,7 @@ def _outcome(read, *args):
 
 
 def _structure_inputs(enum_cache):
-    """Ideals for the unvalidated-input differential, matroidal or not.
+    """Ideals for the constructor differential, matroidal or not.
 
     Every labeled ideal with n <= 5, each with one generator dropped and
     each with one d-subset added, those with n <= 4 also in a ring with one
@@ -628,36 +623,43 @@ def _structure_inputs(enum_cache):
         yield minimal_generators(pool, n)
 
 
-def test_structure_readers_match_the_references_on_unvalidated_input(enum_cache):
-    # The minimal primes, block recognizer, unmixed bounds, construction
-    # ladder and battery read one structure record; on input that is not
-    # matroidal, mixed in degree or short of full support, each must give
-    # the references' result or raise the same error.
+def test_constructor_and_bare_ideal_readers_match_the_references(enum_cache):
+    # The constructor accepts exactly where the pairwise scan does, and
+    # otherwise raises with its failure and witness.  The primes and block
+    # recognizer of the bare Ideal keep their generic path on any input;
+    # the readers of an accepted instance must match their references.
     kinds = set()
     for ideal in _structure_inputs(enum_cache):
-        mi = MatroidalIdeal(ideal, min(g.bit_count() for g in ideal.gens))
-        check = check_matroidal(ideal)
-        kinds.add((check.failure, has_full_support(ideal)))
-        pairs = [
-            (minimal_primes, reference_minimal_primes, ideal),
-            (recognize_var_block_product, reference_var_block_product, ideal),
-            (unmixed_bounds_report, reference_unmixed_bounds_report, mi),
-            (theorem_battery, reference_battery, mi),
-        ]
-        for read, reference, arg in pairs:
-            assert _outcome(read, arg) == _outcome(reference, arg), (read, ideal)
+        reference = reference_check_matroidal(ideal)
+        kinds.add((reference.failure, has_full_support(ideal)))
+        for read, oracle in [
+            (minimal_primes, reference_minimal_primes),
+            (recognize_var_block_product, reference_var_block_product),
+        ]:
+            assert _outcome(read, ideal) == _outcome(oracle, ideal), (read, ideal)
+        if not reference:
+            with pytest.raises(NotMatroidalError) as caught:
+                MatroidalIdeal(ideal, min(g.bit_count() for g in ideal.gens))
+            assert caught.value.check == reference, ideal
+            continue
+        mi = MatroidalIdeal(ideal, reference.matroidal.d)
+        assert mi == reference.matroidal
+        for read, oracle in [
+            (unmixed_bounds_report, reference_unmixed_bounds_report),
+            (theorem_battery, reference_battery),
+        ]:
+            assert _outcome(read, mi) == _outcome(oracle, mi), (read, ideal)
         for method in CONSTRUCTIONS:
             new = _outcome(construct_certificate, mi, method)
             old = _outcome(reference_construct_certificate, mi, method)
             assert new == old, (ideal.gens, method)
+        if len(ideal.gens) > 1:
+            # Out of canonical order, the same generators are refused.
+            swapped = Ideal(ideal.n, (ideal.gens[1], ideal.gens[0]) + ideal.gens[2:])
+            with pytest.raises(ValueError, match="^generators out of canonical order"):
+                MatroidalIdeal(swapped, mi.d)
     failures = (None, "exchange", "mixed_degrees")
     assert kinds == {(f, s) for f in failures for s in (False, True)}
-    # The ladder also takes the zero and unit ideals unvalidated.
-    for gens in ((), (0,)):
-        mi = MatroidalIdeal(Ideal(3, gens), 0)
-        for method in CONSTRUCTIONS:
-            new = _outcome(construct_certificate, mi, method)
-            assert new == _outcome(reference_construct_certificate, mi, method)
 
 
 def _battery_slow_inputs(enum_cache):
@@ -719,7 +721,8 @@ def test_degree2_partition_matches_the_pair_loops(enum_cache):
             pairs = {mono(p) for p in combinations(range(1, n + 1), 2)}
             tampered = [gens - {g} for g in gens] + [gens | {p} for p in pairs - gens]
             for family in [gens] + tampered:
-                copy = MatroidalIdeal(minimal_generators(family, n), 2)
+                # Mostly not matroidal, so past the constructor's check.
+                copy = matroids._unchecked(minimal_generators(family, n), 2)
                 got = _partition_outcome(degree2_partition, copy)
                 assert got == _partition_outcome(reference_degree2_partition, copy), family
                 outcomes.add(got[1].split(" x")[0] if isinstance(got, tuple) else "parts")

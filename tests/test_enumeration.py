@@ -16,22 +16,26 @@ import matroidal.svrank
 from matroidal import (
     Ideal,
     InvariantViolation,
+    MatroidalIdeal,
     SVCheck,
     as_matroidal,
     canonical_form,
     check_matroidal,
     conjecture_scan,
+    construct_certificate,
+    degree2_cert,
     enumerate_matroidal,
     minimal_generators,
+    minimal_primes,
     relabel_ideal,
     theorem_battery,
     var_block_product,
     verify_sv,
     veronese,
+    veronese_cert,
 )
 from matroidal.cli import main
 from matroidal.enumeration import MAX_IDEALS
-from matroidal.matroids import MatroidalIdeal
 
 from helpers import brute_force_matroidal, ideal_of
 
@@ -374,20 +378,21 @@ def test_battery_skips_the_bounds_when_a_construction_raises(monkeypatch):
 
 
 def test_battery_reads_one_cocircuit_set(monkeypatch):
-    # One _fundamental_cocircuits call gives the primes, the Veronese and
-    # block-product facts; the generic paths are never entered, and the
-    # ladder reuses the battery's degree-2 partition.
-    calls = {
-        name: []
-        for name in (
-            "_fundamental_cocircuits",
-            "degree2_partition",
-            "minimal_primes",
-            "recognize_var_block_product",
-            "recognize_veronese",
-            "unmixed_bounds_report",
-        )
+    # The primes, the Veronese and block-product facts come from the
+    # instance's cocircuits: the battery calls no exchange check, the
+    # generic paths are never entered, the unmixed bounds are the report's
+    # (which reads the instance), and the ladder reuses the battery's
+    # degree-2 partition.
+    homes = {
+        "_fundamental_cocircuits": matroidal.matroids,
+        "_matroid": matroidal.matroids,
+        "degree2_partition": matroidal.decomposition,
+        "minimal_primes": matroidal.decomposition,
+        "recognize_var_block_product": matroidal.decomposition,
+        "recognize_veronese": matroidal.decomposition,
+        "unmixed_bounds_report": matroidal.decomposition,
     }
+    calls = {name: [] for name in homes}
     modules = (
         matroidal,
         matroidal.decomposition,
@@ -396,8 +401,12 @@ def test_battery_reads_one_cocircuit_set(monkeypatch):
         matroidal.quotients,
         matroidal.svrank,
     )
+    ideals = [veronese(4, 2), var_block_product([{1, 2}, {3, 4}])]
+    ideals += [var_block_product([{1, 2}, {3}])]
+    ideals += enumerate_matroidal(5, 2)
+    ideals += enumerate_matroidal(5, 3)
     for name, log in calls.items():
-        original = getattr(matroidal.decomposition, name)
+        original = getattr(homes[name], name)
 
         def counted(*args, _original=original, _log=log, **kwargs):
             _log.append(args[0])
@@ -406,37 +415,24 @@ def test_battery_reads_one_cocircuit_set(monkeypatch):
         for module in modules:
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counted)
-    ideals = [veronese(4, 2), var_block_product([{1, 2}, {3, 4}])]
-    ideals += [var_block_product([{1, 2}, {3}])]
-    ideals += enumerate_matroidal(5, 2)
-    ideals += enumerate_matroidal(5, 3)
     for mi in ideals:
+        unmixed = len({c.bit_count() for c in mi._cocircuits}) == 1
         for log in calls.values():
             log.clear()
         theorem_battery(mi)
         assert {name: len(log) for name, log in calls.items()} == {
-            "_fundamental_cocircuits": 1,
+            "_fundamental_cocircuits": 0,
+            "_matroid": 0,
             "degree2_partition": int(mi.d == 2),
             "minimal_primes": 0,
             "recognize_var_block_product": 0,
             "recognize_veronese": 0,
-            "unmixed_bounds_report": 0,
+            "unmixed_bounds_report": int(unmixed),
         }, mi
 
 
-def test_battery_builds_one_completion_map(monkeypatch):
-    # The structure record and the ladder's exchange layering share one map
-    # of the whole generator set; verify_sv's per-layer maps are not
-    # counted.  The last two inputs are passed in unvalidated: the first is
-    # not matroidal (x1x4, x2x3 and x = x4 has no exchange), the second of
-    # mixed degree.  Their primes come from the transversal DFS, still
-    # after a single map.
-    ideals = [veronese(4, 2), var_block_product([{1, 2}, {3, 4}])]
-    ideals += [var_block_product([{1, 2}, {3}])]
-    for d in (2, 3, 4):
-        ideals += enumerate_matroidal(5, d)
-    ideals += [MatroidalIdeal(ideal_of(4, (1, 4), (2, 3), (3, 4)), 2)]
-    ideals += [MatroidalIdeal(ideal_of(4, (1,), (2, 3), (2, 4), (3, 4)), 1)]
+def _count_completion_maps(monkeypatch) -> list:
+    """Log the generator tuple of every completion map built outside ``verify_sv``."""
     builds, verifying = [], []
     completions = matroidal.matroids._completions
     verify = matroidal.svrank.verify_sv
@@ -453,13 +449,68 @@ def test_battery_builds_one_completion_map(monkeypatch):
         finally:
             verifying.pop()
 
-    for module in (matroidal.matroids, matroidal.svrank, matroidal.decomposition):
+    for module in (matroidal.matroids, matroidal.svrank):
         monkeypatch.setattr(module, "_completions", counted)
     monkeypatch.setattr(matroidal.svrank, "verify_sv", flagged)
-    for mi in ideals:
+    return builds
+
+
+def _read_everything(mi):
+    theorem_battery(mi)
+    for method in ("auto", "veronese", "product", "degree2"):
+        try:
+            construct_certificate(mi, method)
+        except ValueError:
+            pass
+    if mi.d == 2:
+        degree2_cert(mi)
+
+
+def test_battery_builds_one_completion_map(monkeypatch):
+    # One map of the whole generator set per validated ideal, counted
+    # across the constructor, the battery, construct_certificate,
+    # veronese_cert and degree2_cert; verify_sv's per-layer maps are not
+    # counted.  An instance the enumeration yields has built none until it
+    # is first read.
+    builds = _count_completion_maps(monkeypatch)
+    makers = [
+        lambda: veronese(4, 2),
+        lambda: var_block_product([{1, 2}, {3, 4}]),
+        lambda: var_block_product([{1, 2}, {3}]),
+        lambda: MatroidalIdeal(ideal_of(4, (1, 2), (1, 3), (1, 4), (2, 3), (2, 4)), 2),
+    ]
+    for make in makers:
         builds.clear()
-        theorem_battery(mi)
+        mi = make()
+        _read_everything(mi)
         assert builds == [mi.ideal.gens], mi
+    v52 = veronese(5, 2).ideal.gens
+    builds.clear()
+    veronese_cert(5, 2)
+    assert builds == [v52]
+    builds.clear()
+    leaves = 0
+    for d in (2, 3, 4):
+        for mi in enumerate_matroidal(5, d):
+            leaves += 1
+            assert builds == [], mi
+            _read_everything(mi)
+            assert builds == [mi.ideal.gens], mi
+            builds.clear()
+    assert leaves == 51 + 106 + 26
+
+
+def test_bare_ideal_primes_build_at_most_one_completion_map(monkeypatch):
+    # The generic path of minimal_primes: a map for equal-degree input,
+    # matroidal or not (x1x4, x2x3 and x = x4 has no exchange), and none
+    # for mixed degrees, whose primes come from the transversal DFS alone.
+    builds = _count_completion_maps(monkeypatch)
+    equal = ideal_of(4, (1, 4), (2, 3), (3, 4))
+    mixed = ideal_of(4, (1,), (2, 3), (2, 4), (3, 4))
+    for ideal, expected in ((veronese(4, 2).ideal, 1), (equal, 1), (mixed, 0)):
+        builds.clear()
+        minimal_primes(ideal)
+        assert builds == [ideal.gens] * expected, ideal
 
 
 def test_scan_counts_only_certificates_it_reverified(monkeypatch):

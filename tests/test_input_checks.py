@@ -12,15 +12,17 @@ from matroidal import (
     Ideal,
     MatroidalIdeal,
     NonSquareFreeProductError,
+    NotMatroidalError,
     Poly,
     RadicalCertificate,
     SVCheck,
     SVPartition,
+    as_matroidal,
     buchberger,
     canonical_form,
+    check_matroidal,
     colon_by_var,
     contraction,
-    degree2_partition,
     find_ordering,
     mono,
     parse_ideal,
@@ -41,6 +43,7 @@ from matroidal import (
 from helpers import ideal_of
 
 V42 = veronese(4, 2)
+REVERSED_V42 = Ideal(4, V42.ideal.gens[::-1])
 VARIABLES5 = ideal_of(5, (1,), (2,), (3,), (4,), (5,))
 
 
@@ -99,10 +102,46 @@ CASES = {
         ValueError,
         "x4 is not in the support",
     ),
-    "degree2_partition_n": (
-        lambda: degree2_partition(MatroidalIdeal(Ideal(1, ()), 2)),
+    "matroidal_ideal_mixed_degrees": (
+        lambda: MatroidalIdeal(ideal_of(5, (1, 2, 5), (3, 4)), 2),
+        NotMatroidalError,
+        "not a matroidal ideal (mixed_degrees): x3*x4, x1*x2*x5",
+    ),
+    "matroidal_ideal_exchange": (
+        lambda: MatroidalIdeal(ideal_of(4, (1, 4), (2, 3), (3, 4)), 2),
+        NotMatroidalError,
+        "not a matroidal ideal (exchange): "
+        "B1=x1*x4, B2=x2*x3, x=x4: no y in B2-B1 repairs the exchange",
+    ),
+    "matroidal_ideal_degree": (
+        lambda: MatroidalIdeal(V42.ideal, 3),
         ValueError,
-        "need n >= 2",
+        "d=3 differs from the generators' degree 2",
+    ),
+    "matroidal_ideal_order": (
+        lambda: MatroidalIdeal(REVERSED_V42, 2),
+        ValueError,
+        "generators out of canonical order: x3*x4 before x2*x4",
+    ),
+    "check_matroidal_order": (
+        lambda: check_matroidal(REVERSED_V42),
+        ValueError,
+        "generators out of canonical order: x3*x4 before x2*x4",
+    ),
+    "as_matroidal_order": (
+        lambda: as_matroidal(REVERSED_V42),
+        ValueError,
+        "generators out of canonical order: x3*x4 before x2*x4",
+    ),
+    "matroidal_ideal_zero": (
+        lambda: MatroidalIdeal(Ideal(1, ()), 2),
+        ValueError,
+        "the zero ideal has no matroid structure",
+    ),
+    "matroidal_ideal_unit": (
+        lambda: MatroidalIdeal(Ideal(3, (UNIT,)), 0),
+        ValueError,
+        "the whole ring has no matroid structure",
     ),
     "contraction_degree": (
         lambda: contraction(veronese(3, 1), 1),

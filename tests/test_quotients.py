@@ -153,12 +153,13 @@ def test_q_index_past_the_recursion_limit():
 
 
 def test_find_ordering_exhaustion_reports_invariant_violation():
-    # A generator set with no linear-quotient ordering (only reachable by
-    # bypassing the checker) must exhaust cleanly, not crash mid-backtrack.
+    # A generator set with no linear-quotient ordering (only reachable
+    # through the private path past the constructor's check) must exhaust
+    # cleanly, not crash mid-backtrack.
     from matroidal import Ideal, InvariantViolation
-    from matroidal.matroids import MatroidalIdeal
+    from matroidal.matroids import _unchecked
 
-    fake = MatroidalIdeal(Ideal(4, (mono((1, 2)), mono((3, 4)))), 2)
+    fake = _unchecked(Ideal(4, (mono((1, 2)), mono((3, 4)))), 2)
     with pytest.raises(InvariantViolation):
         find_ordering(fake)
 
