@@ -4,8 +4,10 @@ import pytest
 
 from matroidal import (
     Ideal,
+    construct_certificate,
     contains,
     contraction,
+    degree2_cert,
     degree2_partition,
     height,
     is_unmixed,
@@ -17,12 +19,13 @@ from matroidal import (
     recognize_veronese,
     relabel_ideal,
     support,
+    theorem_battery,
     unmixed_bounds_report,
     var_block_product,
     veronese,
 )
 from matroidal.ideals import InvariantViolation
-from matroidal.matroids import _unchecked, as_matroidal
+from matroidal.matroids import MatroidalIdeal, NotMatroidalError, _unchecked, as_matroidal
 
 from helpers import ideal_of, matroidal_of, multipartite_ideal
 
@@ -126,6 +129,31 @@ def test_degree2_partition_preconditions():
         degree2_partition(veronese(3, 3))
     with pytest.raises(ValueError):
         degree2_partition(matroidal_of(4, (1, 2), (2, 3)))  # support misses x4
+
+
+def test_degree2_readers_name_a_generator_of_another_degree():
+    # A d = 2 instance with a generator of degree 3 never reaches the
+    # degree-2 readers: building the argument raises, naming the pair of
+    # generators of different degrees, the one of degree 3 last.
+    reads = [
+        degree2_partition,
+        multipartite_signature,
+        degree2_cert,
+        lambda mi: construct_certificate(mi, "auto"),
+        lambda mi: construct_certificate(mi, "degree2"),
+        theorem_battery,
+    ]
+    cases = [
+        (ideal_of(5, (1, 2, 5), (3, 4)), "x3*x4, x1*x2*x5"),
+        (ideal_of(4, (1, 2), (1, 3, 4)), "x1*x2, x1*x3*x4"),
+    ]
+    for ideal, pair in cases:
+        message = f"not a matroidal ideal (mixed_degrees): {pair}"
+        for read in reads:
+            with pytest.raises(NotMatroidalError) as caught:
+                read(MatroidalIdeal(ideal, 2))
+            assert str(caught.value) == message
+            assert caught.value.check.failure == "mixed_degrees"
 
 
 def test_multipartite_signatures():

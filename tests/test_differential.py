@@ -623,7 +623,7 @@ def _structure_inputs(enum_cache):
         yield minimal_generators(pool, n)
 
 
-def test_constructor_and_bare_ideal_readers_match_the_references(enum_cache):
+def test_structure_readers_match_the_references_on_unvalidated_input(enum_cache):
     # The constructor accepts exactly where the pairwise scan does, and
     # otherwise raises with its failure and witness.  The primes and block
     # recognizer of the bare Ideal keep their generic path on any input;
