@@ -22,6 +22,7 @@ from math import comb
 from .ideals import (
     Ideal,
     InvariantViolation,
+    _check_var,
     has_full_support,
     is_unit_ideal,
     is_zero_ideal,
@@ -191,6 +192,7 @@ def multipartite_signature(mi: MatroidalIdeal) -> tuple[int, ...]:
 def contraction(mi: MatroidalIdeal, x: int) -> MatroidalIdeal:
     """The degree-(d-1) matroidal ideal generated by {g/x : x divides g}."""
     ideal = mi.ideal
+    _check_var(x, ideal.n)
     bit = 1 << (x - 1)
     if not support_mask(ideal) & bit:
         raise ValueError(f"x{x} is not in the support")

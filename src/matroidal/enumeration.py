@@ -140,7 +140,9 @@ def canonical_form(ideal: Ideal) -> tuple[int, ...]:
 
 
 def relabel_ideal(ideal: Ideal, perm: tuple[int, ...]) -> Ideal:
-    """Apply the variable relabeling v -> perm[v-1]."""
+    """Apply the variable relabeling v -> perm[v-1], a permutation of 1..n."""
+    if sorted(perm) != list(range(1, ideal.n + 1)):
+        raise ValueError(f"not a permutation of 1..{ideal.n}: {tuple(perm)}")
     gens = tuple(
         sorted(
             (mono(perm[v - 1] for v in mono_vars(g)) for g in ideal.gens),

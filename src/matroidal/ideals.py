@@ -59,6 +59,11 @@ def _check_range(m: Monomial, n: int) -> None:
         raise ValueError(f"variable index out of range for n={n}")
 
 
+def _check_var(x: int, n: int) -> None:
+    if not 1 <= x <= n:
+        raise ValueError(f"variable x{x} out of range for n={n}")
+
+
 def mono(variables: Iterable[int]) -> Monomial:
     """Bitmask of a square-free monomial from its variable indices."""
     m = 0
@@ -284,8 +289,7 @@ def star_product(factors: Iterable[Ideal]) -> Ideal:
 
 def colon_by_var(ideal: Ideal, x: int) -> Ideal:
     """Minimal generators of ``I : <x>``."""
-    if not 1 <= x <= ideal.n:
-        raise ValueError(f"variable x{x} out of range for n={ideal.n}")
+    _check_var(x, ideal.n)
     bit = 1 << (x - 1)
     return minimal_generators(
         {g & ~bit if g & bit else g for g in ideal.gens}, ideal.n

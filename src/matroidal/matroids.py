@@ -23,6 +23,7 @@ from .ideals import (
     InvariantViolation,
     Monomial,
     SupportOverlapError,
+    _check_var,
     contains,
     is_unit_ideal,
     is_zero_ideal,
@@ -305,6 +306,7 @@ def pivot(mi: MatroidalIdeal, f: Monomial, y: int) -> int:
     ideal = mi.ideal
     if f not in ideal.gens:
         raise ValueError(f"{mono_str(f)} is not a generator")
+    _check_var(y, ideal.n)
     ybit = 1 << (y - 1)
     if not support_mask(ideal) & ybit:
         raise ValueError(f"x{y} is not in the support")
@@ -324,6 +326,8 @@ def transfer_fibers_equal(mi: MatroidalIdeal, x: int, y: int) -> bool:
     Precondition: x != y and no generator is divisible by x*y.  Under that
     hypothesis the exchange theory forces equality; this is the check.
     """
+    _check_var(x, mi.ideal.n)
+    _check_var(y, mi.ideal.n)
     if x == y:
         raise ValueError("x and y must be distinct")
     xbit = 1 << (x - 1)

@@ -7,18 +7,18 @@ confirm that certificate polynomials generate an ideal up to radical.
 
 The bookkeeping follows heap-based division over packed exponent vectors
 (Monagan and Pearce, 2007) and a pair queue (Gebauer and Moeller, 1988).
-Inside division and Buchberger a monomial is one int (``_Layout``): a W-bit
-field per variable whose top bit is a guard bit, and for degrevlex a
-total-degree field on top.  A product is one addition, ``a`` divides ``b``
-iff ``(b - a) & GUARD`` is zero, and the rank, one int, is the term order:
-working terms sit in a heap of ranks, open pairs in a heap keyed by the
-rank of their lcm.  W starts at 8 and doubles until the input fits; a guard
-bit firing on any new term restarts the computation from its input at
-double width, so the field limit never changes a result.  The arithmetic
-and the divisor rule (the first basis element whose leading monomial
-divides the lead term) are the textbook ones, so normal forms and reduced
-bases are exactly those of the plain algorithm.  Inside division, integral
-coefficients travel as Python ints (exact, and much cheaper than
+The term order is degrevlex throughout.  Inside division and Buchberger a
+monomial is one int (``_Layout``): a W-bit field per variable whose top bit
+is a guard bit, and a total-degree field on top.  A product is one addition,
+``a`` divides ``b`` iff ``(b - a) & GUARD`` is zero, and the rank, one int,
+is the term order: working terms sit in a heap of ranks, open pairs in a
+heap keyed by the rank of their lcm.  W starts at 8 and doubles until the
+input fits; a guard bit firing on any new term restarts the computation from
+its input at double width, so the field limit never changes a result.  The
+arithmetic and the divisor rule (the first basis element whose leading
+monomial divides the lead term) are the textbook ones, so normal forms and
+reduced bases are exactly those of the plain algorithm.  Inside division,
+integral coefficients travel as Python ints (exact, and much cheaper than
 ``Fraction``); every polynomial handed back is a ``Poly`` of exponent tuples
 and ``Fraction``s.
 
@@ -62,16 +62,6 @@ class BudgetExceededError(RuntimeError):
 
 def _grevlex_key(e: Exponents):
     return (sum(e), tuple(-x for x in reversed(e)))
-
-
-def _lex_key(e: Exponents):
-    return e
-
-
-ORDER_KEYS: dict[str, Callable[[Exponents], object]] = {
-    "degrevlex": _grevlex_key,
-    "lex": _lex_key,
-}
 
 
 class Poly:
@@ -173,15 +163,14 @@ class Poly:
             k >>= 1
         return result
 
-    def leading(self, order: str = "degrevlex") -> tuple[Exponents, Fraction]:
+    def leading(self) -> tuple[Exponents, Fraction]:
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
-        key = ORDER_KEYS[order]
-        e = max(self.terms, key=key)
+        e = max(self.terms, key=_grevlex_key)
         return e, self.terms[e]
 
-    def monic(self, order: str = "degrevlex") -> Poly:
-        _, c = self.leading(order)
+    def monic(self) -> Poly:
+        _, c = self.leading()
         return self * (Fraction(1) / c)
 
     def __repr__(self) -> str:
@@ -209,14 +198,14 @@ def poly_str(p: Poly) -> str:
     """Render ``term (+ term)*`` in degrevlex order; zero prints as ``0``."""
     if p.is_zero():
         return "0"
-    key = ORDER_KEYS["degrevlex"]
     return "+".join(
-        _term_str(e, p.terms[e]) for e in sorted(p.terms, key=key, reverse=True)
+        _term_str(e, p.terms[e])
+        for e in sorted(p.terms, key=_grevlex_key, reverse=True)
     )
 
 
 _VAR_FACTOR = re.compile(r"^x(\d+)(?:\^(\d+))?$")
-_NUM_FACTOR = re.compile(r"^(\d+)(?:/(\d+))?$")
+_NUM_FACTOR = re.compile(r"^(\d+)(?:/(\d*[1-9]\d*))?$")  # no zero denominator
 
 
 def parse_poly(text: str, n: int) -> Poly:
@@ -274,26 +263,24 @@ class _Overflow(Exception):
 
 
 class _Layout:
-    """Packed monomials of n variables in one term order (see the module).
+    """Packed monomials of n variables in degrevlex (see the module).
 
     A variable field holds exponents up to ``limit``; its top bit, the guard
-    bit, is clear in every packed monomial.  degrevlex puts x1 lowest and
-    the total degree above xn (``degree`` is its unit); lex puts x1 highest.
-    The rank ``p ^ mask`` orders monomials as the term order, and a heap of
-    ``p ^ flip``, that is ``~rank``, pops the leading one first.
+    bit, is clear in every packed monomial.  x1 is lowest and the total
+    degree sits above xn (``degree`` is its unit).  The rank ``p ^ mask``,
+    which flips the exponents of xn, ..., x1, orders monomials as degrevlex,
+    and a heap of ``p ^ flip``, that is ``~rank``, pops the leading one first.
     """
 
-    __slots__ = ("width", "limit", "offsets", "degree", "guard", "values", "mask", "flip")
+    __slots__ = ("width", "limit", "offsets", "degree", "guard", "mask", "flip")
 
-    def __init__(self, n: int, order: str, width: int):
-        degrevlex = {"degrevlex": True, "lex": False}[order]
+    def __init__(self, n: int, width: int):
         self.width = width
         self.limit = limit = (1 << (width - 1)) - 1
-        self.offsets = [width * (i if degrevlex else n - 1 - i) for i in range(n)]
-        self.degree = 1 << (width * n) if degrevlex else 0
+        self.offsets = [width * i for i in range(n)]
+        self.degree = 1 << (width * n)
         self.guard = sum((limit + 1) << o for o in self.offsets)
-        self.values = sum(limit << o for o in self.offsets)
-        self.mask = self.values if degrevlex else 0  # flips xn, ..., x1 in degrevlex
+        self.mask = sum(limit << o for o in self.offsets)  # every variable field
         self.flip = ~self.mask
 
     def pack(self, e: Exponents) -> int:
@@ -319,11 +306,11 @@ class _Layout:
         guard = self.guard
         ge = ((a | guard) - b) & guard  # the guard bit of each field where a >= b
         ge -= ge >> (self.width - 1)  # ... turned into that field's value bits
-        m = a & ge | b & (self.values ^ ge)
-        return m + sum(self.unpack(m)) * self.degree if self.degree else m
+        m = a & ge | b & (self.mask ^ ge)
+        return m + sum(self.unpack(m)) * self.degree
 
 
-def _widening(run: Callable[[_Layout], _T], n: int, order: str) -> _T:
+def _widening(run: Callable[[_Layout], _T], n: int) -> _T:
     """``run`` at the first width, 8, 16, 32, ..., at which nothing overflows.
 
     ``run`` packs its own input, so an input exponent past the limit also
@@ -332,7 +319,7 @@ def _widening(run: Callable[[_Layout], _T], n: int, order: str) -> _T:
     width = _MIN_WIDTH
     while True:
         try:
-            return run(_Layout(n, order, width))
+            return run(_Layout(n, width))
         except _Overflow:
             width *= 2
 
@@ -409,15 +396,15 @@ def _normal_form(
     return remainder
 
 
-def reduce(f: Poly, basis: Iterable[Poly], order: str = "degrevlex") -> Poly:
+def reduce(f: Poly, basis: Iterable[Poly]) -> Poly:
     """Normal form of f modulo the basis (full multivariate division).
 
     Each step divides the lead term by the first basis element, in the
     given order, whose leading monomial divides it, so the result is the
     textbook remainder even when the basis is not a Groebner basis.  The
-    working terms are packed and kept in a heap ordered by the term order
-    (see ``_normal_form``), and each divisor's leading term is found once
-    per call.
+    working terms are packed and kept in a heap ordered by degrevlex (see
+    ``_normal_form``), and each divisor's leading term is found once per
+    call.
     """
     basis = list(basis)
 
@@ -425,12 +412,12 @@ def reduce(f: Poly, basis: Iterable[Poly], order: str = "degrevlex") -> Poly:
         nf = _normal_form(layout.pack_terms(f.terms), _prepare(basis, layout), layout)
         return layout.poly(f.n, nf)
 
-    return _widening(run, f.n, order)
+    return _widening(run, f.n)
 
 
-def s_polynomial(f: Poly, g: Poly, order: str = "degrevlex") -> Poly:
-    lf, cf = f.leading(order)
-    lg, cg = g.leading(order)
+def s_polynomial(f: Poly, g: Poly) -> Poly:
+    lf, cf = f.leading()
+    lg, cg = g.leading()
     lcm = tuple(map(max, lf, lg))
     mf = Poly(f.n, {tuple(map(sub, lcm, lf)): Fraction(1) / cf})
     mg = Poly(g.n, {tuple(map(sub, lcm, lg)): Fraction(1) / cg})
@@ -553,9 +540,7 @@ def _assert_groebner(reduced: list[_Divisor], layout: _Layout) -> None:
                 )
 
 
-def buchberger(
-    gens: Iterable[Poly], order: str = "degrevlex", max_pairs: int = 20000
-) -> tuple[Poly, ...]:
+def buchberger(gens: Iterable[Poly], max_pairs: int = 20000) -> tuple[Poly, ...]:
     """Reduced Groebner basis of the input polynomials.
 
     Pair selection is the normal (minimal lcm in the term order) strategy:
@@ -576,7 +561,7 @@ def buchberger(
         _assert_groebner(reduced, layout)
         return tuple(layout.poly(n, _terms(b)) for b in reduced)
 
-    return _widening(run, n, order)
+    return _widening(run, n)
 
 
 @dataclass(frozen=True)
@@ -743,4 +728,4 @@ def verify_radical_cert(
             return layered
         return _groebner_check(cert, layout, cap, max_pairs)
 
-    return _widening(run, cert.target.n, "degrevlex")
+    return _widening(run, cert.target.n)

@@ -1,5 +1,6 @@
 """Shared test constructions."""
 
+from functools import cmp_to_key
 from itertools import combinations, permutations
 from operator import le, sub
 from typing import Iterator
@@ -675,7 +676,44 @@ def _exp_lcm(a: Exponents, b: Exponents) -> Exponents:
     return tuple(map(max, a, b))
 
 
-def reference_reduce(f, basis, order: str = "degrevlex"):
+def _degrevlex_cmp(a: Exponents, b: Exponents) -> int:
+    """Degrevlex as the textbook states it, for ``functools.cmp_to_key``.
+
+    a > b iff a has the larger total degree, or the same degree and the
+    rightmost nonzero entry of a - b is negative.
+    """
+    if sum(a) != sum(b):
+        return sum(a) - sum(b)
+    for x, y in zip(reversed(a), reversed(b)):
+        if x != y:
+            return y - x
+    return 0
+
+
+_degrevlex = cmp_to_key(_degrevlex_cmp)
+
+
+def _leading(f):
+    """The leading exponent and coefficient of a nonzero polynomial."""
+    e = max(f.terms, key=_degrevlex)
+    return e, f.terms[e]
+
+
+def _monic(f):
+    return f * (1 / _leading(f)[1])
+
+
+def _s_polynomial(f, g):
+    from matroidal import Poly
+
+    (lf, cf), (lg, cg) = _leading(f), _leading(g)
+    lcm = _exp_lcm(lf, lg)
+    mf = Poly(f.n, {_exp_sub(lcm, lf): 1 / cf})
+    mg = Poly(g.n, {_exp_sub(lcm, lg): 1 / cg})
+    return mf * f - mg * g
+
+
+def reference_reduce(f, basis):
     """Normal form of f modulo the basis (full multivariate division).
 
     The oracle's division before its heap: a ``max`` over the working
@@ -685,16 +723,12 @@ def reference_reduce(f, basis, order: str = "degrevlex"):
     from fractions import Fraction
 
     from matroidal import Poly
-    from matroidal.oracle import ORDER_KEYS
 
-    key = ORDER_KEYS[order]
-    divisors = [
-        (max(b.terms, key=key), b) for b in basis if b.terms
-    ]
+    divisors = [(_leading(b)[0], b) for b in basis if b.terms]
     work = dict(f.terms)
     remainder = {}
     while work:
-        lt = max(work, key=key)
+        lt = max(work, key=_degrevlex)
         lc = work[lt]
         for lm, b in divisors:
             if _exp_divides(lm, lt):
@@ -716,32 +750,28 @@ def reference_reduce(f, basis, order: str = "degrevlex"):
     return out
 
 
-def reference_buchberger(
-    gens,
-    order: str = "degrevlex",
-    max_pairs: int = 20000,
-    check: bool = True,
-):
+def reference_buchberger(gens, max_pairs: int = 20000):
     """Reduced Groebner basis by the oracle's Buchberger before its pair heap.
 
     Each step takes the pair of least lcm with a ``min`` over all open
     pairs and divides with ``reference_reduce``.  ``oracle.buchberger``
-    must return the same (unique) reduced basis.
+    must return the same (unique) reduced basis.  Leading terms, monic
+    scaling and S-polynomials are this module's own, so no term-order code
+    is shared with the oracle.
     """
-    from matroidal import InvariantViolation, s_polynomial
-    from matroidal.oracle import ORDER_KEYS, BudgetExceededError
+    from matroidal import InvariantViolation
+    from matroidal.oracle import BudgetExceededError
 
     reduce = reference_reduce
-    key = ORDER_KEYS[order]
-    basis = [g.monic(order) for g in gens if g and g.terms]
+    basis = [_monic(g) for g in gens if g and g.terms]
     if not basis:
         raise ValueError("need at least one nonzero generator")
-    lms = [b.leading(order)[0] for b in basis]
+    lms = [_leading(b)[0] for b in basis]
     pairs = {(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))}
     processed = set()
     handled = 0
     while pairs:
-        i, j = min(pairs, key=lambda p: key(_exp_lcm(lms[p[0]], lms[p[1]])))
+        i, j = min(pairs, key=lambda p: _degrevlex(_exp_lcm(lms[p[0]], lms[p[1]])))
         pairs.remove((i, j))
         processed.add((i, j))
         handled += 1
@@ -761,32 +791,31 @@ def reference_buchberger(
                 break
         if chained:
             continue
-        h = reduce(s_polynomial(basis[i], basis[j], order), basis, order)
+        h = reduce(_s_polynomial(basis[i], basis[j]), basis)
         if h:
-            h = h.monic(order)
+            h = _monic(h)
             basis.append(h)
-            lms.append(h.leading(order)[0])
+            lms.append(_leading(h)[0])
             new = len(basis) - 1
             pairs.update((k, new) for k in range(new))
     # Minimalize: drop members whose leading monomial another one divides.
     keep = []
-    for i in sorted(range(len(basis)), key=lambda i: key(lms[i])):
+    for i in sorted(range(len(basis)), key=lambda i: _degrevlex(lms[i])):
         if not any(_exp_divides(lms[k], lms[i]) for k in keep):
             keep.append(i)
     minimal = [basis[i] for i in keep]
     reduced = []
     for i, b in enumerate(minimal):
         others = minimal[:i] + minimal[i + 1 :]
-        nf = reduce(b, others, order) if others else b
-        reduced.append(nf.monic(order))
-    reduced.sort(key=lambda b: key(b.leading(order)[0]), reverse=True)
-    if check:
-        for i in range(len(reduced)):
-            for j in range(i + 1, len(reduced)):
-                if reduce(s_polynomial(reduced[i], reduced[j], order), reduced, order):
-                    raise InvariantViolation(
-                        "S-polynomial of the output basis did not reduce to zero"
-                    )
+        nf = reduce(b, others) if others else b
+        reduced.append(_monic(nf))
+    reduced.sort(key=lambda b: _degrevlex(_leading(b)[0]), reverse=True)
+    for i in range(len(reduced)):
+        for j in range(i + 1, len(reduced)):
+            if reduce(_s_polynomial(reduced[i], reduced[j]), reduced):
+                raise InvariantViolation(
+                    "S-polynomial of the output basis did not reduce to zero"
+                )
     return tuple(reduced)
 
 
@@ -832,7 +861,6 @@ def groebner_radical_check(cert, cap: int = 8, max_pairs: int = 20000):
     return oracle._widening(
         lambda layout: oracle._groebner_check(cert, layout, cap, max_pairs),
         cert.target.n,
-        "degrevlex",
     )
 
 

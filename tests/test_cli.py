@@ -336,6 +336,7 @@ def test_oracle_cap_below_one_is_a_usage_error(capsys, v42, v42_cert):
         {"target_ideal": {"n": "4", "generators": ["x1*x2"]}},
         {"target_ideal": {"n": True, "generators": ["x1*x2"]}},
         {"layers": None, "sums": ["bogus"]},
+        {"layers": None, "sums": ["1/0*x1"]},
     ],
 )
 def test_verify_cert_malformed_document_is_a_usage_error(

@@ -295,9 +295,6 @@ def test_orderings_match_on_unchecked_input(ideal, strategy_seed):
     )
 
 
-ORDERS = ("degrevlex", "lex")
-
-
 def _oracle_certificates(enum_cache):
     """The n <= 6 certificate families of the benchmark's oracle workload."""
     for mi in enum_cache(5, 3):
@@ -407,13 +404,13 @@ def poly_sets(draw, max_size: int):
 
 
 @settings(max_examples=150, deadline=None)
-@given(poly_sets(max_size=3), st.sampled_from(ORDERS))
-def test_buchberger_matches_reference_on_random_input(gens, order):
+@given(poly_sets(max_size=3))
+def test_buchberger_matches_reference_on_random_input(gens):
     try:
-        basis = buchberger(gens, order=order, max_pairs=300)
+        basis = buchberger(gens, max_pairs=300)
     except BudgetExceededError:
         return  # the odd input with a large basis; the budget is not compared
-    assert basis == reference_buchberger(gens, order=order)
+    assert basis == reference_buchberger(gens)
     assert all(type(c) is Fraction for b in basis for c in b.terms.values())
 
 
@@ -421,15 +418,14 @@ def test_buchberger_matches_reference_on_random_input(gens, order):
 @given(
     st.integers(1, 4).flatmap(
         lambda n: st.tuples(polys(n, max_terms=5), st.lists(polys(n), max_size=4))
-    ),
-    st.sampled_from(ORDERS),
+    )
 )
-def test_reduce_matches_reference_against_any_basis(f_basis, order):
+def test_reduce_matches_reference_against_any_basis(f_basis):
     # Random bases are almost never Groebner bases, so the remainder depends
     # on which divisor each step takes: the first one in the given order.
     f, basis = f_basis
-    nf = reduce(f, basis, order)
-    assert nf == reference_reduce(f, basis, order)
+    nf = reduce(f, basis)
+    assert nf == reference_reduce(f, basis)
     assert all(type(c) is Fraction for c in nf.terms.values())
 
 
@@ -459,19 +455,18 @@ def wide_inputs(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(wide_inputs(), st.sampled_from(ORDERS))
-# Inputs that fit 8-bit fields, with a remainder that does not: x2^128, x2^200.
-@example((Poly(2, {(127, 1): 1}), [Poly(2, {(127, 0): 1, (0, 127): -1})]), "degrevlex")
-@example((Poly(2, {(2, 0): 1}), [Poly(2, {(1, 0): 1, (0, 100): -1})]), "lex")
-def test_wide_exponents_match_reference(f_gens, order):
+@given(wide_inputs())
+# Inputs that fit 8-bit fields, with a remainder that does not: x2^128.
+@example((Poly(2, {(127, 1): 1}), [Poly(2, {(127, 0): 1, (0, 127): -1})]))
+def test_wide_exponents_match_reference(f_gens):
     f, gens = f_gens
-    assert reduce(f, gens, order) == reference_reduce(f, gens, order)
+    assert reduce(f, gens) == reference_reduce(f, gens)
     try:
-        basis = buchberger(gens, order=order, max_pairs=300)
+        basis = buchberger(gens, max_pairs=300)
     except BudgetExceededError:
         return  # as in the small-exponent differential
-    assert basis == reference_buchberger(gens, order=order)
-    assert reduce(f, basis, order) == reference_reduce(f, basis, order)
+    assert basis == reference_buchberger(gens)
+    assert reduce(f, basis) == reference_reduce(f, basis)
 
 
 def test_ara_bounds_matches_the_written_out_ladder(enum_cache):

@@ -31,8 +31,10 @@ from matroidal import (
     product,
     product_cert,
     recognize_var_block_product,
+    relabel_ideal,
     search_cert,
     star_product,
+    transfer_fibers_equal,
     var_block_product,
     variable_cert,
     verify_radical_cert,
@@ -44,6 +46,8 @@ from helpers import ideal_of
 
 V42 = veronese(4, 2)
 REVERSED_V42 = Ideal(4, V42.ideal.gens[::-1])
+# V(3,2) in four variables: x4 is in range but not in the support.
+V32_IN_4 = MatroidalIdeal(ideal_of(4, (1, 2), (1, 3), (2, 3)), 2)
 VARIABLES5 = ideal_of(5, (1,), (2,), (3,), (4,), (5,))
 
 
@@ -98,9 +102,54 @@ CASES = {
         "blocks must be nonempty",
     ),
     "pivot_support": (
-        lambda: pivot(veronese(3, 2), mono((1, 2)), 4),
+        lambda: pivot(V32_IN_4, mono((1, 2)), 4),
         ValueError,
         "x4 is not in the support",
+    ),
+    "pivot_range_low": (
+        lambda: pivot(V42, mono((1, 2)), 0),
+        ValueError,
+        "variable x0 out of range for n=4",
+    ),
+    "pivot_range_high": (
+        lambda: pivot(veronese(3, 2), mono((1, 2)), 4),
+        ValueError,
+        "variable x4 out of range for n=3",
+    ),
+    "transfer_fibers_range_low": (
+        lambda: transfer_fibers_equal(V42, 0, 1),
+        ValueError,
+        "variable x0 out of range for n=4",
+    ),
+    "transfer_fibers_range_high": (
+        lambda: transfer_fibers_equal(V42, 9, 10),
+        ValueError,
+        "variable x9 out of range for n=4",
+    ),
+    "contraction_range_low": (
+        lambda: contraction(V42, 0),
+        ValueError,
+        "variable x0 out of range for n=4",
+    ),
+    "contraction_range_high": (
+        lambda: contraction(V42, 5),
+        ValueError,
+        "variable x5 out of range for n=4",
+    ),
+    "relabel_ideal_repeated": (
+        lambda: relabel_ideal(V42.ideal, (1, 1, 3, 4)),
+        ValueError,
+        "not a permutation of 1..4: (1, 1, 3, 4)",
+    ),
+    "relabel_ideal_range": (
+        lambda: relabel_ideal(V42.ideal, (5, 1, 2, 3)),
+        ValueError,
+        "not a permutation of 1..4: (5, 1, 2, 3)",
+    ),
+    "relabel_ideal_short": (
+        lambda: relabel_ideal(V42.ideal, (2, 1)),
+        ValueError,
+        "not a permutation of 1..4: (2, 1)",
     ),
     "matroidal_ideal_mixed_degrees": (
         lambda: MatroidalIdeal(ideal_of(5, (1, 2, 5), (3, 4)), 2),
@@ -187,6 +236,11 @@ CASES = {
         lambda: parse_poly("x1++x2", 2),
         ValueError,
         "empty term",
+    ),
+    "parse_poly_zero_denominator": (
+        lambda: parse_poly("1/0*x1", 1),
+        ValueError,
+        "malformed factor '1/0'",
     ),
     "buchberger_empty": (
         lambda: buchberger([]),
