@@ -391,6 +391,81 @@ class _Dividers(dict):
         return cover
 
 
+def _hits_every_cover(
+    covers: Iterable[int], cands: int, conflict: list[int], allowance: int
+) -> bool | None:
+    """Whether some nonempty independent S of ``cands`` meets every cover.
+
+    ``conflict[c]`` is the mask of the candidates that conflict with c; a
+    set is independent when no two of its members conflict.  An exact
+    search: it branches on the open cover with the fewest live candidates,
+    takes each of them in turn and excludes it from the later branches.
+    Each branch costs one unit of ``allowance``; None means it ran out
+    before an answer.  The open branches sit on an explicit stack.
+    """
+    covers = [cover & cands for cover in covers]
+    if not covers:
+        return cands != 0
+    # Frames: [live candidates, open covers cut to them, choices left].
+    stack = [[cands, covers, min(covers, key=int.bit_count)]]
+    while stack:
+        frame = stack[-1]
+        live, open_covers, choices = frame
+        if not choices:
+            stack.pop()
+            continue
+        allowance -= 1
+        if allowance < 0:
+            return None
+        bit = choices & -choices
+        frame[0], frame[2] = live ^ bit, choices ^ bit
+        live &= ~bit & ~conflict[bit.bit_length() - 1]
+        rest = [cover & live for cover in open_covers if not cover & bit]
+        if not rest:
+            return True
+        choices = min(rest, key=int.bit_count)
+        if choices:
+            stack.append([live, rest, choices])
+    return False
+
+
+def _dead_layer_nodes(cands: int, conflict: list[int], room: int) -> int:
+    """Nodes past the entry descent of a layer before the last with no valid S.
+
+    Each nonempty independent S of ``cands`` costs size - position of its
+    highest member h + 1, leaf included.  The sets below h are counted by
+    their own highest member, c(K) = sum over h in K of c(K_<h - N(h)) + 1,
+    memoised, and cut short past ``room`` (each set costs at least 2), so
+    a result above ``room`` means out of budget.
+    """
+    counted: dict[int, int] = {}
+
+    def count(cands: int) -> int:
+        number = 0
+        rest = cands
+        while rest:
+            h = rest.bit_length() - 1
+            rest ^= 1 << h
+            sub = rest & ~conflict[h]
+            number += (counted.get(sub) or count(sub)) + 1 if sub else 1
+            if number > room:
+                return number
+        counted[cands] = number
+        return number
+
+    nodes = number = 0
+    rest, size = cands, cands.bit_count()
+    while rest and number <= room:
+        h = rest.bit_length() - 1
+        weight = size - rest.bit_count() + 2
+        rest ^= 1 << h
+        sub = rest & ~conflict[h]
+        k = (counted.get(sub) or count(sub)) + 1 if sub else 1
+        number += k
+        nodes += k * weight
+    return nodes
+
+
 def search_cert(
     mi: MatroidalIdeal, target_size: int, budget: int = 50000
 ) -> SearchResult:
@@ -418,21 +493,23 @@ def search_cert(
     on the running total, so the search runs out where the walk would and
     reports ``budget + 1`` nodes.
 
-    The layer before the last yields only the S that meet every open
-    cover, the generators dividing the product of a conflicting pair:
-    exactly the S that leave a valid last layer, as a cover holds its own
-    pair.  When a cover misses the taken set and every later candidate
-    that can join it, no S in that subtree is yielded, so its nodes are
-    counted, not walked, by the highest member h of the candidates K:
-    c(K) = c(K - h) + 1 + c(K - h - N(h)), memoised per layer.  The count
-    is exact because the walk's cost of an S depends on S alone.  That
-    layer builds its whole conflict graph up front, for the covers; a
-    walked layer finds a candidate's conflicts with higher ones when the
+    The layer before the last must leave a valid last layer: its S must
+    meet every open cover, the generators dividing the product of a
+    conflicting pair, as a cover holds its own pair.  That layer builds its
+    whole conflict graph and covers up front, then runs an exact
+    hitting-set test (``_hits_every_cover``) whose branches spend the
+    budget left but add no nodes.  When no independent S meets every
+    cover, each S is a proper subset, as some pair conflicts, so the walk
+    would take every leaf and yield nothing: its nodes are counted instead
+    (``_dead_layer_nodes``).  Otherwise, or when the test runs out, the
+    layer is walked and yields the walk's first S that meets every cover.
+    A walked layer finds a candidate's conflicts with higher ones when the
     walk first reaches it.
 
     Python recursion stays within one layer: once per member of S, which
     comes after its 2^|S| - 2 other nonempty subsets at a node each, or
-    of a counted set.  The open layers sit on an explicit stack.
+    of a counted set.  The open layers and the test's branches sit on
+    explicit stacks.
     """
     if target_size < 1:
         raise ValueError("target size must be at least one layer")
@@ -464,72 +541,20 @@ def search_cert(
         nonlocal nodes
         members = [i for i in range(len(gens)) if cands >> i & 1]
         size = len(members)
-        if not left:
-            # Only at size 2; later on, the layer before yields valid rests.
-            if all(
-                dividers[gens[a] | gens[b]] & earlier
-                for j, a in enumerate(members)
-                for b in members[:j]
-            ):
-                yield cands
-            return
         nodes += size  # the all-exclusion entry descent
         if nodes > budget:
             return
         weight = [0] * len(gens)  # by index: size - position
         for j, a in enumerate(members):
             weight[a] = size - j
-        covers: set[int] = set()
-        if left == 1:
-            conflict: list[int | None] = [0] * len(gens)
-            seen: list[tuple[int, Monomial]] = []
-            for a in members:
-                ga, bit = gens[a], 1 << a
-                for b, gb in seen:
-                    cover = dividers[ga | gb]
-                    if not cover & earlier:
-                        conflict[a] |= 1 << b
-                        conflict[b] |= bit
-                        covers.add(cover)
-                seen.append((a, ga))
-        else:
-            conflict = [None] * len(gens)  # conflicts above, once reached
-        counted: dict[int, tuple[int, int]] = {}
+        conflict: list[int | None] = [None] * len(gens)  # above, once reached
 
-        def count(cands: int) -> tuple[int, int]:
-            # Number and node cost of the nonempty independent subsets of
-            # ``cands`` by their highest member h, c(K) = c(K-h) + 1 +
-            # c(K-h-N(h)); cut short past the budget (each costs >= 2).
-            number = cost = 0
-            room = budget - nodes
-            rest = cands
-            while rest:
-                h = rest.bit_length() - 1
-                rest ^= 1 << h
-                sub = rest & ~conflict[h]
-                k = (counted.get(sub) or count(sub))[0] + 1 if sub else 1
-                number += k
-                cost += k * (weight[h] + 1)
-                if number > room:
-                    return number, cost
-            counted[cands] = number, cost
-            return number, cost
-
-        def extend(
-            taken: int, cands: int, missing: list[int], spare: int
-        ) -> Iterator[int]:
+        def extend(taken: int, cands: int, spare: int) -> Iterator[int]:
             # ``taken`` plus each nonempty independent subset of ``cands``;
-            # ``missing``: the open covers ``taken`` misses; ``spare``:
-            # size - left - |taken|, positive when taken + c has a leaf.
+            # ``spare``: size - left - |taken|, positive when taken + c has
+            # a leaf.
             nonlocal nodes
-            inter = alive = -1
-            for cover in missing:
-                inter &= cover
-                alive &= (1 << (cover & cands).bit_length()) - 1
-            above = cands & ~alive  # no extension there meets every cover
-            if above:
-                nodes += (counted.get(above) or count(above))[1]
-            cands &= alive
+            above = 0
             leaf = spare > 0
             while cands:
                 c = cands.bit_length() - 1
@@ -539,7 +564,7 @@ def search_cert(
                 nodes += weight[c] + leaf
                 if nodes > budget:
                     return
-                if leaf and inter >> c & 1:
+                if leaf:
                     yield chosen
                 if above:
                     conflicting = conflict[c]
@@ -551,11 +576,45 @@ def search_cert(
                         conflict[c] = conflicting
                     later = above & ~conflicting
                     if later:
-                        rest = [cover for cover in missing if not cover >> c & 1]
-                        yield from extend(chosen, later, rest, spare - 1)
+                        yield from extend(chosen, later, spare - 1)
                 above |= bit
 
-        yield from extend(0, cands, list(covers), size - left)
+        yield from extend(0, cands, size - left)
+
+    def closing(cands: int, earlier: int) -> Iterator[int]:
+        # The layer before the last: the walk's first S that meets every
+        # open cover, unless the cover test rules every S out.
+        nonlocal nodes
+        size = cands.bit_count()
+        if nodes + size > budget:
+            nodes += size  # the walk runs out on its entry descent
+            return
+        conflict = [0] * len(gens)
+        covers: set[int] = set()
+        seen: list[tuple[int, Monomial]] = []
+        for a in range(len(gens)):
+            if cands >> a & 1:
+                ga, bit = gens[a], 1 << a
+                for b, gb in seen:
+                    cover = dividers[ga | gb]
+                    if not cover & earlier:
+                        conflict[a] |= 1 << b
+                        conflict[b] |= bit
+                        covers.add(cover)
+                seen.append((a, ga))
+        room = budget - nodes - size
+        if _hits_every_cover(covers, cands, conflict, room) is False:
+            nodes += size + _dead_layer_nodes(cands, conflict, room)
+            return
+        for taken in layer(cands, earlier, 1):
+            if all(cover & taken for cover in covers):
+                yield taken
+                return
+
+    def fill(cands: int, earlier: int, left: int) -> Iterator[int]:
+        if left == 1:
+            return closing(cands, earlier)
+        return layer(cands, earlier, left)
 
     if target_size == 1:
         # The only layer is the singleton P_0.
@@ -565,10 +624,21 @@ def search_cert(
         nodes += 1
         if nodes > budget:
             return SearchResult(None, False, budget + 1)
+        first = 1 << p0
+        if target_size == 2:
+            # The rest is the last layer.
+            rest = [g for i, g in enumerate(gens) if i != p0]
+            if all(
+                dividers[a | b] & first
+                for j, a in enumerate(rest)
+                for b in rest[:j]
+            ):
+                return found([first, everyone])
+            continue
         # One routine per open layer; ``used[k]`` holds the generators of
         # the layers below ``stack[k]``.
-        used = [1 << p0]
-        stack = [layer(everyone ^ used[0], used[0], target_size - 2)]
+        used = [first]
+        stack = [fill(everyone ^ first, first, target_size - 2)]
         while stack:
             taken = next(stack[-1], 0)
             if nodes > budget:
@@ -579,11 +649,11 @@ def search_cert(
                 continue
             below = used[-1] | taken
             left = target_size - 1 - len(stack)
-            if left < 2:
-                # The rest, if any, is the last layer.
-                return found(used + [below] + [everyone] * left)
+            if left == 1:
+                # The rest is the last layer.
+                return found(used + [below, everyone])
             used.append(below)
-            stack.append(layer(everyone ^ below, below, left - 1))
+            stack.append(fill(everyone ^ below, below, left - 1))
     return SearchResult(None, True, nodes)
 
 
@@ -610,8 +680,11 @@ def ara_bounds(
 
     The certificate comes from ``construct_certificate``; when no
     construction applies, from an optional budgeted search at the lower
-    bound.  Requires full support.
+    bound.  Requires full support.  A negative ``search_budget`` raises
+    ValueError before any work, whether or not a search would run.
     """
+    if search_budget < 0:
+        raise ValueError(f"search budget must be nonnegative, got {search_budget}")
     lower = q_index(mi) + 1
     method, certificate = construct_certificate(mi) or (None, None)
     if certificate is None and search:

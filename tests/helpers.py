@@ -274,13 +274,13 @@ def reference_walk_search_cert(mi, target_size: int, budget: int = 50000):
     """The bitmask walk that visits every node of the layered-partition tree.
 
     ``svrank.search_cert`` yields each layer's independent sets from its
-    conflict graph and counts the nodes of subtrees that cannot hold a
-    certificate instead of visiting them; the differential tests require
-    the same partition, ``exhausted`` flag and node count as this walk,
-    which keeps one explicit stack frame per open layer and tests every
-    leaf of the layer before the last against its open pair covers.  It
-    shares no search code with the library: its pair covers come from a
-    plain divisibility scan over the generators.
+    conflict graph and counts the nodes of a layer before the last that
+    cannot hold a certificate instead of visiting them; the differential
+    tests require the same partition, ``exhausted`` flag and node count as
+    this walk, which keeps one explicit stack frame per open layer and
+    tests every leaf of the layer before the last against its open pair
+    covers.  It shares no search code with the library: its pair covers
+    come from a plain divisibility scan over the generators.
     """
     from matroidal import InvariantViolation, SearchResult, SVPartition, verify_sv
 

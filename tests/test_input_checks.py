@@ -17,6 +17,7 @@ from matroidal import (
     RadicalCertificate,
     SVCheck,
     SVPartition,
+    ara_bounds,
     as_matroidal,
     buchberger,
     canonical_form,
@@ -291,6 +292,12 @@ CASES = {
         lambda: search_cert(V42, 0),
         ValueError,
         "target size must be at least one layer",
+    ),
+    # V(4,2) never searches: only the up-front check refuses the budget.
+    "ara_bounds_budget": (
+        lambda: ara_bounds(V42, search_budget=-1),
+        ValueError,
+        "search budget must be nonnegative, got -1",
     ),
 }
 

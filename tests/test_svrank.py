@@ -442,6 +442,74 @@ def test_search_cert_keeps_deep_layer_stacks_off_the_python_stack():
     assert verify_sv(result.partition)
 
 
+def test_search_cert_counts_failing_layers_on_63_orbits(enum_cache):
+    # No certificate has 3 layers, so every layer before the last fails the
+    # cover test and has its nodes counted instead of walked.
+    hard = _unconstructed(enum_cache(6, 3, True))
+    assert len(hard) == 21
+    results = [search_cert(mi, 3, budget=20000) for mi in hard]
+    assert all(r.exhausted for r in results)
+    assert sum(r.nodes for r in results) == 91004
+    for mi, result in zip(hard, results):
+        walk = reference_walk_search_cert(mi, 3, budget=20000)
+        assert _outcome(result) == _outcome(walk), mi.ideal.gens
+
+
+def test_search_cert_counters_are_pinned_where_every_layer_fails(enum_cache):
+    hard = _unconstructed(enum_cache(6, 3))
+    results = [search_cert(mi, 3, budget=20000) for mi in hard]
+    assert len(results) == 1141
+    assert all(r.exhausted for r in results)
+    assert sum(r.nodes for r in results) == 4696293
+
+
+def _independent_sets(cands, conflict):
+    """Every nonempty subset of ``cands`` with no conflicting pair."""
+    sub = cands
+    while sub:
+        members = [c for c in range(len(conflict)) if sub >> c & 1]
+        if not any(conflict[c] & sub for c in members):
+            yield sub
+        sub = (sub - 1) & cands
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_cover_test_and_dead_layer_count_match_brute_force(data):
+    masks = st.integers(0, (1 << 12) - 1)
+    cands = data.draw(masks.filter(lambda m: m.bit_count() <= 10))
+    conflict = [0] * 12
+    pairs = st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11)))
+    for a, b in data.draw(pairs):
+        if a != b:
+            conflict[a] |= 1 << b
+            conflict[b] |= 1 << a
+    covers = data.draw(st.lists(masks, max_size=8))
+    allowance = data.draw(st.sampled_from((0, 1, 2, 5, 1 << 20)))
+    sets = list(_independent_sets(cands, conflict))
+    exists = any(all(cover & s for cover in covers) for s in sets)
+    verdict = matroidal.svrank._hits_every_cover(covers, cands, conflict, allowance)
+    assert verdict is (None if verdict is None else exists)
+    if allowance == 1 << 20:
+        assert verdict is exists
+    # Each set costs its highest member's pick, the descent below it and
+    # its leaf: size - position + 1.
+    size = cands.bit_count()
+    below = [(cands & ((1 << s.bit_length() - 1) - 1)).bit_count() for s in sets]
+    nodes = sum(size - position + 1 for position in below)
+    assert matroidal.svrank._dead_layer_nodes(cands, conflict, 1 << 20) == nodes
+
+
+def test_cover_test_answers_unknown_when_its_allowance_runs_out():
+    # Three candidates, 0 and 1 in conflict: {0, 2} meets both covers.
+    conflict = [0b010, 0b001, 0]
+    covers = [0b011, 0b101]
+    hits = matroidal.svrank._hits_every_cover
+    assert hits(covers, 0b111, conflict, 0) is None
+    assert hits(covers, 0b111, conflict, 2) is True
+    assert hits([0b001, 0b010], 0b111, conflict, 5) is False
+
+
 @pytest.mark.slow
 @pytest.mark.parametrize("n,d", [(7, 3), (7, 4)])
 def test_search_cert_matches_the_walk_on_n7_orbits(enum_cache, n, d):
