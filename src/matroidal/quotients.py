@@ -6,11 +6,14 @@ computed exactly: its generators are the quotients u_i / gcd(u_i, u_j),
 minimalized; it is variable-generated iff every quotient is divisible by
 some degree-one quotient.  q(I) is the largest number of colon variables
 over the steps, and is independent of the ordering chosen.
+
+A matroidal ideal has linear quotients in its canonical (descending lex)
+generator order (Herzog-Takayama 2002), so the ordering and q come from
+one colon pass in that order; nothing here searches other orders.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -22,6 +25,7 @@ from .matroids import MatroidalIdeal
 class QuotientOrdering:
     """A verified linear-quotient ordering with its per-step colon variables.
 
+    ``order`` is the canonical generator tuple ``mi.ideal.gens``;
     ``colon_steps[j-2]`` is the variable set generating the j-th colon
     ideal; ``q`` is the maximum step size (0 for a principal ideal, the
     empty maximum).
@@ -72,22 +76,6 @@ def _colon_vars(masks: list[int], u: Monomial, prefix: int) -> int | None:
     return singles if covered == prefix else None
 
 
-def _preference(gens: tuple[Monomial, ...], n: int, strategy: str, seed: int) -> list[Monomial]:
-    if strategy == "lex":
-        # Canonical generator order is descending lexicographic.
-        return list(gens)
-    if strategy == "revlex":
-        return sorted(
-            gens, key=lambda g: tuple((g >> (v - 1)) & 1 for v in range(n, 0, -1))
-        )
-    if strategy == "random":
-        rng = random.Random(seed)
-        shuffled = list(gens)
-        rng.shuffle(shuffled)
-        return shuffled
-    raise ValueError(f"unknown ordering strategy {strategy!r}")
-
-
 def _flip(masks: list[int], u: Monomial, bit: int) -> None:
     """Toggle ``bit`` in ``masks[v]`` for every variable x_{v+1} of u."""
     while u:
@@ -117,106 +105,51 @@ def _colon_pass(order: Sequence[Monomial], n: int) -> list[int] | None:
     return steps
 
 
-def _lex_q(mi: MatroidalIdeal) -> int:
-    """q(I) from one colon pass in the canonical (descending lex) order.
+def _lex_steps(mi: MatroidalIdeal) -> list[int]:
+    """The colon pass in the canonical (descending lex) generator order.
 
     Matroidal ideals have linear quotients in that order (Herzog-Takayama
-    2002), so only the step sizes are kept; a step that is not
-    variable-generated is an invariant violation.
+    2002), so a step that is not variable-generated is an invariant
+    violation.
     """
     steps = _colon_pass(mi.ideal.gens, mi.ideal.n)
     if steps is None:
         raise InvariantViolation("no linear quotients in the canonical order")
-    return max((s.bit_count() for s in steps), default=0)
+    return steps
 
 
-def find_ordering(
-    mi: MatroidalIdeal, strategy: str = "lex", seed: int = 0
-) -> QuotientOrdering:
-    """Search for a linear-quotient ordering, preferring ``strategy`` order.
+def _lex_q(mi: MatroidalIdeal) -> int:
+    """q(I): the largest step of the canonical-order colon pass."""
+    return max((s.bit_count() for s in _lex_steps(mi)), default=0)
 
-    Depth-first: at each step the next generator is the first remaining one
-    (in preference order) whose colon ideal is variable-generated, with
-    backtracking on dead ends.  Every step is verified by the exact colon
-    computation, so the result is correct regardless of the heuristic.
-    The colon step runs on per-variable masks over the positions placed so
-    far (``_colon_vars``), updated as a generator is placed or undone, so
-    a step costs O(n) mask operations instead of a pass over the prefix;
-    it agrees with :func:`colon_step_vars` on every prefix.  The walk
-    first tries the whole preference order in one pass
-    (``_colon_pass``), which is where it would go if no step failed.
-    Otherwise each scan for the next generator starts at the lowest
-    unused preference index, not at the front.  The walk keeps its own
-    stack (the preference index chosen at each depth), so its size is
-    bounded by memory, not the recursion limit.  Matroidal ideals have
-    linear quotients in the canonical (descending lex) generator order
-    (Herzog-Takayama 2002), so with the default ``"lex"`` preference the
-    one pass places every generator.  Exhausting the search is an
-    invariant violation.
+
+def find_ordering(mi: MatroidalIdeal) -> QuotientOrdering:
+    """The linear-quotient ordering of the generators in canonical order.
+
+    One colon pass over ``mi.ideal.gens`` (``_colon_pass``): each step is
+    read off per-variable masks over the generators placed so far, so it
+    costs O(n) mask operations instead of a pass over the prefix, and it
+    agrees with :func:`colon_step_vars` on every prefix.  There is no
+    search: a matroidal ideal has linear quotients in this order, and a
+    failing step raises :class:`InvariantViolation`.
     """
-    preference = _preference(mi.ideal.gens, mi.ideal.n, strategy, seed)
-    passed = _colon_pass(preference, mi.ideal.n)
-    if passed is not None:
-        steps = tuple(frozenset(mono_vars(s)) for s in passed)
-        return QuotientOrdering(
-            tuple(preference), steps, max((len(s) for s in steps), default=0)
-        )
-    size = len(preference)
-    used = [False] * size
-    lowest = 0  # the lowest unused preference index
-    chosen: list[int] = []  # preference index placed at each depth
-    order: list[Monomial] = []
-    steps: list[frozenset[int]] = []
-    masks = [0] * mi.ideal.n  # positions in ``order`` containing x_{v+1}
-    start = 0
-    while len(order) < size:
-        bit = 1 << len(order)  # the position being filled
-        for i in range(start, size):
-            if used[i]:
-                continue
-            u = preference[i]
-            if order:
-                singles = _colon_vars(masks, u, bit - 1)
-                if singles is None:
-                    continue
-                steps.append(frozenset(mono_vars(singles)))
-            used[i] = True
-            chosen.append(i)
-            order.append(u)
-            _flip(masks, u, bit)
-            while lowest < size and used[lowest]:
-                lowest += 1
-            start = lowest
-            break
-        else:
-            if not chosen:
-                raise InvariantViolation(
-                    "no linear-quotient ordering found; "
-                    "matroidal ideals always have one"
-                )
-            # Dead end: undo the last choice and resume after it.
-            i = chosen.pop()
-            used[i] = False
-            lowest = min(lowest, i)
-            _flip(masks, order.pop(), bit >> 1)
-            if order:
-                steps.pop()
-            start = i + 1
+    steps = tuple(frozenset(mono_vars(s)) for s in _lex_steps(mi))
     return QuotientOrdering(
-        tuple(order), tuple(steps), max((len(s) for s in steps), default=0)
+        mi.ideal.gens, steps, max((len(s) for s in steps), default=0)
     )
 
 
 def q_index(mi: MatroidalIdeal) -> int:
     """The linear-quotient index q(I); requires full support.
 
-    Computed from an actual ordering and cross-asserted against the closed
-    form n - d; a mismatch would be a toolkit bug, never a counterexample.
+    Read from the same canonical-order colon pass as the theorem battery
+    (``_lex_q``) and cross-asserted against the closed form n - d; a
+    mismatch would be a toolkit bug, never a counterexample.
     """
     ideal = mi.ideal
     if not has_full_support(ideal):
         raise ValueError("q(I) requires support {x1..xn}")
-    q = find_ordering(mi).q
+    q = _lex_q(mi)
     if q != ideal.n - mi.d:
         raise InvariantViolation(
             f"q={q} disagrees with n-d={ideal.n - mi.d}"

@@ -1,5 +1,6 @@
 """Shared test constructions."""
 
+import random
 from functools import cmp_to_key
 from itertools import combinations, permutations
 from operator import le, sub
@@ -545,15 +546,32 @@ def reference_unmixed_bounds_report(mi):
     )
 
 
-def reference_find_ordering(mi, strategy: str = "lex", seed: int = 0):
-    """Recursive backtracking search for a linear-quotient ordering.
+def _preference(gens, n: int, strategy: str, seed: int):
+    """The generators in ``strategy`` order: lex, revlex or seeded random."""
+    if strategy == "lex":
+        # Canonical generator order is descending lexicographic.
+        return list(gens)
+    if strategy == "revlex":
+        return sorted(
+            gens, key=lambda g: tuple((g >> (v - 1)) & 1 for v in range(n, 0, -1))
+        )
+    if strategy == "random":
+        shuffled = list(gens)
+        random.Random(seed).shuffle(shuffled)
+        return shuffled
+    raise ValueError(f"unknown ordering strategy {strategy!r}")
 
-    ``find_ordering`` walks an explicit stack and must visit candidates in
-    the same order, so both return the same ordering or both raise.  This
-    version recurses once per generator, so only call it on small ideals.
+
+def reference_find_ordering(mi, strategy: str = "lex", seed: int = 0):
+    """The criterion-2 oracle for non-canonical orders.
+
+    A recursive backtracking search for a linear-quotient ordering that
+    tries the generators in ``strategy`` order, with ``colon_step_vars``
+    at each step.  In lex order on matroidal input it never backtracks and
+    must equal ``find_ordering``.  It recurses once per generator, so only
+    call it on small ideals.
     """
     from matroidal import InvariantViolation, QuotientOrdering, colon_step_vars
-    from matroidal.quotients import _preference
 
     preference = _preference(mi.ideal.gens, mi.ideal.n, strategy, seed)
     if len(preference) == 1:

@@ -1,13 +1,17 @@
 """Fast kernels against their slow oracles in ``helpers``.
 
-``check_matroidal`` decides through fundamental cocircuits, ``minimal_primes``
-reads matroidal primes off those cocircuits, and ``find_ordering`` walks an
-explicit stack.  Each must agree exactly with the pairwise exchange scan, the
-transversal DFS and the recursive ordering search: on every ideal with
-n <= 6, on each of them with a generator dropped (mostly not matroidal), and
-on random antichains.  The cocircuit kernel is also held to both oracles on
-Veronese ideals and relabeled block products up to n = 12 and on the n = 7
-orbit representatives (slow), each also with its first generator dropped.
+``check_matroidal`` decides through fundamental cocircuits and
+``minimal_primes`` reads matroidal primes off those cocircuits.  Each must
+agree exactly with the pairwise exchange scan and the transversal DFS: on
+every ideal with n <= 6, on each of them with a generator dropped (mostly
+not matroidal), and on random antichains.  ``find_ordering`` is one colon
+pass in canonical order.  It must equal the recursive ordering search in
+lex order on every ideal with n <= 6, and on random antichains past the
+constructor's check it must raise exactly when a canonical-order step
+fails ``colon_step_vars``.  The cocircuit kernel is also held to both
+oracles on Veronese ideals and relabeled block products up to n = 12 and on
+the n = 7 orbit representatives (slow), each also with its first generator
+dropped.
 
 The Groebner oracle packs each monomial into one int, divides through a
 term heap and picks pairs from a queue.  ``reduce``, ``buchberger`` and the
@@ -169,14 +173,6 @@ from helpers import (
 )
 
 CELLS = [(n, d) for n in range(1, 7) for d in range(1, n + 1)]
-STRATEGIES = (("lex", 0), ("revlex", 0), ("random", 3))
-
-
-def _ordering_outcome(search, mi, strategy, seed):
-    try:
-        return search(mi, strategy, seed)
-    except InvariantViolation:
-        return InvariantViolation
 
 
 def _assert_check_and_primes_agree(ideal):
@@ -229,10 +225,7 @@ def test_kernels_match_oracles_on_n7_orbits(enum_cache, n, d):
 def test_orderings_match_the_recursive_search(enum_cache):
     for n, d in CELLS:
         for mi in enum_cache(n, d):
-            for strategy, seed in STRATEGIES:
-                assert find_ordering(mi, strategy, seed) == reference_find_ordering(
-                    mi, strategy, seed
-                )
+            assert find_ordering(mi) == reference_find_ordering(mi)
 
 
 @st.composite
@@ -255,44 +248,41 @@ def test_random_antichains_match_oracles(ideal):
     _assert_check_and_primes_agree(ideal)
 
 
-# Unchecked mixed-degree input where lex order backtracks before it
-# succeeds (the last one pops twelve times).  Random equal-degree input did
-# not do so once in a sample of 20,000: it either walks straight through or
-# exhausts.
+# Unchecked mixed-degree input where lex order fails a step (the recursive
+# search, asked for lex order, backtracks before it succeeds; on the last
+# one it pops twelve times).  Random equal-degree input did not fail once
+# in a sample of 20,000.
 BACKTRACKING = [
-    (3, [(1, 3), (2,)]),
-    (6, [(1, 3, 4, 6), (1, 3, 5, 6), (2,)]),
-    (6, [(1, 2, 3, 5), (1, 5, 6), (3, 5, 6), (4,)]),
+    ideal_of(3, (1, 3), (2,)),
+    ideal_of(6, (1, 3, 4, 6), (1, 3, 5, 6), (2,)),
+    ideal_of(6, (1, 2, 3, 5), (1, 5, 6), (3, 5, 6), (4,)),
 ]
 
 
-def _unchecked(ideal):
-    # Past the constructor's check, through the library's private path;
-    # find_ordering reads only the generators, never the degree.
-    return matroids._unchecked(ideal, ideal.gens[0].bit_count())
-
-
-@pytest.mark.parametrize("n, gens", BACKTRACKING)
-def test_orderings_match_after_backtracking(n, gens):
-    mi = _unchecked(ideal_of(n, *gens))
-    ordering = find_ordering(mi)
-    assert ordering.order != mi.ideal.gens
-    assert ordering == reference_find_ordering(mi)
-
-
 @settings(max_examples=300, deadline=None)
-@given(
-    st.booleans().flatmap(lambda eq: antichains(eq, max_gens=6)),
-    st.sampled_from(STRATEGIES),
-)
-def test_orderings_match_on_unchecked_input(ideal, strategy_seed):
-    # Input that skipped the checker can backtrack and even exhaust; the
-    # stack walk must retrace the recursion exactly.
-    mi = _unchecked(ideal)
-    strategy, seed = strategy_seed
-    assert _ordering_outcome(find_ordering, mi, strategy, seed) == _ordering_outcome(
-        reference_find_ordering, mi, strategy, seed
-    )
+@given(st.booleans().flatmap(lambda eq: antichains(eq)))
+@example(BACKTRACKING[0])
+@example(BACKTRACKING[1])
+@example(BACKTRACKING[2])
+def test_find_ordering_is_one_colon_pass_on_unchecked_input(ideal):
+    # Past the constructor's check, through the library's private path;
+    # find_ordering reads only the generators, never the degree.  It raises
+    # exactly when some canonical-order prefix fails colon_step_vars, and
+    # otherwise returns those steps.
+    mi = matroids._unchecked(ideal, ideal.gens[0].bit_count())
+    gens = ideal.gens
+    steps = [colon_step_vars(list(gens[:j]), gens[j]) for j in range(1, len(gens))]
+    assert ideal not in BACKTRACKING or None in steps
+    if None in steps:
+        with pytest.raises(
+            InvariantViolation, match="^no linear quotients in the canonical order$"
+        ):
+            find_ordering(mi)
+    else:
+        ordering = find_ordering(mi)
+        assert ordering.order == gens
+        assert ordering.colon_steps == tuple(steps)
+        assert ordering.q == max(map(len, steps), default=0)
 
 
 def _oracle_certificates(enum_cache):

@@ -248,10 +248,11 @@ CASES = {
         ValueError,
         "need at least one nonzero generator",
     ),
+    # The strategy option is gone: the ordering is always the canonical one.
     "find_ordering_strategy": (
-        lambda: find_ordering(V42, "bogus"),
-        ValueError,
-        "unknown ordering strategy 'bogus'",
+        lambda: find_ordering(V42, "revlex"),
+        TypeError,
+        "find_ordering() takes 1 positional argument but 2 were given",
     ),
     "verify_sv_empty": (
         lambda: verify_sv(SVPartition(V42.ideal, ())),

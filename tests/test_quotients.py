@@ -139,8 +139,8 @@ def test_height_never_exceeds_q_plus_one(enum_cache):
 
 
 def test_lex_ordering_never_backtracks(enum_cache):
-    # Linear quotients in canonical order: the walk takes every generator
-    # on its first try, so the ordering is the generator tuple itself.
+    # Linear quotients in canonical order: the one colon pass places every
+    # generator, so no call raises and the ordering is the generator tuple.
     for n in range(1, 7):
         for d in range(1, n + 1):
             for mi in enum_cache(n, d):
@@ -153,21 +153,30 @@ def test_q_index_past_the_recursion_limit():
 
 
 def test_find_ordering_exhaustion_reports_invariant_violation():
-    # A generator set with no linear-quotient ordering (only reachable
-    # through the private path past the constructor's check) must exhaust
-    # cleanly, not crash mid-backtrack.
+    # A generator set with no linear quotients in canonical order (only
+    # reachable through the private path past the constructor's check)
+    # must raise the invariant violation, not return a wrong ordering.
     from matroidal import Ideal, InvariantViolation
     from matroidal.matroids import _unchecked
 
     fake = _unchecked(Ideal(4, (mono((1, 2)), mono((3, 4)))), 2)
-    with pytest.raises(InvariantViolation):
+    with pytest.raises(
+        InvariantViolation, match="^no linear quotients in the canonical order$"
+    ):
         find_ordering(fake)
 
 
-def test_cross_assertion_guard():
-    # q_index re-derives q from an ordering and cross-checks n - d; a
-    # non-matroidal input smuggled through would trip the colon search
-    # instead of silently returning a wrong q.
-    mi = matroidal_of(4, (1, 2), (1, 3), (1, 4))  # support misses nothing? no: full
+def test_cross_assertion_guard(monkeypatch):
+    # q_index cross-checks the colon pass's q against n - d; a q that
+    # misses it is a toolkit bug and must raise, here and through analyze.
+    import matroidal.quotients
+    from matroidal import InvariantViolation
+
+    mi = matroidal_of(4, (1, 2), (1, 3), (1, 4))
     assert support(mi.ideal) == {1, 2, 3, 4}
     assert q_index(mi) == 2
+    lex_q = matroidal.quotients._lex_q
+    monkeypatch.setattr(matroidal.quotients, "_lex_q", lambda mi: lex_q(mi) + 1)
+    for call in (q_index, analyze):
+        with pytest.raises(InvariantViolation, match=r"^q=3 disagrees with n-d=2$"):
+            call(mi)
