@@ -11,13 +11,14 @@ import json
 import sys
 
 from matroidal import conjecture_scan
+from matroidal.enumeration import SCAN_BUDGET
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--n", type=int, required=True)
     parser.add_argument("--d", type=int, required=True)
-    parser.add_argument("--budget", type=int, default=20000)
+    parser.add_argument("--budget", type=int, default=SCAN_BUDGET)
     parser.add_argument("--no-sym", dest="sym", action="store_false",
                         help="scan every labeled ideal, not orbit representatives")
     parser.add_argument("--json", action="store_true")

@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from .decomposition import _decompose, degree2_partition
-from .enumeration import conjecture_scan, enumerate_matroidal
+from .enumeration import SCAN_BUDGET, conjecture_scan, enumerate_matroidal
 from .ideals import (
     Ideal,
     InvariantViolation,
@@ -32,6 +32,7 @@ from .oracle import (
 )
 from .quotients import analyze
 from .svrank import (
+    SEARCH_BUDGET,
     _ambient,
     _layer_sums,
     _strings,
@@ -46,9 +47,6 @@ USAGE_ERROR = 3
 INCONCLUSIVE = 2
 CHECK_FAILED = 1
 OK = 0
-
-# Search node budget of ``cert`` when --budget is not given.
-CERT_BUDGET = 50000
 
 
 class _UsageError(Exception):
@@ -219,7 +217,7 @@ def _cmd_cert(args) -> int:
             construction, cert = built
     if cert is None:
         size = args.size if args.size is not None else ideal.n - mi.d + 1
-        budget = args.budget if args.budget is not None else CERT_BUDGET
+        budget = args.budget if args.budget is not None else SEARCH_BUDGET
         result = search_cert(mi, size, budget=budget)
         construction = "search"
         if result.partition is None:
@@ -403,7 +401,7 @@ def build_parser() -> _Parser:
         "--budget",
         type=_node_budget,
         default=None,
-        help=f"search node budget (default {CERT_BUDGET}); "
+        help=f"search node budget (default {SEARCH_BUDGET}); "
         "only with --construction auto or search",
     )
 
@@ -422,7 +420,7 @@ def build_parser() -> _Parser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
     p.add_argument(
-        "--budget", type=_node_budget, default=20000, help="search node budget"
+        "--budget", type=_node_budget, default=SCAN_BUDGET, help="search node budget"
     )
     p.add_argument(
         "--no-sym",

@@ -34,7 +34,7 @@ from .decomposition import _is_veronese, degree2_partition, unmixed_bounds_repor
 from .ideals import Ideal, InvariantViolation, has_full_support, mono, mono_vars
 from .matroids import MatroidalIdeal, _unchecked
 from .quotients import _lex_q
-from .svrank import SVPartition, _ladder, search_cert, verify_sv
+from .svrank import SVPartition, construct_certificate, search_cert, verify_sv
 
 # 2^C(n,d) search space with pruning; C(7,3) = 35 admits every n <= 7
 # cell.  The cap counts subsets, not work: for n >= 9 it admits only
@@ -47,6 +47,8 @@ MAX_IDEALS = 1 << 16
 # placements at worst), and the orbit map of a symmetry-reduced
 # enumeration, which can hold up to a whole cell's labeled encodings.
 MAX_SYMMETRY_VARS = 7
+# Default search node budget of ``conjecture_scan`` and ``matroidal scan``.
+SCAN_BUDGET = 20000
 
 
 def _index_bits(mask: int):
@@ -288,9 +290,9 @@ def theorem_battery(mi: MatroidalIdeal) -> BatteryResult:
     exact pass in the canonical (descending lex) order, in which matroidal
     ideals have linear quotients (Herzog-Takayama 2002).  The rest is read
     off the instance: its cocircuits are the primes (the height,
-    unmixedness and, as complements, the degree-2 parts) and give the
-    Veronese and block facts of the unmixed bounds and the ladder, and its
-    completion map feeds the ladder.
+    unmixedness, Veronese and block facts), and the certificate is
+    ``construct_certificate``'s, which reads nothing else.  The degree-2
+    verdict checks the cocircuits against ``degree2_partition``'s parts.
 
     Support short of x1..xn raises ValueError first.  Other failures are
     recorded as verdicts: they mean a toolkit bug, not bad input.
@@ -308,7 +310,6 @@ def theorem_battery(mi: MatroidalIdeal) -> BatteryResult:
     h = min(sizes)
     unmixed = len(sizes) == 1
     verdicts["height_bound"] = "pass" if h <= q + 1 else "fail"
-    partition = None
     if d == 2:
         try:
             partition = degree2_partition(mi)
@@ -336,8 +337,7 @@ def theorem_battery(mi: MatroidalIdeal) -> BatteryResult:
     found = None
     if q == n - d:
         try:
-            # A partition that failed its check above raises again here.
-            found = _ladder(mi, "auto", partition)
+            found = construct_certificate(mi)
         except InvariantViolation:
             pass
     ara_lower = q + 1
@@ -397,7 +397,7 @@ class ScanReport:
 def conjecture_scan(
     n: int,
     d: int,
-    budget: int = 20000,
+    budget: int = SCAN_BUDGET,
     up_to_symmetry: bool = True,
 ) -> ScanReport:
     """Attempt a size-(n-d+1) certificate for every enumerated ideal.

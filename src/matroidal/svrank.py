@@ -7,12 +7,13 @@ the ideal up to radical, so r+1 bounds the arithmetical rank from above.
 The projective dimension bounds it from below, and the two meet at
 q(I) + 1 = n - d + 1 whenever a certificate of that size exists.
 
-``construct_certificate`` is the one construction ladder, recognised from
-and layered on the cocircuits and completion map a ``MatroidalIdeal``
-carries.  Its rungs are one exchange rule read in a variable order: the
-natural order for square-free Veronese ideals and variable block
-products, the part order for degree-2 ideals.  Every layering it returns
-has passed ``verify_sv``.
+``construct_certificate`` is the one construction ladder.  Every rung
+reads only the validated ``MatroidalIdeal``: its cocircuits pick the rung
+and its completion map gives the layers.  The rungs are one exchange rule
+read in a variable order: the natural order for square-free Veronese ideals
+and variable block products, the part order for degree-2 ideals, taken
+from the cocircuits as the complements of the parts.  Every layering it
+returns has passed ``verify_sv``.
 A complete layered-partition search covers everything else.
 """
 
@@ -21,16 +22,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .decomposition import (
-    MultipartitePartition,
-    _cocircuit_blocks,
-    _is_veronese,
-    degree2_partition,
-)
+from .decomposition import _cocircuit_blocks, _is_veronese
 from .ideals import (
     Ideal,
     InvariantViolation,
     Monomial,
+    has_full_support,
     minimal_generators,
     mono,
     mono_str,
@@ -42,6 +39,9 @@ from .ideals import (
 from .matroids import MatroidalIdeal, _completions, _holders, veronese
 from .oracle import Poly, RadicalCertificate, _exponents, poly_str
 from .quotients import q_index
+
+# Default node budget of ``search_cert``, ``ara_bounds`` and ``matroidal cert``.
+SEARCH_BUDGET = 50000
 
 
 @dataclass(frozen=True)
@@ -287,21 +287,21 @@ def product_cert(certs: list[RadicalCertificate]) -> RadicalCertificate:
 def degree2_cert(mi: MatroidalIdeal) -> SVPartition:
     """Anti-diagonal layering for a degree-2 matroidal ideal.
 
-    The exchange rule in the part order (parts by descending size, then
-    smallest member; members ascending).  For {a, b} with a the i-th
-    variable and b the j-th after a's part, the variables that count are
-    those before a and those between a's part and b: layer i + j - 2,
-    over exactly n-1 layers.
+    Like every rung of the ladder it reads only the instance: the parts
+    are the complements of its cocircuits.  The exchange rule in the part
+    order (parts by descending size, then smallest member; members
+    ascending).  For {a, b} with a the i-th variable and b the j-th after
+    a's part, the variables that count are those before a and those
+    between a's part and b: layer i + j - 2, over exactly n-1 layers.
     """
-    return _degree2_layering(mi, degree2_partition(mi))
-
-
-def _degree2_layering(
-    mi: MatroidalIdeal, partition: MultipartitePartition
-) -> SVPartition:
-    """:func:`degree2_cert` on the ideal's degree-2 partition."""
-    parts = sorted(partition.parts, key=lambda p: (-len(p), sorted(p)))
-    order = [v for part in parts for v in sorted(part)]
+    if mi.d != 2:
+        raise ValueError("degree-2 partition needs a degree-2 ideal")
+    if not has_full_support(mi.ideal):
+        raise ValueError("support must be all of x1..xn")
+    everything = (1 << mi.ideal.n) - 1
+    parts = [everything & ~c for c in mi._cocircuits]
+    parts.sort(key=lambda p: (-p.bit_count(), p & -p))
+    order = [v for part in parts for v in mono_vars(part)]
     return _exchange_layering(mi, order, "degree-2")
 
 
@@ -313,19 +313,12 @@ def construct_certificate(
     ``auto`` climbs the ladder: Veronese layering, then variable block
     product, then degree-2 anti-diagonals, and returns None when none
     applies.  A forced ``method`` that does not apply raises ValueError.
-    In a block product y can replace only the variable of u in its own
-    block, so the natural order puts u in the sum of its block positions.
-    Every returned layering has passed ``verify_sv``.
+    Every rung reads only the instance; the degree-2 order comes from its
+    cocircuits, as the complements of the parts.  In a block product y can
+    replace only the variable of u in its own block, so the natural order
+    puts u in the sum of its block positions.  Every returned layering has
+    passed ``verify_sv``.
     """
-    return _ladder(mi, method)
-
-
-def _ladder(
-    mi: MatroidalIdeal,
-    method: str,
-    partition: MultipartitePartition | None = None,
-) -> tuple[str, SVPartition] | None:
-    """:func:`construct_certificate`, reusing the degree-2 ``partition`` if given."""
     natural = range(1, mi.ideal.n + 1)
     if method in ("auto", "veronese"):
         if _is_veronese(mi):
@@ -339,8 +332,7 @@ def _ladder(
             raise ValueError("not a variable block product")
     if method in ("auto", "degree2"):
         if mi.d == 2:
-            partition = partition or degree2_partition(mi)
-            return "degree2", _degree2_layering(mi, partition)
+            return "degree2", degree2_cert(mi)
         if method == "degree2":
             raise ValueError("degree is not 2")
     if method != "auto":
@@ -467,7 +459,7 @@ def _dead_layer_nodes(cands: int, conflict: list[int], room: int) -> int:
 
 
 def search_cert(
-    mi: MatroidalIdeal, target_size: int, budget: int = 50000
+    mi: MatroidalIdeal, target_size: int, budget: int = SEARCH_BUDGET
 ) -> SearchResult:
     """Complete search for a certificate with exactly ``target_size`` layers.
 
@@ -527,12 +519,7 @@ def search_cert(
             frozenset(g for i, g in enumerate(gens) if (mask ^ below) >> i & 1)
             for below, mask in zip([0] + used, used)
         )
-        partition = SVPartition(mi.ideal, layers)
-        check = verify_sv(partition)
-        if not check:
-            raise InvariantViolation(
-                f"search produced an invalid partition: {check.failure}"
-            )
+        partition = _checked(SVPartition(mi.ideal, layers), "search")
         return SearchResult(partition, False, nodes)
 
     def layer(cands: int, earlier: int, left: int) -> Iterator[int]:
@@ -674,7 +661,7 @@ class AraBounds:
 
 
 def ara_bounds(
-    mi: MatroidalIdeal, search: bool = True, search_budget: int = 50000
+    mi: MatroidalIdeal, search: bool = True, search_budget: int = SEARCH_BUDGET
 ) -> AraBounds:
     """Lower bound q(I)+1 plus the best available certificate upper bound.
 

@@ -366,10 +366,10 @@ def test_battery_skips_the_bounds_when_q_misses(monkeypatch):
 
 
 def test_battery_skips_the_bounds_when_a_construction_raises(monkeypatch):
-    def broken(mi, method, *facts):
+    def broken(mi, method="auto"):
         raise InvariantViolation("broken construction")
 
-    monkeypatch.setattr(matroidal.enumeration, "_ladder", broken)
+    monkeypatch.setattr(matroidal.enumeration, "construct_certificate", broken)
     result = theorem_battery(veronese(4, 2))
     assert result.verdicts["sv_certificate"] == "skip"
     assert result.verdicts["cm_iff_stci"] == "skip"
@@ -381,8 +381,9 @@ def test_battery_reads_one_cocircuit_set(monkeypatch):
     # The primes, the Veronese and block-product facts come from the
     # instance's cocircuits: the battery calls no exchange check, the
     # generic paths are never entered, the unmixed bounds are the report's
-    # (which reads the instance), and the ladder reuses the battery's
-    # degree-2 partition.
+    # (which reads the instance), and the one degree-2 partition of a d = 2
+    # battery is the degree2_structure verdict's: the ladder reads only the
+    # instance.
     homes = {
         "_fundamental_cocircuits": matroidal.matroids,
         "_matroid": matroidal.matroids,

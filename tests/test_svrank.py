@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 
 import matroidal.svrank
 from matroidal import (
+    InvariantViolation,
     Poly,
+    SVCheck,
     SVPartition,
     ara_bounds,
     as_matroidal,
@@ -40,6 +42,7 @@ from helpers import (
     matroidal_of,
     moved_generator,
     partition_shapes,
+    reference_degree2_cert,
     reference_search_cert,
     reference_verify_sv,
     reference_walk_search_cert,
@@ -267,6 +270,49 @@ def test_degree2_cert_verifies_across_enumeration(enum_cache):
             assert verify_sv(partition)
 
 
+def _forbid_degree2_partition(monkeypatch):
+    """Make every module binding of ``degree2_partition`` raise."""
+
+    def forbidden(mi):
+        raise AssertionError("degree2_partition called")
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "matroidal" and hasattr(module, "degree2_partition"):
+            monkeypatch.setattr(module, "degree2_partition", forbidden)
+
+
+def test_degree2_layers_come_from_the_cocircuits(enum_cache, monkeypatch):
+    # The reference layering derives the parts by ``degree2_partition``;
+    # the ladder and ``degree2_cert`` read them off the instance's
+    # cocircuits, so they give the same layers with it forbidden.
+    ideals = [mi for n in range(2, 8) for mi in enum_cache(n, 2)]
+    references = [reference_degree2_cert(mi).layers for mi in ideals]
+    _forbid_degree2_partition(monkeypatch)
+    picked = 0
+    for mi, layers in zip(ideals, references):
+        assert degree2_cert(mi).layers == layers, mi
+        assert construct_certificate(mi, "degree2")[1].layers == layers, mi
+        method, partition = construct_certificate(mi)
+        if method == "degree2":
+            picked += 1
+            assert partition.layers == layers, mi
+    # Set partitions of x1..xn into at least two parts, Bell(n) - 1, less
+    # the 2^(n-1) - 1 two-part products and the five Veronese V(n,2), n >= 3.
+    assert (len(ideals), picked) == (1148, 1148 - 120 - 5)
+
+
+def test_degree2_cert_refuses_by_itself(monkeypatch):
+    _forbid_degree2_partition(monkeypatch)
+    needs_degree_2 = r"^degree-2 partition needs a degree-2 ideal$"
+    with pytest.raises(ValueError, match=needs_degree_2):
+        degree2_cert(veronese(4, 3))
+    triangle = matroidal_of(4, (1, 2), (1, 3), (2, 3))  # x4 is in no generator
+    with pytest.raises(ValueError, match=r"^support must be all of x1\.\.xn$"):
+        degree2_cert(triangle)
+    with pytest.raises(ValueError, match=r"^support must be all of x1\.\.xn$"):
+        construct_certificate(triangle)
+
+
 def test_search_cert_examples():
     v = veronese(4, 2)
     result = search_cert(v, 3)
@@ -282,6 +328,24 @@ def test_search_cert_examples():
     trivial = search_cert(principal, 1)
     assert trivial.partition is not None
     assert len(trivial.partition.layers) == 1
+
+
+def test_every_layering_passes_one_gate(monkeypatch):
+    # The constructions and the search hand their layerings to the same
+    # check, so a rejection reads the same way from each.
+    def rejected(partition):
+        return SVCheck(False, "pair")
+
+    monkeypatch.setattr(matroidal.svrank, "verify_sv", rejected)
+    k22 = var_block_product([{1, 2}, {3, 4}])
+    for build, what in (
+        (lambda: construct_certificate(veronese(4, 2)), "Veronese"),
+        (lambda: construct_certificate(k22), "block product"),
+        (lambda: degree2_cert(k22), "degree-2"),
+        (lambda: search_cert(veronese(4, 2), 3), "search"),
+    ):
+        with pytest.raises(InvariantViolation, match=f"^{what} layering failed: pair$"):
+            build()
 
 
 def test_search_cert_budget_is_reported():
