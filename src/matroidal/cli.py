@@ -1,8 +1,18 @@
-"""Command-line surface.
+"""Command-line surface.  Subcommands: check, analyze, decompose,
+partition, cert, verify-cert, enumerate, scan.  Exit codes: 0
+success/verified, 1 check failed, 2 inconclusive, 3 usage error.
 
-Subcommands: check, analyze, decompose, partition, cert, verify-cert,
-enumerate, scan.  Exit codes: 0 success/verified, 1 check failed,
-2 inconclusive, 3 usage error.
+``main`` is the one place where a refusal becomes an exit code:
+
+- a library ``ValueError`` (the input is refused: not matroidal, support
+  short of x1..xn, a construction that does not apply, a certificate term
+  outside the target) or an invariant violation gives 1;
+- a malformed ideal file, certificate document or argument gives 3;
+- a search budget run-out or an inconclusive oracle gives 2.
+
+A sums-only certificate document (``layers: null``) may leave out
+``target_ideal.generators``; when it has them they must parse and equal
+the ideal file's generators, as in a layered document.
 """
 
 from __future__ import annotations
@@ -18,12 +28,13 @@ from .enumeration import SCAN_BUDGET, conjecture_scan, enumerate_matroidal
 from .ideals import (
     Ideal,
     InvariantViolation,
+    _require_full_support,
     has_full_support,
     mono_str,
     parse_ideal,
     witness_text,
 )
-from .matroids import MatroidalIdeal, check_matroidal
+from .matroids import as_matroidal, check_matroidal
 from .oracle import (
     BudgetExceededError,
     RadicalCertificate,
@@ -36,6 +47,7 @@ from .svrank import (
     _ambient,
     _layer_sums,
     _strings,
+    _target,
     certificate_document,
     construct_certificate,
     partition_from_document,
@@ -104,16 +116,6 @@ def _load_ideal(path: str) -> Ideal:
         raise _UsageError(f"cannot read ideal from {path}: {exc}") from exc
 
 
-def _require_matroidal(ideal: Ideal) -> MatroidalIdeal | str:
-    try:
-        check = check_matroidal(ideal)
-    except ValueError as exc:
-        return str(exc)
-    if not check:
-        return f"not matroidal ({check.failure}): {witness_text(check.failure, check.witness)}"
-    return check.matroidal
-
-
 def _cmd_check(args) -> int:
     ideal = _load_ideal(args.file)
     try:
@@ -143,23 +145,14 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    ideal = _load_ideal(args.file)
-    mi = _require_matroidal(ideal)
-    if isinstance(mi, str):
-        return _fail(args, mi)
-    if not has_full_support(ideal):
-        return _fail(args, "support must be all of x1..xn")
-    report = analyze(mi)
+    report = analyze(as_matroidal(_load_ideal(args.file)))
     _emit(args, report, [f"{key}={value}" for key, value in report.items()])
     return OK
 
 
 def _cmd_decompose(args) -> int:
     ideal = _load_ideal(args.file)
-    try:
-        decomposition, mi = _decompose(ideal)
-    except ValueError as exc:
-        return _fail(args, str(exc))
+    decomposition, mi = _decompose(ideal)
     payload: dict[str, object] = {
         "primes": [sorted(p) for p in decomposition.primes],
         "height": decomposition.height,
@@ -179,14 +172,7 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_partition(args) -> int:
-    ideal = _load_ideal(args.file)
-    mi = _require_matroidal(ideal)
-    if isinstance(mi, str):
-        return _fail(args, mi)
-    try:
-        partition = degree2_partition(mi)
-    except ValueError as exc:
-        return _fail(args, str(exc))
+    partition = degree2_partition(as_matroidal(_load_ideal(args.file)))
     payload = {
         "parts": [sorted(p) for p in partition.parts],
         "signature": list(partition.signature),
@@ -202,17 +188,11 @@ def _cmd_cert(args) -> int:
     if args.budget is not None and args.construction not in ("auto", "search"):
         raise _UsageError("--budget applies only to --construction auto or search")
     ideal = _load_ideal(args.file)
-    mi = _require_matroidal(ideal)
-    if isinstance(mi, str):
-        return _fail(args, mi)
-    if not has_full_support(ideal):
-        return _fail(args, "support must be all of x1..xn")
+    mi = as_matroidal(ideal)
+    _require_full_support(ideal)
     cert = construction = None
     if args.construction != "search":
-        try:
-            built = construct_certificate(mi, args.construction)
-        except ValueError as exc:
-            return _fail(args, str(exc))
+        built = construct_certificate(mi, args.construction)
         if built is not None:
             construction, cert = built
     if cert is None:
@@ -252,18 +232,24 @@ def _cmd_verify_cert(args) -> int:
         raise _UsageError(f"cannot read certificate from {args.cert}: {exc}") from exc
     payload: dict[str, object] = {"verified_sv": False, "oracle_checked": False}
     try:
-        stated_n = _ambient(document)
+        if _ambient(document) != ideal.n:
+            return _fail(args, "ambient mismatch")
+        layered = document.get("layers") is not None
+        if layered:
+            partition = partition_from_document(document)
+            target = partition.ideal
+        else:
+            polys = tuple(
+                parse_poly(s, ideal.n) for s in _strings(document["sums"], "sums")
+            )
+            # A sums-only document may leave its generators out.
+            given = "generators" in document["target_ideal"]
+            target = _target(document) if given else ideal
     except (KeyError, TypeError, ValueError) as exc:
         raise _UsageError(f"malformed certificate document: {exc}") from exc
-    if stated_n != ideal.n:
-        return _fail(args, "ambient mismatch")
-    if document.get("layers") is not None:
-        try:
-            partition = partition_from_document(document)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise _UsageError(f"malformed certificate document: {exc}") from exc
-        if partition.ideal != ideal:
-            return _fail(args, "certificate target differs from the ideal file")
+    if target != ideal:
+        return _fail(args, "certificate target differs from the ideal file")
+    if layered:
         check = verify_sv(partition)
         payload["verified_sv"] = bool(check)
         if not check:
@@ -274,15 +260,7 @@ def _cmd_verify_cert(args) -> int:
             return CHECK_FAILED
         cert = _layer_sums(partition)
     else:
-        try:
-            sums = _strings(document["sums"], "sums")
-            polys = tuple(parse_poly(s, ideal.n) for s in sums)
-        except (KeyError, ValueError) as exc:
-            raise _UsageError(f"malformed certificate document: {exc}") from exc
-        try:
-            cert = RadicalCertificate(polys, ideal, "manual")
-        except ValueError as exc:
-            return _fail(args, str(exc))
+        cert = RadicalCertificate(polys, ideal, "manual")
     lines = [f"verified_sv={payload['verified_sv']}"]
     if args.oracle:
         payload["oracle_checked"] = True
@@ -363,7 +341,7 @@ def _cmd_scan(args) -> int:
 
 
 def build_parser() -> _Parser:
-    parser = _Parser(prog="matroidal", description=__doc__)
+    parser = _Parser(prog="matroidal", description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, func, **kwargs):
@@ -444,6 +422,8 @@ def main(argv=None) -> int:
     except InvariantViolation as exc:
         print(f"internal invariant violated: {exc}", file=sys.stderr)
         return CHECK_FAILED
+    except ValueError as exc:  # a library refusal of the input
+        return _fail(args, str(exc))
 
 
 if __name__ == "__main__":

@@ -23,6 +23,7 @@ from .ideals import (
     Ideal,
     InvariantViolation,
     _check_var,
+    _require_full_support,
     has_full_support,
     is_unit_ideal,
     is_zero_ideal,
@@ -131,8 +132,7 @@ def degree2_partition(mi: MatroidalIdeal) -> MultipartitePartition:
     n = ideal.n
     if mi.d != 2:
         raise ValueError("degree-2 partition needs a degree-2 ideal")
-    if not has_full_support(ideal):
-        raise ValueError("support must be all of x1..xn")
+    _require_full_support(ideal)
     adjacency = {v: 0 for v in range(1, n + 1)}
     for g in ideal.gens:
         a, b = mono_vars(g)
@@ -302,8 +302,7 @@ def unmixed_bounds_report(mi: MatroidalIdeal) -> dict[str, object]:
     ideal = mi.ideal
     if ideal.n < 2:
         raise ValueError("need n >= 2")
-    if not has_full_support(ideal):
-        raise ValueError("support must be all of x1..xn")
+    _require_full_support(ideal)
     heights = {p.bit_count() for p in mi._cocircuits}
     if len(heights) != 1:
         raise ValueError("ideal is mixed: minimal primes have unequal heights")

@@ -31,7 +31,7 @@ from itertools import combinations
 from math import comb
 
 from .decomposition import _is_veronese, degree2_partition, unmixed_bounds_report
-from .ideals import Ideal, InvariantViolation, has_full_support, mono, mono_vars
+from .ideals import Ideal, InvariantViolation, _require_full_support, mono, mono_vars
 from .matroids import MatroidalIdeal, _unchecked
 from .quotients import _lex_q
 from .svrank import SVPartition, construct_certificate, search_cert, verify_sv
@@ -298,8 +298,7 @@ def theorem_battery(mi: MatroidalIdeal) -> BatteryResult:
     recorded as verdicts: they mean a toolkit bug, not bad input.
     """
     ideal = mi.ideal
-    if not has_full_support(ideal):
-        raise ValueError("support must be all of x1..xn")
+    _require_full_support(ideal)
     n, d = ideal.n, mi.d
     verdicts: dict[str, str] = {}
     q = _lex_q(mi)

@@ -213,6 +213,12 @@ def has_full_support(ideal: Ideal) -> bool:
     return support_mask(ideal) == (1 << ideal.n) - 1
 
 
+def _require_full_support(ideal: Ideal) -> None:
+    """The one refusal of an ideal whose support misses a variable."""
+    if not has_full_support(ideal):
+        raise ValueError("support must be all of x1..xn")
+
+
 def contains(ideal: Ideal, m: Monomial) -> bool:
     """Monomial membership: some generator divides ``m``."""
     _check_range(m, ideal.n)

@@ -568,10 +568,10 @@ def buchberger(gens: Iterable[Poly], max_pairs: int = 20000) -> tuple[Poly, ...]
 class RadicalCertificate:
     """Polynomials generating the target up to radical, with provenance.
 
-    Construction is the one input check: every polynomial is a nonzero
-    ``Poly`` in the target's ring, and every term lies in the target, so
-    each polynomial does (a polynomial lies in a monomial ideal iff each of
-    its terms does).
+    Construction is the one input check: the family is nonempty, every
+    polynomial is a nonzero ``Poly`` in the target's ring, and every term
+    lies in the target, so each polynomial does (a polynomial lies in a
+    monomial ideal iff each of its terms does).
     """
 
     polys: tuple[Poly, ...]
@@ -579,6 +579,8 @@ class RadicalCertificate:
     provenance: str  # "sv_partition" | "product_composition" | "manual"
 
     def __post_init__(self):
+        if not self.polys:
+            raise ValueError("certificate needs at least one polynomial")
         genset = set(self.target.gens)
         for p in self.polys:
             if not isinstance(p, Poly):

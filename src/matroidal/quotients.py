@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .ideals import InvariantViolation, Monomial, has_full_support, mono_vars
+from .ideals import InvariantViolation, Monomial, _require_full_support, mono_vars
 from .matroids import MatroidalIdeal
 
 
@@ -147,8 +147,7 @@ def q_index(mi: MatroidalIdeal) -> int:
     mismatch would be a toolkit bug, never a counterexample.
     """
     ideal = mi.ideal
-    if not has_full_support(ideal):
-        raise ValueError("q(I) requires support {x1..xn}")
+    _require_full_support(ideal)
     q = _lex_q(mi)
     if q != ideal.n - mi.d:
         raise InvariantViolation(

@@ -27,7 +27,7 @@ from .ideals import (
     Ideal,
     InvariantViolation,
     Monomial,
-    has_full_support,
+    _require_full_support,
     minimal_generators,
     mono,
     mono_str,
@@ -296,8 +296,7 @@ def degree2_cert(mi: MatroidalIdeal) -> SVPartition:
     """
     if mi.d != 2:
         raise ValueError("degree-2 partition needs a degree-2 ideal")
-    if not has_full_support(mi.ideal):
-        raise ValueError("support must be all of x1..xn")
+    _require_full_support(mi.ideal)
     everything = (1 << mi.ideal.n) - 1
     parts = [everything & ~c for c in mi._cocircuits]
     parts.sort(key=lambda p: (-p.bit_count(), p & -p))
@@ -732,19 +731,21 @@ def _strings(value: object, what: str) -> list[str]:
     return value
 
 
+def _target(doc: dict[str, object]) -> Ideal:
+    """The document's ``target_ideal``, from its ``n`` and ``generators``."""
+    n = _ambient(doc)
+    generators = doc["target_ideal"]["generators"]  # type: ignore[index]
+    gens = {parse_mono(s) for s in _strings(generators, "target generators")}
+    return minimal_generators(gens, n)
+
+
 def partition_from_document(doc: dict[str, object]) -> SVPartition:
     """Rebuild an SVPartition from the certificate JSON layout.
 
     A document without that layout (a missing key, a value of the wrong
     type, a malformed monomial) raises KeyError, TypeError or ValueError.
     """
-    target = doc["target_ideal"]
-    n = _ambient(doc)
-    gens = {
-        parse_mono(s)
-        for s in _strings(target["generators"], "target generators")  # type: ignore[index]
-    }
-    ideal = minimal_generators(gens, n)
+    ideal = _target(doc)
     layers = doc["layers"]
     if not isinstance(layers, list):
         raise ValueError("layers must be a list of layers")

@@ -8,13 +8,13 @@ from itertools import combinations
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import matroidal.cli
 import matroidal.matroids
 import matroidal.svrank
-from matroidal import verify_radical_cert
+from matroidal import enumerate_matroidal, mono_vars, verify_radical_cert
 from matroidal.cli import main
 
 V42 = "n=4\nx1 x2\nx1 x3\nx1 x4\nx2 x3\nx2 x4\nx3 x4\n"
@@ -77,8 +77,20 @@ def test_analyze(capsys, v42):
 def test_analyze_requires_full_support(capsys, tmp_path):
     partial = tmp_path / "partial.txt"
     partial.write_text("n=4\nx1 x2\nx2 x3\n")
-    code, _ = run(capsys, "analyze", str(partial))
+    code, payload = run_json(capsys, "analyze", str(partial))
     assert code == 1
+    assert payload == {"error": "support must be all of x1..xn"}
+
+
+def test_analyze_names_the_exchange_failure(capsys, tmp_path):
+    bad = tmp_path / "bad.txt"
+    bad.write_text(NOT_MATROIDAL)
+    code, payload = run_json(capsys, "analyze", str(bad))
+    assert code == 1
+    assert payload == {
+        "error": "not a matroidal ideal (exchange): "
+        "B1=x1*x2, B2=x3*x4, x=x1: no y in B2-B1 repairs the exchange"
+    }
 
 
 def test_decompose(capsys, k22):
@@ -337,6 +349,7 @@ def test_oracle_cap_below_one_is_a_usage_error(capsys, v42, v42_cert):
         {"target_ideal": {"n": True, "generators": ["x1*x2"]}},
         {"layers": None, "sums": ["bogus"]},
         {"layers": None, "sums": ["1/0*x1"]},
+        {"layers": None, "target_ideal": {"n": 4, "generators": 5}},
     ],
 )
 def test_verify_cert_malformed_document_is_a_usage_error(
@@ -350,6 +363,47 @@ def test_verify_cert_malformed_document_is_a_usage_error(
     code = main(["verify-cert", v42, str(path)])
     assert code == 3
     assert "malformed certificate document" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "change, flags, error",
+    [
+        ({"layers": None, "sums": []}, (), "certificate needs at least one polynomial"),
+        (
+            {"layers": None, "sums": []},
+            ("--oracle",),
+            "certificate needs at least one polynomial",
+        ),
+        (
+            {"layers": None, "target_ideal": {"n": 4, "generators": ["x1*x2"]}},
+            ("--oracle",),
+            "certificate target differs from the ideal file",
+        ),
+        (
+            {"target_ideal": {"n": 4, "generators": ["x1*x2"]}},
+            (),
+            "certificate target differs from the ideal file",
+        ),
+    ],
+)
+def test_verify_cert_refusal_fails_the_check(
+    capsys, v42, v42_cert, tmp_path, change, flags, error
+):
+    doc = json.loads(Path(v42_cert).read_text())
+    doc.update(change)
+    path = tmp_path / "refused.json"
+    path.write_text(json.dumps(doc))
+    code, payload = run_json(capsys, "verify-cert", v42, str(path), *flags)
+    assert (code, payload) == (1, {"error": error})
+
+
+def test_sums_only_document_with_its_generators_is_checked(capsys, v42, v42_cert):
+    doc = json.loads(Path(v42_cert).read_text())
+    doc["layers"] = None
+    Path(v42_cert).write_text(json.dumps(doc))
+    code, payload = run_json(capsys, "verify-cert", v42, v42_cert, "--oracle")
+    assert code == 0
+    assert (payload["verified_sv"], payload["oracle"]["verified"]) == (False, True)
 
 
 def test_oracle_pair_budget_overrun_is_inconclusive(
@@ -568,3 +622,157 @@ def test_a_repeated_variable_is_a_usage_error(capsys, tmp_path):
     path.write_text("n=1\nx1 x1\n")
     assert main(["check", str(path)]) == 3
     assert "repeated variable x1" in capsys.readouterr().err
+
+
+# The CLI contract, fuzzed: random ideal files (n <= 5) and mutated
+# ``cert --json`` documents through main(), in process.  Whatever the
+# input, main() returns 0, 1, 2 or 3 and lets no exception escape.
+
+# Variable lists of one matroidal ideal per orbit, by n.
+_ORBITS = {
+    n: [
+        [mono_vars(g) for g in mi.ideal.gens]
+        for d in range(1, n + 1)
+        for mi in enumerate_matroidal(n, d, up_to_symmetry=True)
+    ]
+    for n in range(1, 6)
+}
+_TERMS = ["x1*x2", "x3", "x1*x2+x3*x4", "2*x1", "x1^2", "1/2*x1*x3", "-x2", "0", "x6"]
+_JSON = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-2, 6)
+    | st.sampled_from(_TERMS)
+    | st.text("x12345+*^/-", max_size=6),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(["n", "generators"]), inner, max_size=2),
+    max_leaves=6,
+)
+_KEYS = ["target_ideal", "layers", "sums", "n", "generators"]
+# What ``cert --json`` writes for V(4,2): the document to mutate when the
+# drawn file has no certificate of its own.
+_V42_DOC = json.dumps(
+    {
+        "target_ideal": {
+            "n": 4,
+            "generators": ["x1*x2", "x1*x3", "x1*x4", "x2*x3", "x2*x4", "x3*x4"],
+        },
+        "layers": [["x1*x2"], ["x1*x3", "x2*x3"], ["x1*x4", "x2*x4", "x3*x4"]],
+        "sums": V42_SUMS,
+        "verified_sv": True,
+        "oracle_checked": False,
+        "construction": "veronese",
+    }
+)
+
+
+@st.composite
+def _fuzz_ideal_file(draw):
+    """An ideal file: a relabeled matroidal orbit or random sets, then damaged."""
+    n = draw(st.integers(1, 5))
+    if draw(st.sampled_from(["orbit", "orbit", "orbit", "sets"])) == "orbit":
+        gens = draw(st.sampled_from(_ORBITS[n]))
+    else:
+        gens = draw(st.lists(st.sets(st.integers(1, n), min_size=1), max_size=6))
+    labels = draw(st.permutations(range(1, n + 1)))
+    lines = [" ".join(f"x{labels[v - 1]}" for v in g) for g in gens]
+    # A header above n leaves the top variables out of the support.
+    header = f"n={draw(st.sampled_from([n, n, min(n + 1, 5)]))}"
+    damage = draw(st.sampled_from(["none"] * 4 + ["drop", "line", "header"]))
+    if damage == "drop" and lines:
+        del lines[draw(st.integers(0, len(lines) - 1))]
+    elif damage == "line":
+        bad = draw(st.one_of(_bad_token(), st.sampled_from(_OUT_OF_RANGE)))
+        lines.insert(draw(st.integers(0, len(lines))), bad)
+    elif damage == "header":
+        header = draw(st.sampled_from(_BAD_HEADERS))
+    return "\n".join([header, *lines]) + "\n"
+
+
+_MUTATION = st.one_of(
+    st.tuples(st.just("set"), st.sampled_from(_KEYS), _JSON),
+    st.tuples(st.just("drop"), st.sampled_from(_KEYS)),
+    st.tuples(st.just("drop_item"), st.sampled_from(_KEYS), st.integers(0, 6)),
+    st.tuples(st.just("move"), st.integers(0, 6), st.integers(0, 6)),
+    st.tuples(st.just("whole"), _JSON),
+)
+
+
+def _mutate(doc, mutations):
+    """Apply ``mutations`` to a certificate document, skipping any that miss."""
+    for op, *rest in mutations:
+        if op == "whole":
+            doc = rest[0]
+            continue
+        key = "layers" if op == "move" else rest[0]
+        holder = doc
+        if isinstance(doc, dict) and key in ("n", "generators"):
+            holder = doc.get("target_ideal")
+        if not isinstance(holder, dict):
+            continue
+        if op == "set":
+            holder[key] = rest[1]
+            continue
+        if op == "drop":
+            holder.pop(key, None)
+            continue
+        items = holder.get(key)
+        if not isinstance(items, list) or not items:
+            continue
+        if op == "drop_item":
+            del items[rest[1] % len(items)]
+            continue
+        # Move the last monomial of one layer to the end of another.
+        source, target = (items[i % len(items)] for i in rest)
+        if isinstance(source, list) and source and isinstance(target, list):
+            target.append(source.pop())
+    return doc
+
+
+def _call(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+@given(
+    ideal=_fuzz_ideal_file(),
+    command=st.sampled_from(
+        ["check", "analyze", "decompose", "partition", "cert", "verify-cert"]
+    ),
+    mutations=st.lists(_MUTATION, max_size=3),
+    oracle=st.booleans(),
+    as_json=st.booleans(),
+)
+# A sums-only document with no sums: under --oracle this once escaped main().
+@example(
+    ideal=V42,
+    command="verify-cert",
+    mutations=[("set", "layers", None), ("set", "sums", [])],
+    oracle=True,
+    as_json=True,
+)
+@settings(max_examples=300, deadline=None)
+def test_cli_exits_with_a_contract_code_on_any_input(
+    ideal, command, mutations, oracle, as_json
+):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "ideal.txt"
+        path.write_text(ideal)
+        argv = [command, str(path)]
+        if command == "verify-cert":
+            code, out = _call(["cert", str(path), "--json"])
+            assert code in (0, 1, 2, 3), ideal
+            doc = json.loads(out if code == 0 else _V42_DOC)
+            cert = Path(tmp) / "cert.json"
+            cert.write_text(json.dumps(_mutate(doc, mutations)))
+            argv.append(str(cert))
+            if oracle:
+                argv += ["--oracle", "--cap", "4"]
+        if as_json:
+            argv.append("--json")
+        code, out = _call(argv)
+    assert code in (0, 1, 2, 3), (argv, ideal, mutations)
+    if as_json and out:
+        json.loads(out)  # one JSON document, never a bare message

@@ -17,6 +17,7 @@ from matroidal import (
     RadicalCertificate,
     SVCheck,
     SVPartition,
+    analyze,
     ara_bounds,
     as_matroidal,
     buchberger,
@@ -31,6 +32,7 @@ from matroidal import (
     pivot,
     product,
     product_cert,
+    q_index,
     recognize_var_block_product,
     relabel_ideal,
     search_cert,
@@ -269,6 +271,12 @@ CASES = {
         ValueError,
         "certificate polynomial in the wrong ring",
     ),
+    # A sums-only document with "sums": [] reaches this check.
+    "certificate_empty": (
+        lambda: RadicalCertificate((), V42.ideal, "manual"),
+        ValueError,
+        "certificate needs at least one polynomial",
+    ),
     "certificate_not_a_poly": (
         _cert("x1*x2"),
         TypeError,
@@ -299,6 +307,22 @@ CASES = {
         lambda: ara_bounds(V42, search_budget=-1),
         ValueError,
         "search budget must be nonnegative, got -1",
+    ),
+    # One full-support rule, worded once, behind every reader of q.
+    "q_index_support": (
+        lambda: q_index(V32_IN_4),
+        ValueError,
+        "support must be all of x1..xn",
+    ),
+    "analyze_support": (
+        lambda: analyze(V32_IN_4),
+        ValueError,
+        "support must be all of x1..xn",
+    ),
+    "ara_bounds_support": (
+        lambda: ara_bounds(V32_IN_4),
+        ValueError,
+        "support must be all of x1..xn",
     ),
 }
 
