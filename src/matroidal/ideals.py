@@ -64,6 +64,18 @@ def _check_var(x: int, n: int) -> None:
         raise ValueError(f"variable x{x} out of range for n={n}")
 
 
+def _read_index(digits: str, what: str) -> int:
+    """A decimal field of the text formats: a variable index or a count.
+
+    A field with more significant digits than ``MAX_VARS`` is refused by
+    the range rule before ``int`` reads it, so no length of input reaches
+    Python's limit on integer string conversion.
+    """
+    if len(digits.lstrip("0")) > len(str(MAX_VARS)):
+        raise ValueError(f"{what} must be in 1..{MAX_VARS}")
+    return int(digits)
+
+
 def mono(variables: Iterable[int]) -> Monomial:
     """Bitmask of a square-free monomial from its variable indices."""
     m = 0
@@ -145,7 +157,7 @@ def parse_mono(text: str) -> Monomial:
         match = _MONO_FACTOR.match(factor.strip())
         if match is None:
             raise ValueError(f"malformed monomial factor {factor!r}")
-        variables.append(int(match.group(1)))
+        variables.append(_read_index(match.group(1), "variable index"))
     return _square_free(variables)
 
 
@@ -331,14 +343,14 @@ def parse_ideal(text: str) -> Ideal:
             match = _HEADER.match(line)
             if match is None:
                 raise ValueError("first line must be 'n=<int>'")
-            n = int(match.group(1))
+            n = _read_index(match.group(1), "ambient variable count")
             continue
         variables = []
         for token in line.split():
             match = _MONO_FACTOR.match(token)
             if match is None:
                 raise ValueError(f"malformed variable token {token!r}")
-            variables.append(int(match.group(1)))
+            variables.append(_read_index(match.group(1), "variable index"))
         monomials.append(_square_free(variables))
     if n is None:
         raise ValueError("missing 'n=<int>' header")

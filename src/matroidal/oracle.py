@@ -50,7 +50,14 @@ from heapq import heapify, heappop, heappush
 from operator import lshift, sub
 from typing import Callable, Iterable, TypeVar
 
-from .ideals import Ideal, InvariantViolation, Monomial, mono_vars
+from .ideals import (
+    Ideal,
+    InvariantViolation,
+    Monomial,
+    _check_var,
+    _read_index,
+    mono_vars,
+)
 
 Exponents = tuple[int, ...]
 _T = TypeVar("_T")
@@ -92,8 +99,7 @@ class Poly:
     def from_monomial(cls, m: Monomial, n: int) -> Poly:
         e = [0] * n
         for v in mono_vars(m):
-            if v > n:
-                raise ValueError(f"variable x{v} out of range for n={n}")
+            _check_var(v, n)
             e[v - 1] = 1
         return cls(n, {tuple(e): Fraction(1)})
 
@@ -228,9 +234,8 @@ def parse_poly(text: str, n: int) -> Poly:
             factor = factor.strip()
             m = _VAR_FACTOR.match(factor)
             if m is not None:
-                v = int(m.group(1))
-                if not 1 <= v <= n:
-                    raise ValueError(f"variable x{v} out of range for n={n}")
+                v = _read_index(m.group(1), "variable index")
+                _check_var(v, n)
                 e[v - 1] += int(m.group(2) or 1)
                 continue
             m = _NUM_FACTOR.match(factor)

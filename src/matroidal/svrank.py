@@ -486,16 +486,18 @@ def search_cert(
 
     The layer before the last must leave a valid last layer: its S must
     meet every open cover, the generators dividing the product of a
-    conflicting pair, as a cover holds its own pair.  That layer builds its
-    whole conflict graph and covers up front, then runs an exact
-    hitting-set test (``_hits_every_cover``) whose branches spend the
-    budget left but add no nodes.  When no independent S meets every
-    cover, each S is a proper subset, as some pair conflicts, so the walk
-    would take every leaf and yield nothing: its nodes are counted instead
+    conflicting pair, as a cover holds its own pair.  For that layer the
+    routine adds one step after the entry descent: it builds the whole
+    conflict graph and the open covers, then runs an exact hitting-set
+    test (``_hits_every_cover``) whose branches spend the budget left but
+    add no nodes.  When no independent S meets every cover, each S is a
+    proper subset, as some pair conflicts, so the walk would take every
+    leaf and yield nothing: its nodes are counted instead
     (``_dead_layer_nodes``).  Otherwise, or when the test runs out, the
-    layer is walked and yields the walk's first S that meets every cover.
-    A walked layer finds a candidate's conflicts with higher ones when the
-    walk first reaches it.
+    walk reads the conflict rows the test built and yields only the sets
+    that meet every cover.  Earlier layers skip the step, and their walk
+    finds a candidate's conflicts with higher ones when it first reaches
+    that candidate.
 
     Python recursion stays within one layer: once per member of S, which
     comes after its 2^|S| - 2 other nonempty subsets at a node each, or
@@ -525,15 +527,35 @@ def search_cert(
         # The sets S this layer takes from the candidates ``cands`` under
         # the ``earlier`` layers, ``left`` layers before the end, in order.
         nonlocal nodes
-        members = [i for i in range(len(gens)) if cands >> i & 1]
-        size = len(members)
+        size = cands.bit_count()
         nodes += size  # the all-exclusion entry descent
         if nodes > budget:
             return
+        conflict: list[int | None] = [None] * len(gens)  # above, once reached
+        covers: set[int] = set()  # open covers each S must meet
+        if left == 1:
+            # The layer before the last: the whole conflict graph and the
+            # open covers, then the cover test.
+            conflict = [0] * len(gens)
+            seen: list[tuple[int, Monomial]] = []
+            for a in range(len(gens)):
+                if cands >> a & 1:
+                    ga, bit = gens[a], 1 << a
+                    for b, gb in seen:
+                        cover = dividers[ga | gb]
+                        if not cover & earlier:
+                            conflict[a] |= 1 << b
+                            conflict[b] |= bit
+                            covers.add(cover)
+                    seen.append((a, ga))
+            room = budget - nodes
+            if _hits_every_cover(covers, cands, conflict, room) is False:
+                nodes += _dead_layer_nodes(cands, conflict, room)
+                return
+        members = [i for i in range(len(gens)) if cands >> i & 1]
         weight = [0] * len(gens)  # by index: size - position
         for j, a in enumerate(members):
             weight[a] = size - j
-        conflict: list[int | None] = [None] * len(gens)  # above, once reached
 
         def extend(taken: int, cands: int, spare: int) -> Iterator[int]:
             # ``taken`` plus each nonempty independent subset of ``cands``;
@@ -550,7 +572,7 @@ def search_cert(
                 nodes += weight[c] + leaf
                 if nodes > budget:
                     return
-                if leaf:
+                if leaf and all(cover & chosen for cover in covers):
                     yield chosen
                 if above:
                     conflicting = conflict[c]
@@ -566,41 +588,6 @@ def search_cert(
                 above |= bit
 
         yield from extend(0, cands, size - left)
-
-    def closing(cands: int, earlier: int) -> Iterator[int]:
-        # The layer before the last: the walk's first S that meets every
-        # open cover, unless the cover test rules every S out.
-        nonlocal nodes
-        size = cands.bit_count()
-        if nodes + size > budget:
-            nodes += size  # the walk runs out on its entry descent
-            return
-        conflict = [0] * len(gens)
-        covers: set[int] = set()
-        seen: list[tuple[int, Monomial]] = []
-        for a in range(len(gens)):
-            if cands >> a & 1:
-                ga, bit = gens[a], 1 << a
-                for b, gb in seen:
-                    cover = dividers[ga | gb]
-                    if not cover & earlier:
-                        conflict[a] |= 1 << b
-                        conflict[b] |= bit
-                        covers.add(cover)
-                seen.append((a, ga))
-        room = budget - nodes - size
-        if _hits_every_cover(covers, cands, conflict, room) is False:
-            nodes += size + _dead_layer_nodes(cands, conflict, room)
-            return
-        for taken in layer(cands, earlier, 1):
-            if all(cover & taken for cover in covers):
-                yield taken
-                return
-
-    def fill(cands: int, earlier: int, left: int) -> Iterator[int]:
-        if left == 1:
-            return closing(cands, earlier)
-        return layer(cands, earlier, left)
 
     if target_size == 1:
         # The only layer is the singleton P_0.
@@ -624,7 +611,7 @@ def search_cert(
         # One routine per open layer; ``used[k]`` holds the generators of
         # the layers below ``stack[k]``.
         used = [first]
-        stack = [fill(everyone ^ first, first, target_size - 2)]
+        stack = [layer(everyone ^ first, first, target_size - 2)]
         while stack:
             taken = next(stack[-1], 0)
             if nodes > budget:
@@ -639,7 +626,7 @@ def search_cert(
                 # The rest is the last layer.
                 return found(used + [below, everyone])
             used.append(below)
-            stack.append(fill(everyone ^ below, below, left - 1))
+            stack.append(layer(everyone ^ below, below, left - 1))
     return SearchResult(None, True, nodes)
 
 

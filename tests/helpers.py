@@ -6,6 +6,8 @@ from itertools import combinations, permutations
 from operator import le, sub
 from typing import Iterator
 
+from hypothesis import strategies as st
+
 from matroidal import Ideal, as_matroidal, minimal_generators, mono, mono_vars
 
 
@@ -69,6 +71,67 @@ def brute_force_matroidal(n: int, d: int) -> set[tuple[int, ...]]:
         if check_matroidal(Ideal(n, tuple(gens))):
             out.add(tuple(sorted(gens)))
     return out
+
+
+def _joined(edges, v: int) -> int:
+    """How many of ``edges`` join two components, by union-find on v vertices."""
+    parent = list(range(v))
+
+    def root(a: int) -> int:
+        while parent[a] != a:
+            a = parent[a]
+        return a
+
+    joined = 0
+    for a, b in edges:
+        ra, rb = root(a), root(b)
+        if ra != rb:
+            parent[ra] = rb
+            joined += 1
+    return joined
+
+
+@st.composite
+def graphic_matroids(draw):
+    """A connected simple graph on 4-6 vertices with at most 9 edges.
+
+    Draws ``(v, edges, trees)``: edge i is the variable x_{i+1}, and
+    ``trees`` lists the variable tuples of the spanning trees, the
+    (v - 1)-subsets of edges that union-find finds acyclic.  The graph
+    holds a random spanning tree, so it is connected.
+    """
+    v = draw(st.integers(4, 6))
+    tree = {(draw(st.integers(0, b - 1)), b) for b in range(1, v)}
+    rest = [e for e in combinations(range(v), 2) if e not in tree]
+    room = min(len(rest), 10 - v)
+    extra = draw(st.lists(st.sampled_from(rest), unique=True, max_size=room))
+    edges = draw(st.permutations(sorted(tree.union(extra))))
+    trees = [
+        tuple(i + 1 for i in subset)
+        for subset in combinations(range(len(edges)), v - 1)
+        if _joined([edges[i] for i in subset], v) == v - 1
+    ]
+    return v, edges, trees
+
+
+def brute_force_bonds(edges, v: int) -> set[frozenset[int]]:
+    """The minimal edge cuts of a connected graph, as sets of variables.
+
+    Every subset of edges is tried; a cut leaves the other edges short of
+    joining all v vertices, and a bond is a cut with no smaller cut inside.
+    """
+    every = range(len(edges))
+
+    def cut(removed: set[int]) -> bool:
+        return _joined([edges[i] for i in every if i not in removed], v) < v - 1
+
+    bonds = set()
+    for size in range(1, len(edges) + 1):
+        for subset in combinations(every, size):
+            removed = set(subset)
+            if cut(removed) and not any(cut(removed - {i}) for i in subset):
+                bonds.add(frozenset(i + 1 for i in subset))
+    return bonds
 
 
 def reference_enumerate_matroidal(n: int, d: int, up_to_symmetry: bool = False):

@@ -624,6 +624,45 @@ def test_a_repeated_variable_is_a_usage_error(capsys, tmp_path):
     assert "repeated variable x1" in capsys.readouterr().err
 
 
+# Past 4,300 digits ``int`` itself refuses a string; the range rule must
+# speak first, and without echoing the number.
+_HUGE = "1" * 5000
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        (f"n=4\nx1 x{_HUGE}\n", "variable index must be in 1..64"),
+        (f"n={_HUGE}\nx1 x2\n", "ambient variable count must be in 1..64"),
+    ],
+    ids=["variable", "header"],
+)
+def test_a_huge_number_in_an_ideal_file_is_a_range_error(
+    capsys, tmp_path, text, message
+):
+    path = tmp_path / "huge.txt"
+    path.write_text(text)
+    assert main(["check", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err == f"usage error: cannot read ideal from {path}: {message}\n"
+
+
+def test_a_huge_variable_in_a_certificate_layer_is_a_range_error(
+    capsys, v42, v42_cert, tmp_path
+):
+    with open(v42_cert) as f:
+        doc = json.load(f)
+    doc["layers"][0] = [f"x{_HUGE}"]
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify-cert", v42, str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err == (
+        "usage error: malformed certificate document: "
+        "variable index must be in 1..64\n"
+    )
+
+
 # The CLI contract, fuzzed: random ideal files (n <= 5) and mutated
 # ``cert --json`` documents through main(), in process.  Whatever the
 # input, main() returns 0, 1, 2 or 3 and lets no exception escape.

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings
 
 from matroidal import (
     ExchangeWitness,
@@ -6,9 +7,11 @@ from matroidal import (
     as_matroidal,
     check_matroidal,
     minimal_generators,
+    minimal_primes,
     mono,
     mono_vars,
     pivot,
+    q_index,
     support,
     transfer_fibers_equal,
     var_block_product,
@@ -16,7 +19,14 @@ from matroidal import (
 )
 from matroidal.ideals import SupportOverlapError, UNIT, Ideal
 
-from helpers import contiguous_blocks, ideal_of, matroidal_of, partition_shapes
+from helpers import (
+    brute_force_bonds,
+    contiguous_blocks,
+    graphic_matroids,
+    ideal_of,
+    matroidal_of,
+    partition_shapes,
+)
 
 
 def test_veronese_is_matroidal():
@@ -148,3 +158,16 @@ def test_transfer_holds_exhaustively(enum_cache):
                         if any(g & both == both for g in mi.ideal.gens):
                             continue
                         assert transfer_fibers_equal(mi, x, y)
+
+
+@given(graphic_matroids())
+@settings(max_examples=60, deadline=None)
+def test_spanning_tree_ideals_are_matroidal_with_the_bonds_as_primes(graph):
+    # Past the enumeration: graphs with 8-9 edges give n = 8, 9.
+    v, edges, trees = graph
+    n = len(edges)
+    check = check_matroidal(ideal_of(n, *trees))
+    assert check and check.matroidal.d == v - 1
+    assert q_index(check.matroidal) == n - (v - 1)
+    bonds = brute_force_bonds(edges, v)
+    assert set(minimal_primes(check.matroidal.ideal).primes) == bonds

@@ -38,10 +38,12 @@ from matroidal import (
 
 from helpers import (
     contiguous_blocks,
+    graphic_matroids,
     ideal_of,
     matroidal_of,
     moved_generator,
     partition_shapes,
+    reference_construct_certificate,
     reference_degree2_cert,
     reference_search_cert,
     reference_verify_sv,
@@ -444,7 +446,8 @@ def test_search_counters_are_pinned(enum_cache, n, d, searches, nodes):
 
 
 def _unconstructed(ideals):
-    return [mi for mi in ideals if construct_certificate(mi) is None]
+    """The ideals that no closed form covers, picked without the library's ladder."""
+    return [mi for mi in ideals if reference_construct_certificate(mi) is None]
 
 
 def _assert_search_matches_walk(mi, size, budgets):
@@ -487,6 +490,16 @@ def test_search_cert_matches_the_walk_over_several_walked_layers(enum_cache):
         for mi in enum_cache(n, d, True):
             for size in range(n - d + 2, n - d + 5):
                 _assert_search_matches_walk(mi, size, SEARCH_BUDGETS)
+
+
+@given(graphic_matroids())
+@settings(max_examples=60, deadline=None)
+def test_search_cert_matches_the_walk_on_graphic_matroids(graph):
+    # Spanning-tree ideals with 8-9 edges are search inputs past n = 7.
+    v, edges, trees = graph
+    mi = as_matroidal(ideal_of(len(edges), *trees))
+    for size in (3, len(edges) - v + 2):
+        _assert_search_matches_walk(mi, size, (300, 5000))
 
 
 def test_search_cert_keeps_deep_layer_stacks_off_the_python_stack():
@@ -577,7 +590,9 @@ def test_cover_test_answers_unknown_when_its_allowance_runs_out():
 @pytest.mark.slow
 @pytest.mark.parametrize("n,d", [(7, 3), (7, 4)])
 def test_search_cert_matches_the_walk_on_n7_orbits(enum_cache, n, d):
-    for mi in _unconstructed(enum_cache(n, d, True)):
+    hard = _unconstructed(enum_cache(n, d, True))
+    assert len(hard) == {(7, 3): 65, (7, 4): 81}[n, d]
+    for mi in hard:
         _assert_search_matches_walk(mi, n - d + 1, SEARCH_BUDGETS)
 
 
