@@ -46,6 +46,7 @@ from .svrank import (
     SEARCH_BUDGET,
     _ambient,
     _layer_sums,
+    _LongInt,
     _strings,
     _target,
     certificate_document,
@@ -224,10 +225,22 @@ def _cmd_cert(args) -> int:
     return OK
 
 
+def _read_document(text: str) -> object:
+    """A certificate document from JSON text (see ``svrank._LongInt``)."""
+
+    def read_int(digits: str) -> int | _LongInt:
+        try:
+            return int(digits)
+        except ValueError:
+            return _LongInt(digits)
+
+    return json.loads(text, parse_int=read_int)
+
+
 def _cmd_verify_cert(args) -> int:
     ideal = _load_ideal(args.ideal)
     try:
-        document = json.loads(Path(args.cert).read_text())
+        document = _read_document(Path(args.cert).read_text())
     except (OSError, ValueError) as exc:
         raise _UsageError(f"cannot read certificate from {args.cert}: {exc}") from exc
     payload: dict[str, object] = {"verified_sv": False, "oracle_checked": False}

@@ -76,6 +76,18 @@ def _read_index(digits: str, what: str) -> int:
     return int(digits)
 
 
+def _read_int(digits: str, what: str) -> int:
+    """A decimal field with no range of its own: an exponent or a coefficient.
+
+    A field past Python's limit on integer string conversion is refused by
+    name, not with the interpreter's advice to raise that limit.
+    """
+    try:
+        return int(digits)
+    except ValueError:
+        raise ValueError(f"{what} has {len(digits)} digits, too many to read") from None
+
+
 def mono(variables: Iterable[int]) -> Monomial:
     """Bitmask of a square-free monomial from its variable indices."""
     m = 0

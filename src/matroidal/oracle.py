@@ -24,21 +24,25 @@ and ``Fraction``s.
 
 This module is deliberately self-contained and shares no combinatorial
 shortcuts with the rest of the package: membership answers come from
-normal forms against a reduced basis, nothing else.
+normal forms against a basis, or, for the terms of a layer sum, from
+multiplication witnesses checked here against the monomial ideal of the
+terms already proven.
 
 The two radical verdicts rest on different facts.  Every polynomial
 Buchberger keeps lies in the ideal of its input, so a zero remainder proves
 membership against any such set, Groebner or not: "verified" rests on the
-zero remainders alone.  The layered path divides powers of the terms of p_i
-by a basis of (M, p_i), where M holds the terms already proven to lie in
-rad(p_0..p_(i-1)), so each zero remainder puts a term in rad(p_0..p_i);
-the monolithic path divides powers of the generators by a basis of all the
-polynomials.  A nonzero remainder disproves membership only against a
-Groebner basis, so "not verified", which only the monolithic path reports,
-(and the minimality of each power it records) rests on the Groebner
-property of the basis.  That property is asserted, pair by pair with no
-criterion applied, before any failure is reported; ``buchberger`` asserts
-it on every call.
+zero remainders and the witnesses alone.  The layered path proves each
+term of p_i in (M, p_i), where M holds the terms already proven to lie in
+rad(p_0..p_(i-1)), so each proof puts a term in rad(p_0..p_i): a
+homogeneous p_i with square-free terms over a square-free M by a witness
+(p_i itself, or a*p_i less multiples of M), any other p_i by dividing
+powers of the term by a basis of (M, p_i).  The monolithic path divides
+powers of the generators by a basis of all the polynomials.  A nonzero
+remainder disproves membership only against a Groebner basis, so "not
+verified", which only the monolithic path reports, (and the minimality of
+each power it records) rests on the Groebner property of the basis.  That
+property is asserted, pair by pair with no criterion applied, before any
+failure is reported; ``buchberger`` asserts it on every call.
 """
 
 from __future__ import annotations
@@ -56,6 +60,7 @@ from .ideals import (
     Monomial,
     _check_var,
     _read_index,
+    _read_int,
     mono_vars,
 )
 
@@ -236,11 +241,14 @@ def parse_poly(text: str, n: int) -> Poly:
             if m is not None:
                 v = _read_index(m.group(1), "variable index")
                 _check_var(v, n)
-                e[v - 1] += int(m.group(2) or 1)
+                e[v - 1] += _read_int(m.group(2) or "1", f"exponent of x{v}")
                 continue
             m = _NUM_FACTOR.match(factor)
             if m is not None:
-                coeff *= Fraction(int(m.group(1)), int(m.group(2) or 1))
+                coeff *= Fraction(
+                    _read_int(m.group(1), "coefficient"),
+                    _read_int(m.group(2) or "1", "denominator"),
+                )
                 continue
             raise ValueError(f"malformed factor {factor!r}")
         key = tuple(e)
@@ -569,6 +577,11 @@ def buchberger(gens: Iterable[Poly], max_pairs: int = 20000) -> tuple[Poly, ...]
     return _widening(run, n)
 
 
+def _support(e: Exponents) -> int:
+    """The bitmask of the variables of a term."""
+    return sum(1 << v for v, x in enumerate(e) if x)
+
+
 @dataclass(frozen=True)
 class RadicalCertificate:
     """Polynomials generating the target up to radical, with provenance.
@@ -595,7 +608,7 @@ class RadicalCertificate:
             if p.n != self.target.n:
                 raise ValueError("certificate polynomial in the wrong ring")
             for e in p.terms:
-                sup = sum(1 << i for i, exp in enumerate(e) if exp)
+                sup = _support(e)
                 if sup not in genset and not any(g & sup == g for g in genset):
                     raise ValueError("certificate term lies outside the target ideal")
 
@@ -611,10 +624,11 @@ class RadicalCheck:
     it records the least N with u^N in (M, p), where p is the first
     certificate polynomial having u as a term and M holds the terms of the
     polynomials before p; that N may be smaller or larger than the first.
-    ``verified=True`` rests on zero remainders alone.  ``verified=False``,
-    only ever reported by ``"groebner"``, and the minimality of its powers
-    rest on the basis being a Groebner basis, which is asserted before any
-    failure is reported.
+    It is the same N whether a witness or a basis of (M, p) found it.
+    ``verified=True`` rests on zero remainders and witnesses alone.
+    ``verified=False``, only ever reported by ``"groebner"``, and the
+    minimality of its powers rest on the basis being a Groebner basis,
+    which is asserted before any failure is reported.
     """
 
     verified: bool
@@ -644,42 +658,142 @@ def _least_power(u: int, basis: list[_Divisor], layout: _Layout, cap: int) -> in
     return None
 
 
+class _Proven:
+    """The proven terms M as per-variable masks over their supports.
+
+    ``has[v]`` has bit k set when the k-th term involves x_(v+1).  A
+    square-free term divides a monomial with support s iff it involves no
+    variable outside s, so s lies in M iff the terms involving some
+    variable outside s are not all of M: at most n ORs, whatever the size
+    of M.  That reading is exact only while every term is square-free,
+    which ``square_free`` records.
+    """
+
+    __slots__ = ("has", "full", "square_free")
+
+    def __init__(self, n: int):
+        self.has = [0] * n
+        self.full = 0  # one bit per term
+        self.square_free = True
+
+    def add(self, e: Exponents) -> None:
+        bit = self.full + 1
+        self.full |= bit
+        for v, x in enumerate(e):
+            if x:
+                self.has[v] |= bit
+        if max(e, default=0) > 1:
+            self.square_free = False
+
+    def divides(self, s: int) -> bool:
+        """Whether some term divides every monomial with support s."""
+        outside, full = 0, self.full
+        for v, mask in enumerate(self.has):
+            if not s >> v & 1:
+                outside |= mask
+                if outside == full:
+                    return False
+        return outside != full
+
+
+def _witness_step(
+    p: Poly, proven: dict[Exponents, int], terms: _Proven, cap: int
+) -> dict[Exponents, int] | None:
+    """The least N with a^N in (M, p) for each new term a of p, or None.
+
+    Decided with no basis, for a homogeneous p with square-free terms while
+    M is square-free.  Modulo the monomial ideal M, a member of (M, p) of
+    degree deg(p) is a scalar multiple of p, so a lies in (M, p) iff a
+    lies in M or every other term of p does: N = 1 exactly then.
+    Otherwise, when M divides every a*b for b != a in p, the identity
+    c_a a^2 = a*p - sum_b c_b a*b puts a^2 in (M, p): N = 2.  Any other
+    term, or cap 1 with N = 1 ruled out, returns None, and the step goes to
+    a Groebner basis.  Membership answers are memoised by support, which is
+    all they read.
+    """
+    if not terms.square_free or any(x > 1 for e in p.terms for x in e):
+        return None
+    if len({sum(e) for e in p.terms}) > 1:
+        return None
+    memo: dict[int, bool] = {}
+
+    def inside(s: int) -> bool:
+        hit = memo.get(s)
+        if hit is None:
+            hit = memo[s] = terms.divides(s)
+        return hit
+
+    supports = {e: _support(e) for e in p.terms}
+    # A term of M divides every product a*b with b in M, so only these count.
+    outside = [s for s in supports.values() if not inside(s)]
+    step: dict[Exponents, int] = {}
+    for e, s in supports.items():
+        if e in proven:
+            continue
+        if inside(s) or outside == [s]:
+            step[e] = 1
+        elif cap >= 2 and all(b == s or inside(s | b) for b in outside):
+            step[e] = 2
+        else:
+            return None
+    return step
+
+
+def _groebner_step(
+    p: Poly, proven: dict[Exponents, int], layout: _Layout, cap: int, max_pairs: int
+) -> dict[Exponents, int] | None:
+    """The least N <= cap with a^N in (M, p) for each new term a of p, by a
+    basis of (M, p); None when a term has none or the pair budget runs out."""
+    monomials = [Poly(p.n, {e: 1}) for e in proven]
+    try:
+        basis = _groebner(monomials + [p], layout, max_pairs)
+    except BudgetExceededError:
+        return None
+    step: dict[Exponents, int] = {}
+    for e in p.terms:
+        if e not in proven:
+            power = _least_power(layout.pack(e), basis, layout, cap)
+            if power is None:
+                return None
+            step[e] = power
+    return step
+
+
 def _layered_check(
     cert: RadicalCertificate, layout: _Layout, cap: int, max_pairs: int
 ) -> RadicalCheck | None:
     """Prove the terms of the polynomials in rad(p_0..p_i), one p_i at a time.
 
     M holds the terms proven so far; by induction M lies in
-    rad(p_0..p_(i-1)).  Step i computes a basis of (M, p_i), one monomial
-    ideal plus one polynomial, and finds for each term a of p_i the least
-    N <= cap with a^N dividing to zero by it.  Every basis element lies in
-    (M, p_i), so a zero remainder puts a in rad(p_0..p_i) whether or not the
-    basis is Groebner; no all-pairs check is needed.  Under the
-    Schmitt-Vogel condition a*p_i is a^2 plus products a*b, each divisible
-    by a term of an earlier layer, so a^2 lies in (M, p_i).  Returns
-    ``None``, for the monolithic check to decide, unless every target
-    generator is a term of some polynomial, and as soon as a term is not
-    proven within the cap or a step exceeds the pair budget.
+    rad(p_0..p_(i-1)).  Step i finds for each new term a of p_i the least
+    N <= cap with a^N in (M, p_i), which puts a in rad(p_0..p_i).  A
+    multiplication witness (``_witness_step``) decides the step where it
+    can; under the Schmitt-Vogel condition a*p_i is a^2 plus products a*b,
+    each divisible by a term of an earlier layer, so every step of a
+    layering's sums is decided that way.  Any other step computes a basis
+    of (M, p_i), one monomial ideal plus one polynomial, and divides powers
+    of a by it (``_groebner_step``).  Every basis element lies in (M, p_i),
+    so a zero remainder is a proof whether or not the basis is Groebner; no
+    all-pairs check is needed.  Returns ``None``, for the monolithic check
+    to decide, unless every target generator is a term of some polynomial,
+    and as soon as a term is not proven within the cap or a basis exceeds
+    the pair budget.
     """
     n = cert.target.n
     gens = {g: _exponents(g, n) for g in cert.target.gens}
     if not set(gens.values()) <= {e for p in cert.polys for e in p.terms}:
         return None
     proven: dict[Exponents, int] = {}
+    terms = _Proven(n)
     for p in cert.polys:
-        monomials = [Poly(n, {e: 1}) for e in proven]
-        try:
-            basis = _groebner(monomials + [p], layout, max_pairs)
-        except BudgetExceededError:
-            return None
-        step: dict[Exponents, int] = {}
-        for e in p.terms:
-            if e not in proven:
-                power = _least_power(layout.pack(e), basis, layout, cap)
-                if power is None:
-                    return None
-                step[e] = power
+        step = _witness_step(p, proven, terms, cap)
+        if step is None:
+            step = _groebner_step(p, proven, layout, cap, max_pairs)
+            if step is None:
+                return None
         proven.update(step)
+        for e in step:
+            terms.add(e)
     powers = {g: proven[e] for g, e in gens.items()}
     return RadicalCheck(True, powers, (), cap, "layered")
 
@@ -717,17 +831,22 @@ def verify_radical_cert(
     polynomial lies in the target, which ``RadicalCertificate`` checked on
     construction.  The other containment is witnessed by a power u^N
     (N <= cap) of every generator u: first layer by layer
-    (``_layered_check``), and where that pass stops, inside the ideal of all
-    the certificate polynomials (``_groebner_check``), which alone can
-    report "not verified".  Anything but a ``RadicalCertificate`` raises
-    ``TypeError``; a cap below 1 could verify nothing and raises
-    ``ValueError``; a basis of all the polynomials needing more than
+    (``_layered_check``: by multiplication witnesses, and by a basis of one
+    layer where no witness decides), and where that pass stops, inside the
+    ideal of all the certificate polynomials (``_groebner_check``), which
+    alone can report "not verified".  ``max_pairs`` bounds each basis
+    built, so it does not bind a layer that witnesses settle.  Anything but
+    a ``RadicalCertificate`` raises ``TypeError``; a cap below 1 could
+    verify nothing and a negative pair budget nothing either, and both
+    raise ``ValueError``; a basis of all the polynomials needing more than
     ``max_pairs`` pairs raises :class:`BudgetExceededError`.
     """
     if not isinstance(cert, RadicalCertificate):
         raise TypeError(f"expected a RadicalCertificate, got {type(cert).__name__}")
     if cap < 1:
         raise ValueError(f"oracle cap must be at least 1, got {cap}")
+    if max_pairs < 0:
+        raise ValueError(f"pair budget must be nonnegative, got {max_pairs}")
 
     def run(layout: _Layout) -> RadicalCheck:
         layered = _layered_check(cert, layout, cap, max_pairs)

@@ -704,9 +704,25 @@ def certificate_document(
     }
 
 
+class _LongInt:
+    """A JSON integer past Python's limit on integer string conversion.
+
+    The CLI's document reader keeps only its length, so that ``_ambient``
+    refuses it by name and a list of strings refuses it as a non-string,
+    while a key nobody reads is still ignored.
+    """
+
+    __slots__ = ("digits",)
+
+    def __init__(self, text: str):
+        self.digits = len(text.lstrip("-"))
+
+
 def _ambient(doc: dict[str, object]) -> int:
     """The document's ``target_ideal.n``; only a JSON integer is accepted."""
     n = doc["target_ideal"]["n"]  # type: ignore[index]
+    if isinstance(n, _LongInt):
+        raise ValueError(f"n has {n.digits} digits, too many to read")
     if type(n) is not int:
         raise ValueError(f"n must be an integer, got {n!r}")
     return n

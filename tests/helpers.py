@@ -1,5 +1,6 @@
 """Shared test constructions."""
 
+import contextlib
 import random
 from functools import cmp_to_key
 from itertools import combinations, permutations
@@ -941,6 +942,33 @@ def groebner_radical_check(cert, cap: int = 8, max_pairs: int = 20000):
 
     return oracle._widening(
         lambda layout: oracle._groebner_check(cert, layout, cap, max_pairs),
+        cert.target.n,
+    )
+
+
+@contextlib.contextmanager
+def without_witnesses():
+    """Patch out the oracle's multiplication witnesses.
+
+    Inside the block every layered step builds a basis of (M, p_i) and
+    divides by it, as the oracle did before witnesses.
+    """
+    import pytest
+
+    from matroidal import oracle
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(oracle, "_witness_step", lambda *args: None)
+        yield
+
+
+def layered_radical_check(cert, cap: int = 8, max_pairs: int = 20000):
+    """The oracle's layered pass alone, widening as needed; None where it
+    hands the certificate to the monolithic check."""
+    from matroidal import oracle
+
+    return oracle._widening(
+        lambda layout: oracle._layered_check(cert, layout, cap, max_pairs),
         cert.target.n,
     )
 

@@ -406,15 +406,41 @@ def test_sums_only_document_with_its_generators_is_checked(capsys, v42, v42_cert
     assert (payload["verified_sv"], payload["oracle"]["verified"]) == (False, True)
 
 
+# A layering of a mixed-degree ideal: its second sum, x1*x3 + x2*x4*x5, is
+# not homogeneous, so the oracle proves that layer by a Groebner basis.
+MIXED = "n=5\nx1 x2\nx1 x3\nx2 x4 x5\n"
+MIXED_LAYERS = [["x1*x2"], ["x1*x3", "x2*x4*x5"]]
+
+
+@pytest.fixture
+def mixed(tmp_path):
+    path = tmp_path / "mixed.txt"
+    path.write_text(MIXED)
+    return str(path)
+
+
+@pytest.fixture
+def mixed_cert(tmp_path):
+    doc = {
+        "target_ideal": {"n": 5, "generators": ["x1*x2", "x1*x3", "x2*x4*x5"]},
+        "layers": MIXED_LAYERS,
+    }
+    path = tmp_path / "mixed.cert.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
 def test_oracle_pair_budget_overrun_is_inconclusive(
-    capsys, monkeypatch, v42, v42_cert
+    capsys, monkeypatch, mixed, mixed_cert
 ):
+    code, payload = run_json(capsys, "verify-cert", mixed, mixed_cert, "--oracle")
+    assert (code, payload["oracle"]["method"]) == (0, "layered")
     monkeypatch.setattr(
         matroidal.cli,
         "verify_radical_cert",
         functools.partial(verify_radical_cert, max_pairs=0),
     )
-    code, payload = run_json(capsys, "verify-cert", v42, v42_cert, "--oracle")
+    code, payload = run_json(capsys, "verify-cert", mixed, mixed_cert, "--oracle")
     assert code == 2
     assert payload["verified_sv"] is True
     assert payload["oracle"] == {
@@ -661,6 +687,43 @@ def test_a_huge_variable_in_a_certificate_layer_is_a_range_error(
         "usage error: malformed certificate document: "
         "variable index must be in 1..64\n"
     )
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"target_ideal": {"n": "HUGE"}}, "n has 5000 digits"),
+        ({"layers": None, "sums": [f"x1^{_HUGE}*x2"]}, "exponent of x1 has 5000 digits"),
+        ({"layers": None, "sums": [f"{_HUGE}*x1*x2"]}, "coefficient has 5000 digits"),
+        ({"layers": None, "sums": [f"1/{_HUGE}*x1*x2"]}, "denominator has 5000 digits"),
+    ],
+    ids=["n", "exponent", "coefficient", "denominator"],
+)
+def test_a_huge_number_in_a_certificate_is_refused_by_name(
+    capsys, v42, v42_cert, tmp_path, change, message
+):
+    # No field has a range past Python's limit on integer string conversion,
+    # so the field is named instead of that limit's advice.
+    doc = json.loads(Path(v42_cert).read_text())
+    doc.update(change)
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc).replace('"HUGE"', _HUGE))
+    assert main(["verify-cert", v42, str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err == (
+        f"usage error: malformed certificate document: {message}, too many to read\n"
+    )
+
+
+def test_a_huge_integer_under_a_key_nobody_reads_is_ignored(
+    capsys, v42, v42_cert, tmp_path
+):
+    doc = json.loads(Path(v42_cert).read_text())
+    doc["nodes"] = "HUGE"
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc).replace('"HUGE"', _HUGE))
+    code, payload = run_json(capsys, "verify-cert", v42, str(path))
+    assert (code, payload["verified_sv"]) == (0, True)
 
 
 # The CLI contract, fuzzed: random ideal files (n <= 5) and mutated

@@ -151,6 +151,7 @@ from helpers import (
     groebner_radical_check,
     ideal_of,
     in_radical,
+    layered_radical_check,
     moved_generator,
     multipartite_ideal,
     partition_shapes,
@@ -170,6 +171,7 @@ from helpers import (
     reference_unmixed_bounds_report,
     reference_var_block_product,
     reference_verify_sv,
+    without_witnesses,
 )
 
 CELLS = [(n, d) for n in range(1, 7) for d in range(1, n + 1)]
@@ -371,6 +373,115 @@ def test_radical_verdicts_hold_on_tampered_certificates(cert):
         assert all(in_radical(cert.polys, g, n) for g in cert.target.gens)
     else:
         assert result.method == "groebner"
+
+
+# run_grid.py's default cells.
+GRID_CELLS = [(2, 1), (3, 2), (4, 2), (5, 2), (6, 2), (4, 3), (5, 3), (6, 3)]
+
+
+def _witness_certificates(enum_cache):
+    """Certificates to hold the witness step to the basis path on.
+
+    Every ``construct_certificate`` result on the labeled grid cells, the
+    oracle workload's families (its 80 (5,3) search certificates among
+    them), the 21 (6,3) search certificates of acceptance criterion 8 and
+    every contiguous block product up to n = 8.
+    """
+    certs = []
+    for n, d in GRID_CELLS:
+        for mi in enum_cache(n, d):
+            built = construct_certificate(mi)
+            if built is not None:
+                certs.append(sv_sums(built[1]))
+    certs += _oracle_certificates(enum_cache)
+    for mi in enum_cache(6, 3, True):
+        if reference_construct_certificate(mi) is None:
+            certs.append(sv_sums(search_cert(mi, 4, budget=20000).partition))
+    for total in range(2, 9):
+        for shape in partition_shapes(total):
+            if len(shape) > 1:
+                blocks = contiguous_blocks(shape)
+                certs.append(product_cert([variable_cert(b, total) for b in blocks]))
+    return certs
+
+
+def _radical_outcome(cert, cap):
+    try:
+        return verify_radical_cert(cert, cap=cap)
+    except BudgetExceededError as exc:
+        return exc.args
+
+
+def test_witnesses_match_the_basis_path_on_every_certificate(enum_cache):
+    # Where a layer needs squares, cap 1 sends both paths on to one basis of
+    # all the sums, the same code either way and slow past n = 5; there the
+    # layered pass is compared, and the whole check under slow.
+    certs = _witness_certificates(enum_cache)
+    assert len(certs) == 396 + 93 + 21 + 58
+    for cert in certs:
+        caps = (1, 2, 8) if cert.target.n <= 5 else (2, 8)
+        got = [_radical_outcome(cert, cap) for cap in caps]
+        got.append(layered_radical_check(cert, cap=1))
+        with without_witnesses():
+            expected = [_radical_outcome(cert, cap) for cap in caps]
+            expected.append(layered_radical_check(cert, cap=1))
+        assert got == expected, cert.target
+
+
+@pytest.mark.slow
+def test_witnesses_match_the_basis_path_at_cap_1(enum_cache):
+    for cert in _witness_certificates(enum_cache):
+        if cert.target.n > 5:
+            got = _radical_outcome(cert, 1)
+            with without_witnesses():
+                assert got == _radical_outcome(cert, 1), cert.target
+
+
+@st.composite
+def mutated_sums(draw):
+    """A small certificate in its own order with one to three edits.
+
+    An edit drops a term, moves a term to another sum (adding to a term
+    there), swaps two sums, scales a term by -1, 2 or -1/2, or multiplies
+    a term by a variable, which leaves its sum inhomogeneous or its term a
+    square.  Edits leave every term inside the target, so the result is a
+    certificate; it may or may not still generate the target up to
+    radical.
+    """
+    target, polys = draw(st.sampled_from(_small_certificates()))
+    terms = [dict(p.terms) for p in polys]
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(terms) - 1))
+        edit = draw(st.sampled_from(("drop", "move", "swap", "scale", "lift")))
+        if edit == "swap":
+            j = draw(st.integers(0, len(terms) - 1))
+            terms[i], terms[j] = terms[j], terms[i]
+            continue
+        e = draw(st.sampled_from(sorted(terms[i])))
+        if edit == "scale":
+            terms[i][e] *= draw(st.sampled_from((-1, 2, Fraction(-1, 2))))
+            continue
+        c = terms[i].pop(e)
+        if edit != "drop":
+            if edit == "lift":
+                v = draw(st.integers(0, target.n - 1))
+                e, other = tuple(x + (k == v) for k, x in enumerate(e)), terms[i]
+            else:
+                other = terms[draw(st.integers(0, len(terms) - 1))]
+            other[e] = other.get(e, 0) + c
+            if not other[e]:
+                del other[e]
+        terms = [t for t in terms if t]
+        assume(terms)
+    return RadicalCertificate(tuple(Poly(target.n, t) for t in terms), target, "manual")
+
+
+@settings(max_examples=60, deadline=None)
+@given(mutated_sums(), st.sampled_from((1, 2, 8)))
+def test_witnesses_match_the_basis_path_on_mutated_sums(cert, cap):
+    got = _radical_outcome(cert, cap)
+    with without_witnesses():
+        assert got == _radical_outcome(cert, cap)
 
 
 @st.composite

@@ -21,7 +21,7 @@ from matroidal import (
 from matroidal import oracle
 from matroidal.ideals import InvariantViolation
 from matroidal.oracle import BudgetExceededError
-from matroidal.svrank import sv_sums, veronese_cert
+from matroidal.svrank import product_cert, sv_sums, variable_cert, veronese_cert
 
 from helpers import (
     groebner_radical_check,
@@ -29,6 +29,7 @@ from helpers import (
     reference_buchberger,
     reference_radical_check,
     reference_reduce,
+    without_witnesses,
 )
 
 
@@ -59,6 +60,20 @@ def test_parse_poly_rejects_garbage():
         parse_poly("x3", 2)
     with pytest.raises(ValueError):
         parse_poly("x1**2", 2)
+
+
+def test_parse_poly_names_a_field_too_long_to_read():
+    huge = "1" * 5000
+    for text, what in [
+        (f"x2^{huge}", "exponent of x2"),
+        (f"{huge}*x1", "coefficient"),
+        (f"1/{huge}*x1", "denominator"),
+    ]:
+        with pytest.raises(ValueError) as caught:
+            parse_poly(text, 2)
+        assert str(caught.value) == f"{what} has 5000 digits, too many to read"
+    for e in (40000, 70000):
+        assert parse_poly(f"x1^{e}", 1).terms == {(e,): 1}
 
 
 def test_buchberger_monomials_are_their_own_basis():
@@ -316,16 +331,82 @@ def test_verified_verdict_runs_no_all_pairs_check(monkeypatch):
     assert len(divisions) == basis_divisions + sum(result.powers.values())
 
 
+def _squared_first(cert):
+    """The certificate with the square of its first term put in front.
+
+    That term is not square-free, so no step has a witness: every step of
+    the layered pass builds a basis, and the powers stay those of the
+    certificate itself.
+    """
+    (e,) = cert.polys[0].terms
+    square = Poly(cert.target.n, {tuple(2 * x for x in e): 1})
+    return RadicalCertificate((square,) + cert.polys, cert.target, "manual")
+
+
 def test_layered_verdict_runs_no_all_pairs_check(monkeypatch):
     # Each step's basis is only ever divided by, never checked; V(6,3) has
-    # four layers and twenty generators.
-    cert = sv_sums(veronese_cert(6, 3))
+    # four layers and twenty generators, and the square in front makes each
+    # of its five steps build a basis.
+    cert = _squared_first(sv_sums(veronese_cert(6, 3)))
     checks = _counting(monkeypatch, "_assert_groebner")
     steps = _counting(monkeypatch, "_groebner")
     result = verify_radical_cert(cert)
     assert (result.verified, result.method) == (True, "layered")
     assert len(steps) == len(cert.polys)
     assert checks == []
+
+
+def test_witnessed_layers_build_no_basis(monkeypatch):
+    # Every layer sum of a Schmitt-Vogel layering is settled by
+    # multiplication witnesses, so the pair budget does not bind it.
+    steps = _counting(monkeypatch, "_groebner")
+    for cert in (
+        sv_sums(veronese_cert(6, 3)),
+        product_cert([variable_cert(b, 8) for b in ((1, 2, 3), (4, 5, 6), (7, 8))]),
+    ):
+        result = verify_radical_cert(cert, max_pairs=0)
+        assert (result.verified, result.method) == (True, "layered")
+        assert set(result.powers.values()) <= {1, 2}
+    assert steps == []
+
+
+def test_a_square_in_the_proven_terms_keeps_the_powers_exact():
+    # x1 lies in the support of x1^2 but not in (x1^2): reading M by
+    # supports would give x1 and x2 the power 1, while (x1^2, x1 + x2)
+    # holds x1^2 and x2^2 and neither x1 nor x2.
+    target = ideal_of(2, (1,), (2,))
+    cert = RadicalCertificate((P("x1^2", 2), P("x1+x2", 2)), target, "manual")
+    result = verify_radical_cert(cert)
+    assert (result.verified, result.method) == (True, "layered")
+    assert result.powers == {mono((1,)): 2, mono((2,)): 2}
+
+
+def test_witness_powers_are_exact_on_small_sums():
+    # N = 1 where a lies in M or every other term does, N = 2 where M
+    # divides each a*b; a layer that holds neither goes to a basis.
+    target = ideal_of(3, (1, 2), (1, 3), (2, 3))
+    cases = [
+        (("x1*x2", "x1*x3+x2*x3", "x1*x2+x2*x3"), {(1, 2): 1, (1, 3): 2, (2, 3): 2}),
+        (("x1*x2", "x1*x2+x1*x3", "x2*x3"), {(1, 2): 1, (1, 3): 1, (2, 3): 1}),
+        (("x1*x2", "2*x1*x3+-1*x2*x3"), {(1, 2): 1, (1, 3): 2, (2, 3): 2}),
+    ]
+    for sums, powers in cases:
+        cert = RadicalCertificate(tuple(P(t, 3) for t in sums), target, "manual")
+        for cap in (1, 2, 8):
+            result = verify_radical_cert(cert, cap=cap)
+            with without_witnesses():
+                expected = verify_radical_cert(cert, cap=cap)
+            assert result == expected, (sums, cap)
+        assert {mono_vars(g): p for g, p in result.powers.items()} == powers
+
+
+@pytest.mark.slow
+def test_witnesses_verify_v13_6():
+    # 1,716 generators in eight layers: a basis of each layer ran out of
+    # pairs from V(11,5) on.
+    result = verify_radical_cert(sv_sums(veronese_cert(13, 6)))
+    assert (result.verified, result.method) == (True, "layered")
+    assert max(result.powers.values()) <= 2
 
 
 def test_failed_verdict_runs_the_all_pairs_check_once(monkeypatch):
@@ -339,8 +420,10 @@ def test_failed_verdict_runs_the_all_pairs_check_once(monkeypatch):
 
 def test_layered_pass_over_budget_falls_back(monkeypatch):
     # A step that runs out of pairs hands the certificate on (here the first
-    # step is made to); so does a target generator that is no term.
-    cert = sv_sums(veronese_cert(4, 2))
+    # step, which has no witness, is made to); so does a target generator
+    # that is no term.
+    cert = _squared_first(sv_sums(veronese_cert(4, 2)))
+    assert verify_radical_cert(cert, cap=6).method == "layered"
     expected = groebner_radical_check(cert, cap=6)
     groebner = oracle._groebner
     calls = []
