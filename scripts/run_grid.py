@@ -2,7 +2,8 @@
 """Run the theorem battery over a grid of (n, d) cells and print a table.
 
 Usage: python scripts/run_grid.py [--cells 4,2 5,3 ...]
-Exits nonzero if any theorem check fails anywhere (it never should).
+Exits 1 if any theorem check fails anywhere (it never should), and 3 on
+a usage error, as ``matroidal`` does.
 """
 
 import argparse
@@ -10,9 +11,16 @@ import sys
 import time
 
 from matroidal import enumerate_matroidal, theorem_battery
+from matroidal.cli import USAGE_ERROR
 from matroidal.enumeration import THEOREMS, _check_cell
 
 DEFAULT_CELLS = [(2, 1), (3, 2), (4, 2), (5, 2), (6, 2), (4, 3), (5, 3), (6, 3)]
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        print(f"usage error: {message}", file=sys.stderr)
+        sys.exit(USAGE_ERROR)
 
 
 def grid_cell(text: str) -> tuple[int, int]:
@@ -31,7 +39,7 @@ def grid_cell(text: str) -> tuple[int, int]:
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
+    parser = _Parser(description=__doc__)
     parser.add_argument("--cells", nargs="*", type=grid_cell, default=DEFAULT_CELLS,
                         help="grid cells as n,d pairs")
     cells = parser.parse_args().cells

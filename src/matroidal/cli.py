@@ -12,7 +12,9 @@ success/verified, 1 check failed, 2 inconclusive, 3 usage error.
 
 A sums-only certificate document (``layers: null``) may leave out
 ``target_ideal.generators``; when it has them they must parse and equal
-the ideal file's generators, as in a layered document.
+the ideal file's generators, as in a layered document.  A layered
+document may leave out ``sums``; when it has them they must parse and,
+once its layering passes, equal its layer sums.
 """
 
 from __future__ import annotations
@@ -248,13 +250,15 @@ def _cmd_verify_cert(args) -> int:
         if _ambient(document) != ideal.n:
             return _fail(args, "ambient mismatch")
         layered = document.get("layers") is not None
+        polys = None
+        if "sums" in document or not layered:
+            polys = tuple(
+                parse_poly(s, ideal.n) for s in _strings(document["sums"], "sums")
+            )
         if layered:
             partition = partition_from_document(document)
             target = partition.ideal
         else:
-            polys = tuple(
-                parse_poly(s, ideal.n) for s in _strings(document["sums"], "sums")
-            )
             # A sums-only document may leave its generators out.
             given = "generators" in document["target_ideal"]
             target = _target(document) if given else ideal
@@ -272,6 +276,8 @@ def _cmd_verify_cert(args) -> int:
             _emit(args, payload, [f"sv check failed ({check.failure}): {witness}"])
             return CHECK_FAILED
         cert = _layer_sums(partition)
+        if polys is not None and cert.polys != polys:
+            return _fail(args, "certificate sums differ from its layer sums")
     else:
         cert = RadicalCertificate(polys, ideal, "manual")
     lines = [f"verified_sv={payload['verified_sv']}"]

@@ -85,10 +85,10 @@ def verify_sv(partition: SVPartition) -> SVCheck:
     the pairs left over go through the exact scan: the generators
     are numbered layer by layer, so the earlier layers of P_i are a prefix
     mask, and the generators dividing p*p' come from per-variable masks
-    memoised by the product's support (``_Dividers``); a support that held
-    once in a layer is not tested again there.  The scan visits the pairs
-    left over in canonical order within the layer, and every settled pair
-    holds, so the witness is still the first failing pair in that order.
+    memoised by the product's support (``_Dividers``).  The scan visits
+    the pairs left over in canonical order within the layer, and every
+    settled pair holds, so the witness is still the first failing pair in
+    that order.
     The scan's masks and the canonical sort are built only when some pair
     is left over.
 
@@ -126,15 +126,10 @@ def verify_sv(partition: SVPartition) -> SVCheck:
             canonical = sorted(layer, key=mono_vars)
             rank = {g: k for k, g in enumerate(canonical)}
             prefix = (1 << start) - 1
-            passed: set[Monomial] = set()  # supports of the pairs that held
             for ka, kb in sorted(sorted((rank[a], rank[b])) for a, b in left):
                 a, b = canonical[ka], canonical[kb]
-                prod = a | b
-                if prod in passed:
-                    continue
-                if not dividers[prod] & prefix:
+                if not dividers[a | b] & prefix:
                     return SVCheck(False, "pair", (i, a, b))
-                passed.add(prod)
         _completions(layer, earlier)
         start += len(layer)
     return SVCheck(True)

@@ -406,6 +406,46 @@ def test_sums_only_document_with_its_generators_is_checked(capsys, v42, v42_cert
     assert (payload["verified_sv"], payload["oracle"]["verified"]) == (False, True)
 
 
+# The V(4,2) layer sums are x1*x2, x1*x3+x2*x3 and x1*x4+x2*x4+x3*x4.
+@pytest.mark.parametrize(
+    "sums, code, payload",
+    [
+        (["x1*x2", "x3*x4"], 1, {"error": "certificate sums differ from its layer sums"}),
+        (["x1*x2", "x2*x3+x1*x3", "x3*x4+x1*x4+x2*x4"], 0, None),
+    ],
+)
+def test_verify_cert_holds_a_layered_document_to_its_sums(
+    capsys, v42, v42_cert, sums, code, payload
+):
+    doc = json.loads(Path(v42_cert).read_text())
+    doc["sums"] = sums
+    Path(v42_cert).write_text(json.dumps(doc))
+    got, out = run_json(capsys, "verify-cert", v42, v42_cert, "--oracle")
+    assert got == code
+    if payload is not None:
+        assert out == payload
+    else:
+        assert (out["verified_sv"], out["oracle"]["verified"]) == (True, True)
+
+
+def test_verify_cert_refuses_layered_sums_that_do_not_parse(capsys, v42, v42_cert):
+    doc = json.loads(Path(v42_cert).read_text())
+    doc["sums"] = ["x1*x2", "x1*x3+", "x1*x4+x2*x4+x3*x4"]
+    Path(v42_cert).write_text(json.dumps(doc))
+    code = main(["verify-cert", v42, v42_cert, "--oracle", "--json"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (3, "")
+    assert "malformed certificate document: empty term" in err
+
+
+def test_sums_only_document_without_the_oracle_is_inconclusive(capsys, v42, v42_cert):
+    doc = json.loads(Path(v42_cert).read_text())
+    doc["layers"] = None
+    Path(v42_cert).write_text(json.dumps(doc))
+    code, payload = run_json(capsys, "verify-cert", v42, v42_cert)
+    assert (code, payload) == (2, {"verified_sv": False, "oracle_checked": False})
+
+
 # A layering of a mixed-degree ideal: its second sum, x1*x3 + x2*x4*x5, is
 # not homogeneous, so the oracle proves that layer by a Groebner basis.
 MIXED = "n=5\nx1 x2\nx1 x3\nx2 x4 x5\n"

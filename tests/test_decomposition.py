@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 
@@ -265,6 +266,24 @@ def test_recognizers():
 
 def test_recognize_veronese_needs_full_support():
     assert not recognize_veronese(ideal_of(4, (2, 3), (2, 4), (3, 4)))
+
+
+def test_recognize_veronese_matches_all_d_subsets():
+    # Every generating family on n <= 3 variables: among them the zero
+    # ideal, the unit ideal and mixed degrees.
+    for n in range(1, 4):
+        variables = range(1, n + 1)
+        subsets = [mono(c) for k in range(n + 1) for c in combinations(variables, k)]
+        for bits in range(1 << len(subsets)):
+            family = {m for k, m in enumerate(subsets) if bits >> k & 1}
+            ideal = minimal_generators(family, n)
+            expected = any(
+                set(ideal.gens) == {mono(c) for c in combinations(variables, d)}
+                for d in variables
+            )
+            assert recognize_veronese(ideal) == expected, (n, ideal.gens)
+    for ideal in (ideal_of(3), ideal_of(3, ()), ideal_of(3, (1,), (2, 3))):
+        assert not recognize_veronese(ideal)
 
 
 def test_recognizers_agree_with_reconstruction(enum_cache):

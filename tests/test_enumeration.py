@@ -1,3 +1,4 @@
+import json
 import os
 import random
 import subprocess
@@ -565,9 +566,31 @@ def test_run_scan_reports_a_negative_budget_as_a_usage_error():
             text=True,
             timeout=120,
         )
-        assert result.returncode == 2, (n, d, result.stdout)
+        assert result.returncode == 3, (n, d, result.stdout)
+        assert result.stdout == ""
+        assert "usage error: " in result.stderr
         assert "search budget must be nonnegative, got -1" in result.stderr
         assert "Traceback" not in result.stderr
+
+
+def test_run_scan_gives_the_report_of_matroidal_scan(capsys):
+    root = Path(__file__).resolve().parents[1]
+    src = str(Path(matroidal.__file__).resolve().parents[1])
+    argv = ["--n", "4", "--d", "2", "--budget", "500", "--no-sym", "--json"]
+    result = subprocess.run(
+        [sys.executable, str(root / "scripts" / "run_scan.py"), *argv],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert main(["scan", *argv]) == 0
+    reports = [json.loads(result.stdout), json.loads(capsys.readouterr().out)]
+    for report in reports:
+        del report["elapsed_seconds"]
+    assert reports[0] == reports[1]
+    assert reports[0]["total_ideals"] == 14
 
 
 @pytest.mark.parametrize(
@@ -591,8 +614,9 @@ def test_run_grid_reports_a_bad_cell_as_a_usage_error(cell, message):
         text=True,
         timeout=120,
     )
-    assert result.returncode == 2
+    assert result.returncode == 3
     assert result.stdout == ""
+    assert result.stderr.startswith("usage error: ")
     assert message in result.stderr
     assert "Traceback" not in result.stderr
 
