@@ -1,5 +1,5 @@
 """Command-line surface.  Subcommands: check, analyze, decompose,
-partition, cert, verify-cert, enumerate, scan.  Exit codes: 0
+partition, cert, verify-cert, enumerate, scan, grid.  Exit codes: 0
 success/verified, 1 check failed, 2 inconclusive, 3 usage error.
 
 ``main`` is the one place where a refusal becomes an exit code:
@@ -23,10 +23,14 @@ import argparse
 import dataclasses
 import json
 import sys
+import time
 from pathlib import Path
 
 from .decomposition import _decompose, degree2_partition
-from .enumeration import SCAN_BUDGET, conjecture_scan, enumerate_matroidal
+from .enumeration import (
+    SCAN_BUDGET, THEOREMS, _check_cell, conjecture_scan, enumerate_matroidal,
+    theorem_battery,
+)
 from .ideals import (
     Ideal,
     InvariantViolation,
@@ -63,6 +67,8 @@ INCONCLUSIVE = 2
 CHECK_FAILED = 1
 OK = 0
 
+DEFAULT_CELLS = [(2, 1), (3, 2), (4, 2), (5, 2), (6, 2), (4, 3), (5, 3), (6, 3)]
+
 
 class _UsageError(Exception):
     pass
@@ -92,6 +98,25 @@ def _int_at_least(least: int, name: str, rule: str):
 _node_budget = _int_at_least(0, "_node_budget", "search budget must be nonnegative")
 _search_size = _int_at_least(1, "_search_size", "search size must be at least 1 layer")
 _oracle_cap = _int_at_least(1, "_oracle_cap", "oracle cap must be at least 1")
+
+
+def _grid_cell(text: str) -> tuple[int, int]:
+    """An argparse type: an ``n,d`` pair of integers."""
+    try:
+        n, d = (int(x) for x in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"a cell is two integers n,d, got {text!r}"
+        ) from None
+    return n, d
+
+
+def _refuse_bad_cell(n: int, d: int, up_to_symmetry: bool) -> None:
+    """A usage error unless the enumeration takes (n, d); call before output."""
+    try:
+        _check_cell(n, d, up_to_symmetry)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from exc
 
 
 def _var_sets(sets) -> str:
@@ -316,10 +341,8 @@ def _cmd_verify_cert(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    try:
-        ideals = list(enumerate_matroidal(args.n, args.d, up_to_symmetry=args.sym))
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from exc
+    _refuse_bad_cell(args.n, args.d, args.sym)
+    ideals = list(enumerate_matroidal(args.n, args.d, up_to_symmetry=args.sym))
     payload = {
         "n": args.n,
         "d": args.d,
@@ -338,12 +361,8 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_scan(args) -> int:
-    try:
-        report = conjecture_scan(
-            args.n, args.d, budget=args.budget, up_to_symmetry=args.sym
-        )
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from exc
+    _refuse_bad_cell(args.n, args.d, args.sym)
+    report = conjecture_scan(args.n, args.d, budget=args.budget, up_to_symmetry=args.sym)
     payload = dataclasses.asdict(report)
     lines = [
         f"total={report.total_ideals}",
@@ -357,6 +376,36 @@ def _cmd_scan(args) -> int:
         )
     _emit(args, payload, lines)
     return OK
+
+
+def _cmd_grid(args) -> int:
+    for n, d in args.cells:
+        _refuse_bad_cell(n, d, False)
+    header = f"{'cell':>7} {'ideals':>7} {'CM':>4} {'unmixed':>8} {'exact ara':>10} {'time':>7}  fails"
+    print(header)
+    print("-" * len(header))
+    any_fail = False
+    for n, d in args.cells:
+        start = time.perf_counter()
+        total = cm = unmixed = exact = 0
+        fails: dict[str, int] = {}
+        for mi in enumerate_matroidal(n, d):
+            total += 1
+            result = theorem_battery(mi)
+            cm += result.cohen_macaulay
+            unmixed += result.unmixed
+            exact += bool(result.ara_exact)
+            for name in THEOREMS:
+                if result.verdicts[name] == "fail":
+                    fails[name] = fails.get(name, 0) + 1
+        elapsed = time.perf_counter() - start
+        any_fail |= bool(fails)
+        print(
+            f"({n},{d})".rjust(7)
+            + f" {total:>7} {cm:>4} {unmixed:>8} {exact:>10} {elapsed:>6.1f}s  "
+            + (", ".join(f"{k}={v}" for k, v in fails.items()) or "-")
+        )
+    return CHECK_FAILED if any_fail else OK
 
 
 def build_parser() -> _Parser:
@@ -426,6 +475,12 @@ def build_parser() -> _Parser:
         help="scan every labeled ideal instead of orbit representatives",
     )
     p.set_defaults(sym=True)
+
+    # No --json: the grid prints a table only.
+    p = sub.add_parser("grid", help="theorem battery over (n, d) cells")
+    p.set_defaults(func=_cmd_grid, json=False)
+    p.add_argument("--cells", nargs="*", type=_grid_cell, default=DEFAULT_CELLS,
+                   help="grid cells as n,d pairs")
 
     return parser
 

@@ -31,16 +31,18 @@ from itertools import combinations
 from math import comb
 
 from .decomposition import _is_veronese, degree2_partition, unmixed_bounds_report
-from .ideals import Ideal, InvariantViolation, _require_full_support, mono, mono_vars
+from .ideals import (
+    Ideal, InvariantViolation, _check_ambient, _require_full_support, mono, mono_vars
+)
 from .matroids import MatroidalIdeal, _unchecked
 from .quotients import _lex_q
 from .svrank import SVPartition, construct_certificate, search_cert, verify_sv
 
 # 2^C(n,d) search space with pruning; C(7,3) = 35 admits every n <= 7
-# cell.  The cap counts subsets, not work: for n >= 9 it admits only
-# (n, 1), (n, n) and (n, n-1), and (n, n-1) has 2^n - n - 1 ideals (every
-# family of at least two coatoms), so those cells are also capped by that
-# count, which admits them up to n = 16.
+# cell.  The cap counts subsets, not work: for 9 <= n <= 64 (MAX_VARS) it
+# admits only (n, 1), (n, n) and (n, n-1), and (n, n-1) has 2^n - n - 1
+# ideals (every family of at least two coatoms), so those cells are also
+# capped by that count, which admits them up to n = 16.
 MAX_SUBSETS = 35
 MAX_IDEALS = 1 << 16
 # Bounds ``canonical_form``'s walk, which places one label per level (n!
@@ -162,6 +164,7 @@ def _check_cell(n: int, d: int, up_to_symmetry: bool) -> None:
     """
     if not 1 <= d <= n:
         raise ValueError(f"need 1 <= d <= n, got d={d}, n={n}")
+    _check_ambient(n)  # before C(n, d), which is huge for a huge cell
     if comb(n, d) > MAX_SUBSETS:
         raise ValueError(
             f"C({n},{d})={comb(n, d)} exceeds the enumeration cap {MAX_SUBSETS}"

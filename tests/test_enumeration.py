@@ -1,6 +1,8 @@
+import dataclasses
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from itertools import permutations
@@ -9,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+import matroidal.cli
 import matroidal.decomposition
 import matroidal.enumeration
 import matroidal.matroids
@@ -619,6 +622,92 @@ def test_run_grid_reports_a_bad_cell_as_a_usage_error(cell, message):
     assert result.stderr.startswith("usage error: ")
     assert message in result.stderr
     assert "Traceback" not in result.stderr
+
+
+def _without_times(table: str) -> list[str]:
+    return [re.sub(r"\d+\.\ds", "<time>", line) for line in table.splitlines()]
+
+
+def test_run_grid_prints_the_table_of_matroidal_grid(capsys):
+    root = Path(__file__).resolve().parents[1]
+    src = str(Path(matroidal.__file__).resolve().parents[1])
+    argv = ["--cells", "3,2", "4,2", "5,3"]
+    result = subprocess.run(
+        [sys.executable, str(root / "scripts" / "run_grid.py"), *argv],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert main(["grid", *argv]) == 0
+    table = _without_times(result.stdout)
+    assert table == _without_times(capsys.readouterr().out)
+    assert [row.split()[:2] for row in table[2:]] == [
+        ["(3,2)", "4"], ["(4,2)", "14"], ["(5,3)", "106"]
+    ]
+    assert all(row.endswith("<time>  -") for row in table[2:])
+
+
+def test_grid_exits_1_and_names_a_failed_theorem(monkeypatch, capsys):
+    battery = matroidal.cli.theorem_battery
+
+    def failing(mi):
+        result = battery(mi)
+        return dataclasses.replace(
+            result, verdicts={**result.verdicts, "height_bound": "fail"}
+        )
+
+    monkeypatch.setattr(matroidal.cli, "theorem_battery", failing)
+    assert main(["grid", "--cells", "3,2", "4,2"]) == 1
+    rows = capsys.readouterr().out.splitlines()[2:]
+    assert [row.split()[-1] for row in rows] == ["height_bound=4", "height_bound=14"]
+
+
+def test_grid_reports_an_invariant_violation_without_a_traceback(monkeypatch, capsys):
+    def violated(mi):
+        raise InvariantViolation("planted in the battery")
+
+    monkeypatch.setattr(matroidal.cli, "theorem_battery", violated)
+    assert main(["grid", "--cells", "3,2"]) == 1
+    err = capsys.readouterr().err
+    assert err == "internal invariant violated: planted in the battery\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["-m", "matroidal.cli", "enumerate", "--n", "10000000", "--d", "5000000"],
+        ["-m", "matroidal.cli", "scan", "--n", "100000", "--d", "50000"],
+        ["scripts/run_grid.py", "--cells", "100000,50000"],
+    ],
+    ids=["enumerate", "scan", "run_grid"],
+)
+def test_a_huge_cell_is_refused_at_once(argv):
+    # C(n, d) here has millions of digits: the variable count goes first.
+    root = Path(__file__).resolve().parents[1]
+    src = str(Path(matroidal.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, *argv],
+        cwd=root,
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=20,
+    )
+    assert result.returncode == 3
+    assert result.stdout == ""
+    assert "usage error: ambient variable count must be in 1..64" in result.stderr
+    assert "set_int_max_str_digits" not in result.stderr
+
+
+def test_a_one_ideal_cell_past_64_variables_is_refused(capsys):
+    assert main(["enumerate", "--n", "100", "--d", "100"]) == 3
+    assert capsys.readouterr().err == (
+        "usage error: ambient variable count must be in 1..64, got 100\n"
+    )
+    with pytest.raises(ValueError, match="must be in 1..64, got 65"):
+        next(enumerate_matroidal(65, 1))
 
 
 def test_scan_degree2_fully_certified():
