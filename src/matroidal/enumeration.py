@@ -289,11 +289,12 @@ class BatteryResult:
 def theorem_battery(mi: MatroidalIdeal) -> BatteryResult:
     """Run every applicable structural check on a full-support ideal.
 
-    Each invariant is computed once.  q is the largest colon step of one
-    exact pass in the canonical (descending lex) order, in which matroidal
-    ideals have linear quotients (Herzog-Takayama 2002).  The rest is read
-    off the instance: its cocircuits are the primes (the height,
-    unmixedness, Veronese and block facts), and the certificate is
+    Each invariant is computed once.  q is the largest colon step in the
+    canonical (descending lex) order, in which matroidal ideals have
+    linear quotients (Herzog-Takayama 2002); ``_lex_q`` reads it once off
+    the completion map, by the exchange read that also gives the layers.
+    The rest is read off the instance: its cocircuits are the primes (the
+    height, unmixedness, Veronese and block facts), and the certificate is
     ``construct_certificate``'s, which reads nothing else.  The degree-2
     verdict checks the cocircuits against ``degree2_partition``'s parts.
 

@@ -185,6 +185,38 @@ def _completions(
     return completions
 
 
+def _external_masks(mi: MatroidalIdeal, order: Iterable[int]) -> list[int]:
+    """Each generator's external exchanges in a variable ``order``.
+
+    For u in ``mi.ideal.gens`` order, the mask of the y outside u that
+    replace a later variable x of u: y precedes x in ``order`` and
+    u - x + y is a generator.  That is the OR over x in u of
+    ``completions[u - x] & before[x]``, on the instance's completion map.
+    In the natural order the mask of u is its colon step in the canonical
+    generator order: <earlier generators> : u is generated by the y in the
+    mask, each u - x + y with y < x being an earlier generator
+    (Herzog-Takayama 2002), and the first generator's mask is 0.  The
+    popcount is the external activity that places u in an exchange
+    layering.  The masks presume a matroid; nothing here checks one.
+    """
+    completions = mi._completion_map
+    before: dict[int, int] = {}  # keyed by the variable's bit
+    seen = 0
+    for v in order:
+        before[1 << (v - 1)] = seen
+        seen |= 1 << (v - 1)
+    masks = []
+    for u in mi.ideal.gens:
+        external = 0
+        rest = u
+        while rest:
+            x = rest & -rest
+            external |= completions[u ^ x] & before[x]
+            rest ^= x
+        masks.append(external)
+    return masks
+
+
 def _holders(gens: Iterable[Monomial]) -> dict[int, int]:
     """Variable bit to the mask of the indices of the generators holding it."""
     holders: dict[int, int] = {}

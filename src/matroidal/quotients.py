@@ -8,17 +8,19 @@ some degree-one quotient.  q(I) is the largest number of colon variables
 over the steps, and is independent of the ordering chosen.
 
 A matroidal ideal has linear quotients in its canonical (descending lex)
-generator order (Herzog-Takayama 2002), so the ordering and q come from
-one colon pass in that order; nothing here searches other orders.
+generator order (Herzog-Takayama 2002): the colon step of u is the set of
+y outside u with u - x + y a generator for some x > y in u.  So the
+ordering and q are read off the completion map the validated instance
+carries, by the same exchange read that places u in its Schmitt-Vogel
+layer (``matroids._external_masks``); nothing here searches other orders.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 from .ideals import InvariantViolation, Monomial, _require_full_support, mono_vars
-from .matroids import MatroidalIdeal
+from .matroids import MatroidalIdeal, _external_masks
 
 
 @dataclass(frozen=True)
@@ -48,92 +50,23 @@ def colon_step_vars(prefix: list[Monomial], u: Monomial) -> frozenset[int] | Non
     return None
 
 
-def _colon_vars(masks: list[int], u: Monomial, prefix: int) -> int | None:
-    """Bitmask form of :func:`colon_step_vars`, on per-variable masks.
-
-    ``masks[v]`` holds the positions in the prefix of the generators
-    containing x_{v+1}, and ``prefix`` has a bit for every position.
-    Folding the masks of the variables outside u into ``seen`` and
-    ``twice`` leaves the positions whose quotient is a single variable:
-    those in exactly one mask.  The colon ideal is generated by these
-    variables exactly when their masks cover the whole prefix; a position
-    in no mask (a generator dividing u) is never covered.  Returns the
-    variables as a monomial, or None.
-    """
-    seen = twice = 0
-    outside = []
-    for v, mask in enumerate(masks):
-        if not u >> v & 1:
-            twice |= seen & mask
-            seen |= mask
-            outside.append(v)
-    once = seen ^ twice
-    singles = covered = 0
-    for v in outside:
-        if masks[v] & once:
-            singles |= 1 << v
-            covered |= masks[v]
-    return singles if covered == prefix else None
-
-
-def _flip(masks: list[int], u: Monomial, bit: int) -> None:
-    """Toggle ``bit`` in ``masks[v]`` for every variable x_{v+1} of u."""
-    while u:
-        low = u & -u
-        masks[low.bit_length() - 1] ^= bit
-        u ^= low
-
-
-def _colon_pass(order: Sequence[Monomial], n: int) -> list[int] | None:
-    """The colon variables of each step of ``order``, or None.
-
-    One exact pass on per-variable masks: step j (from the second
-    generator on) is ``_colon_vars`` of the j-th generator against the
-    positions before it, as a monomial.  None at the first step whose
-    colon ideal is not variable-generated.
-    """
-    masks = [0] * n  # positions in ``order`` containing x_{v+1}
-    steps = []
-    for position, u in enumerate(order):
-        bit = 1 << position
-        if position:
-            singles = _colon_vars(masks, u, bit - 1)
-            if singles is None:
-                return None
-            steps.append(singles)
-        _flip(masks, u, bit)
-    return steps
-
-
-def _lex_steps(mi: MatroidalIdeal) -> list[int]:
-    """The colon pass in the canonical (descending lex) generator order.
-
-    Matroidal ideals have linear quotients in that order (Herzog-Takayama
-    2002), so a step that is not variable-generated is an invariant
-    violation.
-    """
-    steps = _colon_pass(mi.ideal.gens, mi.ideal.n)
-    if steps is None:
-        raise InvariantViolation("no linear quotients in the canonical order")
-    return steps
-
-
 def _lex_q(mi: MatroidalIdeal) -> int:
-    """q(I): the largest step of the canonical-order colon pass."""
-    return max((s.bit_count() for s in _lex_steps(mi)), default=0)
+    """q(I): the largest colon step, the widest natural-order external mask."""
+    return max(m.bit_count() for m in _external_masks(mi, range(1, mi.ideal.n + 1)))
 
 
 def find_ordering(mi: MatroidalIdeal) -> QuotientOrdering:
     """The linear-quotient ordering of the generators in canonical order.
 
-    One colon pass over ``mi.ideal.gens`` (``_colon_pass``): each step is
-    read off per-variable masks over the generators placed so far, so it
-    costs O(n) mask operations instead of a pass over the prefix, and it
-    agrees with :func:`colon_step_vars` on every prefix.  There is no
-    search: a matroidal ideal has linear quotients in this order, and a
-    failing step raises :class:`InvariantViolation`.
+    Step j is the natural-order external mask of the j-th generator
+    (``matroids._external_masks``): the y with u - x + y a generator for
+    some x > y in u, read off the instance's completion map.  There is
+    no search and no pass over the prefix: a matroidal ideal has linear
+    quotients in this order, and the masks are its colon steps, which
+    :func:`colon_step_vars` computes the slow way.
     """
-    steps = tuple(frozenset(mono_vars(s)) for s in _lex_steps(mi))
+    masks = _external_masks(mi, range(1, mi.ideal.n + 1))
+    steps = tuple(frozenset(mono_vars(m)) for m in masks[1:])
     return QuotientOrdering(
         mi.ideal.gens, steps, max((len(s) for s in steps), default=0)
     )
@@ -142,7 +75,7 @@ def find_ordering(mi: MatroidalIdeal) -> QuotientOrdering:
 def q_index(mi: MatroidalIdeal) -> int:
     """The linear-quotient index q(I); requires full support.
 
-    Read from the same canonical-order colon pass as the theorem battery
+    Read from the same canonical-order colon steps as the theorem battery
     (``_lex_q``) and cross-asserted against the closed form n - d; a
     mismatch would be a toolkit bug, never a counterexample.
     """

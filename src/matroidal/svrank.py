@@ -10,10 +10,12 @@ q(I) + 1 = n - d + 1 whenever a certificate of that size exists.
 ``construct_certificate`` is the one construction ladder.  Every rung
 reads only the validated ``MatroidalIdeal``: its cocircuits pick the rung
 and its completion map gives the layers.  The rungs are one exchange rule
-read in a variable order: the natural order for square-free Veronese ideals
-and variable block products, the part order for degree-2 ideals, taken
-from the cocircuits as the complements of the parts.  Every layering it
-returns has passed ``verify_sv``.
+read in a variable order (``matroids._external_masks``, whose masks in
+the natural order are also the colon steps of ``quotients``): u goes in
+the layer that counts its external exchanges.  The natural order serves
+square-free Veronese ideals and variable block products, the part order
+degree-2 ideals, taken from the cocircuits as the complements of the
+parts.  Every layering it returns has passed ``verify_sv``.
 A complete layered-partition search covers everything else.
 """
 
@@ -36,7 +38,7 @@ from .ideals import (
     star_product,
     witness_text,
 )
-from .matroids import MatroidalIdeal, _completions, _holders, veronese
+from .matroids import MatroidalIdeal, _completions, _external_masks, _holders, veronese
 from .oracle import Poly, RadicalCertificate, _exponents, poly_str
 from .quotients import q_index
 
@@ -191,28 +193,16 @@ def _exchange_layering(
     """Layer k holds the generators u with k external exchanges in ``order``.
 
     A variable y outside u counts when it replaces a later variable x of u:
-    y precedes x in ``order`` and u - x + y is a generator (a colon variable
-    of the linear-quotient order; external activity).  The count is the
-    popcount of the OR over x in u of ``completions[u - x] & before[x]``,
-    on the instance's completion map: the y with u - x + y a generator.
+    y precedes x in ``order`` and u - x + y is a generator.  The count is
+    the popcount of u's mask from ``matroids._external_masks``, the same
+    read that gives the colon steps in the natural order, so there the
+    layer of u is the size of its colon step.
     """
-    ideal, completions = mi.ideal, mi._completion_map
-    before: dict[int, int] = {}  # keyed by the variable's bit
-    seen = 0
-    for v in order:
-        before[1 << (v - 1)] = seen
-        seen |= 1 << (v - 1)
     layer_map: dict[int, set[Monomial]] = {}
-    for u in ideal.gens:
-        external = 0
-        rest = u
-        while rest:
-            x = rest & -rest
-            external |= completions[u ^ x] & before[x]
-            rest ^= x
+    for u, external in zip(mi.ideal.gens, _external_masks(mi, order)):
         layer_map.setdefault(external.bit_count(), set()).add(u)
     layers = tuple(frozenset(layer_map.get(k, ())) for k in range(max(layer_map) + 1))
-    return _checked(SVPartition(ideal, layers), what)
+    return _checked(SVPartition(mi.ideal, layers), what)
 
 
 def sv_sums(partition: SVPartition) -> RadicalCertificate:

@@ -4,6 +4,7 @@ import contextlib
 import random
 from functools import cmp_to_key
 from itertools import combinations, permutations
+from math import comb
 from operator import le, sub
 from typing import Iterator
 
@@ -133,6 +134,38 @@ def brute_force_bonds(edges, v: int) -> set[frozenset[int]]:
             if cut(removed) and not any(cut(removed - {i}) for i in subset):
                 bonds.add(frozenset(i + 1 for i in subset))
     return bonds
+
+
+def faces_k_polynomial(ideal: Ideal) -> list[int]:
+    """The K-polynomial of R/I, counted face by face, as coefficients of t^k.
+
+    Sums t^|F| (1 - t)^(n - |F|) over the subsets F of x1..xn that contain
+    no generator: the faces of the Stanley-Reisner complex of I.  Reads
+    only the generators, so it shares nothing with the colon steps.
+    """
+    n = ideal.n
+    coefficients = [0] * (n + 1)
+    for face in range(1 << n):
+        if any(g & face == g for g in ideal.gens):
+            continue
+        k = face.bit_count()
+        for i in range(n - k + 1):
+            coefficients[k + i] += (-1) ** i * comb(n - k, i)
+    return coefficients
+
+
+def betti_k_polynomial(n: int, d: int, step_sizes) -> list[int]:
+    """1 + sum_i (-1)^(i+1) beta_i t^(d+i), as coefficients of t^k.
+
+    With linear quotients the resolution of I is linear and
+    beta_i = sum_u C(|set(u)|, i) over the generators u, where
+    ``step_sizes`` holds every |set(u)|, 0 for the first generator
+    (Herzog-Takayama 2002).
+    """
+    coefficients = [1] + [0] * n
+    for i in range(max(step_sizes) + 1):
+        coefficients[d + i] += (-1) ** (i + 1) * sum(comb(s, i) for s in step_sizes)
+    return coefficients
 
 
 def reference_enumerate_matroidal(n: int, d: int, up_to_symmetry: bool = False):

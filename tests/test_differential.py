@@ -4,14 +4,15 @@
 ``minimal_primes`` reads matroidal primes off those cocircuits.  Each must
 agree exactly with the pairwise exchange scan and the transversal DFS: on
 every ideal with n <= 6, on each of them with a generator dropped (mostly
-not matroidal), and on random antichains.  ``find_ordering`` is one colon
-pass in canonical order.  It must equal the recursive ordering search in
-lex order on every ideal with n <= 6, and on random antichains past the
-constructor's check it must raise exactly when a canonical-order step
-fails ``colon_step_vars``.  The cocircuit kernel is also held to both
-oracles on Veronese ideals and relabeled block products up to n = 12 and on
-the n = 7 orbit representatives (slow), each also with its first generator
-dropped.
+not matroidal), and on random antichains.  ``find_ordering`` reads the
+colon steps in canonical order as the external masks of the completion
+map.  It must equal the recursive ordering search in lex order on every
+ideal with n <= 6.  On random antichains, a canonical-order step that
+fails ``colon_step_vars`` means ``check_matroidal`` rejects, and where it
+accepts ``find_ordering`` must give those steps.  The cocircuit kernel is
+also held to both oracles on Veronese ideals and relabeled block products
+up to n = 12 and on the n = 7 orbit representatives (slow), each also
+with its first generator dropped.
 
 The Groebner oracle packs each monomial into one int, divides through a
 term heap and picks pairs from a queue.  ``reduce``, ``buchberger`` and the
@@ -25,31 +26,29 @@ n <= 5, each "verified" must survive the Rabinowitsch test of every
 generator, and each "not verified" must come from the monolithic check.
 
 ``verify_sv`` settles pairs by single exchanges and tests the pairs left
-over against bitmasks of the earlier layers, ``find_ordering`` computes
-colon steps from per-variable masks, and ``minimal_generators`` compares a
-monomial only with kept generators of lower degree.  Each must agree
-exactly with the scan it replaced: the layering check on every certificate
+over against bitmasks of the earlier layers, and ``minimal_generators``
+compares a monomial only with kept generators of lower degree.  Each must
+agree exactly with the scan it replaced: the layering check on every certificate
 with n <= 6 and on corrupted copies of them, on random layerings of random
 mixed-degree families (some with an earlier-layer exchange injected, so
 one layer holds settled pairs and pairs left over) and on V(9,4) and
-V(12,6) with a generator moved up or down a layer; the colon kernel with
-``colon_step_vars`` on random prefixes, and ``minimal_generators`` on
-random mixed-degree sets.
+V(12,6) with a generator moved up or down a layer, and
+``minimal_generators`` on random mixed-degree sets.
 
 ``ara_bounds`` climbs one construction ladder, ``construct_certificate``,
 and must pick the method and size the ladder it replaced picked, on every
 ideal with n <= 6.  ``theorem_battery`` climbs the same ladder from its own
 q and must report the bounds ``ara_bounds`` reports on each of them.
 
-``theorem_battery`` takes q from one colon pass in canonical order and
-everything else from the completion map and cocircuits its
+``theorem_battery`` takes q from one read of the canonical-order colon
+steps and everything else from the completion map and cocircuits its
 ``MatroidalIdeal`` carries.
 Its results must equal ``reference_battery``'s, the composition of
 ``find_ordering``, the transversal DFS, the component search for blocks,
 the unmixed bounds and the closed-form ladder, none of which reads that
 record: on every ideal with n <= 6, and (slow) on the relabeled (7,3) and
 (7,4) orbit representatives, V(9,4) and relabeled 4+4 and 4+4+4 products.
-On each, the pass's q must equal ``find_ordering``'s and the blocks read
+On each, the read's q must equal ``find_ordering``'s and the blocks read
 off the cocircuits must equal the component search's, also on a
 relabeled 4+4+4+4 product.  The ``MatroidalIdeal`` constructor must
 accept exactly where the pairwise scan accepts and otherwise name the
@@ -140,10 +139,11 @@ from matroidal.matroids import (
     MatroidalIdeal,
     NotMatroidalError,
     _completions,
+    _external_masks,
     _fundamental_cocircuits,
 )
 from matroidal.oracle import BudgetExceededError
-from matroidal.quotients import _colon_pass, _colon_vars, _lex_q
+from matroidal.quotients import _lex_q
 from matroidal.svrank import _unsettled_pairs
 
 from helpers import (
@@ -250,10 +250,10 @@ def test_random_antichains_match_oracles(ideal):
     _assert_check_and_primes_agree(ideal)
 
 
-# Unchecked mixed-degree input where lex order fails a step (the recursive
-# search, asked for lex order, backtracks before it succeeds; on the last
-# one it pops twelve times).  Random equal-degree input did not fail once
-# in a sample of 20,000.
+# Mixed-degree input where lex order fails a step (the recursive search,
+# asked for lex order, backtracks before it succeeds; on the last one it
+# pops twelve times).  Random equal-degree input did not fail once in a
+# sample of 20,000.
 BACKTRACKING = [
     ideal_of(3, (1, 3), (2,)),
     ideal_of(6, (1, 3, 4, 6), (1, 3, 5, 6), (2,)),
@@ -267,21 +267,18 @@ BACKTRACKING = [
 @example(BACKTRACKING[1])
 @example(BACKTRACKING[2])
 def test_find_ordering_is_one_colon_pass_on_unchecked_input(ideal):
-    # Past the constructor's check, through the library's private path;
-    # find_ordering reads only the generators, never the degree.  It raises
-    # exactly when some canonical-order prefix fails colon_step_vars, and
-    # otherwise returns those steps.
-    mi = matroids._unchecked(ideal, ideal.gens[0].bit_count())
+    # find_ordering presumes a validated matroid, so the check that the
+    # canonical order has linear quotients lives here: a step that fails
+    # colon_step_vars means check_matroidal rejects, and where it accepts,
+    # find_ordering returns those steps.
     gens = ideal.gens
     steps = [colon_step_vars(list(gens[:j]), gens[j]) for j in range(1, len(gens))]
     assert ideal not in BACKTRACKING or None in steps
+    check = check_matroidal(ideal)
     if None in steps:
-        with pytest.raises(
-            InvariantViolation, match="^no linear quotients in the canonical order$"
-        ):
-            find_ordering(mi)
-    else:
-        ordering = find_ordering(mi)
+        assert not check
+    elif check:
+        ordering = find_ordering(check.matroidal)
         assert ordering.order == gens
         assert ordering.colon_steps == tuple(steps)
         assert ordering.q == max(map(len, steps), default=0)
@@ -655,8 +652,9 @@ def _assert_battery_kernels_agree(mi):
     # then the whole battery against its old composition.  The instance's
     # cocircuits, built lazily at an enumeration leaf, are the checker's.
     ideal = mi.ideal
-    assert _colon_pass(ideal.gens, ideal.n) is not None
-    assert _lex_q(mi) == find_ordering(mi).q
+    masks = _external_masks(mi, range(1, ideal.n + 1))
+    assert masks[0] == 0
+    assert _lex_q(mi) == find_ordering(mi).q == max(m.bit_count() for m in masks)
     assert mi._cocircuits == _fundamental_cocircuits(ideal.gens, _completions(ideal.gens))
     blocks = _cocircuit_blocks(mi)
     expected = reference_var_block_product(ideal)
@@ -1008,40 +1006,6 @@ def test_minimal_generators_matches_reference_on_mixed_degrees(n_monomials):
     assert minimal_generators(monomials, n) == reference_minimal_generators(
         monomials, n
     )
-
-
-def _prefix_masks(prefix, n):
-    masks = [0] * n
-    for k, p in enumerate(prefix):
-        for v in range(n):
-            if p >> v & 1:
-                masks[v] |= 1 << k
-    return masks
-
-
-@st.composite
-def colon_cases(draw):
-    n = draw(st.integers(1, 7))
-    u = draw(st.integers(0, (1 << n) - 1))
-    prefix = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=12))
-    if draw(st.booleans()):
-        # A prefix element dividing u: its quotient is the unit ideal.
-        divisor = u & draw(st.integers(0, (1 << n) - 1))
-        prefix.insert(draw(st.integers(0, len(prefix))), divisor)
-    return n, prefix, u
-
-
-@settings(max_examples=400, deadline=None)
-@given(colon_cases())
-@example((3, [0b011, 0b101], 0b110))  # both quotients are single variables
-@example((3, [0b011, 0b100], 0b011))  # x1*x2 divides u
-def test_colon_kernel_matches_colon_step_vars(case):
-    n, prefix, u = case
-    singles = _colon_vars(_prefix_masks(prefix, n), u, (1 << len(prefix)) - 1)
-    step = None if singles is None else frozenset(
-        v for v in range(1, n + 1) if singles >> (v - 1) & 1
-    )
-    assert step == colon_step_vars(prefix, u)
 
 
 def _assert_canonicity_agrees(ideal):

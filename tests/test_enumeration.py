@@ -311,30 +311,30 @@ def test_battery_carries_its_certificate():
 
 
 def test_battery_runs_the_colon_pass_once(monkeypatch):
-    # The battery's q comes from one colon pass in canonical order; on
-    # matroidal input no step fails, so find_ordering never runs.
-    passes, orderings = [], []
-    colon_pass = matroidal.quotients._colon_pass
+    # The battery's q comes from one read of the colon steps, the natural
+    # order's external masks; find_ordering never runs.
+    reads, orderings = [], []
+    external_masks = matroidal.quotients._external_masks
     find = matroidal.quotients.find_ordering
 
-    def counted_pass(*args, **kwargs):
-        passes.append(args[0])
-        return colon_pass(*args, **kwargs)
+    def counted_read(*args, **kwargs):
+        reads.append(args[0])
+        return external_masks(*args, **kwargs)
 
     def counted_find(*args, **kwargs):
         orderings.append(args[0])
         return find(*args, **kwargs)
 
-    monkeypatch.setattr(matroidal.quotients, "_colon_pass", counted_pass)
+    monkeypatch.setattr(matroidal.quotients, "_external_masks", counted_read)
     monkeypatch.setattr(matroidal.quotients, "find_ordering", counted_find)
     monkeypatch.setattr(matroidal, "find_ordering", counted_find)
     ideals = [veronese(4, 2), var_block_product([{1, 2}, {3}])]
     ideals += enumerate_matroidal(5, 3)
     for mi in ideals:
-        passes.clear()
+        reads.clear()
         orderings.clear()
         theorem_battery(mi)
-        assert len(passes) == 1, mi
+        assert reads == [mi], mi
         assert orderings == [], mi
 
 

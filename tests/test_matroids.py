@@ -6,6 +6,8 @@ from matroidal import (
     NotMatroidalError,
     as_matroidal,
     check_matroidal,
+    colon_step_vars,
+    find_ordering,
     minimal_generators,
     minimal_primes,
     mono,
@@ -18,10 +20,13 @@ from matroidal import (
     veronese,
 )
 from matroidal.ideals import SupportOverlapError, UNIT, Ideal
+from matroidal.matroids import _external_masks
 
 from helpers import (
+    betti_k_polynomial,
     brute_force_bonds,
     contiguous_blocks,
+    faces_k_polynomial,
     graphic_matroids,
     ideal_of,
     matroidal_of,
@@ -164,10 +169,20 @@ def test_transfer_holds_exhaustively(enum_cache):
 @settings(max_examples=60, deadline=None)
 def test_spanning_tree_ideals_are_matroidal_with_the_bonds_as_primes(graph):
     # Past the enumeration: graphs with 8-9 edges give n = 8, 9.
+    # The colon steps and the exchange layers come from one read of the
+    # external masks; each must match colon_step_vars, the slow path, and
+    # give the K-polynomial of the faces.
     v, edges, trees = graph
     n = len(edges)
     check = check_matroidal(ideal_of(n, *trees))
     assert check and check.matroidal.d == v - 1
-    assert q_index(check.matroidal) == n - (v - 1)
+    mi = check.matroidal
+    assert q_index(mi) == n - (v - 1)
     bonds = brute_force_bonds(edges, v)
-    assert set(minimal_primes(check.matroidal.ideal).primes) == bonds
+    assert set(minimal_primes(mi.ideal).primes) == bonds
+    gens = mi.ideal.gens
+    steps = [colon_step_vars(list(gens[:j]), gens[j]) for j in range(1, len(gens))]
+    assert find_ordering(mi).colon_steps == tuple(steps)
+    sizes = [0, *map(len, steps)]
+    assert [m.bit_count() for m in _external_masks(mi, range(1, n + 1))] == sizes
+    assert betti_k_polynomial(n, mi.d, sizes) == faces_k_polynomial(mi.ideal)

@@ -17,7 +17,7 @@ from matroidal import (
     veronese,
 )
 
-from helpers import matroidal_of
+from helpers import betti_k_polynomial, faces_k_polynomial, matroidal_of
 
 
 def test_colon_step_vars_exact():
@@ -138,9 +138,24 @@ def test_height_never_exceeds_q_plus_one(enum_cache):
                 assert height(mi.ideal) <= find_ordering(mi).q + 1
 
 
+def test_colon_steps_give_the_k_polynomial_of_the_faces(enum_cache):
+    # beta_i = sum_u C(|set(u)|, i) from the colon steps must give the
+    # K-polynomial that the Stanley-Reisner faces give, a count that reads
+    # only the generators; a wrong step or q would break it.
+    ideals = 0
+    for n in range(1, 7):
+        for d in range(1, n + 1):
+            for mi in enum_cache(n, d):
+                steps = find_ordering(mi).colon_steps
+                expected = faces_k_polynomial(mi.ideal)
+                assert betti_k_polynomial(n, d, [0, *map(len, steps)]) == expected
+                ideals += 1
+    assert ideals == 2356
+
+
 def test_lex_ordering_never_backtracks(enum_cache):
-    # Linear quotients in canonical order: the one colon pass places every
-    # generator, so no call raises and the ordering is the generator tuple.
+    # Linear quotients in canonical order: the ordering is the generator
+    # tuple, with no search.
     for n in range(1, 7):
         for d in range(1, n + 1):
             for mi in enum_cache(n, d):
@@ -148,26 +163,13 @@ def test_lex_ordering_never_backtracks(enum_cache):
 
 
 def test_q_index_past_the_recursion_limit():
-    # 1716 generators: one interpreter frame per generator would overflow.
+    # 1716 generators: the colon steps are read in one loop over the
+    # completion map, so no interpreter frame is spent per generator.
     assert q_index(veronese(13, 6)) == 7
 
 
-def test_find_ordering_exhaustion_reports_invariant_violation():
-    # A generator set with no linear quotients in canonical order (only
-    # reachable through the private path past the constructor's check)
-    # must raise the invariant violation, not return a wrong ordering.
-    from matroidal import Ideal, InvariantViolation
-    from matroidal.matroids import _unchecked
-
-    fake = _unchecked(Ideal(4, (mono((1, 2)), mono((3, 4)))), 2)
-    with pytest.raises(
-        InvariantViolation, match="^no linear quotients in the canonical order$"
-    ):
-        find_ordering(fake)
-
-
 def test_cross_assertion_guard(monkeypatch):
-    # q_index cross-checks the colon pass's q against n - d; a q that
+    # q_index cross-checks the colon steps' q against n - d; a q that
     # misses it is a toolkit bug and must raise, here and through analyze.
     import matroidal.quotients
     from matroidal import InvariantViolation
