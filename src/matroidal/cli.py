@@ -79,15 +79,16 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _int_at_least(least: int, name: str, rule: str):
-    """An argparse type: an int of at least ``least``, else "<rule>, got N".
+def _int_within(least: int, most: int | None, name: str, rule: str):
+    """An argparse type: an int in ``least..most``, else "<rule>, got N".
 
-    ``name`` is what argparse prints for a value that is not an int.
+    ``most`` None leaves no upper bound.  ``name`` is what argparse prints
+    for a value that is not an int.
     """
 
     def parse(text: str) -> int:
         value = int(text)
-        if value < least:
+        if value < least or most is not None and value > most:
             raise argparse.ArgumentTypeError(f"{rule}, got {value}")
         return value
 
@@ -95,9 +96,10 @@ def _int_at_least(least: int, name: str, rule: str):
     return parse
 
 
-_node_budget = _int_at_least(0, "_node_budget", "search budget must be nonnegative")
-_search_size = _int_at_least(1, "_search_size", "search size must be at least 1 layer")
-_oracle_cap = _int_at_least(1, "_oracle_cap", "oracle cap must be at least 1")
+_node_budget = _int_within(0, None, "_node_budget", "search budget must be nonnegative")
+_search_size = _int_within(1, None, "_search_size", "search size must be at least 1 layer")
+# The power loop is linear in the cap even where the pair budget cannot bind.
+_oracle_cap = _int_within(1, 1000, "_oracle_cap", "oracle cap must be in 1..1000")
 
 
 def _grid_cell(text: str) -> tuple[int, int]:
@@ -455,7 +457,7 @@ def build_parser() -> _Parser:
     p.add_argument("ideal")
     p.add_argument("cert")
     p.add_argument("--oracle", action="store_true", help="Groebner radical check")
-    p.add_argument("--cap", type=_oracle_cap, default=8, help="largest power to try")
+    p.add_argument("--cap", type=_oracle_cap, default=8, help="largest power to try, 1..1000")
 
     p = add("enumerate", _cmd_enumerate, help="all matroidal ideals for (n, d)")
     p.add_argument("--n", type=int, required=True)

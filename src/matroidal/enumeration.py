@@ -289,14 +289,13 @@ class BatteryResult:
 def theorem_battery(mi: MatroidalIdeal) -> BatteryResult:
     """Run every applicable structural check on a full-support ideal.
 
-    Each invariant is computed once.  q is the largest colon step in the
-    canonical (descending lex) order, in which matroidal ideals have
-    linear quotients (Herzog-Takayama 2002); ``_lex_q`` reads it once off
-    the completion map, by the exchange read that also gives the layers.
-    The rest is read off the instance: its cocircuits are the primes (the
-    height, unmixedness, Veronese and block facts), and the certificate is
-    ``construct_certificate``'s, which reads nothing else.  The degree-2
-    verdict checks the cocircuits against ``degree2_partition``'s parts.
+    Each invariant is computed once, off the instance.  q is the widest of
+    its colon masks, the colon steps in the canonical (descending lex)
+    order, in which matroidal ideals have linear quotients (Herzog-Takayama
+    2002); ``construct_certificate`` lays the Veronese and product layers
+    out from the same masks.  The cocircuits are the primes (the height,
+    unmixedness, Veronese and block facts).  The degree-2 verdict checks
+    them against ``degree2_partition``'s parts.
 
     Support short of x1..xn raises ValueError first.  Other failures are
     recorded as verdicts: they mean a toolkit bug, not bad input.

@@ -8,7 +8,7 @@ C(B, x) = {x} + {y not in B : B - x + y in G} of every generator B from one
 completion map, O(|G| d) dict updates in all, and accepts when each of them
 meets every generator.  The pairwise scan runs only on failure, to name the
 lexicographically first failing exchange.  It is the ``MatroidalIdeal``
-constructor, whose instance keeps the map and cocircuits for its readers.
+constructor, whose instance keeps the map, cocircuits and colon masks.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ class MatroidalIdeal:
 
     The constructor raises as :func:`as_matroidal` does, or on a ``d`` that
     is not the generators' degree.  Its check's completion map and
-    cocircuits are not fields: ``==``, ``hash`` and ``repr`` ignore them.
+    cocircuits, and its colon masks, are not fields: ``==`` ignores them.
     """
 
     ideal: Ideal
@@ -68,13 +68,18 @@ class MatroidalIdeal:
         """The fundamental cocircuits: the values of the completion map."""
         return frozenset(self._completion_map.values())
 
+    @cached_property
+    def _colon_masks(self) -> tuple[int, ...]:
+        """The natural-order external masks: q, the colon steps, the layers."""
+        return tuple(_external_masks(self, range(1, self.ideal.n + 1)))
+
 
 def _unchecked(ideal: Ideal, d: int, **record: object) -> MatroidalIdeal:
     """A ``MatroidalIdeal`` for a caller that has checked ``ideal`` already.
 
-    Of ``_completion_map`` and ``_cocircuits``, one not in ``record`` is
-    built when first read.  Attributes are set as the dataclass ``__init__``
-    sets them, which builds no dict per instance.
+    Of ``_completion_map``, ``_cocircuits`` and ``_colon_masks``, one not
+    in ``record`` is built when first read.  Attributes are set as the
+    dataclass ``__init__`` sets them, which builds no dict per instance.
     """
     mi = object.__new__(MatroidalIdeal)
     object.__setattr__(mi, "ideal", ideal)
@@ -197,7 +202,8 @@ def _external_masks(mi: MatroidalIdeal, order: Iterable[int]) -> list[int]:
     mask, each u - x + y with y < x being an earlier generator
     (Herzog-Takayama 2002), and the first generator's mask is 0.  The
     popcount is the external activity that places u in an exchange
-    layering.  The masks presume a matroid; nothing here checks one.
+    layering; the instance keeps the natural order's as ``_colon_masks``.
+    The masks presume a matroid; nothing here checks one.
     """
     completions = mi._completion_map
     before: dict[int, int] = {}  # keyed by the variable's bit

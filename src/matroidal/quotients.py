@@ -10,9 +10,8 @@ over the steps, and is independent of the ordering chosen.
 A matroidal ideal has linear quotients in its canonical (descending lex)
 generator order (Herzog-Takayama 2002): the colon step of u is the set of
 y outside u with u - x + y a generator for some x > y in u.  So the
-ordering and q are read off the completion map the validated instance
-carries, by the same exchange read that places u in its Schmitt-Vogel
-layer (``matroids._external_masks``); nothing here searches other orders.
+ordering and q are the validated instance's ``_colon_masks``, which also
+place u in its Schmitt-Vogel layer; nothing here searches other orders.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .ideals import InvariantViolation, Monomial, _require_full_support, mono_vars
-from .matroids import MatroidalIdeal, _external_masks
+from .matroids import MatroidalIdeal
 
 
 @dataclass(frozen=True)
@@ -51,22 +50,20 @@ def colon_step_vars(prefix: list[Monomial], u: Monomial) -> frozenset[int] | Non
 
 
 def _lex_q(mi: MatroidalIdeal) -> int:
-    """q(I): the largest colon step, the widest natural-order external mask."""
-    return max(m.bit_count() for m in _external_masks(mi, range(1, mi.ideal.n + 1)))
+    """q(I): the largest colon step, the widest of the instance's colon masks."""
+    return max(m.bit_count() for m in mi._colon_masks)
 
 
 def find_ordering(mi: MatroidalIdeal) -> QuotientOrdering:
     """The linear-quotient ordering of the generators in canonical order.
 
-    Step j is the natural-order external mask of the j-th generator
-    (``matroids._external_masks``): the y with u - x + y a generator for
-    some x > y in u, read off the instance's completion map.  There is
-    no search and no pass over the prefix: a matroidal ideal has linear
-    quotients in this order, and the masks are its colon steps, which
-    :func:`colon_step_vars` computes the slow way.
+    Step j is the j-th generator's mask in ``mi._colon_masks``: the y with
+    u - x + y a generator for some x > y in u.  There is no search and no
+    pass over the prefix: a matroidal ideal has linear quotients in this
+    order, and the masks are its colon steps, which :func:`colon_step_vars`
+    computes the slow way.
     """
-    masks = _external_masks(mi, range(1, mi.ideal.n + 1))
-    steps = tuple(frozenset(mono_vars(m)) for m in masks[1:])
+    steps = tuple(frozenset(mono_vars(m)) for m in mi._colon_masks[1:])
     return QuotientOrdering(
         mi.ideal.gens, steps, max((len(s) for s in steps), default=0)
     )

@@ -9,13 +9,12 @@ q(I) + 1 = n - d + 1 whenever a certificate of that size exists.
 
 ``construct_certificate`` is the one construction ladder.  Every rung
 reads only the validated ``MatroidalIdeal``: its cocircuits pick the rung
-and its completion map gives the layers.  The rungs are one exchange rule
-read in a variable order (``matroids._external_masks``, whose masks in
-the natural order are also the colon steps of ``quotients``): u goes in
-the layer that counts its external exchanges.  The natural order serves
-square-free Veronese ideals and variable block products, the part order
-degree-2 ideals, taken from the cocircuits as the complements of the
-parts.  Every layering it returns has passed ``verify_sv``.
+and its exchange masks give the layers, u going in the layer that counts
+its external exchanges.  Square-free Veronese ideals and variable block
+products take the instance's natural-order ``_colon_masks``, the colon
+steps of ``quotients``; degree-2 ideals take the masks in the part order
+(``matroids._external_masks``), the parts being the complements of the
+cocircuits.  Every layering it returns has passed ``verify_sv``.
 A complete layered-partition search covers everything else.
 """
 
@@ -188,18 +187,16 @@ def _checked(partition: SVPartition, what: str) -> SVPartition:
 
 
 def _exchange_layering(
-    mi: MatroidalIdeal, order: Iterable[int], what: str
+    mi: MatroidalIdeal, masks: Iterable[int], what: str
 ) -> SVPartition:
-    """Layer k holds the generators u with k external exchanges in ``order``.
+    """Layer k holds the generators u whose external mask has k members.
 
-    A variable y outside u counts when it replaces a later variable x of u:
-    y precedes x in ``order`` and u - x + y is a generator.  The count is
-    the popcount of u's mask from ``matroids._external_masks``, the same
-    read that gives the colon steps in the natural order, so there the
-    layer of u is the size of its colon step.
+    ``masks`` is ``matroids._external_masks`` in some variable order, one
+    per generator.  Given ``mi._colon_masks``, the natural order's, the
+    layer of u is the size of its colon step in the canonical order.
     """
     layer_map: dict[int, set[Monomial]] = {}
-    for u, external in zip(mi.ideal.gens, _external_masks(mi, order)):
+    for u, external in zip(mi.ideal.gens, masks):
         layer_map.setdefault(external.bit_count(), set()).add(u)
     layers = tuple(frozenset(layer_map.get(k, ())) for k in range(max(layer_map) + 1))
     return _checked(SVPartition(mi.ideal, layers), what)
@@ -231,7 +228,8 @@ def veronese_cert(n: int, d: int) -> SVPartition:
     and below max u, so u sits in layer max u - d.  There are n-d+1
     layers, and layer i > 0 holds C(d+i-1, d-1) generators.
     """
-    return _exchange_layering(veronese(n, d), range(1, n + 1), "Veronese")
+    mi = veronese(n, d)
+    return _exchange_layering(mi, mi._colon_masks, "Veronese")
 
 
 def variable_cert(variables, n: int) -> RadicalCertificate:
@@ -286,7 +284,7 @@ def degree2_cert(mi: MatroidalIdeal) -> SVPartition:
     parts = [everything & ~c for c in mi._cocircuits]
     parts.sort(key=lambda p: (-p.bit_count(), p & -p))
     order = [v for part in parts for v in mono_vars(part)]
-    return _exchange_layering(mi, order, "degree-2")
+    return _exchange_layering(mi, _external_masks(mi, order), "degree-2")
 
 
 def construct_certificate(
@@ -303,15 +301,14 @@ def construct_certificate(
     puts u in the sum of its block positions.  Every returned layering has
     passed ``verify_sv``.
     """
-    natural = range(1, mi.ideal.n + 1)
     if method in ("auto", "veronese"):
         if _is_veronese(mi):
-            return "veronese", _exchange_layering(mi, natural, "Veronese")
+            return "veronese", _exchange_layering(mi, mi._colon_masks, "Veronese")
         if method == "veronese":
             raise ValueError("not a square-free Veronese ideal")
     if method in ("auto", "product"):
         if _cocircuit_blocks(mi) is not None:
-            return "product", _exchange_layering(mi, natural, "block product")
+            return "product", _exchange_layering(mi, mi._colon_masks, "block product")
         if method == "product":
             raise ValueError("not a variable block product")
     if method in ("auto", "degree2"):

@@ -168,6 +168,25 @@ def betti_k_polynomial(n: int, d: int, step_sizes) -> list[int]:
     return coefficients
 
 
+def tutte_at_x_1(ideal: Ideal, d: int) -> list[int]:
+    """T_M(1, y) of the matroid whose bases are the generators, in y^k.
+
+    Sums (y - 1)^(|A| - d) over the subsets A of x1..xn that contain a
+    generator: the spanning sets, the only ones whose term survives x = 1.
+    Reads only the generators, so it shares nothing with the exchange
+    masks.  Its coefficient of y^k counts the bases of external activity
+    k (Crapo 1969).
+    """
+    coefficients = [0] * (ideal.n - d + 1)
+    for spanning in range(1 << ideal.n):
+        if not any(g & spanning == g for g in ideal.gens):
+            continue
+        k = spanning.bit_count() - d
+        for i in range(k + 1):
+            coefficients[i] += (-1) ** (k - i) * comb(k, i)
+    return coefficients
+
+
 def reference_enumerate_matroidal(n: int, d: int, up_to_symmetry: bool = False):
     """The inclusion-only pruned DFS: the oracle for ``enumerate_matroidal``.
 

@@ -41,7 +41,7 @@ from matroidal import (
 from matroidal.cli import main
 from matroidal.enumeration import MAX_IDEALS
 
-from helpers import brute_force_matroidal, ideal_of
+from helpers import brute_force_matroidal, ideal_of, reference_construct_certificate
 
 # Labeled counts of matroidal ideals with full support.  The d=1 column is
 # always 1, d=2 equals the number of set partitions of n into >= 2 parts,
@@ -311,31 +311,45 @@ def test_battery_carries_its_certificate():
 
 
 def test_battery_runs_the_colon_pass_once(monkeypatch):
-    # The battery's q comes from one read of the colon steps, the natural
-    # order's external masks; find_ordering never runs.
-    reads, orderings = [], []
-    external_masks = matroidal.quotients._external_masks
+    # One natural-order exchange read per battery gives q and the Veronese
+    # and block-product layers; a degree-2 ideal that reaches its rung
+    # adds one read in the part order.  find_ordering never runs.
+    natural, parts, orderings = [], [], []
+    external_masks = matroidal.matroids._external_masks
     find = matroidal.quotients.find_ordering
 
-    def counted_read(*args, **kwargs):
-        reads.append(args[0])
-        return external_masks(*args, **kwargs)
+    def counted(reads):
+        def read(mi, order):
+            order = list(order)
+            reads.append((mi, order == list(range(1, mi.ideal.n + 1))))
+            return external_masks(mi, order)
+
+        return read
 
     def counted_find(*args, **kwargs):
         orderings.append(args[0])
         return find(*args, **kwargs)
 
-    monkeypatch.setattr(matroidal.quotients, "_external_masks", counted_read)
+    # The part order can be the natural one, so the reads are told apart
+    # by their caller: the instance's colon masks, or degree2_cert.
+    monkeypatch.setattr(matroidal.matroids, "_external_masks", counted(natural))
+    monkeypatch.setattr(matroidal.svrank, "_external_masks", counted(parts))
     monkeypatch.setattr(matroidal.quotients, "find_ordering", counted_find)
     monkeypatch.setattr(matroidal, "find_ordering", counted_find)
     ideals = [veronese(4, 2), var_block_product([{1, 2}, {3}])]
-    ideals += enumerate_matroidal(5, 3)
+    ideals += [*enumerate_matroidal(4, 2), *enumerate_matroidal(5, 3)]
+    rungs = []
     for mi in ideals:
-        reads.clear()
+        natural.clear()
+        parts.clear()
         orderings.clear()
         theorem_battery(mi)
-        assert reads == [mi], mi
+        rung = (reference_construct_certificate(mi) or [None])[0]
+        rungs.append(rung)
+        assert natural == [(mi, True)], mi
+        assert [read for read, _ in parts] == ([mi] if rung == "degree2" else []), mi
         assert orderings == [], mi
+    assert {"veronese", "product", "degree2", None} <= set(rungs)
 
 
 @pytest.mark.parametrize(

@@ -20,7 +20,6 @@ from matroidal import (
     veronese,
 )
 from matroidal.ideals import SupportOverlapError, UNIT, Ideal
-from matroidal.matroids import _external_masks
 
 from helpers import (
     betti_k_polynomial,
@@ -31,6 +30,7 @@ from helpers import (
     ideal_of,
     matroidal_of,
     partition_shapes,
+    tutte_at_x_1,
 )
 
 
@@ -170,8 +170,8 @@ def test_transfer_holds_exhaustively(enum_cache):
 def test_spanning_tree_ideals_are_matroidal_with_the_bonds_as_primes(graph):
     # Past the enumeration: graphs with 8-9 edges give n = 8, 9.
     # The colon steps and the exchange layers come from one read of the
-    # external masks; each must match colon_step_vars, the slow path, and
-    # give the K-polynomial of the faces.
+    # external masks; each must match colon_step_vars, the slow path, give
+    # the K-polynomial of the faces and, read by layer, T_M(1, y).
     v, edges, trees = graph
     n = len(edges)
     check = check_matroidal(ideal_of(n, *trees))
@@ -184,5 +184,7 @@ def test_spanning_tree_ideals_are_matroidal_with_the_bonds_as_primes(graph):
     steps = [colon_step_vars(list(gens[:j]), gens[j]) for j in range(1, len(gens))]
     assert find_ordering(mi).colon_steps == tuple(steps)
     sizes = [0, *map(len, steps)]
-    assert [m.bit_count() for m in _external_masks(mi, range(1, n + 1))] == sizes
+    assert [m.bit_count() for m in mi._colon_masks] == sizes
     assert betti_k_polynomial(n, mi.d, sizes) == faces_k_polynomial(mi.ideal)
+    layers = [sizes.count(k) for k in range(n - mi.d + 1)]
+    assert layers[::-1] == tutte_at_x_1(mi.ideal, mi.d)

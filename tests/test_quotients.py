@@ -153,15 +153,6 @@ def test_colon_steps_give_the_k_polynomial_of_the_faces(enum_cache):
     assert ideals == 2356
 
 
-def test_lex_ordering_never_backtracks(enum_cache):
-    # Linear quotients in canonical order: the ordering is the generator
-    # tuple, with no search.
-    for n in range(1, 7):
-        for d in range(1, n + 1):
-            for mi in enum_cache(n, d):
-                assert find_ordering(mi).order == mi.ideal.gens
-
-
 def test_q_index_past_the_recursion_limit():
     # 1716 generators: the colon steps are read in one loop over the
     # completion map, so no interpreter frame is spent per generator.

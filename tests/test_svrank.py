@@ -1,5 +1,6 @@
 import random
 import sys
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -36,7 +37,10 @@ from matroidal import (
     veronese_cert,
 )
 
+from matroidal.svrank import _exchange_layering
+
 from helpers import (
+    _joined,
     contiguous_blocks,
     graphic_matroids,
     ideal_of,
@@ -48,6 +52,7 @@ from helpers import (
     reference_search_cert,
     reference_verify_sv,
     reference_walk_search_cert,
+    tutte_at_x_1,
 )
 
 SEARCH_BUDGETS = (0, 7, 300, 20000)
@@ -198,6 +203,50 @@ def test_veronese_cert_layer_sizes():
             assert verify_sv(partition)
             sizes = [len(l) for l in partition.layers]
             assert sizes == [1] + [comb(d + i - 1, d - 1) for i in range(1, n - d + 1)]
+
+
+def _assert_exchange_layers_count_tutte(mi):
+    # The claim behind the linear-quotient rung: in the natural order the
+    # exchange layering is an SV certificate with n - d + 1 layers, and
+    # its sizes, read backwards, are the coefficients of T_M(1, y).
+    n, d = mi.ideal.n, mi.d
+    partition = _exchange_layering(mi, mi._colon_masks, "natural-order")
+    assert verify_sv(partition), mi.ideal.gens
+    assert len(partition.layers) == n - d + 1, mi.ideal.gens
+    sizes = [len(layer) for layer in partition.layers]
+    assert sizes[::-1] == tutte_at_x_1(mi.ideal, d), mi.ideal.gens
+    return sizes
+
+
+def test_exchange_layers_count_the_tutte_polynomial_on_every_small_ideal(enum_cache):
+    ideals = 0
+    for n in range(1, 7):
+        for d in range(1, n + 1):
+            for mi in enum_cache(n, d):
+                _assert_exchange_layers_count_tutte(mi)
+                ideals += 1
+    assert ideals == 2356
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("n,d", [(7, 3), (7, 4)])
+def test_exchange_layers_count_the_tutte_polynomial_on_n7_orbits(enum_cache, n, d):
+    for mi in enum_cache(n, d, True):
+        _assert_exchange_layers_count_tutte(mi)
+
+
+def test_exchange_layers_of_the_k5_spanning_trees():
+    # Edge i of K_5 is x_{i+1}; the bases are the 125 spanning trees.
+    edges = list(combinations(range(5), 2))
+    trees = [
+        tuple(i + 1 for i in subset)
+        for subset in combinations(range(10), 4)
+        if _joined([edges[i] for i in subset], 5) == 4
+    ]
+    mi = matroidal_of(10, *trees)
+    assert len(mi.ideal.gens) == 125
+    assert _assert_exchange_layers_count_tutte(mi) == [1, 4, 10, 20, 30, 36, 24]
+    assert tutte_at_x_1(mi.ideal, mi.d) == [24, 36, 30, 20, 10, 4, 1]
 
 
 def test_product_cert_sizes():
