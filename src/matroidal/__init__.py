@@ -95,10 +95,8 @@ from .svrank import (
     SVCheck,
     SVPartition,
     ara_bounds,
-    certificate_document,
     construct_certificate,
     degree2_cert,
-    partition_from_document,
     product_cert,
     search_cert,
     sv_sums,

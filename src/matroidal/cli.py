@@ -10,11 +10,16 @@ success/verified, 1 check failed, 2 inconclusive, 3 usage error.
 - a malformed ideal file, certificate document or argument gives 3;
 - a search budget run-out or an inconclusive oracle gives 2.
 
-A sums-only certificate document (``layers: null``) may leave out
-``target_ideal.generators``; when it has them they must parse and equal
-the ideal file's generators, as in a layered document.  A layered
-document may leave out ``sums``; when it has them they must parse and,
-once its layering passes, equal its layer sums.
+The certificate document is the CLI's own format, not the library's:
+``cert --json`` writes it (``_write_document``) and ``verify-cert`` reads
+it (``_read_document``).  The reader takes ``target_ideal.n`` first and
+stops at "ambient mismatch" when it is not the ideal file's; only then
+does it read the sums, the generators and the layers.  A sums-only
+document (``layers: null``) may leave out ``target_ideal.generators``;
+when it has them they must parse and equal the ideal file's generators,
+as in a layered document.  A layered document may leave out ``sums``;
+when it has them they must parse and, once its layering passes, equal
+its layer sums.
 """
 
 from __future__ import annotations
@@ -36,28 +41,28 @@ from .ideals import (
     InvariantViolation,
     _require_full_support,
     has_full_support,
+    minimal_generators,
     mono_str,
+    mono_vars,
     parse_ideal,
+    parse_mono,
     witness_text,
 )
 from .matroids import as_matroidal, check_matroidal
 from .oracle import (
     BudgetExceededError,
+    Poly,
     RadicalCertificate,
     parse_poly,
+    poly_str,
     verify_radical_cert,
 )
 from .quotients import analyze
 from .svrank import (
     SEARCH_BUDGET,
-    _ambient,
+    SVPartition,
     _layer_sums,
-    _LongInt,
-    _strings,
-    _target,
-    certificate_document,
     construct_certificate,
-    partition_from_document,
     search_cert,
     verify_sv,
 )
@@ -242,58 +247,114 @@ def _cmd_cert(args) -> int:
             return INCONCLUSIVE
         cert = result.partition
     # Both the ladder and the search return layerings that passed verify_sv.
-    document = certificate_document(cert, verified=True)
-    document["construction"] = construction
-    size = len(document["sums"])
     _emit(
         args,
-        document,
-        [f"construction={construction}", f"size={size}",
-         f"verified_sv={document['verified_sv']}"],
+        _write_document(cert, construction),
+        [f"construction={construction}", f"size={len(cert.layers)}",
+         "verified_sv=True"],
     )
     return OK
 
 
-def _read_document(text: str) -> object:
-    """A certificate document from JSON text (see ``svrank._LongInt``)."""
+def _write_document(cert: SVPartition, construction: str) -> dict[str, object]:
+    """The certificate document of a layering that has passed ``verify_sv``."""
+    return {
+        "target_ideal": {
+            "n": cert.ideal.n,
+            "generators": [mono_str(g) for g in cert.ideal.gens],
+        },
+        "layers": [
+            [mono_str(m) for m in sorted(layer, key=mono_vars)]
+            for layer in cert.layers
+        ],
+        "sums": [poly_str(p) for p in _layer_sums(cert).polys],
+        "verified_sv": True,
+        "oracle_checked": False,
+        "construction": construction,
+    }
 
-    def read_int(digits: str) -> int | _LongInt:
-        try:
-            return int(digits)
-        except ValueError:
-            return _LongInt(digits)
 
-    return json.loads(text, parse_int=read_int)
+class _LongInt:
+    """A JSON integer past Python's digit limit, kept as its length only.
+
+    ``n`` refuses it by name, a list of strings refuses it as a
+    non-string, and a key nobody reads ignores it.
+    """
+
+    __slots__ = ("digits",)
+
+    def __init__(self, text: str):
+        self.digits = len(text.lstrip("-"))
+
+
+def _read_int(digits: str) -> int | _LongInt:
+    try:
+        return int(digits)
+    except ValueError:
+        return _LongInt(digits)
+
+
+def _strings(value: object, what: str) -> list[str]:
+    if not isinstance(value, list) or not all(isinstance(s, str) for s in value):
+        raise ValueError(f"{what} must be a list of strings")
+    return value
+
+
+def _read_document(
+    path: str, ideal: Ideal
+) -> tuple[Ideal, tuple[Poly, ...] | None, SVPartition | None] | None:
+    """``(target, sums, layering)`` from the document at ``path``.
+
+    None when its ``n`` is not ``ideal.n``.  An absent part is None, and
+    an absent target is ``ideal``.  An unreadable file or a malformed
+    document is a usage error.
+    """
+    try:
+        document = json.loads(Path(path).read_text(), parse_int=_read_int)
+    except (OSError, ValueError) as exc:
+        raise _UsageError(f"cannot read certificate from {path}: {exc}") from exc
+    try:
+        n = document["target_ideal"]["n"]
+        if isinstance(n, _LongInt):
+            raise ValueError(f"n has {n.digits} digits, too many to read")
+        if type(n) is not int:
+            raise ValueError(f"n must be an integer, got {n!r}")
+        if n != ideal.n:
+            return None
+        layers = document.get("layers")
+        polys = None
+        if "sums" in document or layers is None:
+            polys = tuple(parse_poly(s, n) for s in _strings(document["sums"], "sums"))
+        target = ideal
+        if layers is not None or "generators" in document["target_ideal"]:
+            given = _strings(document["target_ideal"]["generators"], "target generators")
+            target = minimal_generators({parse_mono(s) for s in given}, n)
+        partition = None
+        if layers is not None:
+            if not isinstance(layers, list):
+                raise ValueError("layers must be a list of layers")
+            partition = SVPartition(
+                target,
+                tuple(
+                    frozenset(parse_mono(s) for s in _strings(layer, f"layer {i}"))
+                    for i, layer in enumerate(layers)
+                ),
+            )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise _UsageError(f"malformed certificate document: {exc}") from exc
+    return target, polys, partition
 
 
 def _cmd_verify_cert(args) -> int:
     ideal = _load_ideal(args.ideal)
-    try:
-        document = _read_document(Path(args.cert).read_text())
-    except (OSError, ValueError) as exc:
-        raise _UsageError(f"cannot read certificate from {args.cert}: {exc}") from exc
+    read = _read_document(args.cert, ideal)
+    if read is None:
+        return _fail(args, "ambient mismatch")
+    target, polys, partition = read
     payload: dict[str, object] = {"verified_sv": False, "oracle_checked": False}
-    try:
-        if _ambient(document) != ideal.n:
-            return _fail(args, "ambient mismatch")
-        layered = document.get("layers") is not None
-        polys = None
-        if "sums" in document or not layered:
-            polys = tuple(
-                parse_poly(s, ideal.n) for s in _strings(document["sums"], "sums")
-            )
-        if layered:
-            partition = partition_from_document(document)
-            target = partition.ideal
-        else:
-            # A sums-only document may leave its generators out.
-            given = "generators" in document["target_ideal"]
-            target = _target(document) if given else ideal
-    except (KeyError, TypeError, ValueError) as exc:
-        raise _UsageError(f"malformed certificate document: {exc}") from exc
     if target != ideal:
         return _fail(args, "certificate target differs from the ideal file")
-    if layered:
+    if partition is not None:
         check = verify_sv(partition)
         payload["verified_sv"] = bool(check)
         if not check:

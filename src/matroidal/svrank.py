@@ -31,14 +31,12 @@ from .ideals import (
     _require_full_support,
     minimal_generators,
     mono,
-    mono_str,
     mono_vars,
-    parse_mono,
     star_product,
     witness_text,
 )
 from .matroids import MatroidalIdeal, _completions, _external_masks, _holders, veronese
-from .oracle import Poly, RadicalCertificate, _exponents, poly_str
+from .oracle import Poly, RadicalCertificate, _exponents
 from .quotients import q_index
 
 # Default node budget of ``search_cert``, ``ara_bounds`` and ``matroidal cert``.
@@ -648,96 +646,3 @@ def ara_bounds(
     upper = len(certificate.layers) if certificate is not None else None
     exact = (upper == lower) if upper is not None else None
     return AraBounds(lower, upper, exact, method, certificate)
-
-
-def certificate_document(
-    cert: SVPartition | RadicalCertificate, verified: bool | None = None
-) -> dict[str, object]:
-    """JSON-ready certificate: target, layers, sums, verification flags.
-
-    ``verified`` is the ``verify_sv`` verdict on a layering that has
-    already been checked, such as one from ``construct_certificate`` or
-    ``search_cert``; when it is None the layering is checked here.
-    """
-    if isinstance(cert, SVPartition):
-        if verified is None:
-            verified = bool(verify_sv(cert))
-        sums = _layer_sums(cert) if verified else None
-        target = cert.ideal
-        layers = [
-            [mono_str(m) for m in sorted(layer, key=mono_vars)]
-            for layer in cert.layers
-        ]
-        sum_strings = [poly_str(p) for p in sums.polys] if sums else []
-    else:
-        target = cert.target
-        layers = None
-        sum_strings = [poly_str(p) for p in cert.polys]
-        verified = False  # not a layered partition; oracle is the check
-    return {
-        "target_ideal": {
-            "n": target.n,
-            "generators": [mono_str(g) for g in target.gens],
-        },
-        "layers": layers,
-        "sums": sum_strings,
-        "verified_sv": verified,
-        "oracle_checked": False,
-    }
-
-
-class _LongInt:
-    """A JSON integer past Python's limit on integer string conversion.
-
-    The CLI's document reader keeps only its length, so that ``_ambient``
-    refuses it by name and a list of strings refuses it as a non-string,
-    while a key nobody reads is still ignored.
-    """
-
-    __slots__ = ("digits",)
-
-    def __init__(self, text: str):
-        self.digits = len(text.lstrip("-"))
-
-
-def _ambient(doc: dict[str, object]) -> int:
-    """The document's ``target_ideal.n``; only a JSON integer is accepted."""
-    n = doc["target_ideal"]["n"]  # type: ignore[index]
-    if isinstance(n, _LongInt):
-        raise ValueError(f"n has {n.digits} digits, too many to read")
-    if type(n) is not int:
-        raise ValueError(f"n must be an integer, got {n!r}")
-    return n
-
-
-def _strings(value: object, what: str) -> list[str]:
-    if not isinstance(value, list) or not all(isinstance(s, str) for s in value):
-        raise ValueError(f"{what} must be a list of strings")
-    return value
-
-
-def _target(doc: dict[str, object]) -> Ideal:
-    """The document's ``target_ideal``, from its ``n`` and ``generators``."""
-    n = _ambient(doc)
-    generators = doc["target_ideal"]["generators"]  # type: ignore[index]
-    gens = {parse_mono(s) for s in _strings(generators, "target generators")}
-    return minimal_generators(gens, n)
-
-
-def partition_from_document(doc: dict[str, object]) -> SVPartition:
-    """Rebuild an SVPartition from the certificate JSON layout.
-
-    A document without that layout (a missing key, a value of the wrong
-    type, a malformed monomial) raises KeyError, TypeError or ValueError.
-    """
-    ideal = _target(doc)
-    layers = doc["layers"]
-    if not isinstance(layers, list):
-        raise ValueError("layers must be a list of layers")
-    return SVPartition(
-        ideal,
-        tuple(
-            frozenset(parse_mono(s) for s in _strings(layer, f"layer {i}"))
-            for i, layer in enumerate(layers)
-        ),
-    )

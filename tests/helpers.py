@@ -136,6 +136,45 @@ def brute_force_bonds(edges, v: int) -> set[frozenset[int]]:
     return bonds
 
 
+def _matched(elements, sets) -> bool:
+    """Whether distinct sets hold the elements, one each (augmenting paths)."""
+    owner: dict[int, int] = {}
+
+    def place(e: int, seen: set[int]) -> bool:
+        for i, s in enumerate(sets):
+            if e in s and i not in seen:
+                seen.add(i)
+                if i not in owner or place(owner[i], seen):
+                    owner[i] = e
+                    return True
+        return False
+
+    return all(place(e, set()) for e in elements)
+
+
+@st.composite
+def transversal_matroids(draw):
+    """The transversal matroid of 2-5 sets, each of 2 or more of 4-10 elements.
+
+    Draws ``(n, sets, bases)``.  The bases are the largest sets of elements
+    that a bipartite matching covers, each element matched to a distinct
+    set holding it; every subset of each size is tried, largest first.
+    Elements in no set are loops: they are dropped and the rest relabeled
+    x1..xn in order, so the support is full.  ``sets`` uses those labels.
+    """
+    m = draw(st.integers(4, 10))
+    drawn = draw(
+        st.lists(st.sets(st.integers(1, m), min_size=2), min_size=2, max_size=5)
+    )
+    label = {e: i + 1 for i, e in enumerate(sorted(set().union(*drawn)))}
+    sets = [frozenset(label[e] for e in s) for s in drawn]
+    n = len(label)
+    for d in range(min(n, len(sets)), 0, -1):
+        bases = [b for b in combinations(range(1, n + 1), d) if _matched(b, sets)]
+        if bases:
+            return n, sets, bases
+
+
 def faces_k_polynomial(ideal: Ideal) -> list[int]:
     """The K-polynomial of R/I, counted face by face, as coefficients of t^k.
 

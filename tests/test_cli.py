@@ -812,6 +812,11 @@ _V42_DOC = json.dumps(
 )
 
 
+def test_cert_writes_the_v42_document(capsys, v42):
+    # Byte for byte, key order and the layers' strings included.
+    assert run(capsys, "cert", v42, "--json") == (0, _V42_DOC + "\n")
+
+
 @st.composite
 def _fuzz_ideal_file(draw):
     """An ideal file: a relabeled matroidal orbit or random sets, then damaged."""

@@ -379,17 +379,18 @@ GRID_CELLS = [(2, 1), (3, 2), (4, 2), (5, 2), (6, 2), (4, 3), (5, 3), (6, 3)]
 def _witness_certificates(enum_cache):
     """Certificates to hold the witness step to the basis path on.
 
-    Every ``construct_certificate`` result on the labeled grid cells, the
-    oracle workload's families (its 80 (5,3) search certificates among
-    them), the 21 (6,3) search certificates of acceptance criterion 8 and
-    every contiguous block product up to n = 8.
+    The library's ``construct_certificate`` result on every labeled grid
+    ideal that the reference ladder covers (picked without the library's
+    ladder, so a new rung leaves the set alone), the oracle workload's
+    families (its 80 (5,3) search certificates among them), the 21 (6,3)
+    search certificates of acceptance criterion 8 and every contiguous
+    block product up to n = 8.
     """
     certs = []
     for n, d in GRID_CELLS:
         for mi in enum_cache(n, d):
-            built = construct_certificate(mi)
-            if built is not None:
-                certs.append(sv_sums(built[1]))
+            if reference_construct_certificate(mi) is not None:
+                certs.append(sv_sums(construct_certificate(mi)[1]))
     certs += _oracle_certificates(enum_cache)
     for mi in enum_cache(6, 3, True):
         if reference_construct_certificate(mi) is None:

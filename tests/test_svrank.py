@@ -15,13 +15,12 @@ from matroidal import (
     SVPartition,
     ara_bounds,
     as_matroidal,
-    certificate_document,
+    check_matroidal,
     construct_certificate,
     degree2_cert,
     minimal_primes,
     mono,
     mono_vars,
-    partition_from_document,
     poly_str,
     product_cert,
     q_index,
@@ -41,7 +40,9 @@ from matroidal.svrank import _exchange_layering
 
 from helpers import (
     _joined,
+    betti_k_polynomial,
     contiguous_blocks,
+    faces_k_polynomial,
     graphic_matroids,
     ideal_of,
     matroidal_of,
@@ -49,9 +50,11 @@ from helpers import (
     partition_shapes,
     reference_construct_certificate,
     reference_degree2_cert,
+    reference_minimal_primes,
     reference_search_cert,
     reference_verify_sv,
     reference_walk_search_cert,
+    transversal_matroids,
     tutte_at_x_1,
 )
 
@@ -247,6 +250,22 @@ def test_exchange_layers_of_the_k5_spanning_trees():
     assert len(mi.ideal.gens) == 125
     assert _assert_exchange_layers_count_tutte(mi) == [1, 4, 10, 20, 30, 36, 24]
     assert tutte_at_x_1(mi.ideal, mi.d) == [24, 36, 30, 20, 10, 4, 1]
+
+
+@given(transversal_matroids())
+@settings(max_examples=60, deadline=None)
+def test_transversal_matroids_past_the_enumeration(matroid):
+    # Bases by bipartite matching, up to n = 10: each check below holds a
+    # fast path to a relation read from the generators alone.
+    n, sets, bases = matroid
+    check = check_matroidal(ideal_of(n, *bases))
+    assert check, sets
+    mi = check.matroidal
+    assert minimal_primes(mi.ideal) == reference_minimal_primes(mi.ideal)
+    assert q_index(mi) == n - mi.d
+    _assert_exchange_layers_count_tutte(mi)
+    sizes = [m.bit_count() for m in mi._colon_masks]
+    assert betti_k_polynomial(n, mi.d, sizes) == faces_k_polynomial(mi.ideal)
 
 
 def test_product_cert_sizes():
@@ -694,43 +713,3 @@ def test_ara_lower_never_exceeds_upper(enum_cache):
                 bounds = ara_bounds(mi)
                 if bounds.upper is not None:
                     assert bounds.lower <= bounds.upper
-
-
-def test_certificate_document_roundtrip():
-    partition = veronese_cert(4, 2)
-    doc = certificate_document(partition)
-    assert doc["verified_sv"] is True
-    assert doc["layers"] == [
-        ["x1*x2"],
-        ["x1*x3", "x2*x3"],
-        ["x1*x4", "x2*x4", "x3*x4"],
-    ]
-    assert doc["sums"] == ["x1*x2", "x1*x3+x2*x3", "x1*x4+x2*x4+x3*x4"]
-    rebuilt = partition_from_document(doc)
-    assert rebuilt == partition
-
-    folded = product_cert([variable_cert({1}, 3), variable_cert({2, 3}, 3)])
-    doc = certificate_document(folded)
-    assert doc["layers"] is None
-    assert doc["verified_sv"] is False
-    assert len(doc["sums"]) == 2
-
-
-def test_certificate_document_verifies_once(monkeypatch):
-    partition = veronese_cert(5, 2)
-    expected = certificate_document(partition)
-    calls = []
-
-    def counted(p):
-        calls.append(p)
-        return verify_sv(p)
-
-    monkeypatch.setattr(matroidal.svrank, "verify_sv", counted)
-    assert certificate_document(partition) == expected
-    assert calls == [partition]
-    # A known verdict is taken as given.
-    assert certificate_document(partition, verified=True) == expected
-    assert calls == [partition]
-    bad = SVPartition(partition.ideal, (frozenset(partition.ideal.gens),))
-    doc = certificate_document(bad)
-    assert (doc["verified_sv"], doc["sums"]) == (False, [])
