@@ -11,6 +11,13 @@ condition is existential, so no completion could satisfy it.  Every slot
 is decided by the leaves, so every leaf with full support satisfies the
 exchange condition and is yielded without a further check.
 
+Each slot is one bit of a mask over all slots.  A node carries three
+running masks: the slots with a member of their pair chosen, those with
+both, and those with no repair chosen yet.  Per subset, precomputed masks
+name the slots it decides on inclusion and on exclusion, the slots whose
+pair holds it and the slots it repairs, so each node decides its slots
+with a few big-int ANDs and no loop over them.
+
 With symmetry reduction an ideal is kept when no relabeling gives a
 smaller sorted generator encoding.  Relabeling keeps full support and the
 exchange condition, so every relabeling of a leaf is another leaf of the
@@ -27,8 +34,9 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb
+from operator import getitem
 
 from .decomposition import _is_veronese, degree2_partition, unmixed_bounds_report
 from .ideals import (
@@ -51,13 +59,6 @@ MAX_IDEALS = 1 << 16
 MAX_SYMMETRY_VARS = 7
 # Default search node budget of ``conjecture_scan`` and ``matroidal scan``.
 SCAN_BUDGET = 20000
-
-
-def _index_bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def _smaller_relabeling(ideal: Ideal) -> tuple[int, ...] | None:
@@ -192,53 +193,74 @@ def enumerate_matroidal(n: int, d: int, up_to_symmetry: bool = False):
     k = len(subsets)
     position = {s: t for t, s in enumerate(subsets)}
     full = (1 << n) - 1
-    # A slot (ordered pair a, b and one exchangeable variable, with the
-    # bitmask over subset indices of its repairs) is decided at its highest
-    # index among a, b and its repairs.  closed_in[t] holds the
-    # slots decided by including t (t is the later of the pair and every
-    # repair comes before it), closed_out[t] those decided by excluding t
-    # (t is the last repair and comes after the pair), as (pair, repairs)
-    # masks.  A slot whose last repair is the later subset b itself is
-    # satisfied whenever the pair is chosen and is left out.
-    closed_in: list[list[tuple[int, int]]] = [[] for _ in range(k)]
-    closed_out: list[list[tuple[int, int]]] = [[] for _ in range(k)]
+    # Every slot (ordered pair a, b and one exchangeable variable, with its
+    # repair subsets) gets one bit and is decided at its highest index
+    # among a, b and its repairs.  closed_in[t] holds the slots decided by
+    # including t (t is the later of the pair and every repair comes before
+    # it), closed_out[t] those decided by excluding t (t is the last repair
+    # and comes after the pair), paired[t] the slots whose pair holds t and
+    # unrepaired[t] every slot that t does not repair.  A slot whose last
+    # repair is the later subset b itself is satisfied whenever the pair
+    # is chosen and gets no bit.
+    closed_in = [0] * k
+    closed_out = [0] * k
+    paired = [0] * k
+    repaired = [0] * k
+    bit = 1
     for a, sa in enumerate(subsets):
         for b, sb in enumerate(subsets):
             if a == b:
                 continue
             incoming = mono_vars(sb & ~sa)
-            pair, later = 1 << a | 1 << b, max(a, b)
+            later = max(a, b)
             for x in mono_vars(sa & ~sb):
                 base = sa ^ (1 << (x - 1))
-                m = 0
-                for y in incoming:
-                    m |= 1 << position[base | (1 << (y - 1))]
-                last = m.bit_length() - 1
+                repairs = [position[base | (1 << (y - 1))] for y in incoming]
+                last = max(repairs)
+                if last == later:
+                    continue
                 if last > later:
-                    closed_out[last].append((pair, m))
-                elif last < later:
-                    closed_in[later].append((pair, m))
+                    closed_out[last] |= bit
+                else:
+                    closed_in[later] |= bit
+                paired[a] |= bit
+                paired[b] |= bit
+                for r in repairs:
+                    repaired[r] |= bit
+                bit <<= 1
+    every_slot = bit - 1
+    unrepaired = [every_slot ^ r for r in repaired]
     suffix_support = [0] * (k + 1)
     for t in range(k - 1, -1, -1):
         suffix_support[t] = suffix_support[t + 1] | subsets[t]
-
-    def open_slot(decided: list[tuple[int, int]], chosen: int) -> bool:
-        """Whether some decided slot has its pair chosen and no repair."""
-        for pair, slot in decided:
-            if chosen & pair == pair and not chosen & slot:
-                return True
-        return False
+    # A leaf's generators, read a byte of its chosen mask at a time.
+    decode = [
+        [
+            tuple(s for i, s in enumerate(block) if byte >> i & 1)
+            for byte in range(1 << len(block))
+        ]
+        for block in (subsets[j:j + 8] for j in range(0, k, 8))
+    ]
+    width = len(decode)
 
     # Each orbit is closed once, at its first leaf; every member is a leaf
     # of this DFS, met exactly once, and consumes its entry when it is.
     orbit_min: dict[tuple[int, ...], tuple[int, ...]] = {}
     swaps = _adjacent_swaps(n) if up_to_symmetry else []
-    stack: list[tuple[int, int, int]] = [(0, 0, 0)]
+    # Along a branch, once holds the slots with a chosen member of their
+    # pair, twice those with both, and unfixed those with no chosen repair
+    # (kept as that complement so every test ANDs nonnegative ints).  A
+    # slot decided at t fails when its pair ends up chosen and it is still
+    # unfixed: excluding t fails closed_out[t] & twice & unfixed, and
+    # including t, which completes the pair of every slot in closed_in[t]
+    # and repairs none of them, fails closed_in[t] & once & unfixed.
+    stack: list[tuple[int, ...]] = [(0, 0, 0, 0, 0, every_slot)]
     while stack:
-        t, chosen, sup = stack.pop()
+        t, chosen, sup, once, twice, unfixed = stack.pop()
         if t == k:
             if chosen and sup == full:
-                gens = tuple(subsets[i] for i in _index_bits(chosen))
+                raw = chosen.to_bytes(width, "little")
+                gens = tuple(chain.from_iterable(map(getitem, decode, raw)))
                 if up_to_symmetry:
                     encoding = tuple(sorted(gens))
                     least = orbit_min.pop(encoding, None)
@@ -251,11 +273,14 @@ def enumerate_matroidal(n: int, d: int, up_to_symmetry: bool = False):
                         continue
                 yield _unchecked(Ideal(n, gens), d)
             continue
-        if sup | suffix_support[t + 1] == full and not open_slot(closed_out[t], chosen):
-            stack.append((t + 1, chosen, sup))
-        with_t = chosen | (1 << t)
-        if not open_slot(closed_in[t], with_t):
-            stack.append((t + 1, with_t, sup | subsets[t]))
+        if sup | suffix_support[t + 1] == full and not closed_out[t] & twice & unfixed:
+            stack.append((t + 1, chosen, sup, once, twice, unfixed))
+        if not closed_in[t] & once & unfixed:
+            pair = paired[t]
+            stack.append((
+                t + 1, chosen | 1 << t, sup | subsets[t],
+                once | pair, twice | once & pair, unfixed & unrepaired[t],
+            ))
 
 
 THEOREMS = (

@@ -13,9 +13,10 @@ and its exchange masks give the layers, u going in the layer that counts
 its external exchanges.  Square-free Veronese ideals and variable block
 products take the instance's natural-order ``_colon_masks``, the colon
 steps of ``quotients``; degree-2 ideals take the masks in the part order
-(``matroids._external_masks``), the parts being the complements of the
-cocircuits.  Every layering it returns has passed ``verify_sv``.
-A complete layered-partition search covers everything else.
+(``matroids._external_masks``, or the colon masks when that order is the
+natural one), the parts being the complements of the cocircuits.  Every
+layering it returns has passed ``verify_sv``.  A complete layered-partition
+search covers everything else.
 """
 
 from __future__ import annotations
@@ -282,7 +283,9 @@ def degree2_cert(mi: MatroidalIdeal) -> SVPartition:
     parts = [everything & ~c for c in mi._cocircuits]
     parts.sort(key=lambda p: (-p.bit_count(), p & -p))
     order = [v for part in parts for v in mono_vars(part)]
-    return _exchange_layering(mi, _external_masks(mi, order), "degree-2")
+    # The parts cover 1..n, so an ascending order is the natural one.
+    masks = mi._colon_masks if order == sorted(order) else _external_masks(mi, order)
+    return _exchange_layering(mi, masks, "degree-2")
 
 
 def construct_certificate(

@@ -226,6 +226,14 @@ def tutte_at_x_1(ideal: Ideal, d: int) -> list[int]:
     return coefficients
 
 
+def _index_bits(mask: int):
+    """The indices of the set bits of ``mask``, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def reference_enumerate_matroidal(n: int, d: int, up_to_symmetry: bool = False):
     """The inclusion-only pruned DFS: the oracle for ``enumerate_matroidal``.
 
@@ -236,7 +244,7 @@ def reference_enumerate_matroidal(n: int, d: int, up_to_symmetry: bool = False):
     ``enumerate_matroidal`` must yield the same sequence.  No argument
     checks and no caps.
     """
-    from matroidal.enumeration import _index_bits, _smaller_relabeling
+    from matroidal.enumeration import _smaller_relabeling
     from matroidal.matroids import _unchecked
 
     subsets = [mono(c) for c in combinations(range(1, n + 1), d)]

@@ -68,7 +68,8 @@ relabeled.
 decided, also by an exclusion, and checks nothing at the leaves.  It must
 yield exactly the sequence of the DFS that checked slots only at inclusion
 and again at every leaf, labeled and up to symmetry, on every cell with
-n <= 6.
+n <= 6, and (slow) on (7,2) and (7,5) both ways and (8,2) and (8,6)
+labeled.
 
 The symmetry filter closes each orbit under the adjacent transpositions;
 the closure must be the set of all n! relabelings of every ideal with
@@ -781,6 +782,24 @@ def test_enumeration_matches_the_inclusion_only_dfs(enum_cache):
         for sym in (False, True):
             expected = list(reference_enumerate_matroidal(n, d, sym))
             assert enum_cache(n, d, sym) == expected, (n, d, sym)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize(
+    "n,d,sym,count",
+    [
+        (7, 2, False, 876),
+        (7, 2, True, 14),
+        (7, 5, False, 3592),
+        (7, 5, True, 31),
+        (8, 2, False, 4139),
+        (8, 6, False, 19903),
+    ],
+)
+def test_enumeration_matches_the_inclusion_only_dfs_past_n6(enum_cache, n, d, sym, count):
+    expected = list(reference_enumerate_matroidal(n, d, sym))
+    assert len(expected) == count
+    assert enum_cache(n, d, sym) == expected
 
 
 @pytest.mark.slow
