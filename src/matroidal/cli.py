@@ -39,11 +39,11 @@ from .enumeration import (
 from .ideals import (
     Ideal,
     InvariantViolation,
+    _canonical,
     _require_full_support,
     has_full_support,
     minimal_generators,
     mono_str,
-    mono_vars,
     parse_ideal,
     parse_mono,
     witness_text,
@@ -264,8 +264,7 @@ def _write_document(cert: SVPartition, construction: str) -> dict[str, object]:
             "generators": [mono_str(g) for g in cert.ideal.gens],
         },
         "layers": [
-            [mono_str(m) for m in sorted(layer, key=mono_vars)]
-            for layer in cert.layers
+            [mono_str(m) for m in _canonical(layer)] for layer in cert.layers
         ],
         "sums": [poly_str(p) for p in _layer_sums(cert).polys],
         "verified_sv": True,

@@ -40,7 +40,13 @@ from operator import getitem
 
 from .decomposition import _is_veronese, degree2_partition, unmixed_bounds_report
 from .ideals import (
-    Ideal, InvariantViolation, _check_ambient, _require_full_support, mono, mono_vars
+    Ideal,
+    InvariantViolation,
+    _canonical,
+    _check_ambient,
+    _require_full_support,
+    mono,
+    mono_vars,
 )
 from .matroids import MatroidalIdeal, _unchecked
 from .quotients import _lex_q
@@ -148,13 +154,8 @@ def relabel_ideal(ideal: Ideal, perm: tuple[int, ...]) -> Ideal:
     """Apply the variable relabeling v -> perm[v-1], a permutation of 1..n."""
     if sorted(perm) != list(range(1, ideal.n + 1)):
         raise ValueError(f"not a permutation of 1..{ideal.n}: {tuple(perm)}")
-    gens = tuple(
-        sorted(
-            (mono(perm[v - 1] for v in mono_vars(g)) for g in ideal.gens),
-            key=mono_vars,
-        )
-    )
-    return Ideal(ideal.n, gens)
+    gens = _canonical(mono(perm[v - 1] for v in mono_vars(g)) for g in ideal.gens)
+    return Ideal(ideal.n, tuple(gens))
 
 
 def _check_cell(n: int, d: int, up_to_symmetry: bool) -> None:

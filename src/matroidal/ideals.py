@@ -5,6 +5,14 @@ bitmask (bit ``i-1`` set means ``x_i`` is present); the empty mask is the
 unit monomial.  An ideal is an ambient variable count ``n`` together with
 its minimal generating antichain.  Ambient ``n`` may exceed the support.
 
+Bulk kernels read a list of monomials packed as 64-bit words
+(``_packed``), eight little-endian bytes each whatever the machine: byte
+k of a word holds x_{8k+1}..x_{8k+8}, lowest bit first.  A byte table
+then acts on every word at once: ``_DIGITS`` turns bytes into the '0'/'1'
+digits of one bit, which ``matroids._holders`` parses into a variable's
+column, and ``_REVERSED`` reverses bits, which gives ``_canonical`` its
+sort key.
+
 All values are immutable and every operation is a pure function, so
 instances are safe to share across concurrent workers.
 """
@@ -12,12 +20,15 @@ instances are safe to share across concurrent workers.
 from __future__ import annotations
 
 import re
+import sys
+from array import array
 from dataclasses import dataclass
 from typing import Iterable
 
 # The documented input limit on variables, enforced by ``mono`` and
-# ``minimal_generators``.  Nothing relies on a machine word: monomials are
-# Python ints of any width, and the oracle packs its own fields.
+# ``minimal_generators``.  Monomials are Python ints; the bulk kernels
+# pack them into 64-bit words and refuse a wider one (``_packed``), and the
+# oracle packs its own fields.
 MAX_VARS = 64
 
 Monomial = int
@@ -96,6 +107,69 @@ def mono(variables: Iterable[int]) -> Monomial:
             raise ValueError(f"variable index must be in 1..{MAX_VARS}, got {v}")
         m |= 1 << (v - 1)
     return m
+
+
+def _packed(monomials: Iterable[Monomial]) -> bytes:
+    """Monomials as 64-bit words, eight little-endian bytes each.
+
+    The layout does not depend on the machine's byte order.  A mask of 2^64
+    or more is refused with the ``MAX_VARS`` message, never an
+    ``OverflowError``.
+    """
+    try:
+        words = array("Q", monomials)
+    except OverflowError:
+        raise ValueError(f"variable index must be in 1..{MAX_VARS}") from None
+    if sys.byteorder == "big":
+        words.byteswap()
+    return words.tobytes()
+
+
+def _unpacked(data: bytes) -> list[Monomial]:
+    """The monomials of ``_packed`` bytes."""
+    words = array("Q", data)
+    if sys.byteorder == "big":
+        words.byteswap()
+    return words.tolist()
+
+
+# ``_DIGITS[j]`` maps a byte to b"1" where its bit j is set, else to b"0".
+_DIGITS = tuple((b"0" * (1 << j) + b"1" * (1 << j)) * (128 >> j) for j in range(8))
+
+
+def _reversal_table() -> bytes:
+    """The byte table that reverses the bits of every byte.
+
+    Interleaving the digit tables gives each byte's bits from bit 0 up,
+    which read as one binary number are its reversed bits, byte by byte.
+    """
+    digits = bytearray(8 * 256)
+    for j, table in enumerate(_DIGITS):
+        digits[j::8] = table
+    return int(digits, 2).to_bytes(256, "big")
+
+
+_REVERSED = _reversal_table()
+
+
+def _canonical(antichain: Iterable[Monomial]) -> list[Monomial]:
+    """An antichain in canonical order: ascending by ``mono_vars`` tuple.
+
+    Needs an antichain.  Of two members, the one holding the lowest
+    variable where they differ has the smaller tuple, since no member's
+    tuple is a prefix of another's.  With each word's bits reversed, that
+    variable is the highest bit where they differ, so the canonical order
+    is the descending order of the reversed words.  Reversing packed bytes
+    end to end and reversing each byte's bits reverses each word's bits
+    and the order of the words, so sorting the reversed words ascending
+    and reversing again gives the canonical order.  Fewer than two members
+    are already in order.
+    """
+    antichain = list(antichain)
+    if len(antichain) < 2:
+        return antichain
+    flipped = sorted(_unpacked(_packed(antichain).translate(_REVERSED)[::-1]))
+    return _unpacked(_packed(flipped).translate(_REVERSED)[::-1])
 
 
 def mono_vars(m: Monomial) -> tuple[int, ...]:
@@ -198,8 +272,8 @@ def minimal_generators(monomials: Iterable[Monomial], n: int) -> Ideal:
     """
     _check_ambient(n)
     ms = set(monomials)
-    for m in ms:
-        _check_range(m, n)
+    if ms and (min(ms) < 0 or max(ms) >> n):
+        raise ValueError(f"variable index out of range for n={n}")
     lower: list[Monomial] = []  # kept, of lower degree than the current one
     current: list[Monomial] = []  # kept, of the current degree
     degree = -1
@@ -210,7 +284,7 @@ def minimal_generators(monomials: Iterable[Monomial], n: int) -> Ideal:
             current = []
         if not any(g & m == g for g in lower):
             current.append(m)
-    return Ideal(n, tuple(sorted(lower + current, key=mono_vars)))
+    return Ideal(n, tuple(_canonical(lower + current)))
 
 
 def is_zero_ideal(ideal: Ideal) -> bool:

@@ -16,14 +16,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, product as iter_product
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .ideals import (
     Ideal,
     InvariantViolation,
     Monomial,
     SupportOverlapError,
+    _DIGITS,
     _check_var,
+    _packed,
     contains,
     is_unit_ideal,
     is_zero_ideal,
@@ -223,15 +225,27 @@ def _external_masks(mi: MatroidalIdeal, order: Iterable[int]) -> list[int]:
     return masks
 
 
-def _holders(gens: Iterable[Monomial]) -> dict[int, int]:
-    """Variable bit to the mask of the indices of the generators holding it."""
-    holders: dict[int, int] = {}
-    for i, g in enumerate(gens):
-        bit = 1 << i
-        while g:
-            v = g & -g
-            holders[v] = holders.get(v, 0) | bit
-            g ^= v
+def _holders(gens: Sequence[Monomial]) -> dict[int, int]:
+    """Variable bit to the mask of the indices of the generators holding it.
+
+    Each mask is a column of the packed words (``ideals._packed``).  A
+    strided slice from the last word back takes the byte holding the
+    variable from every word, generator 0 last; ``_DIGITS`` turns those
+    bytes into '0'/'1' digits, so ``int(_, 2)`` puts generator 0 in the
+    lowest bit.  That is one C-level pass per variable up to the highest
+    one held, instead of |G| d big-int ORs.  Only variables some generator
+    holds are keys.  A generator of 2^64 or more raises the ``MAX_VARS``
+    ValueError.
+    """
+    if not gens:
+        return {}
+    data = _packed(gens)
+    last = len(data) - 8
+    holders = {}
+    for v in range(max(gens).bit_length()):
+        column = int(data[last + (v >> 3) :: -8].translate(_DIGITS[v & 7]), 2)
+        if column:
+            holders[1 << v] = column
     return holders
 
 

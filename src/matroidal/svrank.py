@@ -22,6 +22,7 @@ search covers everything else.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Iterator
 
 from .decomposition import _cocircuit_blocks, _is_veronese
@@ -29,6 +30,7 @@ from .ideals import (
     Ideal,
     InvariantViolation,
     Monomial,
+    _canonical,
     _require_full_support,
     minimal_generators,
     mono,
@@ -75,22 +77,26 @@ def verify_sv(partition: SVPartition) -> SVCheck:
     the first layer is a singleton, and for i > 0 any two distinct p, p' in
     P_i have some earlier-layer element dividing p*p'.
 
+    The generators are numbered layer by layer, and one table of holder
+    columns is read over that numbering (``matroids._holders``, from the
+    packed 64-bit words): a variable's column holds the numbers of the
+    generators holding it, so a layer's own columns are a shift of it.
+
     The pair condition first runs a single-exchange pass per layer
-    (``_unsettled_pairs``).  A completion map of the earlier layers gives,
-    for each a in P_i and x in a, every y with a - x + y in an earlier
-    layer; each b in P_i holding such a y is settled with a, since
+    (``_unsettled_pairs``).  A completion map of the earlier layers, grown
+    one layer at a time and never by the last, gives, for each a in P_i
+    and x in a, every y with a - x + y in an earlier layer; each b in P_i
+    holding such a y is settled with a, since
     a - x + y lies in the union of a and b and so divides a*b.  This is
     sound for any partition, matroidal or not, and costs about
     |P_i| d (n - d) mask operations instead of |P_i|^2 pair tests.  Only
-    the pairs left over go through the exact scan: the generators
-    are numbered layer by layer, so the earlier layers of P_i are a prefix
-    mask, and the generators dividing p*p' come from per-variable masks
-    memoised by the product's support (``_Dividers``).  The scan visits
-    the pairs left over in canonical order within the layer, and every
-    settled pair holds, so the witness is still the first failing pair in
-    that order.
-    The scan's masks and the canonical sort are built only when some pair
-    is left over.
+    the pairs left over go through the exact scan: the earlier layers of
+    P_i are a prefix mask of the numbering, and the generators dividing
+    p*p' come from the same columns, memoised by the product's support
+    (``_Dividers``).  The scan visits the pairs left over in canonical
+    order within the layer, and every settled pair holds, so the witness
+    is still the first failing pair in that order.  The memo and the
+    canonical sort are built only when some pair is left over.
 
     Measured, not proven: the pass left no pair over on any exchange
     layering tried, that is every ``construct_certificate`` result of the
@@ -115,40 +121,49 @@ def verify_sv(partition: SVPartition) -> SVCheck:
         return SVCheck(False, "union_mismatch", (missing, extra))
     if len(layers[0]) != 1:
         return SVCheck(False, "layer0_size", len(layers[0]))
-    earlier = _completions(layers[0])  # of the layers before P_i
+    numbered = list(chain.from_iterable(layers))
+    columns = _holders(numbered)
+    earlier: dict[Monomial, int] = {}  # the completion map of P_0..P_{i-1}
     dividers: _Dividers | None = None
-    start = len(layers[0])
+    start = 0
     for i, layer in enumerate(layers[1:], start=1):
-        left = _unsettled_pairs(layer, earlier)
+        _completions(layers[i - 1], earlier)
+        start += len(layers[i - 1])
+        members = numbered[start : start + len(layer)]
+        left = _unsettled_pairs(members, earlier, columns, start)
         if left:
             if dividers is None:
-                dividers = _Dividers([g for part in layers for g in part])
-            canonical = sorted(layer, key=mono_vars)
+                dividers = _Dividers(columns, len(numbered))
+            canonical = _canonical(layer)
             rank = {g: k for k, g in enumerate(canonical)}
             prefix = (1 << start) - 1
             for ka, kb in sorted(sorted((rank[a], rank[b])) for a, b in left):
                 a, b = canonical[ka], canonical[kb]
                 if not dividers[a | b] & prefix:
                     return SVCheck(False, "pair", (i, a, b))
-        _completions(layer, earlier)
-        start += len(layer)
     return SVCheck(True)
 
 
 def _unsettled_pairs(
-    layer: Iterable[Monomial], earlier: dict[Monomial, int]
+    members: list[Monomial],
+    earlier: dict[Monomial, int],
+    columns: dict[int, int],
+    start: int,
 ) -> list[tuple[Monomial, Monomial]]:
-    """The pairs of ``layer`` that no single exchange settles.
+    """The pairs of a layer's ``members`` that no single exchange settles.
 
     ``earlier`` is the completion map of the earlier layers, so
     ``earlier[a - x]`` holds every y with a - x + y in an earlier layer.
+    ``columns`` are the holder columns of a numbering that holds the
+    earlier layers and has the members at ``start``, ``start + 1``, ...;
+    they are shifted to the layer only when it has two members or more.
     ``covered[k]`` is the mask of the members holding such a y for member
     k; a pair is settled when either member covers the other.
     """
-    members = list(layer)
     if len(members) < 2:
         return []
-    holders = _holders(members)
+    full = (1 << len(members)) - 1
+    holders = {v: column >> start & full for v, column in columns.items()}
     covered = []
     for a in members:
         ys = 0
@@ -160,10 +175,9 @@ def _unsettled_pairs(
         mask = 0
         while ys:
             y = ys & -ys
-            mask |= holders.get(y, 0)
+            mask |= holders[y]
             ys ^= y
         covered.append(mask)
-    full = (1 << len(members)) - 1
     left = []
     for k, mask in enumerate(covered):
         # The partners j > k that member k does not cover.
@@ -215,7 +229,7 @@ def _layer_sums(partition: SVPartition) -> RadicalCertificate:
     n = partition.ideal.n
     polys = []
     for layer in partition.layers:
-        gens = sorted(layer, key=mono_vars)
+        gens = _canonical(layer)
         polys.append(Poly(n, {_exponents(m, n): 1 for m in gens}))
     return RadicalCertificate(tuple(polys), partition.ideal, "sv_partition")
 
@@ -343,14 +357,14 @@ class _Dividers(dict):
 
     ``dividers[prod]`` is the bitmask of generator indices w with w
     dividing any monomial of support ``prod``, computed on first lookup
-    from per-variable masks (the generators containing x_v): w divides the
-    product exactly when it contains no variable outside the support.
+    from the holder columns of ``count`` generators (``matroids._holders``,
+    the generators containing x_v): w divides the product exactly when it
+    contains no variable outside the support.
     """
 
-    def __init__(self, gens: list[Monomial]):
+    def __init__(self, containing: dict[int, int], count: int):
         super().__init__()
-        containing = _holders(gens)
-        self._full = (1 << len(gens)) - 1
+        self._full = (1 << count) - 1
         self._containing = containing
         self._support = sum(containing)
 
@@ -494,7 +508,7 @@ def search_cert(
     gens = list(mi.ideal.gens)
     if target_size > len(gens):
         return SearchResult(None, True, 0)
-    dividers = _Dividers(gens)
+    dividers = _Dividers(_holders(gens), len(gens))
     nodes = 0
 
     def found(used: list[int]) -> SearchResult:

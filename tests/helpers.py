@@ -93,6 +93,24 @@ def _joined(edges, v: int) -> int:
     return joined
 
 
+def spanning_tree_ideal(v: int) -> Ideal:
+    """The spanning-tree ideal of K_v, by brute force over edge subsets.
+
+    Edge i of K_v, in ``combinations`` order, is the variable x_{i+1}; the
+    generators are the (v - 1)-subsets of edges that union-find finds
+    acyclic.  ``combinations`` yields the subsets in canonical order, so
+    the ``Ideal`` is built directly, through none of the library's
+    constructors.
+    """
+    edges = list(combinations(range(v), 2))
+    trees = tuple(
+        sum(1 << i for i in subset)
+        for subset in combinations(range(len(edges)), v - 1)
+        if _joined([edges[i] for i in subset], v) == v - 1
+    )
+    return Ideal(len(edges), trees)
+
+
 @st.composite
 def graphic_matroids(draw):
     """A connected simple graph on 4-6 vertices with at most 9 edges.
@@ -818,6 +836,22 @@ def moved_generator(partition, source: int, to: int, position: int = 0):
     layers[source].discard(g)
     layers[to].add(g)
     return SVPartition(partition.ideal, tuple(frozenset(layer) for layer in layers))
+
+
+def reference_holders(gens) -> dict[int, int]:
+    """Variable bit to the mask of the indices of the generators holding it.
+
+    The bit-at-a-time loop, the reference for ``matroids._holders``, which
+    reads the same masks as columns of packed 64-bit words.
+    """
+    holders: dict[int, int] = {}
+    for i, g in enumerate(gens):
+        bit = 1 << i
+        while g:
+            v = g & -g
+            holders[v] = holders.get(v, 0) | bit
+            g ^= v
+    return holders
 
 
 def reference_minimal_generators(monomials, n: int) -> Ideal:

@@ -85,6 +85,12 @@ the zero and unit ideals.
 adjacency mask.  It must give the parts, or the first failing pair, of
 the ordered pair loops it replaced: on every degree-2 ideal with n <= 6,
 each with one generator dropped and each with one pair added.
+
+The holder columns and the canonical order are read from packed 64-bit
+words.  The columns must equal the bit-at-a-time loop's on random lists
+of up to 300 masks of up to 64 bits, bit 63 included, and the order must
+equal the sort by variable tuple on random mixed-degree antichains over
+up to 64 variables.
 """
 
 import random
@@ -136,12 +142,14 @@ from matroidal import (
 from matroidal import matroids
 from matroidal.decomposition import _cocircuit_blocks
 from matroidal.enumeration import _adjacent_swaps, _orbit, _smaller_relabeling
+from matroidal.ideals import _canonical
 from matroidal.matroids import (
     MatroidalIdeal,
     NotMatroidalError,
     _completions,
     _external_masks,
     _fundamental_cocircuits,
+    _holders,
 )
 from matroidal.oracle import BudgetExceededError
 from matroidal.quotients import _lex_q
@@ -165,6 +173,7 @@ from helpers import (
     reference_degree2_partition,
     reference_enumerate_matroidal,
     reference_find_ordering,
+    reference_holders,
     reference_minimal_generators,
     reference_minimal_primes,
     reference_radical_check,
@@ -968,12 +977,17 @@ def test_random_layerings_hold_settled_and_leftover_pairs_in_one_layer():
         check = verify_sv(partition)
         assert check == reference_verify_sv(partition)
         verdicts.add(check.failure)
+        numbered = [g for layer in partition.layers for g in layer]
+        columns = _holders(numbered)
         earlier = _completions(partition.layers[0])
+        start = len(partition.layers[0])
         for layer in partition.layers[1:]:
             pairs = len(layer) * (len(layer) - 1) // 2
-            if 0 < len(_unsettled_pairs(layer, earlier)) < pairs:
+            members = numbered[start : start + len(layer)]
+            if 0 < len(_unsettled_pairs(members, earlier, columns, start)) < pairs:
                 mixed += 1
             _completions(layer, earlier)
+            start += len(layer)
     assert mixed >= 20
     assert {None, "pair"} <= verdicts
 
@@ -1026,6 +1040,38 @@ def test_minimal_generators_matches_reference_on_mixed_degrees(n_monomials):
     assert minimal_generators(monomials, n) == reference_minimal_generators(
         monomials, n
     )
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.integers(0, (1 << 64) - 1)
+        | st.sets(st.integers(0, 63), max_size=8).map(lambda s: sum(1 << v for v in s)),
+        max_size=300,
+    )
+)
+@example([1 << 63])
+@example([(1 << 64) - 1, 0, 1 << 63 | 1])
+def test_holder_columns_match_the_bit_loop(gens):
+    assert _holders(gens) == reference_holders(gens)
+
+
+@st.composite
+def wide_antichains(draw):
+    """Shuffled antichains of mixed degree over up to 64 variables."""
+    n = draw(st.integers(1, 64))
+    supports = draw(st.lists(st.sets(st.integers(0, n - 1), min_size=1), max_size=40))
+    masks = {sum(1 << v for v in s) for s in supports}
+    antichain = [m for m in masks if not any(g != m and g & m == g for g in masks)]
+    return draw(st.permutations(antichain))
+
+
+@settings(max_examples=200, deadline=None)
+@given(wide_antichains())
+@example([1 << 63, 1])
+@example([])
+def test_canonical_order_matches_the_variable_tuple_sort(antichain):
+    assert _canonical(antichain) == sorted(antichain, key=mono_vars)
 
 
 def _assert_canonicity_agrees(ideal):

@@ -52,6 +52,8 @@ REVERSED_V42 = Ideal(4, V42.ideal.gens[::-1])
 # V(3,2) in four variables: x4 is in range but not in the support.
 V32_IN_4 = MatroidalIdeal(ideal_of(4, (1, 2), (1, 3), (2, 3)), 2)
 VARIABLES5 = ideal_of(5, (1,), (2,), (3,), (4,), (5,))
+# x1*x70 and x2*x70, past MAX_VARS.
+WIDE = Ideal(70, (1 | 1 << 69, 2 | 1 << 69))
 
 
 def _cert(poly):
@@ -323,6 +325,21 @@ CASES = {
         lambda: ara_bounds(V32_IN_4),
         ValueError,
         "support must be all of x1..xn",
+    ),
+    # An Ideal built directly past 64 variables reaches the packed 64-bit
+    # kernels, which refuse it in the MAX_VARS wording, not with an
+    # OverflowError; as_matroidal used to accept this one.
+    "as_matroidal_past_64_variables": (
+        lambda: as_matroidal(WIDE),
+        ValueError,
+        "variable index must be in 1..64",
+    ),
+    "verify_sv_past_64_variables": (
+        lambda: verify_sv(
+            SVPartition(WIDE, tuple(frozenset({g}) for g in WIDE.gens))
+        ),
+        ValueError,
+        "variable index must be in 1..64",
     ),
 }
 

@@ -18,6 +18,7 @@ from matroidal import (
     check_matroidal,
     construct_certificate,
     degree2_cert,
+    minimal_generators,
     minimal_primes,
     mono,
     mono_vars,
@@ -54,6 +55,7 @@ from helpers import (
     reference_search_cert,
     reference_verify_sv,
     reference_walk_search_cert,
+    spanning_tree_ideal,
     transversal_matroids,
     tutte_at_x_1,
 )
@@ -103,7 +105,7 @@ class _NoScan(Exception):
 
 
 class _RaisingDividers:
-    def __init__(self, gens):
+    def __init__(self, columns, count):
         raise _NoScan
 
 
@@ -250,6 +252,21 @@ def test_exchange_layers_of_the_k5_spanning_trees():
     assert len(mi.ideal.gens) == 125
     assert _assert_exchange_layers_count_tutte(mi) == [1, 4, 10, 20, 30, 36, 24]
     assert tutte_at_x_1(mi.ideal, mi.d) == [24, 36, 30, 20, 10, 4, 1]
+
+
+@pytest.mark.slow
+def test_exchange_layers_of_the_k7_spanning_trees():
+    # 16,807 spanning trees over 21 edge variables, built by brute force:
+    # the packed holder columns and the canonical sort at scale.
+    ideal = spanning_tree_ideal(7)
+    assert len(ideal.gens) == 7**5
+    assert minimal_generators(ideal.gens, ideal.n) == ideal
+    mi = as_matroidal(ideal)
+    partition = _exchange_layering(mi, mi._colon_masks, "natural-order")
+    assert verify_sv(partition)
+    assert [len(layer) for layer in partition.layers] == [
+        1, 6, 21, 56, 126, 252, 455, 750, 1140, 1610, 2100, 2520, 2730, 2520, 1800, 720
+    ]
 
 
 @given(transversal_matroids())
