@@ -50,6 +50,7 @@ from .ideals import (
 )
 from .matroids import as_matroidal, check_matroidal
 from .oracle import (
+    MAX_CAP,
     BudgetExceededError,
     Poly,
     RadicalCertificate,
@@ -103,8 +104,7 @@ def _int_within(least: int, most: int | None, name: str, rule: str):
 
 _node_budget = _int_within(0, None, "_node_budget", "search budget must be nonnegative")
 _search_size = _int_within(1, None, "_search_size", "search size must be at least 1 layer")
-# The power loop is linear in the cap even where the pair budget cannot bind.
-_oracle_cap = _int_within(1, 1000, "_oracle_cap", "oracle cap must be in 1..1000")
+_oracle_cap = _int_within(1, MAX_CAP, "_oracle_cap", f"oracle cap must be in 1..{MAX_CAP}")
 
 
 def _grid_cell(text: str) -> tuple[int, int]:
@@ -517,7 +517,7 @@ def build_parser() -> _Parser:
     p.add_argument("ideal")
     p.add_argument("cert")
     p.add_argument("--oracle", action="store_true", help="Groebner radical check")
-    p.add_argument("--cap", type=_oracle_cap, default=8, help="largest power to try, 1..1000")
+    p.add_argument("--cap", type=_oracle_cap, default=8, help=f"largest power to try, 1..{MAX_CAP}")
 
     p = add("enumerate", _cmd_enumerate, help="all matroidal ideals for (n, d)")
     p.add_argument("--n", type=int, required=True)

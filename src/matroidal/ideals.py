@@ -264,16 +264,19 @@ class Ideal:
 def minimal_generators(monomials: Iterable[Monomial], n: int) -> Ideal:
     """Canonicalize an arbitrary generating set to its minimal antichain.
 
-    Monomials are taken by ascending degree, so any proper divisor is seen
-    before its multiples.  A distinct square-free monomial of the same
-    degree never divides another, so each one is compared only against the
-    kept generators of strictly lower degree: input of a single degree
-    does no pairwise work.
+    A distinct square-free monomial of the same degree never divides
+    another, so input of a single degree is already an antichain and goes
+    straight to the canonical sort: no pairwise work.  Otherwise monomials
+    are taken by ascending degree, so any proper divisor is seen before its
+    multiples, and each one is compared only against the kept generators
+    of strictly lower degree.  The range is checked first either way.
     """
     _check_ambient(n)
     ms = set(monomials)
     if ms and (min(ms) < 0 or max(ms) >> n):
         raise ValueError(f"variable index out of range for n={n}")
+    if len(set(map(int.bit_count, ms))) < 2:
+        return Ideal(n, tuple(_canonical(ms)))
     lower: list[Monomial] = []  # kept, of lower degree than the current one
     current: list[Monomial] = []  # kept, of the current degree
     degree = -1

@@ -9,6 +9,11 @@ completion map, O(|G| d) dict updates in all, and accepts when each of them
 meets every generator.  The pairwise scan runs only on failure, to name the
 lexicographically first failing exchange.  It is the ``MatroidalIdeal``
 constructor, whose instance keeps the map, cocircuits and colon masks.
+
+The one walk over the canonical generator order that builds the map also
+gives the colon masks: when it reaches u, the entry of u - x holds exactly
+the y < x with u - x + y a generator, since those generators come before
+u, so OR-ing the entries it reads is u's colon step.
 """
 
 from __future__ import annotations
@@ -44,8 +49,9 @@ class MatroidalIdeal:
     """A validated matroidal ideal together with its uniform degree.
 
     The constructor raises as :func:`as_matroidal` does, or on a ``d`` that
-    is not the generators' degree.  Its check's completion map and
-    cocircuits, and its colon masks, are not fields: ``==`` ignores them.
+    is not the generators' degree.  Its check's completion map, cocircuits
+    and colon masks, all from the check's one walk over the generators,
+    are not fields: ``==`` ignores them.
     """
 
     ideal: Ideal
@@ -60,10 +66,11 @@ class MatroidalIdeal:
             )
         object.__setattr__(self, "_completion_map", checked._completion_map)
         object.__setattr__(self, "_cocircuits", checked._cocircuits)
+        object.__setattr__(self, "_colon_masks", checked._colon_masks)
 
     @cached_property
     def _completion_map(self) -> dict[Monomial, int]:
-        return _completions(self.ideal.gens)
+        return self._walk()[0]
 
     @cached_property
     def _cocircuits(self) -> frozenset[int]:
@@ -72,15 +79,23 @@ class MatroidalIdeal:
 
     @cached_property
     def _colon_masks(self) -> tuple[int, ...]:
-        """The natural-order external masks: q, the colon steps, the layers."""
-        return tuple(_external_masks(self, range(1, self.ideal.n + 1)))
+        """The natural-order colon masks: q, the colon steps, the layers."""
+        return self._walk()[1]
+
+    def _walk(self) -> tuple[dict[Monomial, int], tuple[int, ...]]:
+        """Record the completion map and colon masks of one walk."""
+        completions, masks = _completions(self.ideal.gens)
+        object.__setattr__(self, "_completion_map", completions)
+        object.__setattr__(self, "_colon_masks", masks)
+        return completions, masks
 
 
 def _unchecked(ideal: Ideal, d: int, **record: object) -> MatroidalIdeal:
     """A ``MatroidalIdeal`` for a caller that has checked ``ideal`` already.
 
     Of ``_completion_map``, ``_cocircuits`` and ``_colon_masks``, one not
-    in ``record`` is built when first read.  Attributes are set as the
+    in ``record`` is built when first read; the first read of the map or
+    the masks records both from one walk.  Attributes are set as the
     dataclass ``__init__`` sets them, which builds no dict per instance.
     """
     mi = object.__new__(MatroidalIdeal)
@@ -165,31 +180,51 @@ def _matroid(ideal: Ideal) -> MatroidalIdeal | None:
         # In canonical order a holds the lowest variable where a and b differ.
         if b.bit_count() != d or not a & (a ^ b) & -(a ^ b):
             return None
-    completions = _completions(gens)
+    completions, masks = _completions(gens)
     cocircuits = _fundamental_cocircuits(gens, completions)
     if cocircuits is None:
         return None
-    return _unchecked(ideal, d, _completion_map=completions, _cocircuits=cocircuits)
+    return _unchecked(
+        ideal,
+        d,
+        _completion_map=completions,
+        _cocircuits=cocircuits,
+        _colon_masks=masks,
+    )
 
 
 def _completions(
     gens: Iterable[Monomial], into: dict[Monomial, int] | None = None
-) -> dict[Monomial, int]:
-    """The completion map: g - x to the mask of all y with g - x + y in G.
+) -> tuple[dict[Monomial, int], tuple[int, ...]]:
+    """The completion map and, per generator, the entries it read.
 
-    Keys are g - x for every generator g and x in g.  One pass over the
-    generators, |G| d dict updates: each g adds its own x to the entry of
-    g - x.  Given a map ``into``, the generators are added to it in place,
-    so a map can be grown one batch of generators at a time.
+    The map takes g - x to the mask of all y with g - x + y in G.  Keys
+    are g - x for every generator g and x in g.  One pass over the
+    generators, |G| d dict updates: each g ORs the entry of g - x into its
+    own mask, then adds its own x to that entry.  So g's mask holds the y
+    with g - x + y an earlier generator, for some x in g.  Over an
+    antichain in canonical order, those are exactly the y < x: that is
+    g's colon step, its natural-order external mask (``_external_masks``),
+    and the first generator's mask is 0.  Nothing here presumes a matroid.
+    Given a map ``into``, the generators are added to it in place, so a
+    map can be grown one batch of generators at a time; a mask then also
+    reads the generators of the batches before.
     """
     completions = {} if into is None else into
+    get = completions.get
+    masks = []
     for g in gens:
+        external = 0
         rest = g
         while rest:
             x = rest & -rest
-            completions[g ^ x] = completions.get(g ^ x, 0) | x
+            key = g ^ x
+            known = get(key, 0)
+            external |= known
+            completions[key] = known | x
             rest ^= x
-    return completions
+        masks.append(external)
+    return completions, tuple(masks)
 
 
 def _external_masks(mi: MatroidalIdeal, order: Iterable[int]) -> list[int]:
@@ -199,13 +234,11 @@ def _external_masks(mi: MatroidalIdeal, order: Iterable[int]) -> list[int]:
     replace a later variable x of u: y precedes x in ``order`` and
     u - x + y is a generator.  That is the OR over x in u of
     ``completions[u - x] & before[x]``, on the instance's completion map.
-    In the natural order the mask of u is its colon step in the canonical
-    generator order: <earlier generators> : u is generated by the y in the
-    mask, each u - x + y with y < x being an earlier generator
-    (Herzog-Takayama 2002), and the first generator's mask is 0.  The
-    popcount is the external activity that places u in an exchange
-    layering; the instance keeps the natural order's as ``_colon_masks``.
-    The masks presume a matroid; nothing here checks one.
+    The popcount is the external activity that places u in an exchange
+    layering.  In the natural order these are the colon masks, which the
+    walk of ``_completions`` gives with no second pass, so this serves
+    only other orders (``svrank.degree2_cert``'s part order).  The masks
+    presume a matroid; nothing here checks one.
     """
     completions = mi._completion_map
     before: dict[int, int] = {}  # keyed by the variable's bit
@@ -264,7 +297,7 @@ def _fundamental_cocircuits(
     condition fails.  Otherwise the sets are the cocircuits of the matroid
     whose bases are the generators, which are exactly its minimal
     transversals (Oxley, *Matroid Theory*, ch. 2).  ``completions`` is
-    ``_completions(gens)``.
+    the map of ``_completions(gens)``.
     """
     cocircuits = frozenset(completions.values())
     holders = _holders(gens)

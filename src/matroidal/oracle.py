@@ -67,6 +67,11 @@ from .ideals import (
 Exponents = tuple[int, ...]
 _T = TypeVar("_T")
 
+# The largest power ``verify_radical_cert`` tries, also the CLI's ``--cap``
+# bound: the power loop is linear in the cap even where the pair budget
+# cannot bind.
+MAX_CAP = 1000
+
 
 class BudgetExceededError(RuntimeError):
     """The Buchberger pair budget was exhausted before completion."""
@@ -838,13 +843,14 @@ def verify_radical_cert(
     built, so it does not bind a layer that witnesses settle.  Anything but
     a ``RadicalCertificate`` raises ``TypeError``; a cap below 1 could
     verify nothing and a negative pair budget nothing either, and both
-    raise ``ValueError``; a basis of all the polynomials needing more than
-    ``max_pairs`` pairs raises :class:`BudgetExceededError`.
+    raise ``ValueError``, as does a cap above ``MAX_CAP``; a basis of all
+    the polynomials needing more than ``max_pairs`` pairs raises
+    :class:`BudgetExceededError`.
     """
     if not isinstance(cert, RadicalCertificate):
         raise TypeError(f"expected a RadicalCertificate, got {type(cert).__name__}")
-    if cap < 1:
-        raise ValueError(f"oracle cap must be at least 1, got {cap}")
+    if not 1 <= cap <= MAX_CAP:
+        raise ValueError(f"oracle cap must be in 1..{MAX_CAP}, got {cap}")
     if max_pairs < 0:
         raise ValueError(f"pair budget must be nonnegative, got {max_pairs}")
 

@@ -9,9 +9,11 @@ over the steps, and is independent of the ordering chosen.
 
 A matroidal ideal has linear quotients in its canonical (descending lex)
 generator order (Herzog-Takayama 2002): the colon step of u is the set of
-y outside u with u - x + y a generator for some x > y in u.  So the
-ordering and q are the validated instance's ``_colon_masks``, which also
-place u in its Schmitt-Vogel layer; nothing here searches other orders.
+y outside u with u - x + y a generator for some x > y in u.  Those
+generators all come before u, so the walk that builds the instance's
+completion map reads each step as it passes u: the ordering and q are the
+validated instance's ``_colon_masks``, which also place u in its
+Schmitt-Vogel layer.  Nothing here searches other orders.
 """
 
 from __future__ import annotations

@@ -12,9 +12,11 @@ reads only the validated ``MatroidalIdeal``: its cocircuits pick the rung
 and its exchange masks give the layers, u going in the layer that counts
 its external exchanges.  Square-free Veronese ideals and variable block
 products take the instance's natural-order ``_colon_masks``, the colon
-steps of ``quotients``; degree-2 ideals take the masks in the part order
-(``matroids._external_masks``, or the colon masks when that order is the
-natural one), the parts being the complements of the cocircuits.  Every
+steps of ``quotients``, which the instance's one walk over its generators
+recorded with its completion map; degree-2 ideals take the masks in the
+part order (``matroids._external_masks``, or the colon masks when that
+order is the natural one), the parts being the complements of the
+cocircuits.  Every
 layering it returns has passed ``verify_sv``.  A complete layered-partition
 search covers everything else.
 """
@@ -127,7 +129,7 @@ def verify_sv(partition: SVPartition) -> SVCheck:
     dividers: _Dividers | None = None
     start = 0
     for i, layer in enumerate(layers[1:], start=1):
-        _completions(layers[i - 1], earlier)
+        _completions(layers[i - 1], earlier)  # its masks go unread
         start += len(layers[i - 1])
         members = numbered[start : start + len(layer)]
         left = _unsettled_pairs(members, earlier, columns, start)
@@ -204,9 +206,10 @@ def _exchange_layering(
 ) -> SVPartition:
     """Layer k holds the generators u whose external mask has k members.
 
-    ``masks`` is ``matroids._external_masks`` in some variable order, one
-    per generator.  Given ``mi._colon_masks``, the natural order's, the
-    layer of u is the size of its colon step in the canonical order.
+    ``masks`` holds the external masks in some variable order, one per
+    generator: ``mi._colon_masks`` for the natural order, where the layer
+    of u is the size of its colon step in the canonical order, else
+    ``matroids._external_masks``.
     """
     layer_map: dict[int, set[Monomial]] = {}
     for u, external in zip(mi.ideal.gens, masks):

@@ -875,6 +875,71 @@ def reference_minimal_generators(monomials, n: int) -> Ideal:
     return Ideal(n, tuple(sorted(kept, key=mono_vars)))
 
 
+def degree_loop_minimal_generators(monomials, n: int) -> Ideal:
+    """``minimal_generators`` as it was before one-degree input skipped the loop.
+
+    Range check first, then every monomial by ascending degree against the
+    kept generators of strictly lower degree, one-degree input included.
+    """
+    from matroidal.ideals import _canonical, _check_ambient
+
+    _check_ambient(n)
+    ms = set(monomials)
+    if ms and (min(ms) < 0 or max(ms) >> n):
+        raise ValueError(f"variable index out of range for n={n}")
+    lower: list[int] = []
+    current: list[int] = []
+    degree = -1
+    for m in sorted(ms, key=int.bit_count):
+        if m.bit_count() != degree:
+            degree = m.bit_count()
+            lower += current
+            current = []
+        if not any(g & m == g for g in lower):
+            current.append(m)
+    return Ideal(n, tuple(_canonical(lower + current)))
+
+
+def reference_colon_masks(gens) -> list[int]:
+    """Per generator u, the y outside u with u - x + y in G for some x > y in u.
+
+    Every x, y pair is tried against the generator set, so the masks
+    depend neither on the order of ``gens`` nor on a completion map.
+    """
+    genset = set(gens)
+    masks = []
+    for u in gens:
+        mask = 0
+        for x in mono_vars(u):
+            base = u ^ (1 << (x - 1))
+            for y in range(1, x):
+                ybit = 1 << (y - 1)
+                if not u & ybit and base | ybit in genset:
+                    mask |= ybit
+        masks.append(mask)
+    return masks
+
+
+def fundamental_circuit(genset, a: int, y: int) -> int:
+    """C(a, y) as a mask: y and every x in a with a - x + y a generator."""
+    ybit = 1 << (y - 1)
+    circuit = ybit
+    for x in mono_vars(a):
+        if (a ^ (1 << (x - 1))) | ybit in genset:
+            circuit |= 1 << (x - 1)
+    return circuit
+
+
+def externally_active(genset, a: int, n: int) -> int:
+    """ext(a): the y outside a that are not the largest element of C(a, y)."""
+    ext = 0
+    for y in range(1, n + 1):
+        ybit = 1 << (y - 1)
+        if not a & ybit and fundamental_circuit(genset, a, y).bit_length() > y:
+            ext |= ybit
+    return ext
+
+
 # Exponent-tuple arithmetic of the reference path, shared with no fast path.
 Exponents = tuple[int, ...]
 

@@ -105,26 +105,32 @@ def test_decompose(capsys, k22):
 
 
 def test_decompose_checks_its_file_once(capsys, monkeypatch, k22, tmp_path):
-    # One completion map for a matroidal file, and no exchange witness
-    # scan for one that is not: its primes come from the DFS.
-    builds, scans = [], []
+    # One completion walk for a matroidal file, and no exchange witness
+    # scan for one that is not: its primes come from the DFS.  Neither
+    # reads the exchange masks.
+    builds, scans, reads = [], [], []
     completions = matroidal.matroids._completions
     scan = matroidal.matroids._first_exchange_failure
+    external_masks = matroidal.matroids._external_masks
     monkeypatch.setattr(
         matroidal.matroids, "_completions", lambda gens: builds.append(gens) or completions(gens)
     )
     monkeypatch.setattr(
         matroidal.matroids, "_first_exchange_failure", lambda gens: scans.append(gens) or scan(gens)
     )
+    for module in (matroidal.matroids, matroidal.svrank):
+        monkeypatch.setattr(
+            module, "_external_masks", lambda mi, order: reads.append(mi) or external_masks(mi, order)
+        )
     code, payload = run_json(capsys, "decompose", k22)
-    assert (code, payload["signature"], len(builds), scans) == (0, [2, 2], 1, [])
+    assert (code, payload["signature"], len(builds), scans, reads) == (0, [2, 2], 1, [], [])
     bad = tmp_path / "bad.txt"
     bad.write_text(NOT_MATROIDAL)
     builds.clear()
     code, payload = run_json(capsys, "decompose", str(bad))
     assert code == 0
     assert payload == {"primes": [[1, 3], [1, 4], [2, 3], [2, 4]], "height": 2, "unmixed": True}
-    assert (len(builds), scans) == (1, [])
+    assert (len(builds), scans, reads) == (1, [], [])
 
 
 def test_partition(capsys, k22):

@@ -5,9 +5,14 @@
 agree exactly with the pairwise exchange scan and the transversal DFS: on
 every ideal with n <= 6, on each of them with a generator dropped (mostly
 not matroidal), and on random antichains.  ``find_ordering`` reads the
-colon steps in canonical order as the external masks of the completion
-map.  It must equal the recursive ordering search in lex order on every
-ideal with n <= 6.  On random antichains, a canonical-order step that
+colon steps in canonical order as the colon masks that the walk building
+the completion map records.  It must equal the recursive ordering search
+in lex order on every ideal with n <= 6.  The walk's masks must equal the
+natural-order ``_external_masks`` read and a brute force over every
+exchange, through the constructor and on ``_unchecked`` instances read
+map first or masks first: on every ideal with n <= 6, the graphic and
+transversal strategies, random antichains (mixed degrees and failing
+exchanges included) and (slow) the n = 7 orbit representatives.  On random antichains, a canonical-order step that
 fails ``colon_step_vars`` means ``check_matroidal`` rejects, and where it
 accepts ``find_ordering`` must give those steps.  The cocircuit kernel is
 also held to both oracles on Veronese ideals and relabeled block products
@@ -27,13 +32,16 @@ generator, and each "not verified" must come from the monolithic check.
 
 ``verify_sv`` settles pairs by single exchanges and tests the pairs left
 over against bitmasks of the earlier layers, and ``minimal_generators``
-compares a monomial only with kept generators of lower degree.  Each must
+compares a monomial only with kept generators of lower degree, and sorts
+one-degree input with no comparison at all.  Each must
 agree exactly with the scan it replaced: the layering check on every certificate
 with n <= 6 and on corrupted copies of them, on random layerings of random
 mixed-degree families (some with an earlier-layer exchange injected, so
 one layer holds settled pairs and pairs left over) and on V(9,4) and
 V(12,6) with a generator moved up or down a layer, and
-``minimal_generators`` on random mixed-degree sets.
+``minimal_generators`` on random one-degree and mixed-degree sets, with
+repeats, the unit monomial and the empty set, against the degree loop it
+replaced, also in the error raised on out-of-range input.
 
 ``ara_bounds`` climbs one construction ladder, ``construct_certificate``,
 and must pick the method and size the ladder it replaced picked, on every
@@ -150,6 +158,7 @@ from matroidal.matroids import (
     _external_masks,
     _fundamental_cocircuits,
     _holders,
+    _unchecked,
 )
 from matroidal.oracle import BudgetExceededError
 from matroidal.quotients import _lex_q
@@ -157,6 +166,8 @@ from matroidal.svrank import _unsettled_pairs
 
 from helpers import (
     contiguous_blocks,
+    degree_loop_minimal_generators,
+    graphic_matroids,
     groebner_radical_check,
     ideal_of,
     in_radical,
@@ -169,6 +180,7 @@ from helpers import (
     reference_buchberger,
     reference_canonical_form,
     reference_check_matroidal,
+    reference_colon_masks,
     reference_construct_certificate,
     reference_degree2_partition,
     reference_enumerate_matroidal,
@@ -181,6 +193,7 @@ from helpers import (
     reference_unmixed_bounds_report,
     reference_var_block_product,
     reference_verify_sv,
+    transversal_matroids,
     without_witnesses,
 )
 
@@ -292,6 +305,64 @@ def test_find_ordering_is_one_colon_pass_on_unchecked_input(ideal):
         assert ordering.order == gens
         assert ordering.colon_steps == tuple(steps)
         assert ordering.q == max(map(len, steps), default=0)
+
+
+def _assert_walk_gives_the_colon_masks(ideal, d, validated=True):
+    # The masks of the completion walk, read map first and masks first on
+    # fresh _unchecked copies and, for a validated ideal, through the
+    # constructor, against the natural-order exchange read and the brute
+    # force over every exchange.
+    expected = reference_colon_masks(ideal.gens)
+    map_first, masks_first = _unchecked(ideal, d), _unchecked(ideal, d)
+    completions = map_first._completion_map
+    assert "_colon_masks" in map_first.__dict__
+    instances = [map_first, masks_first]
+    masks = masks_first._colon_masks
+    assert masks_first.__dict__["_completion_map"] == completions
+    if validated:
+        instances.append(MatroidalIdeal(ideal, d))
+    for mi in instances:
+        assert list(mi._colon_masks) == _external_masks(mi, range(1, ideal.n + 1)) == expected
+        assert mi._colon_masks == masks and mi._completion_map == completions
+
+
+def test_walk_gives_the_colon_masks_on_every_small_ideal(enum_cache):
+    for n, d in CELLS:
+        for mi in enum_cache(n, d):
+            _assert_walk_gives_the_colon_masks(mi.ideal, d)
+
+
+@settings(max_examples=100, deadline=None)
+@given(graphic_matroids())
+def test_walk_gives_the_colon_masks_on_graphic_matroids(graph):
+    v, edges, trees = graph
+    _assert_walk_gives_the_colon_masks(ideal_of(len(edges), *trees), v - 1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(transversal_matroids())
+def test_walk_gives_the_colon_masks_on_transversal_matroids(matroid):
+    n, _, bases = matroid
+    _assert_walk_gives_the_colon_masks(ideal_of(n, *bases), len(bases[0]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.booleans().flatmap(lambda eq: antichains(eq)))
+@example(Ideal(3, ()))
+@example(Ideal(3, (0,)))
+@example(BACKTRACKING[2])
+def test_walk_gives_the_colon_masks_on_unchecked_antichains(ideal):
+    # Mixed degrees and failing exchanges alike: the walk presumes only
+    # the canonical order, as the exchange read presumes nothing.
+    d = ideal.gens[0].bit_count() if ideal.gens else 1
+    _assert_walk_gives_the_colon_masks(ideal, d, validated=False)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("n,d", [(7, 3), (7, 4)])
+def test_walk_gives_the_colon_masks_on_n7_orbits(enum_cache, n, d):
+    for mi in enum_cache(n, d, True):
+        _assert_walk_gives_the_colon_masks(mi.ideal, d)
 
 
 def _oracle_certificates(enum_cache):
@@ -666,7 +737,7 @@ def _assert_battery_kernels_agree(mi):
     masks = _external_masks(mi, range(1, ideal.n + 1))
     assert masks[0] == 0
     assert _lex_q(mi) == find_ordering(mi).q == max(m.bit_count() for m in masks)
-    assert mi._cocircuits == _fundamental_cocircuits(ideal.gens, _completions(ideal.gens))
+    assert mi._cocircuits == _fundamental_cocircuits(ideal.gens, _completions(ideal.gens)[0])
     blocks = _cocircuit_blocks(mi)
     expected = reference_var_block_product(ideal)
     assert (blocks and tuple(frozenset(mono_vars(b)) for b in blocks)) == expected
@@ -979,7 +1050,7 @@ def test_random_layerings_hold_settled_and_leftover_pairs_in_one_layer():
         verdicts.add(check.failure)
         numbered = [g for layer in partition.layers for g in layer]
         columns = _holders(numbered)
-        earlier = _completions(partition.layers[0])
+        earlier, _ = _completions(partition.layers[0])
         start = len(partition.layers[0])
         for layer in partition.layers[1:]:
             pairs = len(layer) * (len(layer) - 1) // 2
@@ -1028,18 +1099,45 @@ def test_verify_sv_matches_reference_on_tampered_veronese_layerings():
 
 
 @st.composite
-def monomial_sets(draw):
+def generating_sets(draw):
+    # One degree (the unit monomial at degree 0) or any degrees, with
+    # repeats and the empty set allowed.
     n = draw(st.integers(1, 8))
-    return n, draw(st.lists(st.integers(0, (1 << n) - 1), max_size=16))
+    if draw(st.booleans()):
+        d = draw(st.integers(0, n))
+        pool = st.sampled_from([mono(c) for c in combinations(range(1, n + 1), d)])
+    else:
+        pool = st.integers(0, (1 << n) - 1)
+    return n, draw(st.lists(pool, max_size=16))
+
+
+@settings(max_examples=100, deadline=None)
+@given(generating_sets(), st.data())
+def test_minimal_generators_refuses_out_of_range_input_first(n_monomials, data):
+    # A monomial past x_n, or a negative one, among input of one degree
+    # or many: the same error as the degree loop, before any fast path.
+    n, monomials = n_monomials
+    bad = data.draw(st.sampled_from([1 << n, (1 << n) | 1, -1]))
+    monomials.insert(data.draw(st.integers(0, len(monomials))), bad)
+    with pytest.raises(ValueError) as expected:
+        degree_loop_minimal_generators(monomials, n)
+    with pytest.raises(ValueError) as got:
+        minimal_generators(monomials, n)
+    assert str(got.value) == str(expected.value) == f"variable index out of range for n={n}"
 
 
 @settings(max_examples=300, deadline=None)
-@given(monomial_sets())
+@given(generating_sets())
+@example((3, []))
+@example((3, [0, 0]))
+@example((3, [0, 1, 6]))
+@example((4, [3, 5, 3, 9]))
 def test_minimal_generators_matches_reference_on_mixed_degrees(n_monomials):
+    # One-degree input too, against the degree loop it skips.
     n, monomials = n_monomials
-    assert minimal_generators(monomials, n) == reference_minimal_generators(
-        monomials, n
-    )
+    expected = degree_loop_minimal_generators(monomials, n)
+    assert minimal_generators(monomials, n) == expected
+    assert expected == reference_minimal_generators(monomials, n)
 
 
 @settings(max_examples=200, deadline=None)

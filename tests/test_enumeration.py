@@ -312,40 +312,41 @@ def test_battery_carries_its_certificate():
 
 
 def test_battery_runs_the_colon_pass_once(monkeypatch):
-    # One natural-order exchange read per battery gives q and the Veronese
-    # and block-product layers; a degree-2 ideal that reaches its rung
-    # adds one read in the part order, unless that order is the natural
-    # one and the instance's colon masks serve.  find_ordering never runs.
-    natural, parts, orderings = [], [], []
+    # One completion walk per validated ideal gives the map, q and the
+    # Veronese and block-product layers, with no natural-order exchange
+    # read; a degree-2 ideal that reaches its rung adds one read in the
+    # part order, unless that order is the natural one and the instance's
+    # colon masks serve.  find_ordering never runs.
+    reads, orderings = [], []
     external_masks = matroidal.matroids._external_masks
     find = matroidal.quotients.find_ordering
 
-    def counted(reads):
-        def read(mi, order):
-            order = list(order)
-            reads.append((mi, order == list(range(1, mi.ideal.n + 1))))
-            return external_masks(mi, order)
-
-        return read
+    def counted(mi, order):
+        order = list(order)
+        reads.append((mi, order == list(range(1, mi.ideal.n + 1))))
+        return external_masks(mi, order)
 
     def counted_find(*args, **kwargs):
         orderings.append(args[0])
         return find(*args, **kwargs)
 
-    # The part order can be the natural one, so the reads are told apart
-    # by their caller: the instance's colon masks, or degree2_cert.
-    monkeypatch.setattr(matroidal.matroids, "_external_masks", counted(natural))
-    monkeypatch.setattr(matroidal.svrank, "_external_masks", counted(parts))
+    for module in (matroidal.matroids, matroidal.svrank):
+        monkeypatch.setattr(module, "_external_masks", counted)
     monkeypatch.setattr(matroidal.quotients, "find_ordering", counted_find)
     monkeypatch.setattr(matroidal, "find_ordering", counted_find)
-    ideals = [veronese(4, 2), var_block_product([{1, 2}, {3}])]
-    ideals += [*enumerate_matroidal(4, 2), *enumerate_matroidal(5, 3)]
+    walks = _count_completion_maps(monkeypatch)
+
+    def fresh():
+        # Each ideal is built after the logs were last cleared.
+        yield veronese(4, 2)
+        yield var_block_product([{1, 2}, {3}])
+        yield from enumerate_matroidal(4, 2)
+        yield from enumerate_matroidal(5, 3)
+
     rungs = []
-    for mi in ideals:
-        natural.clear()
-        parts.clear()
-        orderings.clear()
+    for mi in fresh():
         theorem_battery(mi)
+        assert walks == [mi.ideal.gens], mi
         rung = (reference_construct_certificate(mi) or [None])[0]
         if rung == "degree2":
             by_size = sorted(degree2_partition(mi).parts, key=lambda p: (-len(p), sorted(p)))
@@ -353,9 +354,12 @@ def test_battery_runs_the_colon_pass_once(monkeypatch):
             if order == list(range(1, mi.ideal.n + 1)):
                 rung = "degree2 in the natural order"
         rungs.append(rung)
-        assert natural == [(mi, True)], mi
-        assert parts == ([(mi, False)] if rung == "degree2" else []), mi
+        assert reads == ([(mi, False)] if rung == "degree2" else []), mi
         assert orderings == [], mi
+        reads.clear()
+        orderings.clear()
+        walks.clear()
+    assert len(rungs) == 2 + 14 + 106
     assert {"veronese", "product", "degree2", "degree2 in the natural order", None} <= set(rungs)
 
 
@@ -497,7 +501,8 @@ def test_battery_builds_one_completion_map(monkeypatch):
     # across the constructor, the battery, construct_certificate,
     # veronese_cert and degree2_cert; verify_sv's per-layer maps are not
     # counted.  An instance the enumeration yields has built none until it
-    # is first read.
+    # is first read, and then its map or its colon masks, whichever is
+    # read first, records both.
     builds = _count_completion_maps(monkeypatch)
     makers = [
         lambda: veronese(4, 2),
@@ -520,6 +525,12 @@ def test_battery_builds_one_completion_map(monkeypatch):
         for mi in enumerate_matroidal(5, d):
             leaves += 1
             assert builds == [], mi
+            reads = ["_colon_masks", "_completion_map"]
+            if leaves % 2:
+                reads.reverse()
+            for name in reads:
+                getattr(mi, name)
+            assert builds == [mi.ideal.gens], mi
             _read_everything(mi)
             assert builds == [mi.ideal.gens], mi
             builds.clear()
@@ -527,16 +538,23 @@ def test_battery_builds_one_completion_map(monkeypatch):
 
 
 def test_bare_ideal_primes_build_at_most_one_completion_map(monkeypatch):
-    # The generic path of minimal_primes: a map for equal-degree input,
+    # The generic path of minimal_primes: one walk for equal-degree input,
     # matroidal or not (x1x4, x2x3 and x = x4 has no exchange), and none
     # for mixed degrees, whose primes come from the transversal DFS alone.
-    builds = _count_completion_maps(monkeypatch)
+    # No input reads the exchange masks.
+    builds, reads = _count_completion_maps(monkeypatch), []
+    external_masks = matroidal.matroids._external_masks
+    for module in (matroidal.matroids, matroidal.svrank):
+        monkeypatch.setattr(
+            module, "_external_masks", lambda mi, order: reads.append(mi) or external_masks(mi, order)
+        )
     equal = ideal_of(4, (1, 4), (2, 3), (3, 4))
     mixed = ideal_of(4, (1,), (2, 3), (2, 4), (3, 4))
     for ideal, expected in ((veronese(4, 2).ideal, 1), (equal, 1), (mixed, 0)):
         builds.clear()
         minimal_primes(ideal)
         assert builds == [ideal.gens] * expected, ideal
+        assert reads == [], ideal
 
 
 def test_scan_counts_only_certificates_it_reverified(monkeypatch):

@@ -278,10 +278,12 @@ def test_layered_check_falls_back_on_a_misordered_certificate():
 
 
 def test_verify_radical_cert_rejects_cap_below_one():
+    # Past MAX_CAP too, with the CLI's --cap message.
     cert = sv_sums(veronese_cert(3, 2))
-    for cap in (0, -3):
-        with pytest.raises(ValueError, match="oracle cap must be at least 1"):
+    for cap in (0, -3, 1001):
+        with pytest.raises(ValueError, match=rf"^oracle cap must be in 1\.\.1000, got {cap}$"):
             verify_radical_cert(cert, cap=cap)
+    assert verify_radical_cert(cert, cap=1000).verified
 
 
 def test_verify_radical_cert_inconclusive_single_sum():
@@ -496,14 +498,24 @@ def _widths(monkeypatch):
 
 def test_wide_exponent_certificate_matches_reference(monkeypatch):
     # x1^40000 fits neither 8- nor 16-bit fields, so the oracle widens twice
-    # at entry, then walks the powers of x1 up to the certificate itself.
-    cert = RadicalCertificate((P("x1^40000", 1),), ideal_of(1, (1,)), "manual")
-    widths = _widths(monkeypatch)
-    result = verify_radical_cert(cert, cap=40000)
-    assert widths == [8, 16, 32]
-    assert result.powers == {mono((1,)): 40000}
-    basis = reference_buchberger(cert.polys)
-    assert result == reference_radical_check(cert, basis, cap=40000)
+    # at entry, then walks the powers of x1 up to the cap, 1000, and finds
+    # none: a cap that reaches 40000 is refused.  x1^1000 widens once and
+    # is proven at the cap itself.
+    x1 = ideal_of(1, (1,))
+    wide = RadicalCertificate((P("x1^40000", 1),), x1, "manual")
+    with pytest.raises(ValueError, match="oracle cap must be in 1..1000, got 40000"):
+        verify_radical_cert(wide, cap=40000)
+    for cert, cap, width, powers in (
+        (wide, 1000, [8, 16, 32], {}),
+        (RadicalCertificate((P("x1^1000", 1),), x1, "manual"), 1000, [8, 16], {mono((1,)): 1000}),
+    ):
+        widths = _widths(monkeypatch)
+        result = verify_radical_cert(cert, cap=cap)
+        assert widths == width
+        assert result.powers == powers
+        assert result.verified is bool(powers)
+        basis = reference_buchberger(cert.polys)
+        assert result == reference_radical_check(cert, basis, cap=cap)
 
 
 def test_overflow_in_a_new_term_restarts_wider(monkeypatch):
