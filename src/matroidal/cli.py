@@ -62,9 +62,9 @@ from .quotients import analyze
 from .svrank import (
     SEARCH_BUDGET,
     SVPartition,
-    _layer_sums,
     construct_certificate,
     search_cert,
+    sv_sums,
     verify_sv,
 )
 
@@ -266,7 +266,7 @@ def _write_document(cert: SVPartition, construction: str) -> dict[str, object]:
         "layers": [
             [mono_str(m) for m in _canonical(layer)] for layer in cert.layers
         ],
-        "sums": [poly_str(p) for p in _layer_sums(cert).polys],
+        "sums": [poly_str(p) for p in sv_sums(cert).polys],
         "verified_sv": True,
         "oracle_checked": False,
         "construction": construction,
@@ -362,7 +362,7 @@ def _cmd_verify_cert(args) -> int:
             payload["witness"] = witness
             _emit(args, payload, [f"sv check failed ({check.failure}): {witness}"])
             return CHECK_FAILED
-        cert = _layer_sums(partition)
+        cert = sv_sums(partition)
         if polys is not None and cert.polys != polys:
             return _fail(args, "certificate sums differ from its layer sums")
     else:

@@ -11,7 +11,9 @@ transversals already found.
 The primes, the Veronese test (C(n, d) generators) and the blocks of a
 variable block product (d disjoint cocircuits whose sizes multiply to the
 generator count) are read off the cocircuits a ``MatroidalIdeal`` carries;
-a bare ``Ideal`` is checked first.
+a bare ``Ideal`` is checked first.  The check is recorded on the ``Ideal``
+(``matroids._record``), so ``mi.ideal`` of a validated instance, or an
+``Ideal`` read before, is not walked again.
 """
 
 from __future__ import annotations

@@ -403,11 +403,14 @@ class ScanReport:
 
     Certified means a layering of size n-d+1 was produced (by the
     battery's construction, else by the budgeted search) and re-verified:
-    the scan itself passed it through ``verify_sv``.  Inconclusive means
-    every other outcome, never a refutation: no construction applied and
-    the search found nothing, the layering had another size, or the
-    re-check rejected it.  ``all_certificates_reverified`` is False when
-    some size-(n-d+1) layering failed the re-check.
+    the scan itself passed it through ``verify_sv``.  The construction or
+    the search has checked that layering and recorded the verdict on it,
+    so the re-check reads that recorded verdict rather than checking the
+    layering a second time.  Inconclusive means every other outcome, never
+    a refutation: no construction applied and the search found nothing,
+    the layering had another size, or the re-check rejected it.
+    ``all_certificates_reverified`` is False when some size-(n-d+1)
+    layering failed the re-check.
     """
 
     n: int
@@ -431,8 +434,10 @@ def conjecture_scan(
     """Attempt a size-(n-d+1) certificate for every enumerated ideal.
 
     The battery's construction is reused; ``search_cert`` runs only for
-    the ideals no construction covers.  A negative ``budget`` raises
-    ValueError before anything is enumerated, searched or not.
+    the ideals no construction covers.  Each layering is re-verified
+    through ``verify_sv``, which reads the verdict the construction or the
+    search recorded on it.  A negative ``budget`` raises ValueError before
+    anything is enumerated, searched or not.
     """
     if budget < 0:
         raise ValueError(f"search budget must be nonnegative, got {budget}")

@@ -14,7 +14,10 @@ column, and ``_REVERSED`` reverses bits, which gives ``_canonical`` its
 sort key.
 
 All values are immutable and every operation is a pure function, so
-instances are safe to share across concurrent workers.
+instances are safe to share across concurrent workers.  The one thing set
+on an instance after construction is a check's recorded outcome, which is
+a function of its fields: two workers that race to record it record equal
+values.
 """
 
 from __future__ import annotations
@@ -255,6 +258,10 @@ class Ideal:
     variable tuple); build instances through :func:`minimal_generators`.
     ``check_matroidal``, so also ``MatroidalIdeal``, refuses any other order.
     The whole ring is ``gens == (UNIT,)``; the zero ideal is ``gens == ()``.
+
+    The exchange check's outcome is recorded on the instance the first time
+    it is made (``matroids._record``), outside the fields: ``==``, ``hash``
+    and ``repr`` read only ``n`` and ``gens``.
     """
 
     n: int

@@ -10,6 +10,16 @@ meets every generator.  The pairwise scan runs only on failure, to name the
 lexicographically first failing exchange.  It is the ``MatroidalIdeal``
 constructor, whose instance keeps the map, cocircuits and colon masks.
 
+Each ``Ideal`` is checked once.  ``_record`` keeps the outcome on the
+instance it checked, as ``_exchange_record``: False for "not matroidal",
+else the tuple (d, completion map, cocircuits, colon masks), from which
+``_matroid`` rebuilds a ``MatroidalIdeal`` on every later call.  So the
+constructor, :func:`check_matroidal`, :func:`as_matroidal` and the
+decomposition's readers walk a given instance once.  The record is not
+a field, so ``==``, ``hash`` and ``repr`` ignore it; it is kept per
+instance, so an equal but distinct ``Ideal`` is checked again.  It holds
+no ``MatroidalIdeal``, so no reference cycle keeps either alive.
+
 The one walk over the canonical generator order that builds the map also
 gives the colon masks: when it reaches u, the entry of u - x holds exactly
 the y < x with u - x + y a generator, since those generators come before
@@ -21,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, product as iter_product
-from typing import Iterable, Sequence
+from typing import Iterable, Literal, Sequence
 
 from .ideals import (
     Ideal,
@@ -43,6 +53,9 @@ from .ideals import (
     witness_text,
 )
 
+# A passed exchange check: d, the completion map, cocircuits, colon masks.
+Record = tuple[int, dict[Monomial, int], frozenset[int], tuple[int, ...]]
+
 
 @dataclass(frozen=True)
 class MatroidalIdeal:
@@ -51,22 +64,24 @@ class MatroidalIdeal:
     The constructor raises as :func:`as_matroidal` does, or on a ``d`` that
     is not the generators' degree.  Its check's completion map, cocircuits
     and colon masks, all from the check's one walk over the generators,
-    are not fields: ``==`` ignores them.
+    are not fields: ``==`` ignores them.  The check is the one recorded on
+    ``ideal`` (``_record``), so a second instance over the same ``Ideal``
+    walks nothing and shares the first one's map.
     """
 
     ideal: Ideal
     d: int
 
     def __post_init__(self) -> None:
-        # as_matroidal runs only on failure, to raise with the witness.
-        checked = _matroid(self.ideal) or as_matroidal(self.ideal)
-        if checked.d != self.d:
-            raise ValueError(
-                f"d={self.d} differs from the generators' degree {checked.d}"
-            )
-        object.__setattr__(self, "_completion_map", checked._completion_map)
-        object.__setattr__(self, "_cocircuits", checked._cocircuits)
-        object.__setattr__(self, "_colon_masks", checked._colon_masks)
+        record = _record(self.ideal)
+        if not record:
+            as_matroidal(self.ideal)  # raises, naming the witness
+        d, completions, cocircuits, masks = record
+        if d != self.d:
+            raise ValueError(f"d={self.d} differs from the generators' degree {d}")
+        object.__setattr__(self, "_completion_map", completions)
+        object.__setattr__(self, "_cocircuits", cocircuits)
+        object.__setattr__(self, "_colon_masks", masks)
 
     @cached_property
     def _completion_map(self) -> dict[Monomial, int]:
@@ -172,18 +187,10 @@ def check_matroidal(ideal: Ideal) -> MatroidCheck:
 
 def _matroid(ideal: Ideal) -> MatroidalIdeal | None:
     """:func:`check_matroidal`'s instance, or None, with no witness named."""
-    gens = ideal.gens
-    if not gens or not gens[0]:
+    record = _record(ideal)
+    if not record:
         return None
-    d = gens[0].bit_count()
-    for a, b in zip(gens, gens[1:]):
-        # In canonical order a holds the lowest variable where a and b differ.
-        if b.bit_count() != d or not a & (a ^ b) & -(a ^ b):
-            return None
-    completions, masks = _completions(gens)
-    cocircuits = _fundamental_cocircuits(gens, completions)
-    if cocircuits is None:
-        return None
+    d, completions, cocircuits, masks = record
     return _unchecked(
         ideal,
         d,
@@ -191,6 +198,36 @@ def _matroid(ideal: Ideal) -> MatroidalIdeal | None:
         _cocircuits=cocircuits,
         _colon_masks=masks,
     )
+
+
+def _record(ideal: Ideal) -> Record | Literal[False]:
+    """The exchange check of ``ideal``, made on its first call only.
+
+    False when the ideal is not matroidal, else (d, completion map,
+    cocircuits, colon masks).  The outcome is set on the instance, beside
+    its fields, as ``_exchange_record``.
+    """
+    record = getattr(ideal, "_exchange_record", None)
+    if record is None:
+        record = _exchange_check(ideal.gens)
+        object.__setattr__(ideal, "_exchange_record", record)
+    return record
+
+
+def _exchange_check(gens: tuple[Monomial, ...]) -> Record | Literal[False]:
+    """:func:`_record`'s outcome, from one walk over the generators."""
+    if not gens or not gens[0]:
+        return False
+    d = gens[0].bit_count()
+    for a, b in zip(gens, gens[1:]):
+        # In canonical order a holds the lowest variable where a and b differ.
+        if b.bit_count() != d or not a & (a ^ b) & -(a ^ b):
+            return False
+    completions, masks = _completions(gens)
+    cocircuits = _fundamental_cocircuits(gens, completions)
+    if cocircuits is None:
+        return False
+    return d, completions, cocircuits, masks
 
 
 def _completions(

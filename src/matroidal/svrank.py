@@ -17,8 +17,8 @@ recorded with its completion map; degree-2 ideals take the masks in the
 part order (``matroids._external_masks``, or the colon masks when that
 order is the natural one), the parts being the complements of the
 cocircuits.  Every
-layering it returns has passed ``verify_sv``.  A complete layered-partition
-search covers everything else.
+layering it returns has passed ``verify_sv`` and keeps that verdict.  A
+complete layered-partition search covers everything else.
 """
 
 from __future__ import annotations
@@ -50,7 +50,10 @@ SEARCH_BUDGET = 50000
 
 @dataclass(frozen=True)
 class SVPartition:
-    """Ordered disjoint nonempty layers P_0..P_r covering G(I)."""
+    """Ordered disjoint nonempty layers P_0..P_r covering G(I).
+
+    ``verify_sv`` records its verdict on the instance, outside the fields.
+    """
 
     ideal: Ideal
     layers: tuple[frozenset[Monomial], ...]
@@ -78,6 +81,21 @@ def verify_sv(partition: SVPartition) -> SVCheck:
     Conditions: layers are nonempty and disjoint and cover the generators,
     the first layer is a singleton, and for i > 0 any two distinct p, p' in
     P_i have some earlier-layer element dividing p*p'.
+
+    The verdict is kept on ``partition`` as ``_sv_check``, which is not a
+    field, so ``==`` and ``hash`` ignore it: a later call on the same
+    instance (``_checked``, ``sv_sums``, the scan's re-check) returns it
+    and checks nothing.  An equal but distinct partition is checked again.
+    """
+    check = getattr(partition, "_sv_check", None)
+    if check is None:
+        check = _check_layering(partition)
+        object.__setattr__(partition, "_sv_check", check)
+    return check
+
+
+def _check_layering(partition: SVPartition) -> SVCheck:
+    """The check of :func:`verify_sv`, before its verdict is recorded.
 
     The generators are numbered layer by layer, and one table of holder
     columns is read over that numbering (``matroids._holders``, from the
@@ -194,7 +212,11 @@ def _unsettled_pairs(
 
 
 def _checked(partition: SVPartition, what: str) -> SVPartition:
-    """A constructed layering, after ``verify_sv`` accepted it."""
+    """A constructed layering, after ``verify_sv`` accepted it.
+
+    The layering keeps that verdict, so a later ``verify_sv`` or
+    ``sv_sums`` on it reads the verdict instead of checking again.
+    """
     check = verify_sv(partition)
     if not check:
         raise InvariantViolation(f"{what} layering failed: {check.failure}")
@@ -219,16 +241,16 @@ def _exchange_layering(
 
 
 def sv_sums(partition: SVPartition) -> RadicalCertificate:
-    """Layer sums of a verified partition, as a radical certificate."""
+    """Layer sums of a verified partition, as a radical certificate.
+
+    A partition from a construction or the search, or one already passed
+    through ``verify_sv``, carries that verdict, so only another partition
+    is checked here.
+    """
     check = verify_sv(partition)
     if not check:
         witness = witness_text(check.failure, check.witness)
         raise ValueError(f"unverified partition ({check.failure}): {witness}")
-    return _layer_sums(partition)
-
-
-def _layer_sums(partition: SVPartition) -> RadicalCertificate:
-    """``sv_sums`` for a partition whose ``verify_sv`` check has passed."""
     n = partition.ideal.n
     polys = []
     for layer in partition.layers:

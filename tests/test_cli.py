@@ -165,16 +165,22 @@ def test_cert_and_verify_roundtrip(capsys, v42, tmp_path):
     assert payload["oracle"]["powers"]["x1*x2"] == 1
 
 
-def test_verify_cert_checks_the_layering_once(capsys, v42, v42_cert, monkeypatch):
+def _count_layering_checks(monkeypatch) -> list:
+    """Log every layering ``verify_sv`` checks, not the verdicts it reads."""
     calls = []
-    verify = matroidal.svrank.verify_sv
+    check = matroidal.svrank._check_layering
 
     def counted(partition):
         calls.append(partition)
-        return verify(partition)
+        return check(partition)
 
-    monkeypatch.setattr(matroidal.svrank, "verify_sv", counted)
-    monkeypatch.setattr(matroidal.cli, "verify_sv", counted)
+    monkeypatch.setattr(matroidal.svrank, "_check_layering", counted)
+    return calls
+
+
+def test_verify_cert_checks_the_layering_once(capsys, v42, v42_cert, monkeypatch):
+    # verify_sv checks the document's layering; sv_sums reads that verdict.
+    calls = _count_layering_checks(monkeypatch)
     code, payload = run_json(capsys, "verify-cert", v42, v42_cert, "--oracle")
     assert (code, payload["verified_sv"], payload["oracle"]["verified"]) == (0, True, True)
     assert len(calls) == 1
@@ -186,15 +192,7 @@ def test_cert_checks_the_layering_once(capsys, tmp_path, monkeypatch):
     lines = [" ".join(f"x{v}" for v in c) for c in combinations(range(1, 13), 6)]
     path = tmp_path / "v126.txt"
     path.write_text("n=12\n" + "\n".join(lines) + "\n")
-    calls = []
-    verify = matroidal.svrank.verify_sv
-
-    def counted(partition):
-        calls.append(partition)
-        return verify(partition)
-
-    monkeypatch.setattr(matroidal.svrank, "verify_sv", counted)
-    monkeypatch.setattr(matroidal.cli, "verify_sv", counted)
+    calls = _count_layering_checks(monkeypatch)
     code, payload = run_json(capsys, "cert", str(path))
     assert (code, payload["construction"], payload["verified_sv"]) == (0, "veronese", True)
     assert [len(layer) for layer in payload["layers"]] == [1, 6, 21, 56, 126, 252, 462]

@@ -971,8 +971,11 @@ def test_verify_sv_matches_reference_on_certificates_and_corruptions(enum_cache)
             copy = SVPartition(
                 partition.ideal, tuple(frozenset(layer) for layer in layers)
             )
+            # The second call reads the verdict the first recorded.
+            expected = reference_verify_sv(copy)
             check = verify_sv(copy)
-            assert check == reference_verify_sv(copy), (kind, copy)
+            assert check == expected, (kind, copy)
+            assert verify_sv(copy) == expected, (kind, copy)
             outcomes.add((kind, check.failure))
     # Every ideal: block products are layered too, not only the 2,089
     # certificates of the other methods.

@@ -5,7 +5,7 @@ import random
 import re
 import subprocess
 import sys
-from itertools import permutations
+from itertools import combinations, permutations
 from math import comb
 from pathlib import Path
 
@@ -30,8 +30,11 @@ from matroidal import (
     degree2_cert,
     degree2_partition,
     enumerate_matroidal,
+    height,
+    is_unmixed,
     minimal_generators,
     minimal_primes,
+    recognize_var_block_product,
     relabel_ideal,
     theorem_battery,
     var_block_product,
@@ -408,14 +411,16 @@ def test_battery_skips_the_bounds_when_a_construction_raises(monkeypatch):
 
 def test_battery_reads_one_cocircuit_set(monkeypatch):
     # The primes, the Veronese and block-product facts come from the
-    # instance's cocircuits: the battery calls no exchange check, the
-    # generic paths are never entered, the unmixed bounds are the report's
-    # (which reads the instance), and the one degree-2 partition of a d = 2
-    # battery is the degree2_structure verdict's: the ladder reads only the
-    # instance.
+    # instance's cocircuits: the battery calls no exchange check and reads
+    # no recorded one (``_record``, which also counts the ideals built
+    # before the counters), the generic paths are never entered, the
+    # unmixed bounds are the report's (which reads the instance), and the
+    # one degree-2 partition of a d = 2 battery is the degree2_structure
+    # verdict's: the ladder reads only the instance.
     homes = {
         "_fundamental_cocircuits": matroidal.matroids,
         "_matroid": matroidal.matroids,
+        "_record": matroidal.matroids,
         "degree2_partition": matroidal.decomposition,
         "minimal_primes": matroidal.decomposition,
         "recognize_var_block_product": matroidal.decomposition,
@@ -453,6 +458,7 @@ def test_battery_reads_one_cocircuit_set(monkeypatch):
         assert {name: len(log) for name, log in calls.items()} == {
             "_fundamental_cocircuits": 0,
             "_matroid": 0,
+            "_record": 0,
             "degree2_partition": int(mi.d == 2),
             "minimal_primes": 0,
             "recognize_var_block_product": 0,
@@ -541,7 +547,9 @@ def test_bare_ideal_primes_build_at_most_one_completion_map(monkeypatch):
     # The generic path of minimal_primes: one walk for equal-degree input,
     # matroidal or not (x1x4, x2x3 and x = x4 has no exchange), and none
     # for mixed degrees, whose primes come from the transversal DFS alone.
-    # No input reads the exchange masks.
+    # A validated instance's ideal carries its check, so it builds none,
+    # while a bare Ideal equal to it builds one.  No input reads the
+    # exchange masks.
     builds, reads = _count_completion_maps(monkeypatch), []
     external_masks = matroidal.matroids._external_masks
     for module in (matroidal.matroids, matroidal.svrank):
@@ -550,11 +558,48 @@ def test_bare_ideal_primes_build_at_most_one_completion_map(monkeypatch):
         )
     equal = ideal_of(4, (1, 4), (2, 3), (3, 4))
     mixed = ideal_of(4, (1,), (2, 3), (2, 4), (3, 4))
-    for ideal, expected in ((veronese(4, 2).ideal, 1), (equal, 1), (mixed, 0)):
+    validated = veronese(4, 2).ideal
+    bare = ideal_of(4, *combinations(range(1, 5), 2))
+    assert bare == validated and bare is not validated
+    for ideal, expected in ((bare, 1), (validated, 0), (equal, 1), (mixed, 0)):
         builds.clear()
         minimal_primes(ideal)
         assert builds == [ideal.gens] * expected, ideal
         assert reads == [], ideal
+
+
+def test_every_reader_of_an_ideal_shares_its_one_check(monkeypatch):
+    # The exchange check is recorded on the Ideal it was made on.  Every
+    # reader of a validated instance's ideal builds no completion map; a
+    # bare Ideal equal to it builds one, on its first read, and then every
+    # reader gives the same answer on both.  A non-matroidal ideal records
+    # its failure the same way.
+    builds = _count_completion_maps(monkeypatch)
+    readers = [
+        minimal_primes,
+        height,
+        is_unmixed,
+        check_matroidal,
+        recognize_var_block_product,
+        lambda ideal: MatroidalIdeal(ideal, 2),
+    ]
+    for make in (lambda: veronese(4, 2), lambda: var_block_product([{1, 2}, {3, 4}])):
+        mi = make()
+        bare = Ideal(mi.ideal.n, mi.ideal.gens)
+        builds.clear()
+        validated = [read(mi.ideal) for read in readers]
+        assert builds == [], mi
+        assert [read(bare) for read in readers] == validated
+        assert builds == [bare.gens], mi
+        assert as_matroidal(bare) == as_matroidal(mi.ideal) == mi
+        assert builds == [bare.gens], mi
+    exchange = ideal_of(4, (1, 4), (2, 3), (3, 4))
+    builds.clear()
+    for _ in range(2):
+        assert not check_matroidal(exchange)
+        assert recognize_var_block_product(exchange) is None
+        assert minimal_primes(exchange).height == 2
+    assert builds == [exchange.gens]
 
 
 def test_scan_counts_only_certificates_it_reverified(monkeypatch):

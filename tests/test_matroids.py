@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import pytest
 from hypothesis import given, settings
 
@@ -17,7 +20,9 @@ from matroidal import (
     support,
     transfer_fibers_equal,
     var_block_product,
+    verify_sv,
     veronese,
+    veronese_cert,
 )
 from matroidal.ideals import SupportOverlapError, UNIT, Ideal
 
@@ -70,6 +75,41 @@ def test_not_matroidal_message_writes_the_witness_as_monomials():
         "not a matroidal ideal (exchange): B1=x1*x2, B2=x3*x4, x=x1: "
         "no y in B2-B1 repairs the exchange"
     )
+
+
+def test_a_recorded_failure_names_the_same_witness_again():
+    # The record keeps only "not matroidal"; each raise names the witness
+    # anew, and the second one is the first one's.
+    for ideal in (ideal_of(4, (1, 2), (3, 4)), ideal_of(3, (1,), (2, 3))):
+        raised = []
+        for _ in range(2):
+            with pytest.raises(NotMatroidalError) as info:
+                as_matroidal(ideal)
+            raised.append((str(info.value), info.value.check))
+        assert raised[0] == raised[1]
+        assert check_matroidal(ideal) == raised[0][1]
+
+
+def test_recorded_checks_hold_no_reference_cycle():
+    # The record on an Ideal holds no MatroidalIdeal, and the verdict on an
+    # SVPartition holds no partition, so with the collector off each dies
+    # on its last reference while its Ideal lives on.
+    gc.disable()
+    try:
+        mi = veronese(5, 2)
+        ideal = mi.ideal
+        assert check_matroidal(ideal).matroidal == mi
+        dead = weakref.ref(mi)
+        del mi
+        assert dead() is None
+        partition = veronese_cert(5, 2)
+        assert verify_sv(partition)
+        dead = weakref.ref(partition)
+        del partition
+        assert dead() is None
+    finally:
+        gc.enable()
+    assert minimal_primes(ideal).height == 4
 
 
 def test_check_rejects_zero_and_unit():

@@ -111,7 +111,8 @@ class _RaisingDividers:
 
 def test_the_single_exchange_pass_settles_the_constructions(enum_cache, monkeypatch):
     # With the exact pair scan made to raise, only the single-exchange pass
-    # can accept, so a silent fallback to the scan would fail here.
+    # can accept, so a silent fallback to the scan would fail here.  The
+    # constructions record their verdicts, so fresh copies are checked.
     labeled = [
         c[1]
         for n in range(1, 7)
@@ -128,8 +129,9 @@ def test_the_single_exchange_pass_settles_the_constructions(enum_cache, monkeypa
         ),
         *labeled,
     ]
+    copies = [SVPartition(p.ideal, p.layers) for p in certificates]
     monkeypatch.setattr(matroidal.svrank, "_Dividers", _RaisingDividers)
-    assert all(verify_sv(p) for p in certificates)
+    assert all(verify_sv(p) for p in copies)
     # A pair the pass cannot settle goes to the scan.
     tampered = moved_generator(certificates[0], 6, 1)
     with pytest.raises(_NoScan):
