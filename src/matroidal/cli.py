@@ -31,7 +31,7 @@ import sys
 import time
 from pathlib import Path
 
-from .decomposition import _decompose, degree2_partition
+from .decomposition import degree2_partition, minimal_primes
 from .enumeration import (
     SCAN_BUDGET, THEOREMS, _check_cell, conjecture_scan, enumerate_matroidal,
     theorem_battery,
@@ -48,7 +48,7 @@ from .ideals import (
     parse_mono,
     witness_text,
 )
-from .matroids import as_matroidal, check_matroidal
+from .matroids import _matroid, as_matroidal, check_matroidal
 from .oracle import (
     MAX_CAP,
     BudgetExceededError,
@@ -187,7 +187,7 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_decompose(args) -> int:
     ideal = _load_ideal(args.file)
-    decomposition, mi = _decompose(ideal)
+    decomposition = minimal_primes(ideal)
     payload: dict[str, object] = {
         "primes": [sorted(p) for p in decomposition.primes],
         "height": decomposition.height,
@@ -198,6 +198,7 @@ def _cmd_decompose(args) -> int:
         f"height={decomposition.height}",
         f"unmixed={decomposition.unmixed}",
     ]
+    mi = _matroid(ideal)  # the verdict minimal_primes recorded
     if mi is not None and mi.d == 2 and has_full_support(ideal):
         signature = degree2_partition(mi).signature
         payload["signature"] = list(signature)

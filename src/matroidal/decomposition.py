@@ -11,9 +11,9 @@ transversals already found.
 The primes, the Veronese test (C(n, d) generators) and the blocks of a
 variable block product (d disjoint cocircuits whose sizes multiply to the
 generator count) are read off the cocircuits a ``MatroidalIdeal`` carries;
-a bare ``Ideal`` is checked first.  The check is recorded on the ``Ideal``
-(``matroids._record``), so ``mi.ideal`` of a validated instance, or an
-``Ideal`` read before, is not walked again.
+a bare ``Ideal`` is checked first.  The walk and the verdict are kept on
+the ``Ideal`` (``matroids._walk``, ``matroids._record``), so ``mi.ideal``
+of a validated instance, or an ``Ideal`` read before, is not walked again.
 """
 
 from __future__ import annotations
@@ -58,8 +58,8 @@ class MultipartitePartition:
     signature: tuple[int, ...]
 
 
-def _decompose(ideal: Ideal) -> tuple[PrimeDecomposition, MatroidalIdeal | None]:
-    """:func:`minimal_primes`, and the ideal as a ``MatroidalIdeal`` or None."""
+def minimal_primes(ideal: Ideal) -> PrimeDecomposition:
+    """All minimal transversals of the generator supports (cocircuits if matroidal)."""
     if is_zero_ideal(ideal):
         raise ValueError("the zero ideal has no minimal variable primes")
     if is_unit_ideal(ideal):
@@ -68,17 +68,11 @@ def _decompose(ideal: Ideal) -> tuple[PrimeDecomposition, MatroidalIdeal | None]
     primes = _minimal_transversals(ideal.gens) if mi is None else mi._cocircuits
     ordered = sorted((c.bit_count(), mono_vars(c)) for c in primes)
     heights = {h for h, _ in ordered}
-    decomposition = PrimeDecomposition(
+    return PrimeDecomposition(
         primes=tuple(frozenset(vs) for _, vs in ordered),
         height=min(heights),
         unmixed=len(heights) == 1,
     )
-    return decomposition, mi
-
-
-def minimal_primes(ideal: Ideal) -> PrimeDecomposition:
-    """All minimal transversals of the generator supports (cocircuits if matroidal)."""
-    return _decompose(ideal)[0]
 
 
 def _is_veronese(mi: MatroidalIdeal) -> bool:

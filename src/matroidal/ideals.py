@@ -14,10 +14,10 @@ column, and ``_REVERSED`` reverses bits, which gives ``_canonical`` its
 sort key.
 
 All values are immutable and every operation is a pure function, so
-instances are safe to share across concurrent workers.  The one thing set
-on an instance after construction is a check's recorded outcome, which is
-a function of its fields: two workers that race to record it record equal
-values.
+instances are safe to share across concurrent workers.  Two things are set
+on an ``Ideal`` after construction, its exchange walk and verdict
+(``matroids._walk``, ``matroids._record``), each a function of its fields:
+two workers that race to record one record equal values.
 """
 
 from __future__ import annotations
@@ -259,9 +259,9 @@ class Ideal:
     ``check_matroidal``, so also ``MatroidalIdeal``, refuses any other order.
     The whole ring is ``gens == (UNIT,)``; the zero ideal is ``gens == ()``.
 
-    The exchange check's outcome is recorded on the instance the first time
-    it is made (``matroids._record``), outside the fields: ``==``, ``hash``
-    and ``repr`` read only ``n`` and ``gens``.
+    The exchange walk and verdict have their one home here, set the first
+    time each is read (``matroids._walk``, ``matroids._record``) outside
+    the fields: ``==``, ``hash`` and ``repr`` read only ``n`` and ``gens``.
     """
 
     n: int

@@ -8,17 +8,17 @@ C(B, x) = {x} + {y not in B : B - x + y in G} of every generator B from one
 completion map, O(|G| d) dict updates in all, and accepts when each of them
 meets every generator.  The pairwise scan runs only on failure, to name the
 lexicographically first failing exchange.  It is the ``MatroidalIdeal``
-constructor, whose instance keeps the map, cocircuits and colon masks.
+constructor, whose instance holds only ``ideal`` and ``d``.
 
-Each ``Ideal`` is checked once.  ``_record`` keeps the outcome on the
-instance it checked, as ``_exchange_record``: False for "not matroidal",
-else the tuple (d, completion map, cocircuits, colon masks), from which
-``_matroid`` rebuilds a ``MatroidalIdeal`` on every later call.  So the
-constructor, :func:`check_matroidal`, :func:`as_matroidal` and the
-decomposition's readers walk a given instance once.  The record is not
-a field, so ``==``, ``hash`` and ``repr`` ignore it; it is kept per
-instance, so an equal but distinct ``Ideal`` is checked again.  It holds
-no ``MatroidalIdeal``, so no reference cycle keeps either alive.
+Each ``Ideal`` is walked and checked once, whoever reads it first.
+``_walk`` sets the completion map, colon masks and cocircuits on it, as
+``_exchange_walk``; ``_record`` sets the verdict, d or False, as
+``_exchange_verdict``.  The verdict runs the degree and order tests before
+it reads the walk, so a walk that an unchecked instance read is no verdict.
+The constructor, :func:`check_matroidal`, the decomposition's readers and
+an enumeration leaf thus share one walk.  Neither is a field, so ``==``,
+``hash`` and ``repr`` ignore both, and an equal but distinct ``Ideal`` is
+walked again.  Neither holds a ``MatroidalIdeal``, so no cycle forms.
 
 The one walk over the canonical generator order that builds the map also
 gives the colon masks: when it reaches u, the entry of u - x holds exactly
@@ -29,7 +29,6 @@ u, so OR-ing the entries it reads is u's colon step.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import combinations, product as iter_product
 from typing import Iterable, Literal, Sequence
 
@@ -53,71 +52,47 @@ from .ideals import (
     witness_text,
 )
 
-# A passed exchange check: d, the completion map, cocircuits, colon masks.
-Record = tuple[int, dict[Monomial, int], frozenset[int], tuple[int, ...]]
-
 
 @dataclass(frozen=True)
 class MatroidalIdeal:
     """A validated matroidal ideal together with its uniform degree.
 
     The constructor raises as :func:`as_matroidal` does, or on a ``d`` that
-    is not the generators' degree.  Its check's completion map, cocircuits
-    and colon masks, all from the check's one walk over the generators,
-    are not fields: ``==`` ignores them.  The check is the one recorded on
-    ``ideal`` (``_record``), so a second instance over the same ``Ideal``
-    walks nothing and shares the first one's map.
+    is not the generators' degree.  It holds only its two fields: the map,
+    cocircuits and colon masks (``_walk``) and the verdict (``_record``)
+    are kept on ``ideal``, so instances over one ``Ideal`` share one walk.
     """
 
     ideal: Ideal
     d: int
 
     def __post_init__(self) -> None:
-        record = _record(self.ideal)
-        if not record:
+        d = _record(self.ideal)
+        if not d:
             as_matroidal(self.ideal)  # raises, naming the witness
-        d, completions, cocircuits, masks = record
         if d != self.d:
             raise ValueError(f"d={self.d} differs from the generators' degree {d}")
-        object.__setattr__(self, "_completion_map", completions)
-        object.__setattr__(self, "_cocircuits", cocircuits)
-        object.__setattr__(self, "_colon_masks", masks)
 
-    @cached_property
+    @property
     def _completion_map(self) -> dict[Monomial, int]:
-        return self._walk()[0]
+        return _walk(self.ideal)[0]
 
-    @cached_property
-    def _cocircuits(self) -> frozenset[int]:
-        """The fundamental cocircuits: the values of the completion map."""
-        return frozenset(self._completion_map.values())
-
-    @cached_property
+    @property
     def _colon_masks(self) -> tuple[int, ...]:
         """The natural-order colon masks: q, the colon steps, the layers."""
-        return self._walk()[1]
+        return _walk(self.ideal)[1]
 
-    def _walk(self) -> tuple[dict[Monomial, int], tuple[int, ...]]:
-        """Record the completion map and colon masks of one walk."""
-        completions, masks = _completions(self.ideal.gens)
-        object.__setattr__(self, "_completion_map", completions)
-        object.__setattr__(self, "_colon_masks", masks)
-        return completions, masks
+    @property
+    def _cocircuits(self) -> frozenset[int]:
+        """The fundamental cocircuits: the values of the completion map."""
+        return _walk(self.ideal)[2]
 
 
-def _unchecked(ideal: Ideal, d: int, **record: object) -> MatroidalIdeal:
-    """A ``MatroidalIdeal`` for a caller that has checked ``ideal`` already.
-
-    Of ``_completion_map``, ``_cocircuits`` and ``_colon_masks``, one not
-    in ``record`` is built when first read; the first read of the map or
-    the masks records both from one walk.  Attributes are set as the
-    dataclass ``__init__`` sets them, which builds no dict per instance.
-    """
+def _unchecked(ideal: Ideal, d: int) -> MatroidalIdeal:
+    """A ``MatroidalIdeal`` for a caller that has checked ``ideal``; it records nothing."""
     mi = object.__new__(MatroidalIdeal)
     object.__setattr__(mi, "ideal", ideal)
     object.__setattr__(mi, "d", d)
-    for name, value in record.items():
-        object.__setattr__(mi, name, value)
     return mi
 
 
@@ -187,35 +162,25 @@ def check_matroidal(ideal: Ideal) -> MatroidCheck:
 
 def _matroid(ideal: Ideal) -> MatroidalIdeal | None:
     """:func:`check_matroidal`'s instance, or None, with no witness named."""
-    record = _record(ideal)
-    if not record:
-        return None
-    d, completions, cocircuits, masks = record
-    return _unchecked(
-        ideal,
-        d,
-        _completion_map=completions,
-        _cocircuits=cocircuits,
-        _colon_masks=masks,
-    )
+    d = _record(ideal)
+    return _unchecked(ideal, d) if d else None
 
 
-def _record(ideal: Ideal) -> Record | Literal[False]:
-    """The exchange check of ``ideal``, made on its first call only.
+def _record(ideal: Ideal) -> int | Literal[False]:
+    """The exchange verdict of ``ideal``: d, or False when not matroidal.
 
-    False when the ideal is not matroidal, else (d, completion map,
-    cocircuits, colon masks).  The outcome is set on the instance, beside
-    its fields, as ``_exchange_record``.
+    Made on the first call only and kept as ``_exchange_verdict``.
     """
-    record = getattr(ideal, "_exchange_record", None)
-    if record is None:
-        record = _exchange_check(ideal.gens)
-        object.__setattr__(ideal, "_exchange_record", record)
-    return record
+    verdict = getattr(ideal, "_exchange_verdict", None)
+    if verdict is None:
+        verdict = _exchange_check(ideal)
+        object.__setattr__(ideal, "_exchange_verdict", verdict)
+    return verdict
 
 
-def _exchange_check(gens: tuple[Monomial, ...]) -> Record | Literal[False]:
-    """:func:`_record`'s outcome, from one walk over the generators."""
+def _exchange_check(ideal: Ideal) -> int | Literal[False]:
+    """:func:`_record`'s verdict: the order tests, then the walk's cocircuits."""
+    gens = ideal.gens
     if not gens or not gens[0]:
         return False
     d = gens[0].bit_count()
@@ -223,11 +188,20 @@ def _exchange_check(gens: tuple[Monomial, ...]) -> Record | Literal[False]:
         # In canonical order a holds the lowest variable where a and b differ.
         if b.bit_count() != d or not a & (a ^ b) & -(a ^ b):
             return False
-    completions, masks = _completions(gens)
-    cocircuits = _fundamental_cocircuits(gens, completions)
-    if cocircuits is None:
-        return False
-    return d, completions, cocircuits, masks
+    return d if _cocircuits_meet_every_generator(gens, _walk(ideal)[2]) else False
+
+
+def _walk(ideal: Ideal) -> tuple[dict[Monomial, int], tuple[int, ...], frozenset[int]]:
+    """The completion map, colon masks and cocircuits of ``ideal``'s generators.
+
+    One ``_completions`` walk, presuming nothing, kept as ``_exchange_walk``.
+    """
+    walk = getattr(ideal, "_exchange_walk", None)
+    if walk is None:
+        completions, masks = _completions(ideal.gens)
+        walk = completions, masks, frozenset(completions.values())
+        object.__setattr__(ideal, "_exchange_walk", walk)
+    return walk
 
 
 def _completions(
@@ -319,24 +293,23 @@ def _holders(gens: Sequence[Monomial]) -> dict[int, int]:
     return holders
 
 
-def _fundamental_cocircuits(
-    gens: tuple[Monomial, ...], completions: dict[Monomial, int]
-) -> frozenset[int] | None:
-    """The distinct fundamental cocircuits of equal-degree generators.
+def _cocircuits_meet_every_generator(
+    gens: tuple[Monomial, ...], cocircuits: frozenset[int]
+) -> bool:
+    """Whether equal-degree generators pass the exchange test.
 
-    For each generator B and x in B, C(B, x) is x together with every
-    support variable y outside B such that B - x + y is a generator.  That
-    is exactly the completion mask of B - x: it holds x because B is a
-    generator, and every other y in it lies outside B.  Every key of the
-    map is some B - x, so the set of its values is the set of fundamental
+    For each generator B and x in B, the fundamental cocircuit C(B, x) is
+    x together with every support variable y outside B such that
+    B - x + y is a generator.  That is exactly the completion mask of
+    B - x: it holds x because B is a generator, and every other y in it
+    lies outside B.  Every key of the map is some B - x, so the set of its
+    values, ``cocircuits`` (``_walk``), is the set of fundamental
     cocircuits.  A generator B2 missing C(B, x) is exactly a failing
-    exchange triple (B, B2, x), so ``None`` is returned iff the exchange
+    exchange triple (B, B2, x), so False is returned iff the exchange
     condition fails.  Otherwise the sets are the cocircuits of the matroid
     whose bases are the generators, which are exactly its minimal
-    transversals (Oxley, *Matroid Theory*, ch. 2).  ``completions`` is
-    the map of ``_completions(gens)``.
+    transversals (Oxley, *Matroid Theory*, ch. 2).
     """
-    cocircuits = frozenset(completions.values())
     holders = _holders(gens)
     everyone = (1 << len(gens)) - 1
     for c in cocircuits:
@@ -347,14 +320,14 @@ def _fundamental_cocircuits(
             met |= holders[v]
             rest ^= v
         if met != everyone:
-            return None
-    return cocircuits
+            return False
+    return True
 
 
 def _first_exchange_failure(gens: tuple[Monomial, ...]) -> ExchangeWitness:
     """The lexicographically first (B1, B2, x) with no repairing y.
 
-    Only called once :func:`_fundamental_cocircuits` has found a failure,
+    Only called once :func:`_cocircuits_meet_every_generator` has failed,
     so finding none is an invariant violation.
     """
     genset = set(gens)

@@ -12,8 +12,8 @@ reads only the validated ``MatroidalIdeal``: its cocircuits pick the rung
 and its exchange masks give the layers, u going in the layer that counts
 its external exchanges.  Square-free Veronese ideals and variable block
 products take the instance's natural-order ``_colon_masks``, the colon
-steps of ``quotients``, which the instance's one walk over its generators
-recorded with its completion map; degree-2 ideals take the masks in the
+steps of ``quotients``, which the one walk over its generators records
+on its ``Ideal`` with the completion map; degree-2 ideals take the masks in the
 part order (``matroids._external_masks``, or the colon masks when that
 order is the natural one), the parts being the complements of the
 cocircuits.  Every
@@ -232,6 +232,31 @@ def _exchange_layering(
     generator: ``mi._colon_masks`` for the natural order, where the layer
     of u is the size of its colon step in the canonical order, else
     ``matroids._external_masks``.
+
+    Why the natural-order layering should pass the Schmitt-Vogel test on
+    every matroidal ideal is a claim here, not a proof.  C(a, y) is the
+    fundamental circuit of y outside a generator a: y and every x in a
+    with a - x + y a generator.  ext(a), the y outside a that are not the
+    largest element of C(a, y), is a's colon mask: a sits in layer
+    |ext(a)|.  Pair lemma: for distinct generators a and b, b meets
+    ext(a) or a meets ext(b).  Sketch: if b misses ext(a), every y in
+    b - a is the largest element of C(a, y), so by the optimality
+    criterion for bases a is the unique basis of M|(a + b) of least index
+    sum; if a also missed ext(b), b would be it too.  Descent lemma,
+    checked but not proven: for y in ext(a) and x the largest element of
+    C(a, y), ext(a - x + y) lies in ext(a) - {y}.
+
+    Together: for distinct a, b of layer k, the pair lemma gives, say, a y
+    of b in ext(a).  The descent lemma puts a - x + y in a layer below k,
+    and a - x + y lies inside a + b, so it divides ab: the Schmitt-Vogel
+    condition (Schmitt-Vogel 1979).  The q + 1 layers would then meet the
+    lower bound pd(R/I) = q + 1 that the linear quotients give
+    (Herzog-Takayama 2002).  ``tests/test_exchange_lemmas.py`` checks both
+    lemmas by brute force: the pair lemma on all 133,310 generator pairs
+    of the labeled ideals with n <= 6 and on the graphic, transversal and
+    sparse paving strategies, the descent lemma on their 44,292 cases
+    (a, y) and, under slow, on the 4,243 and 3,872 cases of the (7,3) and
+    (7,4) orbits.  Every layering still passes ``verify_sv`` (``_checked``).
     """
     layer_map: dict[int, set[Monomial]] = {}
     for u, external in zip(mi.ideal.gens, masks):

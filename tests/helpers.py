@@ -193,6 +193,31 @@ def transversal_matroids(draw):
             return n, sets, bases
 
 
+@st.composite
+def sparse_paving_matroids(draw):
+    """A sparse paving matroid of rank 2..n-2 on 6-10 elements.
+
+    Draws ``(n, d, bases)``: every d-subset of x1..xn is a basis but the
+    circuit-hyperplanes, a family of d-subsets any two of which share at
+    most d - 2 elements, kept greedily, up to a drawn count, from the
+    d-subsets in a drawn order (Mayhew-Newman-Welsh-Whittle 2011).
+    ``bases`` lists variable tuples; no library constructor is used.  The
+    support is full: for x and a (d - 2)-set U without it, the n - d + 1
+    d-subsets U + x + z pairwise share d - 1 elements, so at most one of
+    them is left out.
+    """
+    n = draw(st.integers(6, 10))
+    d = draw(st.integers(2, n - 2))
+    subsets = list(combinations(range(1, n + 1), d))
+    most = draw(st.integers(0, len(subsets)))
+    hyperplanes: list[set[int]] = []
+    for h in map(set, draw(st.permutations(subsets))):
+        if len(hyperplanes) < most and all(len(h & k) <= d - 2 for k in hyperplanes):
+            hyperplanes.append(h)
+    bases = [b for b in subsets if set(b) not in hyperplanes]
+    return n, d, bases
+
+
 def faces_k_polynomial(ideal: Ideal) -> list[int]:
     """The K-polynomial of R/I, counted face by face, as coefficients of t^k.
 

@@ -154,9 +154,9 @@ from matroidal.ideals import _canonical
 from matroidal.matroids import (
     MatroidalIdeal,
     NotMatroidalError,
+    _cocircuits_meet_every_generator,
     _completions,
     _external_masks,
-    _fundamental_cocircuits,
     _holders,
     _unchecked,
 )
@@ -311,19 +311,27 @@ def _assert_walk_gives_the_colon_masks(ideal, d, validated=True):
     # The masks of the completion walk, read map first and masks first on
     # fresh _unchecked copies and, for a validated ideal, through the
     # constructor, against the natural-order exchange read and the brute
-    # force over every exchange.
+    # force over every exchange.  Every copy reads the one walk kept on
+    # ``ideal``, so all return the same map object.  On unchecked input a
+    # walk read first is no verdict: check_matroidal still matches the
+    # pairwise scan, and still refuses the zero and unit ideals.
     expected = reference_colon_masks(ideal.gens)
     map_first, masks_first = _unchecked(ideal, d), _unchecked(ideal, d)
     completions = map_first._completion_map
-    assert "_colon_masks" in map_first.__dict__
-    instances = [map_first, masks_first]
     masks = masks_first._colon_masks
-    assert masks_first.__dict__["_completion_map"] == completions
+    instances = [map_first, masks_first]
     if validated:
         instances.append(MatroidalIdeal(ideal, d))
     for mi in instances:
         assert list(mi._colon_masks) == _external_masks(mi, range(1, ideal.n + 1)) == expected
-        assert mi._colon_masks == masks and mi._completion_map == completions
+        assert mi._colon_masks is masks and mi._completion_map is completions
+    if validated:
+        return
+    if ideal.gens in ((), (0,)):
+        with pytest.raises(ValueError, match="has no matroid structure$"):
+            check_matroidal(ideal)
+    else:
+        assert check_matroidal(ideal) == reference_check_matroidal(ideal)
 
 
 def test_walk_gives_the_colon_masks_on_every_small_ideal(enum_cache):
@@ -737,7 +745,8 @@ def _assert_battery_kernels_agree(mi):
     masks = _external_masks(mi, range(1, ideal.n + 1))
     assert masks[0] == 0
     assert _lex_q(mi) == find_ordering(mi).q == max(m.bit_count() for m in masks)
-    assert mi._cocircuits == _fundamental_cocircuits(ideal.gens, _completions(ideal.gens)[0])
+    assert mi._cocircuits == frozenset(_completions(ideal.gens)[0].values())
+    assert _cocircuits_meet_every_generator(ideal.gens, mi._cocircuits)
     blocks = _cocircuit_blocks(mi)
     expected = reference_var_block_product(ideal)
     assert (blocks and tuple(frozenset(mono_vars(b)) for b in blocks)) == expected

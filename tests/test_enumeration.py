@@ -418,7 +418,7 @@ def test_battery_reads_one_cocircuit_set(monkeypatch):
     # one degree-2 partition of a d = 2 battery is the degree2_structure
     # verdict's: the ladder reads only the instance.
     homes = {
-        "_fundamental_cocircuits": matroidal.matroids,
+        "_cocircuits_meet_every_generator": matroidal.matroids,
         "_matroid": matroidal.matroids,
         "_record": matroidal.matroids,
         "degree2_partition": matroidal.decomposition,
@@ -456,7 +456,7 @@ def test_battery_reads_one_cocircuit_set(monkeypatch):
             log.clear()
         theorem_battery(mi)
         assert {name: len(log) for name, log in calls.items()} == {
-            "_fundamental_cocircuits": 0,
+            "_cocircuits_meet_every_generator": 0,
             "_matroid": 0,
             "_record": 0,
             "degree2_partition": int(mi.d == 2),
@@ -508,7 +508,8 @@ def test_battery_builds_one_completion_map(monkeypatch):
     # veronese_cert and degree2_cert; verify_sv's per-layer maps are not
     # counted.  An instance the enumeration yields has built none until it
     # is first read, and then its map or its colon masks, whichever is
-    # read first, records both.
+    # read first, records both on its Ideal: the constructor,
+    # check_matroidal and minimal_primes on that Ideal build no second map.
     builds = _count_completion_maps(monkeypatch)
     makers = [
         lambda: veronese(4, 2),
@@ -537,6 +538,9 @@ def test_battery_builds_one_completion_map(monkeypatch):
             for name in reads:
                 getattr(mi, name)
             assert builds == [mi.ideal.gens], mi
+            assert MatroidalIdeal(mi.ideal, d) == mi
+            assert check_matroidal(mi.ideal).matroidal == mi
+            minimal_primes(mi.ideal)
             _read_everything(mi)
             assert builds == [mi.ideal.gens], mi
             builds.clear()

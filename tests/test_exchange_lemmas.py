@@ -19,8 +19,8 @@ any a, b of one layer with y in b ∩ ext(a), and a - x + y divides ab.
 The circuits come from ``helpers`` and the generator sets alone: nothing
 here reads the library's colon masks, exchange layering or layering
 check.  Every labeled ideal with n <= 6 runs in Tier-1, for the pair
-lemma also the graphic and transversal strategies; the (7,3) and (7,4)
-orbits run under slow.
+lemma also the graphic, transversal and sparse paving strategies; the
+(7,3) and (7,4) orbits run under slow.
 """
 
 from itertools import combinations
@@ -33,6 +33,7 @@ from helpers import (
     fundamental_circuit,
     graphic_matroids,
     ideal_of,
+    sparse_paving_matroids,
     transversal_matroids,
 )
 
@@ -51,7 +52,7 @@ def test_pair_lemma_on_every_small_ideal(enum_cache):
             for mi in enum_cache(n, d):
                 _assert_pair_lemma(mi.ideal)
                 pairs += len(mi.ideal.gens) * (len(mi.ideal.gens) - 1) // 2
-    assert pairs > 0
+    assert pairs == 133310
 
 
 @settings(max_examples=100, deadline=None)
@@ -64,6 +65,13 @@ def test_pair_lemma_on_graphic_matroids(graph):
 @settings(max_examples=100, deadline=None)
 @given(transversal_matroids())
 def test_pair_lemma_on_transversal_matroids(matroid):
+    n, _, bases = matroid
+    _assert_pair_lemma(ideal_of(n, *bases))
+
+
+@settings(max_examples=50, deadline=None)
+@given(sparse_paving_matroids())
+def test_pair_lemma_on_sparse_paving_matroids(matroid):
     n, _, bases = matroid
     _assert_pair_lemma(ideal_of(n, *bases))
 

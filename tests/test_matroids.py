@@ -35,6 +35,9 @@ from helpers import (
     ideal_of,
     matroidal_of,
     partition_shapes,
+    reference_check_matroidal,
+    reference_minimal_primes,
+    sparse_paving_matroids,
     tutte_at_x_1,
 )
 
@@ -228,3 +231,23 @@ def test_spanning_tree_ideals_are_matroidal_with_the_bonds_as_primes(graph):
     assert betti_k_polynomial(n, mi.d, sizes) == faces_k_polynomial(mi.ideal)
     layers = [sizes.count(k) for k in range(n - mi.d + 1)]
     assert layers[::-1] == tutte_at_x_1(mi.ideal, mi.d)
+
+
+@given(sparse_paving_matroids())
+@settings(max_examples=50, deadline=None)
+def test_sparse_paving_matroids_pass_every_check(matroid):
+    # Past the enumeration, up to n = 10 and 252 bases, drawn with no
+    # library constructor.  The pairwise scan accepts, which checks the
+    # strategy; then the exchange check with that d, q = n - d, the primes
+    # against the transversal DFS, and the K-polynomial of the colon-mask
+    # sizes against the faces.
+    n, d, bases = matroid
+    ideal = ideal_of(n, *bases)
+    assert reference_check_matroidal(ideal)
+    check = check_matroidal(ideal)
+    assert check and check.matroidal.d == d
+    mi = check.matroidal
+    assert q_index(mi) == n - d
+    assert minimal_primes(ideal) == reference_minimal_primes(ideal)
+    sizes = [m.bit_count() for m in mi._colon_masks]
+    assert betti_k_polynomial(n, d, sizes) == faces_k_polynomial(ideal)
